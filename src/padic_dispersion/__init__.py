@@ -45,7 +45,7 @@ from .padic import (
     enumerate_residues,
     padic_meta,
 )
-from .polynomials import SparsePolynomial, parse_polynomial, poly_eval_mod
+from .polynomials import SparsePolynomial, parse_polynomial
 from .schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,

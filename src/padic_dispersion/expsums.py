@@ -6,6 +6,12 @@ histograms: counts N_r of residues r with z*f(x) = r / p^L (mod 1), plus an
 exact rational volume scale.  A single complex evaluation, in ascending r,
 turns a histogram into a number; everything before that step is exact and
 order-independent, which is what makes parallel accumulation deterministic.
+
+One dense engine builds every histogram: the common p-power of the
+non-constant coefficients is factored out, so the counting modulus never
+exceeds the grid side; each block of coupled variables is enumerated in numpy
+slabs of the first variable (in parallel when a block has several slabs); and
+block histograms combine by exact cyclic convolution.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
 from .polynomials import Exponents, SparsePolynomial, compose_affine
 
-_DENSE_MODULUS_LIMIT = 1 << 24
-_NUMPY_BLOCK_LIMIT = 1 << 22
+_CHUNK = 1 << 22
 
 
 @dataclass
@@ -126,31 +131,6 @@ def _powmod_vector(base: np.ndarray, exp: int, modulus: int) -> np.ndarray:
     return result
 
 
-def _univariate_counts(
-    terms: list[tuple[int, int]], width: int, modulus: int, threads: int
-) -> np.ndarray:
-    """Counts of sum_a c_a y^a mod modulus over y in [0, width)."""
-
-    def chunk_counts(lo: int, hi: int) -> np.ndarray:
-        y = np.arange(lo, hi, dtype=np.int64)
-        vals = np.zeros_like(y)
-        for a, c in terms:
-            vals = (vals + (c % modulus) * _powmod_vector(y, a, modulus)) % modulus
-        return np.bincount(vals, minlength=modulus)
-
-    threads = max(1, threads)
-    if threads == 1 or width < 4 * threads:
-        return chunk_counts(0, width)
-    bounds = [width * i // threads for i in range(threads + 1)]
-    jobs = list(zip(bounds, bounds[1:]))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ab: chunk_counts(*ab), jobs))
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
-
-
 def _block_counts(
     block: tuple[int, ...],
     terms: Mapping[Exponents, int],
@@ -158,41 +138,40 @@ def _block_counts(
     modulus: int,
     threads: int,
 ) -> np.ndarray:
-    """Counts of the block's part of the polynomial over [0, width)^len(block)."""
+    """Counts of the block's part of the polynomial over [0, width)^len(block).
+
+    The first variable is walked in slabs of about _CHUNK points (at least
+    one of its values) and the others are broadcast; slabs run on `threads`
+    workers when there are several.  Integer counts add exactly, so the order of slabs is immaterial.
+    """
     local = [
-        (tuple(exps[j] for j in block), coeff)
+        (tuple(exps[j] for j in block), coeff % modulus)
         for exps, coeff in terms.items()
         if any(exps[j] > 0 for j in block)
     ]
-    if len(block) == 1:
-        uni = [(e[0], c) for e, c in local]
-        return _univariate_counts(uni, width, modulus, threads)
-    size = width ** len(block)
-    if size <= _NUMPY_BLOCK_LIMIT:
-        y = np.arange(width, dtype=np.int64)
-        vals = np.zeros((width,) * len(block), dtype=np.int64)
+    k = len(block)
+    y = np.arange(width, dtype=np.int64)
+    rows = max(1, _CHUNK // width ** (k - 1))
+
+    def slab_counts(lo: int) -> np.ndarray:
+        first = y[lo : lo + rows]
+        vals = np.zeros((len(first),) + (width,) * (k - 1), dtype=np.int64)
         for exps, coeff in local:
-            term = np.full_like(vals, coeff % modulus)
+            term = coeff
             for axis, a in enumerate(exps):
                 if a:
-                    shape = [1] * len(block)
-                    shape[axis] = width
-                    term = term * _powmod_vector(y, a, modulus).reshape(shape) % modulus
+                    shape = [1] * k
+                    shape[axis] = -1
+                    base = first if axis == 0 else y
+                    term = term * _powmod_vector(base, a, modulus).reshape(shape) % modulus
             vals = (vals + term) % modulus
         return np.bincount(vals.ravel(), minlength=modulus)
-    counts = np.zeros(modulus, dtype=np.int64)
-    from itertools import product as _product
 
-    for point in _product(range(width), repeat=len(block)):
-        v = 0
-        for exps, coeff in local:
-            t = coeff % modulus
-            for x, a in zip(point, exps):
-                if a:
-                    t = t * pow(x, a, modulus) % modulus
-            v = (v + t) % modulus
-        counts[v] += 1
-    return counts
+    slabs = range(0, width, rows)
+    if threads > 1 and len(slabs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(slab_counts, slabs))
+    return sum(map(slab_counts, slabs))
 
 
 def _cyclic_convolve(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -222,8 +201,11 @@ def _mod_histogram(
 ) -> dict[int, int]:
     """Counts of H(y) mod modulus over y in [0, p^level)^n.
 
-    The polynomial splits over connected variable blocks; block histograms
-    combine by cyclic convolution, all in exact integer arithmetic.
+    The non-constant part is step * h with step = gcd(modulus, coefficients),
+    so it is counted as h mod modulus // step, a modulus never above the grid
+    side p^level for the integrands built here.  h splits over connected
+    variable blocks; block histograms combine by exact cyclic convolution, and
+    each residue r of h lands on const + step * r.
     """
     width = p**level
     const = sum(c for e, c in terms.items() if sum(e) == 0) % modulus
@@ -235,57 +217,21 @@ def _mod_histogram(
     work = sum(width ** len(b) for b in blocks) if blocks else 1
     if work > cap or modulus > 8 * cap:
         raise ResourceCapError(max(work, modulus), cap)
-    if modulus > _DENSE_MODULUS_LIMIT:
-        return _mod_histogram_sparse(
-            nonconst, const, n, width, modulus, unused, blocks
-        )
-    acc = np.zeros(modulus, dtype=np.int64)
-    acc[const] = 1
-    for block in blocks:
-        acc = _cyclic_convolve(acc, _block_counts(block, nonconst, width, modulus, threads))
+    step = math.gcd(modulus, *nonconst.values())
+    reduced = modulus // step
+    if reduced > 1 << 31:  # products of two residues must stay inside int64
+        raise ResourceCapError(reduced, 1 << 31, what="residue classes")
+    h = {e: c // step for e, c in nonconst.items()}
+    acc = np.ones(1, dtype=np.int64)  # h = 0 when every variable is unused
+    for i, block in enumerate(blocks):
+        block_counts = _block_counts(block, h, width, reduced, threads)
+        acc = _cyclic_convolve(acc, block_counts) if i else block_counts
+    support = np.flatnonzero(acc)
+    residues = ((const + step * support) % modulus).tolist()
+    counts = acc[support].tolist()
     if unused:
-        acc = acc * width**unused
-    return {int(r): int(c) for r, c in enumerate(acc) if c}
-
-
-def _mod_histogram_sparse(
-    nonconst: Mapping[Exponents, int],
-    const: int,
-    n: int,
-    width: int,
-    modulus: int,
-    unused: int,
-    blocks: list[tuple[int, ...]],
-) -> dict[int, int]:
-    from itertools import product as _product
-
-    acc: dict[int, int] = {const: 1}
-    for block in blocks:
-        local = [
-            (tuple(exps[j] for j in block), coeff)
-            for exps, coeff in nonconst.items()
-            if any(exps[j] > 0 for j in block)
-        ]
-        histo: dict[int, int] = {}
-        for point in _product(range(width), repeat=len(block)):
-            v = 0
-            for exps, coeff in local:
-                t = coeff % modulus
-                for x, a in zip(point, exps):
-                    if a:
-                        t = t * pow(x, a, modulus) % modulus
-                v = (v + t) % modulus
-            histo[v] = histo.get(v, 0) + 1
-        merged: dict[int, int] = {}
-        for r1, c1 in acc.items():
-            for r2, c2 in histo.items():
-                r = (r1 + r2) % modulus
-                merged[r] = merged.get(r, 0) + c1 * c2
-        acc = merged
-    if unused:
-        scale = width**unused
-        acc = {r: c * scale for r, c in acc.items()}
-    return acc
+        counts = [c * width**unused for c in counts]
+    return dict(zip(residues, counts))
 
 
 # -- the ball character-sum engine -------------------------------------------

@@ -317,11 +317,8 @@ def nondegeneracy_mod_p(
     if _is_zero_mod(f, p):
         return "indeterminate"
 
-    for point in product(range(p), repeat=m):
-        if all(x == 0 for x in point):
-            continue
-        if all(g.eval_mod(point, p, 1) == 0 for g in grad):
-            return "degenerate-mod-p"
+    if has_nonzero_common_zero(grad, p):
+        return "degenerate-mod-p"
 
     P = newton_facets(f)
     for face, fg in face_polynomials(f, P):
@@ -334,6 +331,14 @@ def nondegeneracy_mod_p(
             if all(g.eval_mod(point, p, 1) == 0 for g in grad_g):
                 return "degenerate-mod-p"
     return "certified"
+
+
+def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
+    """Whether the polynomials share a zero in F_p^m other than the origin."""
+    return any(
+        any(point) and all(g.eval_mod(point, p, 1) == 0 for g in polys)
+        for point in product(range(p), repeat=polys[0].nvars)
+    )
 
 
 def _is_zero_mod(g: SparsePolynomial, p: int) -> bool:

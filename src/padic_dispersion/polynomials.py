@@ -189,10 +189,6 @@ def compose_affine(
     return {e: c for e, c in out.items() if c != 0}
 
 
-def poly_eval_mod(f: SparsePolynomial, point: Sequence[int], p: int, m: int) -> int:
-    return f.eval_mod(point, p, m)
-
-
 # -- parsing ---------------------------------------------------------------
 
 

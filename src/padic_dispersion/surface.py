@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .expsums import character_sum, fit_line
+from .newton import has_nonzero_common_zero
 from .padic import (
     Ball,
     DEFAULT_ENUMERATION_CAP,
@@ -75,19 +76,12 @@ class GraphHypersurface:
 
 
 def _critical_status(phi: SparsePolynomial, p: int, cap: int = 10**6) -> str:
-    from itertools import product
-
     grad = phi.gradient()
     if all(all(c % p == 0 for _, c in g.terms) for g in grad):
         return "indeterminate"
     if p**phi.nvars > cap:
         return "indeterminate"
-    for point in product(range(p), repeat=phi.nvars):
-        if all(x == 0 for x in point):
-            continue
-        if all(g.eval_mod(point, p, 1) == 0 for g in grad):
-            return "degenerate-mod-p"
-    return "certified"
+    return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
 
 def _as_fractions(prime: int, xi: Sequence) -> tuple[Fraction, ...]:

@@ -202,6 +202,14 @@ class TestValidationAndExitCodes:
         )
         assert code == EXIT_RESOURCE
 
+    def test_huge_counts_end_in_an_exit_code(self, tmp_path, capsys):
+        code, _ = run_cli(
+            tmp_path,
+            ["expsum", "--prime", "3", "--poly", "x1^2+0*x6", "--m", "12..12"],
+        )
+        assert code in (EXIT_VALIDATION, EXIT_RESOURCE, EXIT_CERTIFICATE)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_ball_grammar(self, tmp_path):
         code, _ = run_cli(
             tmp_path,

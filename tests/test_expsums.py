@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_exp_sum, oracle_residue_counts
+from padic_dispersion import expsums
 from padic_dispersion.errors import (
     CertificateIndeterminate,
     CertificateUnavailableError,
@@ -111,13 +112,34 @@ class TestExpSum:
         want = oracle_exp_sum(f, z, ball2, 3)
         assert abs(got - want) < 1e-9
 
-    def test_worker_count_does_not_change_anything(self):
-        f = parse_polynomial("x^3 - 2*x")
-        for threads in (2, 5):
-            a = exp_sum(f, Fraction(1, 7**4), Ball.of(7, [0], 0), threads=1)
-            b = exp_sum(f, Fraction(1, 7**4), Ball.of(7, [0], 0), threads=threads)
-            assert a.counts == b.counts
-            assert a.value == b.value
+    def test_large_coupled_block_matches_sub_balls(self):
+        # 3^14 points: the coupled block spans more than one slab
+        f = parse_polynomial("x1^2 + x1*x2 + x2^3")
+        z = Fraction(1, 3**7)
+        whole = exp_sum(f, z, Ball.of(3, [0, 0], 0)).value
+        parts = sum(
+            exp_sum(f, z, Ball.of(3, [a, b], 1)).value
+            for a in range(3)
+            for b in range(3)
+        )
+        assert abs(whole - parts) < 1e-12
+
+    def test_worker_count_does_not_change_anything(self, monkeypatch):
+        monkeypatch.setattr(expsums, "_CHUNK", 100)  # many slabs per block
+        cases = [
+            (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
+            (parse_polynomial("x1^2*x2 + x2^2"), Ball.of(3, [0, 0], 0), 4),
+        ]
+        for f, ball, m in cases:
+            z = Fraction(1, ball.prime**m)
+            first = exp_sum(f, z, ball, threads=1)
+            assert abs(first.value - oracle_exp_sum(f, z, ball, m)) < 1e-9
+            want = oracle_residue_counts(f, m, ball)
+            for threads in (1, 2, 5):
+                b = exp_sum(f, z, ball, threads=threads)
+                assert first.counts == b.counts
+                assert first.value == b.value
+                assert residue_histogram(f, m, ball, threads=threads) == want
 
 
 class TestResidueHistogram:
@@ -132,18 +154,31 @@ class TestResidueHistogram:
 
     def test_matches_brute_force(self):
         rng = random.Random(3)
+        polys = [
+            parse_polynomial("x^3 - x"),
+            parse_polynomial("x1^2 + x2^2"),
+            parse_polynomial("x1*x2 + x1", nvars=2),
+        ]
         for _ in range(20):
             p = rng.choice([2, 3, 5])
             m = rng.randint(1, 2)
-            f = rng.choice(
-                [
-                    parse_polynomial("x^3 - x"),
-                    parse_polynomial("x1^2 + x2^2"),
-                    parse_polynomial("x1*x2 + x1", nvars=2),
-                ]
-            )
+            f = rng.choice(polys)
             ball = Ball.of(p, (0,) * f.nvars, rng.randint(0, 1))
             assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
+        # small balls off the origin: the modulus p^m exceeds the grid side
+        for _ in range(20):
+            p = rng.choice([2, 3, 5])
+            f = rng.choice(polys)
+            center = tuple(rng.randint(1, p**4) for _ in range(f.nvars))
+            ball = Ball.of(p, center, rng.randint(2, 3))
+            m = rng.randint(1, 5)
+            assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
+
+    def test_unused_variables_scale_exactly(self):
+        # 3^60 points per residue: the counts leave int64 and must stay exact
+        one = residue_histogram(SQUARE, 12, Z3)
+        six = residue_histogram(parse_polynomial("x1^2+0*x6"), 12, Ball.of(3, [0] * 6, 0))
+        assert six == {r: c * 3**60 for r, c in one.items()}
 
     def test_total_mass(self):
         h = residue_histogram(parse_polynomial("x1^2+x2^2"), 2, Ball.of(3, [0, 0], 0))

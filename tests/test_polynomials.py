@@ -10,7 +10,6 @@ from padic_dispersion.polynomials import (
     SparsePolynomial,
     compose_affine,
     parse_polynomial,
-    poly_eval_mod,
 )
 
 
@@ -86,9 +85,9 @@ class TestParser:
 
 class TestEvaluation:
     def test_eval_mod_examples(self):
-        assert poly_eval_mod(parse_polynomial("x^2"), (2,), 3, 2) == 4
-        assert poly_eval_mod(parse_polynomial("x1^2+x2^2"), (2, 2), 3, 1) == 2
-        assert poly_eval_mod(parse_polynomial("x^3"), (5,), 7, 2) == 27
+        assert parse_polynomial("x^2").eval_mod((2,), 3, 2) == 4
+        assert parse_polynomial("x1^2+x2^2").eval_mod((2, 2), 3, 1) == 2
+        assert parse_polynomial("x^3").eval_mod((5,), 7, 2) == 27
 
     def test_eval_mod_agrees_with_exact(self):
         rng = random.Random(9)
