@@ -10,7 +10,8 @@ order-independent, which is what makes parallel accumulation deterministic.
 One dense engine builds every histogram: the common p-power of the
 non-constant coefficients is factored out, so the counting modulus never
 exceeds the grid side; each block of coupled variables is enumerated in numpy
-slabs of the first variable (in parallel when a block has several slabs); and
+slabs of at most _CHUNK points (in parallel when a block has several slabs) by
+`poly_residues`, the one modular polynomial evaluator the package shares; and
 block histograms combine by exact cyclic convolution.
 """
 
@@ -22,6 +23,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -119,7 +121,7 @@ def _variable_blocks(terms: Mapping[Exponents, int], n: int) -> list[tuple[int, 
     return [tuple(g) for g in groups.values()]
 
 
-def _powmod_vector(base: np.ndarray, exp: int, modulus: int) -> np.ndarray:
+def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:
     result = np.ones_like(base)
     b = base % modulus
     e = exp
@@ -131,6 +133,27 @@ def _powmod_vector(base: np.ndarray, exp: int, modulus: int) -> np.ndarray:
     return result
 
 
+def poly_residues(
+    terms: Iterable[tuple[Exponents, int]],
+    coords: Sequence[np.ndarray | int],
+    modulus: int,
+) -> np.ndarray:
+    """sum c * prod coords^a mod modulus, broadcast over the coordinates.
+
+    Each coordinate is an int64 array or a Python int; with modulus <= 2^31
+    every product of two reduced residues stays inside int64.
+    """
+    total = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
+    for exps, coeff in terms:
+        term = coeff % modulus
+        for x, a in zip(coords, exps):
+            if a:
+                term = term * _powmod_vector(x, a, modulus) % modulus
+        total += term
+        total %= modulus
+    return total
+
+
 def _block_counts(
     block: tuple[int, ...],
     terms: Mapping[Exponents, int],
@@ -140,38 +163,38 @@ def _block_counts(
 ) -> np.ndarray:
     """Counts of the block's part of the polynomial over [0, width)^len(block).
 
-    The first variable is walked in slabs of about _CHUNK points (at least
-    one of its values) and the others are broadcast; slabs run on `threads`
-    workers when there are several.  Integer counts add exactly, so the order of slabs is immaterial.
+    The fewest leading variables that leave at most _CHUNK points are fixed:
+    all but the last of them are scalars, the last is walked in rows, and the
+    rest are broadcast, so a slab never exceeds _CHUNK points.  Slabs run on
+    `threads` workers when there are several; integer counts add exactly, so
+    the order of slabs is immaterial.
     """
     local = [
-        (tuple(exps[j] for j in block), coeff % modulus)
+        (tuple(exps[j] for j in block), coeff)
         for exps, coeff in terms.items()
         if any(exps[j] > 0 for j in block)
     ]
-    k = len(block)
+    free = len(block) - 1
+    while free and width**free > _CHUNK:
+        free -= 1
+    rows = _CHUNK // width**free
     y = np.arange(width, dtype=np.int64)
-    rows = max(1, _CHUNK // width ** (k - 1))
 
-    def slab_counts(lo: int) -> np.ndarray:
-        first = y[lo : lo + rows]
-        vals = np.zeros((len(first),) + (width,) * (k - 1), dtype=np.int64)
-        for exps, coeff in local:
-            term = coeff
-            for axis, a in enumerate(exps):
-                if a:
-                    shape = [1] * k
-                    shape[axis] = -1
-                    base = first if axis == 0 else y
-                    term = term * _powmod_vector(base, a, modulus).reshape(shape) % modulus
-            vals = (vals + term) % modulus
+    def slab_counts(task: tuple[tuple[int, ...], int]) -> np.ndarray:
+        prefix, lo = task
+        axes = np.ix_(y[lo : lo + rows], *[y] * free)
+        vals = poly_residues(local, [*prefix, *axes], modulus)
         return np.bincount(vals.ravel(), minlength=modulus)
 
-    slabs = range(0, width, rows)
-    if threads > 1 and len(slabs) > 1:
+    tasks = [
+        (prefix, lo)
+        for prefix in product(range(width), repeat=len(block) - free - 1)
+        for lo in range(0, width, rows)
+    ]
+    if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(slab_counts, slabs))
-    return sum(map(slab_counts, slabs))
+            return sum(pool.map(slab_counts, tasks))
+    return sum(map(slab_counts, tasks))
 
 
 def _cyclic_convolve(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -387,9 +410,7 @@ def stationary_certificate(
                 f"gradient valuation did not stabilise within depth {depth_cap}"
             )
         stepk = Fraction(p) ** k
-        from itertools import product as _product
-
-        for t in _product(range(p), repeat=ball.dim):
+        for t in product(range(p), repeat=ball.dim):
             queue.append(
                 (tuple(c + stepk * ti for c, ti in zip(center, t)), k + 1)
             )

@@ -21,7 +21,6 @@ from .padic import (
     Ball,
     DEFAULT_ENUMERATION_CAP,
     PadicRational,
-    character,
     enumerate_residues,
     split_p_part,
 )

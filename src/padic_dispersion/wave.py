@@ -6,8 +6,11 @@ The solution of (Hu)(x,t) = 0, u(x,0) = f0 with symbol |tau - phi(xi)|_K is
     u(x, t) = int Psi(t phi(xi) + [x, xi]) (F f0)(xi) |dxi|,
 
 a finite sum over frequency cells because F f0 is a finite combination of
-modulated ball indicators.  Truncated L^sigma norms over growing boxes stand
-in for the full space-time norms; their increments decide convergence.
+modulated ball indicators.  Cells are integer index vectors k (centers
+k p^-e); every phase is reduced to integer residues r / M of k by the shared
+modular evaluator `expsums.poly_residues`, and the complex exponentials come
+last.  Truncated L^sigma norms over growing boxes stand in for the full
+space-time norms; their increments decide convergence.
 """
 
 from __future__ import annotations
@@ -16,28 +19,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .padic import (
-    Ball,
-    DEFAULT_ENUMERATION_CAP,
-    PadicRational,
-    character,
-    split_p_part,
-)
-from .polynomials import SparsePolynomial
+from .expsums import poly_residues
+from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
+from .polynomials import Exponents, SparsePolynomial, compose_affine
 from .schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
     fourier_sb,
     l2_norm,
 )
-
-_GRID_LIMIT = 1 << 26
-
 
 @dataclass(frozen=True)
 class SolutionSpec:
@@ -79,21 +74,35 @@ class SolutionSpec:
 
 def _freq_cells(
     spec: SolutionSpec, level: int, cap: int
-) -> list[tuple[tuple[Fraction, ...], complex]]:
-    """Centers and spectrum values of the cells of radius p^-level tiling the
-    spectrum support ball; zero-valued cells are dropped."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer indices k (an int64 (cells, n) array) and spectrum values of
+    the cells k p^-e + (p^level Z_p)^n tiling the spectrum support ball;
+    zero-valued cells are dropped."""
     p, n, e = spec.prime, spec.n, spec.freq_bound
     width = p ** (e + level)
     if width**n > cap:
         raise ResourceCapError(width**n, cap, what="frequency cells")
-    step = Fraction(1, p**e) if e >= 0 else Fraction(p**-e)
-    cells = []
+    step = Fraction(p) ** -e
+    idx, vals = [], []
     for k in product(range(width), repeat=n):
-        center = tuple(step * ki for ki in k)
-        value = spec.spectrum.value_at(center)
+        value = spec.spectrum.value_at(tuple(step * ki for ki in k))
         if value != 0:
-            cells.append((center, value))
-    return cells
+            idx.append(k)
+            vals.append(value)
+    return np.array(idx, dtype=np.int64).reshape(-1, n), np.array(vals, dtype=complex)
+
+
+def _cell_residues(
+    spec: SolutionSpec, phase: Mapping[Exponents, Fraction], idx: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(r, M) with phase(k p^-e) = r / M mod Z_p for every row k of idx."""
+    p = spec.prime
+    g = compose_affine(phase, (0,) * spec.n, Fraction(p) ** -spec.freq_bound)
+    modulus = p ** max([0] + [-split_p_part(c, p)[1] for c in g.values()])
+    if modulus > 1 << 31:  # products of two residues must stay inside int64
+        raise ResourceCapError(modulus, 1 << 31, what="phase denominator")
+    terms = [(exps, int(c * modulus)) for exps, c in g.items()]
+    return poly_residues(terms, list(idx.T), modulus), modulus
 
 
 def _cell_level(
@@ -137,14 +146,14 @@ def solve_u(
         raise DomainError("x has wrong dimension")
     t = t.as_fraction() if isinstance(t, PadicRational) else Fraction(t)
     level = _cell_level(spec, x, t, extra_level)
+    idx, vals = _freq_cells(spec, level, cap)
+    phase = spec.phi.scale(t)  # t phi(xi) + [x, xi]
+    for d, xd in enumerate(x):
+        unit = tuple(int(j == d) for j in range(spec.n))
+        phase[unit] = phase.get(unit, 0) + xd
+    r, modulus = _cell_residues(spec, phase, idx)
     vol = Fraction(1, p ** (spec.n * level))
-    total = 0j
-    for center, value in _freq_cells(spec, level, cap):
-        phase = t * spec.phi.evaluate(center) + sum(
-            (a * b for a, b in zip(x, center)), Fraction(0)
-        )
-        total += value * character(phase, p).complex_value
-    return total * float(vol)
+    return complex(vals @ np.exp(2j * np.pi * r / modulus)) * float(vol)
 
 
 def windowed_spectrum(
@@ -173,26 +182,27 @@ def windowed_spectrum(
     if len(xi) != spec.n:
         raise DomainError("xi has wrong dimension")
     tau = tau.as_fraction() if isinstance(tau, PadicRational) else Fraction(tau)
-    d = spec.phi.total_degree()
-    e = spec.freq_bound
+    for c in (tau, *xi):
+        split_p_part(c, p)  # DomainError unless c lies in Z[1/p]
+    n, d, e = spec.n, spec.phi.total_degree(), spec.freq_bound
     level = (
         max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
         + extra_level
     )
-    vol = Fraction(1, p ** (spec.n * level))
-    window = Fraction(p ** (R * (spec.n + 1)))
-    total = 0j
-    for center, value in _freq_cells(spec, level, cap):
-        if not _val_at_least(spec.phi.evaluate(center) - tau, p, R):
-            continue
-        if not all(_val_at_least(c - z, p, R) for c, z in zip(center, xi)):
-            continue
-        total += value
-    return total * float(vol * window)
-
-
-def _val_at_least(x: Fraction, p: int, k: int) -> bool:
-    return x == 0 or split_p_part(x, p)[1] >= k
+    idx, vals = _freq_cells(spec, level, cap)
+    window = Fraction(1, p**R)
+    keep = np.ones(len(vals), dtype=bool)
+    coordinates = [{tuple(int(j == i) for j in range(n)): 1} for i in range(n)]
+    for poly, target in [(spec.phi.scale(1), tau), *zip(coordinates, xi)]:
+        # |poly(c) - target| <= p^-R  iff  p^-R poly(c) = p^-R target mod Z_p
+        scaled = {a: c * window for a, c in poly.items()}
+        r, modulus = _cell_residues(spec, scaled, idx)
+        shift = target * window * modulus
+        if shift.denominator != 1:  # no residue r / modulus can match
+            return 0j
+        keep &= r == shift.numerator % modulus
+    vol = Fraction(1, p ** (n * level))
+    return complex(vals[keep].sum()) * float(vol * p ** (R * (n + 1)))
 
 
 # -- truncated Strichartz norms ------------------------------------------------
@@ -223,93 +233,35 @@ def solution_grid(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SolutionGrid:
     """Evaluate u on every constancy cell of the box; exact up to the final
-    complex arithmetic.  One spatial dimension is vectorised; higher
-    dimensions fall back to pointwise summation."""
+    complex arithmetic.
+
+    With t_j = j p^-R, x_i = i p^-R and cells c_k = k p^-e, the phases are
+    t_j phi(c_k) = j r_k / nt and [x_i, c_k] = (i . k) / N mod Z_p, so in
+    every dimension u is one inverse DFT of the spectrum values binned by
+    (r_k, k mod N).  The cap bounds the samples nt * N^n.
+    """
     if R < 0:
         raise DomainError("R must be >= 0")
     p, n = spec.prime, spec.n
     e, ep, d = spec.freq_bound, spec.phase_bound, spec.phi.total_degree()
-    nx_exp = max(0, R + e)
-    nt_exp = max(0, R + ep)
+    N = p ** max(0, R + e)
+    nt = p ** max(0, R + ep)
+    if nt * N**n > cap:
+        raise ResourceCapError(nt * N**n, cap, what="grid samples")
     level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
-    n_cells = p ** (n * (e + level))
-    if (p**nx_exp) ** n * p**nt_exp > cap or n_cells > cap:
-        raise ResourceCapError(
-            max((p**nx_exp) ** n * p**nt_exp, n_cells), cap, what="grid samples"
-        )
+    idx, vals = _freq_cells(spec, level, cap)
+    r, modulus = _cell_residues(spec, spec.phi.scale(Fraction(1, p**R)), idx)
+    # modulus divides nt: both are p^max(0, R + e') for the phase bound e'
+    bins = np.zeros((nt,) + (N,) * n, dtype=complex)
+    np.add.at(bins, (r * (nt // modulus), *(idx % N).T), vals)
+    vol = float(Fraction(1, p ** (n * level)))
+    values = (np.fft.ifftn(bins) * (bins.size * vol)).reshape(nt, N**n)
     x_step = Fraction(1, p**R)
-    xs = [x_step * j for j in range(p**nx_exp)]
-    ts = [x_step * j for j in range(p**nt_exp)]
-    axis_vol = float(Fraction(p) ** R) / len(xs)
-    t_vol = float(Fraction(p) ** R) / len(ts)
-    if n == 1:
-        values = _grid_values_1d(spec, R, level, xs, ts, cap)
-    else:
-        cells = _freq_cells(spec, level, cap)
-        vol = float(Fraction(1, p ** (n * level)))
-        x_points = list(product(xs, repeat=n))
-        values = np.empty((len(ts), len(x_points)), dtype=complex)
-        for j, t in enumerate(ts):
-            for i, xpt in enumerate(x_points):
-                total = 0j
-                for center, value in cells:
-                    phase = t * spec.phi.evaluate(center) + sum(
-                        (a * b for a, b in zip(xpt, center)), Fraction(0)
-                    )
-                    total += value * character(phase, p).complex_value
-                values[j, i] = total * vol
-    return SolutionGrid(
-        R, n, p, tuple(xs), tuple(ts), values, axis_vol**n, t_vol
-    )
-
-
-def _grid_values_1d(
-    spec: SolutionSpec,
-    R: int,
-    level: int,
-    xs: list[Fraction],
-    ts: list[Fraction],
-    cap: int,
-) -> np.ndarray:
-    p = spec.prime
-    cells = _freq_cells(spec, level, cap)
-    nc, nt, nx = len(cells), len(ts), len(xs)
-    if nc * nt + nc * nx > _GRID_LIMIT:
-        raise ResourceCapError(nc * (nt + nx), _GRID_LIMIT, what="grid phases")
-    vol = float(Fraction(1, p ** (spec.n * level)))
-    # Phase of t_j * phi(cell_k): t_j = j p^-R, phi(cell_k) = unit p^val.
-    A = np.empty((nt, nc), dtype=complex)
-    j_arr = np.arange(nt, dtype=np.int64)
-    for k, (center, value) in enumerate(cells):
-        ph = Fraction(spec.phi.evaluate(center))
-        if ph == 0:
-            A[:, k] = value * vol
-            continue
-        unit, val = split_p_part(ph, p)
-        if val >= R:
-            A[:, k] = value * vol
-            continue
-        modulus = p ** (R - val)
-        if modulus > 1 << 31:
-            raise ResourceCapError(modulus, 1 << 31, what="phase denominator")
-        a = unit % modulus
-        phases = (j_arr % modulus) * a % modulus
-        A[:, k] = value * vol * np.exp(2j * np.pi * phases / modulus)
-    # Phase of x_i * cell_k: x_i = i p^-R, cell_k = k p^-e.
-    e = spec.freq_bound
-    B = np.empty((nc, nx), dtype=complex)
-    i_arr = np.arange(nx, dtype=np.int64)
-    if R + e <= 0:
-        B[:, :] = 1.0
-    else:
-        modulus = p ** (R + e)
-        if modulus > 1 << 31:
-            raise ResourceCapError(modulus, 1 << 31, what="phase denominator")
-        for k in range(nc):
-            B[k, :] = np.exp(
-                2j * np.pi * ((i_arr % modulus) * (k % modulus) % modulus) / modulus
-            )
-    return A @ B
+    xs = tuple(x_step * j for j in range(N))
+    ts = tuple(x_step * j for j in range(nt))
+    axis_vol = float(Fraction(p) ** R) / N
+    t_vol = float(Fraction(p) ** R) / nt
+    return SolutionGrid(R, n, p, xs, ts, values, axis_vol**n, t_vol)
 
 
 def strichartz_truncated(

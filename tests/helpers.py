@@ -78,6 +78,53 @@ def oracle_surface_ft(
     return total
 
 
+def _valuation(q: Fraction, p: int) -> int:
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def oracle_solution(
+    f0: SchwartzBruhatFn, phi: SparsePolynomial, x: tuple, t: Fraction
+) -> complex:
+    """u(x, t) = int Psi(t phi(xi) + [x, xi]) (F f0)(xi) dxi from f0's balls.
+
+    F 1_{a + p^r Z_p^n}(xi) = p^(-n r) Psi(-[a, xi]) 1{||xi|| <= p^r}, so each
+    ball contributes p^(-n r) int_{||xi|| <= p^r} Psi(t phi(xi) + [x - a, xi]),
+    a direct Riemann sum over cells xi + (p^L Z_p)^n on which the integrand is
+    constant.  No spectrum, no frequency cells: plain rationals and cmath.
+    """
+    p, n = f0.prime, f0.n
+    t = Fraction(t)
+    total = 0j
+    for ball, coeff in f0.terms:
+        r = ball.radius_exp
+        shift = [Fraction(xd) - a for xd, a in zip(x, ball.center_fractions())]
+        level = max(
+            [0, -r]
+            + [-_valuation(s, p) for s in shift if s]
+            + [
+                -_valuation(t * c, p) + (sum(a) - 1) * max(r, 0)
+                for a, c in phi.terms
+                if t
+            ]
+        )
+        inner = 0j
+        for y in product(range(p ** (level + r)), repeat=n):
+            xi = tuple(yd * Fraction(p) ** -r for yd in y)
+            phase = t * Fraction(phi.evaluate(xi)) + sum(
+                (s * c for s, c in zip(shift, xi)), Fraction(0)
+            )
+            inner += cmath.exp(2j * math.pi * float(frac_part(phase)))
+        total += coeff * inner * float(Fraction(1, p**n) ** (level + r))
+    return total
+
+
 # -- standalone linear algebra for the H-description scan ----------------------
 
 

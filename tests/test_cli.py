@@ -181,6 +181,21 @@ class TestStrichartzCommand:
         assert abs(res["rows"][0]["norm"] - 1.0) < 1e-12
         assert res["l2_f0"] == 1.0
 
+    TWO_D = ["strichartz", "--prime", "3", "--phi", "x1^2+x2^2", "--sigma", "4",
+             "--f0", "ball 0 0 0", "--rmax", "3"]
+
+    def test_two_dimensional_series(self, tmp_path):
+        code, out = run_cli(tmp_path, self.TWO_D)
+        assert code == EXIT_OK
+        norms = [row["norm"] for row in json.loads(out)["results"]["rows"]]
+        assert len(norms) == 4
+        assert abs(norms[0] - 1.0) < 1e-12  # u = 1 on the unit box at t = 0
+        assert all(b >= a - 1e-15 for a, b in zip(norms, norms[1:]))
+
+    def test_two_dimensional_grid_over_the_cap(self, tmp_path):
+        code, _ = run_cli(tmp_path, self.TWO_D + ["--cap", "10000"])
+        assert code == EXIT_RESOURCE
+
 
 class TestValidationAndExitCodes:
     def test_bad_prime(self, tmp_path):

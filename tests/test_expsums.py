@@ -129,6 +129,9 @@ class TestExpSum:
         cases = [
             (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
             (parse_polynomial("x1^2*x2 + x2^2"), Ball.of(3, [0, 0], 0), 4),
+            # width 8 over four coupled variables: 8^3 exceeds the chunk, so
+            # the first variable is a scalar and the second is walked
+            (parse_polynomial("x1*x2 + x2*x3^2 + x3*x4 + x4^3"), Ball.of(2, [0] * 4, 0), 3),
         ]
         for f, ball, m in cases:
             z = Fraction(1, ball.prime**m)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import random_sb
+from helpers import oracle_solution, random_sb
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, split_p_part
 from padic_dispersion.polynomials import parse_polynomial
@@ -214,6 +214,30 @@ class TestSolutionGrid:
             want = solve_u(spec, points[idx], grid.t_reps[1])
             assert abs(grid.values[1, idx] - want) < 1e-12
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("R", [1, 2])
+    @pytest.mark.parametrize("phi", ["x1^2+x2^2", "x1*x2", "x1^2+x1*x2+x2^3"])
+    def test_grid_matches_oracle_2d(self, p, R, phi):
+        # seeded radius-0 balls on the p^-1 grid, against the ball-by-ball
+        # Riemann sum that never touches the spectrum or the frequency cells
+        rng = random.Random(1000 * p + 10 * R + len(phi))
+        terms = []
+        for _ in range(3):
+            center = tuple(Fraction(rng.randrange(p), p) for _ in range(2))
+            ball = Ball.of(p, center, 0)
+            if all(ball.is_disjoint(b) for b, _ in terms):
+                terms.append((ball, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+        f0 = SchwartzBruhatFn.of(p, terms)
+        phi = parse_polynomial(phi)
+        grid = solution_grid(SolutionSpec.build(f0, phi), R)
+        n_x = len(grid.x_axis)
+        for _ in range(20):
+            j = rng.randrange(len(grid.t_reps))
+            i1, i2 = rng.randrange(n_x), rng.randrange(n_x)
+            x = (grid.x_axis[i1], grid.x_axis[i2])
+            want = oracle_solution(f0, phi, x, grid.t_reps[j])
+            assert abs(grid.values[j, i1 * n_x + i2] - want) < 1e-12
+
 
 class TestStrichartz:
     def test_unit_window_norm_one(self):
@@ -261,3 +285,13 @@ class TestStrichartz:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             solution_grid(GAUSS, 9, cap=1000)
+
+    def test_cap_2d(self):
+        # R = 3 on the unit box: 27 t samples times 27^2 x samples
+        spec = SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(3, [0, 0], 0)),
+            parse_polynomial("x1^2+x2^2"),
+        )
+        assert solution_grid(spec, 3, cap=3**9).values.shape == (27, 27**2)
+        with pytest.raises(ResourceCapError):
+            solution_grid(spec, 3, cap=3**9 - 1)
