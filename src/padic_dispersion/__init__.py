@@ -20,7 +20,6 @@ from .expsums import (
     character_sum,
     decay_fit,
     exp_sum,
-    expsum_from_histogram,
     residue_histogram,
     stationary_certificate,
 )

@@ -7,6 +7,9 @@ Commands
     solve       u samples and a windowed-spectrum grid
     strichartz  truncated L^sigma norm / ratio series
 
+expsum and surface evaluate each level's sum once; the table, the decay fit
+and the certificate all read that one table of values.
+
 Exact rationals are serialised as "num/den" strings, complex values as
 [re, im] doubles.  Output bytes are identical across runs and --threads
 settings: worker counts only repartition integer accumulation.
@@ -226,11 +229,12 @@ def _run_expsum(cfg: JobConfig, threads: int) -> dict:
         raise DomainError("m range must start at 1 or above")
     ball = _default_ball(cfg, f.nvars)
     p = cfg.prime
-    table = []
-    for m in range(lo, hi + 1):
-        res = exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap, threads=threads)
-        table.append({"m": m, "value": _cx(res.value), "abs": abs(res.value)})
-    fit = decay_fit(f, ball, range(max(2, lo), hi + 1), cap=cfg.cap, threads=threads)
+    values = {
+        m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap, threads=threads).value
+        for m in range(lo, hi + 1)
+    }
+    table = [{"m": m, "value": _cx(v), "abs": abs(v)} for m, v in values.items()]
+    fit = decay_fit(f, ball, {m: v for m, v in values.items() if m >= 2})
     hist_level = lo
     histogram = (
         {
@@ -244,9 +248,7 @@ def _run_expsum(cfg: JobConfig, threads: int) -> dict:
     )
     certificate: dict
     try:
-        cert = stationary_certificate(
-            f, ball, m_max=hi, cap=cfg.cap, threads=threads
-        )
+        cert = stationary_certificate(f, ball, values)
         certificate = {
             "status": "ok",
             "I": cert.bound_exponent,
@@ -290,20 +292,16 @@ def _run_surface(cfg: JobConfig, threads: int) -> dict:
     Y = GraphHypersurface(phi, window)
     lo, hi = cfg.k_range if cfg.k_range else (1, 6)
     direction = (0,) * (n - 1) + (1,)
-    dt = decay_table(
-        Y, direction, range(lo, hi + 1), cap=cfg.cap, threads=threads
-    )
-    samples = []
+    values = {}
     for k in range(lo, hi + 1):
         xi = (Fraction(0),) * (n - 1) + (Fraction(1, cfg.prime**k),)
-        samples.append(
-            {"k": k, "value": _cx(surface_ft(Y, xi, cap=cfg.cap, threads=threads))}
-        )
+        values[k] = surface_ft(Y, xi, cap=cfg.cap, threads=threads)
+    dt = decay_table(Y, values)
     out = {
         "phi": str(phi),
         "direction": [str(c) for c in direction],
         "critical_status": Y.critical_status,
-        "ft_samples": samples,
+        "ft_samples": [{"k": k, "value": _cx(v)} for k, v in values.items()],
         "decay": {
             "rows": [[k, a] for k, a in dt.rows],
             "slope": dt.slope,

@@ -13,6 +13,9 @@ exceeds the grid side; each block of coupled variables is enumerated in numpy
 slabs of at most _CHUNK points (in parallel when a block has several slabs) by
 `poly_residues`, the one modular polynomial evaluator the package shares; and
 block histograms combine by exact cyclic convolution.
+
+`decay_fit` and `stationary_certificate` evaluate no sum: they read a table
+{m: E_A(p^-m, f)} that the caller evaluates once, level by level.
 """
 
 from __future__ import annotations
@@ -83,18 +86,6 @@ def histogram_value(
     for r in sorted(counts):
         total += counts[r] * cmath.exp(1j * (tau * r))
     return float(scale) * total
-
-
-def expsum_from_histogram(
-    counts: Mapping[int, int], m: int, p: int, scale: Fraction, unit: int = 1
-) -> ExpSumResult:
-    """Reassemble E(unit * p^-m, f) from a level-m residue histogram of f."""
-    modulus = p**m
-    remapped: dict[int, int] = {}
-    for c, n in counts.items():
-        r = unit * c % modulus
-        remapped[r] = remapped.get(r, 0) + n
-    return ExpSumResult(p, m, remapped, scale)
 
 
 # -- modular histogram core --------------------------------------------------
@@ -336,8 +327,7 @@ def residue_histogram(
 ) -> dict[int, int]:
     """N_m(c) = #{x mod p^m in A : f(x) = c mod p^m}, exactly.
 
-    Requires an integral ball.  sum_c N_m(c) = p^(n m) * vol(A), and
-    E(unit * p^-m, f) is recoverable via `expsum_from_histogram`.
+    Requires an integral ball.  sum_c N_m(c) = p^(n m) * vol(A).
     """
     if m < 1:
         raise DomainError("level m must be >= 1")
@@ -365,16 +355,16 @@ class StationaryCertificate:
 def stationary_certificate(
     f: SparsePolynomial,
     ball: Ball,
+    values: Mapping[int, complex],
     *,
     depth_cap: int = 12,
-    m_max: int = 6,
     tol: float = 1e-9,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> StationaryCertificate:
     """Compute I(f, A) = sup_A min_i v(df/dx_i) by residue-class refinement
-    and verify E_A(p^-m, f) = 0 for all m with p^m above the threshold.
+    and verify E_A(p^-m, f) = 0 at every given level m with p^m above the
+    threshold.
 
+    `values` maps m to E_A(p^-m, f); levels below 2I + 2 are not checked.
     A must be a union of residue classes mod p (radius exponent 0 or 1,
     inside Z_p^n): that is the hypothesis under which the vanishing bound
     holds.  A critical point in A aborts with the offending class.
@@ -396,11 +386,11 @@ def stationary_certificate(
     bound: int | None = None
     while queue:
         center, k = queue.popleft()
-        values = [g.evaluate(center) for g in grad]
-        if all(v == 0 for v in values):
+        derivs = [g.evaluate(center) for g in grad]
+        if all(v == 0 for v in derivs):
             raise CertificateUnavailableError((center, k))
         vmin = min(
-            (split_p_part(Fraction(v), p)[1] for v in values if v != 0), default=None
+            (split_p_part(Fraction(v), p)[1] for v in derivs if v != 0), default=None
         )
         if vmin is not None and vmin < k:
             bound = vmin if bound is None else max(bound, vmin)
@@ -416,17 +406,14 @@ def stationary_certificate(
             )
     assert bound is not None
     threshold = p ** (2 * bound + 1)
-    verified: list[int] = []
+    verified = tuple(m for m in sorted(values) if m >= 2 * bound + 2)
     worst = 0.0
-    for m in range(2 * bound + 2, m_max + 1):
-        result = exp_sum(f, Fraction(1, p**m), ball, cap=cap, threads=threads)
-        worst = max(worst, abs(result.value))
-        if abs(result.value) > tol:
-            raise AssertionError(
-                f"E_A vanishing failed at m={m}: |E| = {abs(result.value)}"
-            )
-        verified.append(m)
-    return StationaryCertificate(bound, threshold, tuple(verified), worst)
+    for m in verified:
+        size = abs(values[m])
+        if size > tol:
+            raise AssertionError(f"E_A vanishing failed at m={m}: |E| = {size}")
+        worst = max(worst, size)
+    return StationaryCertificate(bound, threshold, verified, worst)
 
 
 # -- decay fits ----------------------------------------------------------------
@@ -462,29 +449,25 @@ def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
 def decay_fit(
     f: SparsePolynomial,
     ball: Ball,
-    m_range: Iterable[int],
+    values: Mapping[int, complex],
     *,
     zero_tol: float = 1e-12,
     sharp_tolerance: float = 0.05,
     eps_margin: float = 0.1,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> DecayFit:
     """Fit the empirical decay exponent of |E(p^-m, f)| and compare it with
     the Newton-polyhedron exponent beta_f.
 
+    `values` maps each level m >= 1 to E_A(p^-m, f); the ball only supplies p.
     Samples with |E| <= zero_tol are treated as exact zeros; if none remain
     the decay is reported as super-polynomial (stationary-phase regime).
     The consistency flag applies the sharp tolerance for quasi-homogeneous
     phases and the epsilon margin otherwise.
     """
     p = ball.prime
-    samples = []
-    for m in sorted(m_range):
-        if m < 1:
-            raise DomainError("m range must be >= 1")
-        value = exp_sum(f, Fraction(1, p**m), ball, cap=cap, threads=threads).value
-        samples.append((m, abs(value)))
+    if any(m < 1 for m in values):
+        raise DomainError("m range must be >= 1")
+    samples = [(m, abs(values[m])) for m in sorted(values)]
     beta = None
     witness = None
     reduced = SparsePolynomial.from_terms(

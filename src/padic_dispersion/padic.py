@@ -216,13 +216,6 @@ class RootOfUnity:
         self.level = level
 
     @property
-    def exponent(self) -> Fraction:
-        """The fractional phase r / p^m in [0, 1)."""
-        if self.level == 0:
-            return Fraction(0)
-        return Fraction(self.numerator, self.prime**self.level)
-
-    @property
     def complex_value(self) -> complex:
         if self.level == 0:
             return 1.0 + 0.0j
@@ -240,9 +233,6 @@ class RootOfUnity:
             + other.numerator * p ** (m - other.level)
         )
         return RootOfUnity(p, r, m)
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(self.prime, -self.numerator, self.level)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootOfUnity):

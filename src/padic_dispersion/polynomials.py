@@ -82,15 +82,6 @@ class SparsePolynomial:
     def degree_in(self, j: int) -> int:
         return max((e[j] for e, _ in self.terms), default=0)
 
-    def pad(self, nvars: int) -> "SparsePolynomial":
-        """Reinterpret in a larger variable set (new variables unused)."""
-        if nvars < self.nvars:
-            raise DomainError("cannot shrink the variable set")
-        extra = (0,) * (nvars - self.nvars)
-        return SparsePolynomial.from_terms(
-            nvars, {e + extra: c for e, c in self.terms}
-        )
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction | int:
@@ -132,12 +123,6 @@ class SparsePolynomial:
     def scale(self, factor: Fraction | int) -> dict[Exponents, Fraction]:
         """factor * f as an exponent -> Fraction coefficient map."""
         return {e: Fraction(c) * factor for e, c in self.terms}
-
-    def compose_affine(
-        self, center: Sequence[Fraction | int], step: Fraction
-    ) -> dict[Exponents, Fraction]:
-        """Coefficients of g(y) = f(center + step * y), exactly."""
-        return compose_affine(self.scale(1), center, step)
 
     def __str__(self) -> str:
         if not self.terms:

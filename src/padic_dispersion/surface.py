@@ -3,7 +3,9 @@ decay tables, L^rho restriction ratios, and the zeta_z interpolation kernel.
 
 A window S (a ball in K^n) induces the measure |dx_1|...|dx_{n-1}| on the
 graph over the projected window S'; every integral reduces to an oscillatory
-ball integral handled by the exp-sums engine.
+ball integral handled by the exp-sums engine.  `decay_table` evaluates no
+transform: it reads a table {k: hat(d mu_Y)(p^-k * direction)} that the
+caller evaluates once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .expsums import character_sum, fit_line
@@ -148,30 +150,22 @@ class SurfaceDecayTable:
 
 def decay_table(
     Y: GraphHypersurface,
-    direction: Sequence,
-    k_range: Sequence[int],
+    values: Mapping[int, complex],
     *,
     expected: Fraction | None = None,
     slope_tol: float = 0.05,
     zero_tol: float = 1e-12,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> SurfaceDecayTable:
-    """|hat(d mu_Y)| along the ray xi(k) = p^-k * direction, with the fitted
-    decay slope in -log_p scale.
+    """|hat(d mu_Y)| along a ray, with the fitted decay slope in -log_p scale.
 
-    When phi lies in one of the two covered families the sharp exponent is
-    used for the consistency flag; otherwise `expected` (if given).  Both
-    readings of the general theorem exponent are reported alongside.
+    `values` maps k to hat(d mu_Y)(p^-k * direction) for one fixed nonzero
+    direction.  When phi lies in one of the two covered families the sharp
+    exponent is used for the consistency flag; otherwise `expected` (if
+    given).  Both readings of the general theorem exponent are reported
+    alongside.
     """
     p = Y.prime
-    dir_fracs = _as_fractions(p, direction)
-    if all(c == 0 for c in dir_fracs):
-        raise DomainError("direction must be nonzero")
-    rows = []
-    for k in sorted(k_range):
-        xi = tuple(c / Fraction(p) ** k for c in dir_fracs)
-        rows.append((k, abs(surface_ft(Y, xi, cap=cap, threads=threads))))
+    rows = [(k, abs(values[k])) for k in sorted(values)]
     usable = [(k, -math.log(a, p)) for k, a in rows if a > zero_tol]
     slope = fit_line(usable)[0] if len(usable) >= 2 else None
     family = remark_family_exponent(Y.phi)

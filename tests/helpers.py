@@ -13,9 +13,11 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from padic_dispersion.expsums import exp_sum
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn
+from padic_dispersion.surface import GraphHypersurface, surface_ft
 
 
 def frac_part(q: Fraction) -> Fraction:
@@ -209,3 +211,20 @@ def random_sb(
     if not terms:
         terms.append((Ball.of(p, (0,) * n, 0), 1 + 0j))
     return SchwartzBruhatFn.of(p, terms)
+
+
+# -- value tables read by the analysis functions --------------------------------
+# These call the library's evaluators (they are inputs, not oracles): the fits,
+# certificates and decay tables take such a table instead of evaluating sums.
+
+
+def expsum_values(f: SparsePolynomial, ball: Ball, levels) -> dict[int, complex]:
+    """{m: E_A(p^-m, f)} for m in levels."""
+    p = ball.prime
+    return {m: exp_sum(f, Fraction(1, p**m), ball).value for m in levels}
+
+
+def ray_values(Y: GraphHypersurface, direction, levels) -> dict[int, complex]:
+    """{k: hat(d mu_Y)(p^-k * direction)} for k in levels."""
+    p = Y.prime
+    return {k: surface_ft(Y, [Fraction(c, p**k) for c in direction]) for k in levels}

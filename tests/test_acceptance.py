@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_compact_facets, random_sb
+from helpers import expsum_values, oracle_compact_facets, random_sb, ray_values
 from padic_dispersion.cli import main as cli_main
 from padic_dispersion.errors import CertificateUnavailableError
 from padic_dispersion.expsums import decay_fit, exp_sum, stationary_certificate
@@ -92,7 +92,8 @@ def test_criterion_03_decay_fits():
     ]
     ok = True
     for text, p, n, beta in cases:
-        fit = decay_fit(parse_polynomial(text), Ball.of(p, (0,) * n, 0), range(2, 7))
+        f, ball = parse_polynomial(text), Ball.of(p, (0,) * n, 0)
+        fit = decay_fit(f, ball, expsum_values(f, ball, range(2, 7)))
         ok &= fit.status == "ok"
         ok &= fit.beta == beta
         ok &= abs(fit.slope - float(beta)) <= 0.05
@@ -106,7 +107,7 @@ def test_criterion_04_stationary_phase():
     for text, center, e in (("x^2+x+1", 0, 1), ("x^2", 1, 1)):
         f = parse_polynomial(text)
         ball = Ball.of(3, [center], e)
-        cert = stationary_certificate(f, ball, m_max=6)
+        cert = stationary_certificate(f, ball, expsum_values(f, ball, range(2, 7)))
         ok &= cert.bound_exponent == 0
         ok &= cert.threshold == 3
         for m in range(2, 7):
@@ -118,13 +119,13 @@ def test_criterion_04_stationary_phase():
 def test_criterion_05_surface_decay():
     ok = True
     Y1 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
-    dt1 = decay_table(Y1, (0, 1), range(1, 7))
+    dt1 = decay_table(Y1, ray_values(Y1, (0, 1), range(1, 7)))
     ok &= abs(dt1.slope - 0.5) <= 1e-9
     Y2 = GraphHypersurface(parse_polynomial("x^3"), Ball.of(7, [0, 0], 0))
-    dt2 = decay_table(Y2, (0, 1), range(1, 7))
+    dt2 = decay_table(Y2, ray_values(Y2, (0, 1), range(1, 7)))
     ok &= abs(dt2.slope - 1 / 3) <= 0.05
     Y3 = GraphHypersurface(parse_polynomial("x1^2+x2^2"), Ball.of(3, [0, 0, 0], 0))
-    dt3 = decay_table(Y3, (0, 0, 1), range(1, 7))
+    dt3 = decay_table(Y3, ray_values(Y3, (0, 0, 1), range(1, 7)))
     ok &= abs(dt3.slope - 1.0) <= 0.05
     ok &= dt1.expected == Fraction(1, 2) and dt2.expected == Fraction(1, 3)
     ok &= dt3.expected == Fraction(1)

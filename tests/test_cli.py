@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from padic_dispersion import expsums, surface
 from padic_dispersion.cli import (
     EXIT_CERTIFICATE,
     EXIT_OK,
@@ -139,6 +140,49 @@ class TestSurfaceCommand:
         rest = doc["results"]["restriction"]
         assert len(rest["ratios"]) == 10 and rest["sup"] >= max(rest["ratios"]) - 1e-15
         assert doc["results"]["zeta_check"]["max_diff"] < 1e-9
+
+
+class TestEachSumEvaluatedOnce:
+    """The table, the decay fit and the certificate read one evaluation per level."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        original = expsums.character_sum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # surface holds its own reference to the engine entry point
+        monkeypatch.setattr(expsums, "character_sum", counting)
+        monkeypatch.setattr(surface, "character_sum", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [
+            (["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..6"], 6),
+            (
+                ["expsum", "--prime", "3", "--poly", "x^2", "--ball", "ball 1 1", "--m", "1..6"],
+                6,
+            ),
+            (["surface", "--prime", "7", "--phi", "x^3", "--k", "1..6"], 6),
+        ],
+    )
+    def test_one_evaluation_per_level(self, tmp_path, evaluations, argv, levels):
+        run_cli(tmp_path, argv)
+        assert len(evaluations) == levels
+
+    def test_certificate_verifies_only_the_tabulated_levels(self, tmp_path, evaluations):
+        code, out = run_cli(
+            tmp_path,
+            ["expsum", "--prime", "3", "--poly", "x^2", "--ball", "ball 1 1", "--m", "4..6"],
+        )
+        assert code == EXIT_OK
+        assert len(evaluations) == 3
+        cert = json.loads(out)["results"]["certificate"]
+        assert cert["status"] == "ok" and cert["verified_levels"] == [4, 5, 6]
 
 
 class TestSolveCommand:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_exp_sum, oracle_residue_counts
+from helpers import expsum_values, oracle_exp_sum, oracle_residue_counts
 from padic_dispersion import expsums
 from padic_dispersion.errors import (
     CertificateIndeterminate,
@@ -16,7 +16,6 @@ from padic_dispersion.errors import (
 from padic_dispersion.expsums import (
     decay_fit,
     exp_sum,
-    expsum_from_histogram,
     residue_histogram,
     stationary_certificate,
 )
@@ -192,17 +191,8 @@ class TestResidueHistogram:
             residue_histogram(SQUARE, 1, Ball.of(3, [Fraction(1, 3)], 1))
 
     def test_exp_sum_recoverable_exactly(self):
-        # same counts and bit-identical value when the unit is 1
-        h = residue_histogram(SQUARE, 2, Z3)
-        via_hist = expsum_from_histogram(h, 2, 3, Fraction(1, 9))
-        direct = exp_sum(SQUARE, Fraction(1, 9), Z3)
-        assert via_hist.counts == direct.counts
-        assert via_hist.value == direct.value
-        # nontrivial angular component: counts remap by c -> u c mod p^m
-        via_hist2 = expsum_from_histogram(h, 2, 3, Fraction(1, 9), unit=2)
-        direct2 = exp_sum(SQUARE, Fraction(2, 9), Z3)
-        assert via_hist2.counts == direct2.counts
-        assert via_hist2.value == direct2.value
+        # the level-m histogram is the histogram of E(p^-m, f)
+        assert residue_histogram(SQUARE, 2, Z3) == exp_sum(SQUARE, Fraction(1, 9), Z3).counts
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
@@ -211,34 +201,34 @@ class TestResidueHistogram:
 
 class TestStationaryCertificate:
     def test_unit_derivative_on_small_ball(self):
-        cert = stationary_certificate(
-            parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1)
-        )
+        f, ball = parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1)
+        cert = stationary_certificate(f, ball, expsum_values(f, ball, range(1, 7)))
         assert cert.bound_exponent == 0
         assert cert.threshold == 3
         assert cert.verified_levels == (2, 3, 4, 5, 6)
         assert cert.max_abs < 1e-9
 
     def test_unit_ball_shifted(self):
-        cert = stationary_certificate(SQUARE, Ball.of(3, [1], 1))
+        ball = Ball.of(3, [1], 1)
+        cert = stationary_certificate(SQUARE, ball, expsum_values(SQUARE, ball, range(1, 7)))
         assert cert.bound_exponent == 0 and cert.threshold == 3
 
     def test_critical_point_detected(self):
         with pytest.raises(CertificateUnavailableError) as exc:
-            stationary_certificate(SQUARE, Z3)
+            stationary_certificate(SQUARE, Z3, {})
         center, level = exc.value.residue_class
         assert center == (Fraction(0),)
 
     def test_irrational_critical_point_indeterminate(self):
         # f' = 2x + 1 vanishes at -1/2, a 3-adic integer no center ever hits
         with pytest.raises(CertificateIndeterminate):
-            stationary_certificate(parse_polynomial("x^2+x"), Z3, depth_cap=5)
+            stationary_certificate(parse_polynomial("x^2+x"), Z3, {}, depth_cap=5)
 
     def test_positive_bound_exponent(self):
         # f' = 3(x^2 + 1) and x^2 + 1 is a unit on all of Z_3, so
         # min v(f') = 1 everywhere and no critical point exists.
         f = parse_polynomial("x^3 + 3*x")
-        cert = stationary_certificate(f, Z3, m_max=8)
+        cert = stationary_certificate(f, Z3, expsum_values(f, Z3, range(1, 9)))
         assert cert.bound_exponent == 1
         assert cert.threshold == 27
         assert cert.verified_levels == (4, 5, 6, 7, 8)
@@ -246,34 +236,51 @@ class TestStationaryCertificate:
 
     def test_small_ball_rejected(self):
         with pytest.raises(DomainError):
-            stationary_certificate(SQUARE, Ball.of(3, [1], 2))
+            stationary_certificate(SQUARE, Ball.of(3, [1], 2), {})
+
+    def test_checks_exactly_the_given_levels_above_the_threshold(self):
+        f, ball = parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1)
+        # I = 0: level 1 lies below 2I + 2 and is neither checked nor listed
+        cert = stationary_certificate(f, ball, {5: 0j, 1: 0.7, 4: 0j})
+        assert cert.verified_levels == (4, 5)
+        assert cert.max_abs == 0.0
+        with pytest.raises(AssertionError):
+            stationary_certificate(f, ball, {2: 0j, 3: 0.5})
 
 
 class TestDecayFit:
     def test_gauss_exact_half(self):
-        fit = decay_fit(SQUARE, Z3, range(1, 7))
+        fit = decay_fit(SQUARE, Z3, expsum_values(SQUARE, Z3, range(1, 7)))
         assert fit.status == "ok"
         assert abs(fit.slope - 0.5) < 1e-9
         assert fit.beta == Fraction(1, 2)
         assert fit.quasi_homogeneous and fit.consistent
 
     def test_two_squares_slope_one(self):
-        fit = decay_fit(parse_polynomial("x1^2+x2^2"), Ball.of(3, [0, 0], 0), range(1, 6))
+        f, ball = parse_polynomial("x1^2+x2^2"), Ball.of(3, [0, 0], 0)
+        fit = decay_fit(f, ball, expsum_values(f, ball, range(1, 6)))
         assert abs(fit.slope - 1.0) < 1e-9
         assert fit.beta == 1
 
     def test_cubic_p7(self):
-        fit = decay_fit(parse_polynomial("x^3"), Ball.of(7, [0], 0), range(1, 7))
+        f, ball = parse_polynomial("x^3"), Ball.of(7, [0], 0)
+        fit = decay_fit(f, ball, expsum_values(f, ball, range(1, 7)))
         assert abs(fit.slope - 1 / 3) < 0.05
         assert fit.beta == Fraction(1, 3)
 
     def test_superpolynomial_when_no_critical_point(self):
-        fit = decay_fit(parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1), range(2, 7))
+        f, ball = parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1)
+        fit = decay_fit(f, ball, expsum_values(f, ball, range(2, 7)))
         assert fit.status == "superpolynomial"
         assert fit.slope is None
         # constant term only shifts the phase: beta comes from x^2 + x
         assert fit.beta == 1
 
     def test_residual_reported(self):
-        fit = decay_fit(parse_polynomial("x^3"), Ball.of(7, [0], 0), range(2, 7))
+        f, ball = parse_polynomial("x^3"), Ball.of(7, [0], 0)
+        fit = decay_fit(f, ball, expsum_values(f, ball, range(2, 7)))
         assert fit.residual is not None and fit.residual >= 0
+
+    def test_levels_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            decay_fit(SQUARE, Z3, {0: 1.0, 1: 3**-0.5})
