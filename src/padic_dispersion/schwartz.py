@@ -10,350 +10,351 @@ both transform signs term by term:
 
 The forward transform uses Psi(-[x, xi]) (sign = -1), the inverse
 Psi(+[x, xi]).  Outputs are canonicalised to pairwise-disjoint balls.
+
+Storage is exact and integer: ball i is (idx[i] + p^(e[i] + D) Z_p^n) / p^D
+for a common denominator p^D and an index row reduced modulo p^(e[i] + D),
+and modulations b are numerators over their own p^Dm.  Moduli stay below
+2^31, so the arrays are int32, products of two residues fit in int64, and
+every character value Psi(-[b, x]) is a residue r / M, exponentiated last.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, ResourceCapError
-from .padic import Ball, PadicRational, character, split_p_part
+from .padic import Ball, PadicRational, split_p_part
 
 _COSET_CAP = 10**6
+_LIMIT = (1 << 31) - 1  # every modulus and stored integer: int32 holds it
+_FOLD_BLOCK = 1 << 16  # entries of one block of a residue matrix
 
 Vector = tuple[PadicRational, ...]
 
 
-def _as_padic_vector(prime: int, v: Sequence) -> Vector:
-    return tuple(
-        x if isinstance(x, PadicRational) else PadicRational(prime, x) for x in v
-    )
+def _modulus(p: int, k: int, what: str) -> int:
+    m = p ** max(k, 0)
+    if m > _LIMIT:
+        raise ResourceCapError(m, _LIMIT, what=what)
+    return m
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+def _den_exps(nums: np.ndarray, denom: int, p: int) -> np.ndarray:
+    """Per row of nums / p^denom, the least k with the row in p^-k Z^n (~ -2^20 if 0)."""
+    g = np.gcd.reduce(nums, axis=-1)
+    v, g = np.where(g == 0, 1 << 20, 0), np.where(g == 0, 1, g)
+    while (div := g % p == 0).any():
+        v, g = v + div, np.where(div, g // p, g)
+    return denom - v
 
 
-def _lev(b: Sequence[PadicRational]) -> int:
-    """Smallest L with Psi(-[b, .]) constant on cosets of (p^L Z_p)^n."""
-    worst = 0
-    for x in b:
-        if not x.is_zero:
-            worst = max(worst, -x._val)
-    return worst
+def _lowest(nums: np.ndarray, denom: int, p: int, floor: int = 0) -> tuple[np.ndarray, int]:
+    """(nums' as int64, k) with nums / p^denom = nums' / p^k, k >= floor minimal."""
+    k = max(floor, int(_den_exps(nums.reshape(1, -1), denom, p)[0]))
+    nums = nums.astype(np.int64)
+    return (nums // p ** (denom - k) if nums.any() else nums), k
 
 
-def _coset_rep(x: Fraction, p: int, s: int) -> Fraction:
-    """Canonical representative of x mod p^s Z_p in [0, p^s)."""
-    unit, val = split_p_part(x, p)
-    if unit == 0 or val >= s:
-        return Fraction(0)
-    if val >= 0:
-        return Fraction(unit * p**val % p**s)
-    return Fraction(unit % p ** (s - val), p**-val)
+def _phase_residues(p: int, mods: np.ndarray, mdenom: int, points: np.ndarray, denom: int):
+    """(r, M) with -[mods / p^mdenom, points / p^denom] = r / M mod Z_p, broadcast
+    over the leading axes.  M is the product of the actual denominators (1 when
+    every modulation is 0); past _LIMIT the call is refused."""
+    mods, km = _lowest(mods, mdenom, p)
+    points, kp = _lowest(points, denom, p)
+    M = _modulus(p, km + kp if mods.any() else 0, "phase denominator")
+    r = 0
+    for j in range(mods.shape[-1]):
+        r = (r + mods[..., j] % M * (points[..., j] % M)) % M
+    return (-r) % M, M
 
 
-def _ball_cosets(ball: Ball, scale: int, cap: int = _COSET_CAP) -> list[Vector]:
-    """Centers of the cosets of (p^scale Z_p)^n partitioning the ball."""
-    p, n, e = ball.prime, ball.dim, ball.radius_exp
-    if scale < e:
-        raise DomainError("coset scale must refine the ball")
-    width = p ** (scale - e)
-    if width**n > cap:
-        raise ResourceCapError(width**n, cap, what="cosets")
-    step = Fraction(p) ** e
-    centers = ball.center_fractions()
-    out = []
-    for t in product(range(width), repeat=n):
-        out.append(
-            _as_padic_vector(
-                p, tuple(c + step * ti for c, ti in zip(centers, t))
-            )
-        )
-    return out
+def _roots(r: np.ndarray, M: int) -> np.ndarray:
+    """exp(2 pi i r / M) via the correctly rounded r / M: equal fractions, equal values."""
+    return np.exp(2j * np.pi * (r / M))
 
 
-@dataclass(frozen=True)
-class SchwartzBruhatFn:
+def _volumes(p: int, n: int, radii: np.ndarray) -> list[float]:
+    """float(p^(-n e)) per term, each correctly rounded."""
+    table = {e: float(Fraction(p) ** (-n * e)) for e in set(radii.tolist())}
+    return [table[e] for e in radii.tolist()]
+
+
+def _integers(p: int, rows, floor: int = 0) -> tuple[int, list[list[int]]]:
+    """(D, rows * p^D as integers) for rows of p-adic rationals, D >= floor minimal."""
+    rows = [[PadicRational(p, x).as_fraction() for x in row] for row in rows]
+    denom = max([floor] + [-split_p_part(x, p)[1] for row in rows for x in row if x != 0])
+    return denom, [[int(x * p**denom) for x in row] for row in rows]
+
+
+def _forest(p: int, denom: int, radii: np.ndarray, idx: np.ndarray):
+    """(distinct balls sorted by radius, the ball of each row, each ball's parent or -1);
+    a ball of radius e contains another iff their indices agree mod p^(e + D)."""
+    balls, ball_of = np.unique(np.column_stack([radii, idx]), axis=0, return_inverse=True)
+    radii, idx = balls[:, 0], balls[:, 1:]
+    parent = np.full(len(balls), -1)
+    for level in sorted(set(radii.tolist()))[:-1]:  # ascending: the last hit is the smallest
+        at, below = np.flatnonzero(radii == level), np.flatnonzero(radii > level)
+        keys = np.concatenate([idx[at], idx[below] % p ** (level + denom)])
+        group = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+        owner = np.full(len(keys), -1)
+        owner[group[: len(at)]] = at
+        hit = owner[group[len(at):]]
+        parent[below[hit >= 0]] = hit[hit >= 0]
+    return balls, ball_of.ravel(), parent
+
+
+class _BallSum:
+    """Coefficients on balls (idx + p^(radii + D) Z_p^n) / p^D, for both classes."""
+
+    _FIELDS = ("n", "prime", "denom", "radii", "idx", "coeffs")
+    __slots__ = _FIELDS + ("_lookup",)
+
+    def _set(self, n, prime, denom, radii, idx, coeffs) -> None:
+        idx, self.denom = _lowest(idx, denom, prime, -int(radii.min(initial=0)))
+        self.n, self.prime, self.coeffs = n, prime, np.asarray(coeffs, dtype=complex)
+        self.radii, self.idx = radii.astype(np.int32), idx.astype(np.int32)
+        self._lookup = None
+
+    @classmethod
+    def _from_arrays(cls, n: int, prime: int, *arrays):
+        obj = cls.__new__(cls)
+        obj._set(n, prime, *arrays)
+        return obj
+
+    def _set_balls(self, n: int, prime: int, balls: Sequence[Ball], coeffs, *mods) -> None:
+        """Store explicit balls exactly; they must be pairwise disjoint."""
+        if any(b.dim != n or b.prime != prime for b in balls):
+            raise DomainError("ball shape mismatch")
+        radii = [b.radius_exp for b in balls]
+        denom, centers = _integers(prime, [b.center_fractions() for b in balls], -min(radii + [0]))
+        moduli = [_modulus(prime, e + denom, "ball index modulus") for e in radii]
+        idx = [[c % m for c in row] for row, m in zip(centers, moduli)]
+        radii, idx = np.array(radii, dtype=np.int32), np.array(idx, dtype=np.int64).reshape(-1, n)
+        self._set(n, prime, denom, radii, idx, *mods, [complex(c) for c in coeffs])
+        uniq, _, parent = _forest(prime, self.denom, self.radii, self.idx)
+        if len(uniq) < len(balls) or (parent >= 0).any():
+            raise DomainError("terms must live on pairwise disjoint balls")
+
+    def _balls(self) -> list[Ball]:
+        p, scale = self.prime, Fraction(1, self.prime**self.denom)
+        return [Ball(p, tuple(PadicRational(p, v * scale) for v in row), e)
+                for row, e in zip(self.idx.tolist(), self.radii.tolist())]
+
+    def value_at(self, point: Sequence[Fraction | int]) -> complex:
+        """Value at an exact point; the lookup {radius: {index row: term}} is built once."""
+        p, D = self.prime, self.denom
+        if len(point) != self.n:
+            raise DomainError("point has wrong dimension")
+        x = [Fraction(c) * p**D for c in point]
+        if any(c.denominator != 1 for c in x):  # outside p^-D Z_p^n, which holds every ball
+            for c in point:
+                split_p_part(c, p)  # DomainError unless a p-power denominator
+            return 0j
+        if self._lookup is None:
+            table: dict = {}
+            for i, (e, row) in enumerate(zip(self.radii.tolist(), self.idx.tolist())):
+                table.setdefault(e, {})[tuple(row)] = i
+            self._lookup = table  # shared only once complete
+        x = [c.numerator for c in x]
+        for e, table in self._lookup.items():
+            i = table.get(tuple(v % p ** (e + D) for v in x))
+            if i is not None:
+                return complex(self.coeffs[i]) * self._phase(i, x)
+        return 0j
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._FIELDS)
+
+
+class SchwartzBruhatFn(_BallSum):
     """Finite complex combination of pairwise disjoint ball indicators."""
 
-    n: int
-    prime: int
-    terms: tuple[tuple[Ball, complex], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        balls = [b for b, _ in self.terms]
-        for b in balls:
-            if b.dim != self.n or b.prime != self.prime:
-                raise DomainError("ball shape mismatch")
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if not balls[i].is_disjoint(balls[j]):
-                    raise DomainError(
-                        f"balls {i} and {j} overlap; terms must be disjoint"
-                    )
+    def __init__(self, n: int, prime: int, terms: Sequence[tuple[Ball, complex]]):
+        self._set_balls(n, prime, [b for b, _ in terms], [c for _, c in terms])
 
     @classmethod
     def of(cls, prime: int, terms: Sequence[tuple[Ball, complex]]) -> "SchwartzBruhatFn":
         if not terms:
             raise DomainError("empty Schwartz-Bruhat function")
-        n = terms[0][0].dim
-        return cls(n, prime, tuple((b, complex(c)) for b, c in terms))
+        return cls(terms[0][0].dim, prime, terms)
 
     @classmethod
     def indicator(cls, ball: Ball, coeff: complex = 1.0) -> "SchwartzBruhatFn":
-        return cls(ball.dim, ball.prime, ((ball, complex(coeff)),))
+        return cls(ball.dim, ball.prime, ((ball, coeff),))
 
-    def value_at(self, point: Sequence[Fraction | int]) -> complex:
-        point = tuple(Fraction(x) for x in point)
-        total = 0j
-        for ball, coeff in self.terms:
-            if ball.contains_point(point):
-                total += coeff
-        return total
+    @property
+    def terms(self) -> tuple[tuple[Ball, complex], ...]:
+        return tuple(zip(self._balls(), self.coeffs.tolist()))
+
+    def _phase(self, i: int, x: list[int]) -> complex:
+        return 1
 
     def scaled(self, factor: complex) -> "SchwartzBruhatFn":
-        return SchwartzBruhatFn(
-            self.n, self.prime, tuple((b, factor * c) for b, c in self.terms)
-        )
+        arrays = (self.denom, self.radii, self.idx, self.coeffs * factor)
+        return self._from_arrays(self.n, self.prime, *arrays)
 
     def translated(self, shift: Sequence) -> "SchwartzBruhatFn":
         """g(x - shift): every ball center moves by shift."""
-        shift = _as_padic_vector(self.prime, shift)
-        terms = []
-        for ball, coeff in self.terms:
-            center = tuple(c + s for c, s in zip(ball.center, shift))
-            terms.append((Ball(self.prime, center, ball.radius_exp), coeff))
-        return SchwartzBruhatFn(self.n, self.prime, tuple(terms))
+        terms = [(Ball.of(self.prime, [x + s for x, s in zip(b.center, shift)], b.radius_exp), c)
+                 for b, c in self.terms]
+        return SchwartzBruhatFn(self.n, self.prime, terms)
 
 
-@dataclass(frozen=True)
-class ModulatedSBFn:
-    """Finite sum of terms coeff * Psi(-[b, xi]) * 1_Ball(xi), disjoint balls."""
+class ModulatedSBFn(_BallSum):
+    """Finite sum of terms coeff * Psi(-[b, xi]) * 1_Ball(xi), disjoint balls;
+    b = mods / p^mdenom."""
 
-    n: int
-    prime: int
-    terms: tuple[tuple[Ball, Vector, complex], ...]
+    __slots__ = ("mdenom", "mods")
+    _FIELDS = _BallSum._FIELDS + __slots__
 
-    def __post_init__(self):
-        balls = [b for b, _, _ in self.terms]
-        for b, mod, _ in self.terms:
-            if b.dim != self.n or len(mod) != self.n:
-                raise DomainError("term shape mismatch")
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if not balls[i].is_disjoint(balls[j]):
-                    raise DomainError("modulated terms must live on disjoint balls")
+    def __init__(self, n: int, prime: int, terms: Sequence[tuple[Ball, Vector, complex]]):
+        if any(len(mod) != n for _, mod, _ in terms):
+            raise DomainError("term shape mismatch")
+        mdenom, nums = _integers(prime, [mod for _, mod, _ in terms])
+        if (bound := max((abs(v) for row in nums for v in row), default=0)) > _LIMIT:
+            raise ResourceCapError(bound, _LIMIT, what="modulation numerator")
+        mods = np.array(nums, dtype=np.int64).reshape(-1, n)
+        self._set_balls(n, prime, [b for b, _, _ in terms], [c for *_, c in terms], mdenom, mods)
 
-    def value_at(self, point: Sequence[Fraction | int]) -> complex:
-        point = tuple(Fraction(x) for x in point)
-        total = 0j
-        for ball, mod, coeff in self.terms:
-            if ball.contains_point(point):
-                phase = character(
-                    PadicRational(
-                        self.prime,
-                        -_dot([m.as_fraction() for m in mod], point),
-                    )
-                )
-                total += coeff * phase.complex_value
-        return total
+    def _set(self, n, prime, denom, radii, idx, mdenom, mods, coeffs) -> None:
+        super()._set(n, prime, denom, radii, idx, coeffs)
+        mods, self.mdenom = _lowest(mods, mdenom, prime)
+        self.mods = mods.astype(np.int32)
+
+    @property
+    def terms(self) -> tuple[tuple[Ball, Vector, complex], ...]:
+        p, scale = self.prime, Fraction(1, self.prime**self.mdenom)
+        mods = [tuple(PadicRational(p, v * scale) for v in row) for row in self.mods.tolist()]
+        return tuple(zip(self._balls(), mods, self.coeffs.tolist()))
+
+    def _phase(self, i: int, x: list[int]) -> complex:
+        """Psi(-[b_i, x / p^D]) for the integer point x."""
+        M = self.prime ** (self.mdenom + self.denom)
+        r = -sum(m * v for m, v in zip(self.mods[i].tolist(), x)) % M
+        return cmath.exp(2j * math.pi * r / M)
 
     @property
     def support_bound(self) -> int:
         """Smallest E with support contained in ||xi|| <= p^E."""
-        worst = None
-        for ball, _, _ in self.terms:
-            e = -ball.radius_exp
-            for c in ball.center:
-                if not c.is_zero:
-                    e = max(e, -c._val)
-            worst = e if worst is None else max(worst, e)
-        if worst is None:
+        if not len(self.radii):
             raise DomainError("empty spectrum")
-        return worst
+        return int(np.maximum(-self.radii, _den_exps(self.idx, self.denom, self.prime)).max())
 
     @property
     def resolution_level(self) -> int:
         """Cells of radius p^-M with M at least this resolve every term."""
-        level = 0
-        for ball, mod, _ in self.terms:
-            level = max(level, ball.radius_exp, _lev(mod))
-        return level
+        lev = _den_exps(self.mods, self.mdenom, self.prime)
+        return int(max(0, self.radii.max(initial=0), lev.max(initial=0)))
 
 
-def _trusted_modulated(
-    n: int, prime: int, terms: tuple[tuple[Ball, Vector, complex], ...]
-) -> ModulatedSBFn:
-    """Construct without the O(k^2) disjointness re-check; callers guarantee
-    the terms came out of the canonicaliser."""
-    obj = object.__new__(ModulatedSBFn)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, "prime", prime)
-    object.__setattr__(obj, "terms", terms)
-    return obj
+def _term_transform(G: ModulatedSBFn, sign: int) -> tuple:
+    """Exact transform of every modulated indicator (see module docstring),
+    as the raw arrays (D, radii, idx, Dm, mods, coeffs) of overlapping terms."""
+    if sign not in (-1, 1):
+        raise DomainError("sign must be -1 (forward) or +1 (inverse)")
+    p, n = G.prime, G.n
+    e, idx, mods = (a.astype(np.int64) for a in (G.radii, G.idx, G.mods))
+    r, M = _phase_residues(p, mods, G.mdenom, idx, G.denom)
+    coeffs = G.coeffs * _roots(r, M) * np.array(_volumes(p, n, e))
+    denom = max(0, G.mdenom, int(e.max(initial=0)))
+    _modulus(p, denom - int(e.min(initial=0)), "ball index modulus")
+    # the center sign * b reduced mod p^(-e), then written over p^denom
+    center = (sign * mods) % (p ** np.maximum(G.mdenom - e, 0))[:, None]
+    return denom, -e, center * p ** (denom - G.mdenom), G.denom, -sign * idx, coeffs
 
 
-def _trusted_schwartz(
-    n: int, prime: int, terms: tuple[tuple[Ball, complex], ...]
-) -> SchwartzBruhatFn:
-    obj = object.__new__(SchwartzBruhatFn)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, "prime", prime)
-    object.__setattr__(obj, "terms", terms)
-    return obj
-
-
-def _term_transform(
-    prime: int,
-    ball: Ball,
-    mod: Vector,
-    coeff: complex,
-    sign: int,
-) -> tuple[Ball, Vector, complex]:
-    """Exact transform of one modulated indicator (see module docstring)."""
-    n = ball.dim
-    r = ball.radius_exp
-    a0 = ball.center_fractions()
-    b = [m.as_fraction() for m in mod]
-    phase = character(PadicRational(prime, -_dot(b, a0)))
-    volume = Fraction(1, prime ** (n * r)) if r >= 0 else Fraction(prime ** (-n * r))
-    out_center = _as_padic_vector(prime, tuple(sign * x for x in b))
-    out_mod = _as_padic_vector(prime, tuple(-sign * x for x in a0))
-    out_coeff = coeff * phase.complex_value * float(volume)
-    return Ball(prime, out_center, -r), out_mod, out_coeff
-
-
-def _disjointify(
-    prime: int,
-    n: int,
-    raw: list[tuple[Ball, Vector, complex]],
-    cap: int = _COSET_CAP,
-) -> list[tuple[Ball, Vector, complex]]:
-    """Rewrite overlapping modulated terms over pairwise disjoint balls.
-
-    Balls in an ultrametric space are nested or disjoint, so the distinct
-    balls form a containment forest.  Each ball's region (itself minus its
-    children) is tiled by cosets; where several terms cover a coset their
-    modulations are folded into a plain coefficient at a scale fine enough
-    for all of them to be constant.
-    """
-    merged: dict[tuple[Ball, Vector], complex] = {}
-    for ball, mod, coeff in raw:
-        key = (ball, mod)
-        merged[key] = merged.get(key, 0j) + coeff
-    terms = [(b, m, c) for (b, m), c in merged.items() if c != 0]
-    if not terms:
-        return []
-    balls = sorted({b for b, _, _ in terms}, key=lambda b: b.radius_exp)
-    parent: dict[Ball, Ball | None] = {}
-    for b in balls:
-        best = None
-        for other in balls:
-            if other is b or other == b:
-                continue
-            if other.contains_ball(b) and (
-                best is None or other.radius_exp > best.radius_exp
-            ):
-                best = other
-        parent[b] = best
-    children: dict[Ball, list[Ball]] = {b: [] for b in balls}
-    for b, par in parent.items():
-        if par is not None:
-            children[par].append(b)
-    by_ball: dict[Ball, list[tuple[Vector, complex]]] = {b: [] for b in balls}
-    for ball, mod, coeff in terms:
-        by_ball[ball].append((mod, coeff))
-
-    out: list[tuple[Ball, Vector, complex]] = []
-    for ball in balls:
-        covering: list[tuple[Vector, complex]] = []
-        anc: Ball | None = ball
-        while anc is not None:
-            covering.extend(by_ball[anc])
-            anc = parent[anc]
-        kids = children[ball]
-        if not kids and len(covering) == 1:
-            mod, coeff = covering[0]
-            out.append((ball, mod, coeff))
-            continue
-        scale = max(
-            [ball.radius_exp]
-            + [k.radius_exp for k in kids]
-            + ([max(_lev(m) for m, _ in covering)] if len(covering) > 1 else [])
-        )
-        for center in _ball_cosets(ball, scale, cap):
-            point = tuple(c.as_fraction() for c in center)
-            if any(k.contains_point(point) for k in kids):
-                continue
-            coset = Ball(prime, center, scale)
-            if len(covering) == 1:
-                mod, coeff = covering[0]
-                out.append((coset, mod, coeff))
-            else:
-                total = 0j
-                for mod, coeff in covering:
-                    phase = character(
-                        PadicRational(
-                            prime,
-                            -_dot([m.as_fraction() for m in mod], point),
-                        )
-                    )
-                    total += coeff * phase.complex_value
-                if total != 0:
-                    out.append((coset, _as_padic_vector(prime, (0,) * n), total))
+def _fold(p, denom, cidx, mdenom, mods, coeffs) -> np.ndarray:
+    """sum_j coeffs[j] Psi(-[mods[j] / p^mdenom, x]) at every x = cidx / p^denom:
+    one int64 residue matrix, one fixed-order row sum per point."""
+    rows = max(1, _FOLD_BLOCK // len(coeffs))
+    out = np.empty(len(cidx), dtype=complex)
+    for i in range(0, len(cidx), rows):
+        r, M = _phase_residues(p, mods[None], mdenom, cidx[i:i + rows, None], denom)
+        out[i:i + rows] = (_roots(r, M) * coeffs).sum(axis=1)
     return out
 
 
+def _disjointify(p: int, n: int, raw: tuple, plain: bool = False):
+    """Rewrite overlapping modulated terms over pairwise disjoint balls.
+
+    Each ball's region (itself minus its children in the containment forest)
+    is tiled by cosets; where several terms cover a coset, or always when
+    `plain` asks for a SchwartzBruhatFn, their modulations are folded into a
+    coefficient at a scale where all are constant.  Every coset the call
+    tiles counts against the cap first.
+    """
+    denom, radii, idx, mdenom, mods, coeffs = raw
+    keys, inv = np.unique(np.column_stack([radii, idx, mods]), axis=0, return_inverse=True)
+    merged = np.zeros(len(keys), dtype=complex)
+    np.add.at(merged, inv.ravel(), coeffs)
+    keys, coeffs = keys[merged != 0], merged[merged != 0]
+    radii, idx, mods = keys[:, 0], keys[:, 1:n + 1], keys[:, n + 1:]
+    balls, ball_of, parent = _forest(p, denom, radii, idx)
+    starts = np.searchsorted(ball_of, np.arange(len(balls) + 1)).tolist()
+    rad = balls[:, 0].tolist()
+    # children and covering terms per ball; the roots hang under index -1
+    kids, covering = [[] for _ in range(len(balls) + 1)], {-1: []}
+    for b, a in enumerate(parent.tolist()):  # parents precede their children
+        covering[b] = list(range(starts[b], starts[b + 1])) + covering[a]
+        kids[a].append(b)
+    whole, regions, total = [], [], 0
+    for b, e in enumerate(rad):
+        cover, fold = covering[b], len(covering[b]) > 1 or plain
+        scale = max([e] + [rad[k] for k in kids[b]]
+                    + ([int(_den_exps(mods[cover], mdenom, p).max())] if fold else []))
+        if scale == e and len(cover) == 1:  # the ball stays whole
+            whole.append(cover[0])
+            continue
+        regions.append((b, cover, scale, fold))
+        total += p ** (n * (scale - e))
+    if total > _COSET_CAP:
+        raise ResourceCapError(total, _COSET_CAP, what="cosets")
+    phase = _roots(*_phase_residues(p, mods[whole], mdenom, idx[whole], denom)) if plain else 1
+    out = [(radii[whole], idx[whole], mods[whole], coeffs[whole] * phase)]
+    for b, cover, scale, fold in regions:
+        e, index = rad[b], balls[b, 1:]
+        _modulus(p, scale + denom, "ball index modulus")
+        t = np.indices((p ** (scale - e),) * n)
+        inside = np.zeros(t.shape[1:], dtype=bool)
+        for k in kids[b]:  # a child's cosets are a strided sub-grid
+            start = (balls[k, 1:] - index) // p ** (e + denom)
+            stride = p ** (rad[k] - e)
+            inside[tuple(slice(int(s), None, stride) for s in start)] = True
+        cidx = index + p ** (e + denom) * t.reshape(n, -1).T[~inside.ravel()]
+        if fold:
+            vals = _fold(p, denom, cidx, mdenom, mods[cover], coeffs[cover])
+            cidx, vals, mod = cidx[vals != 0], vals[vals != 0], np.zeros(n, dtype=np.int64)
+        else:
+            vals, mod = np.full(len(cidx), coeffs[cover[0]]), mods[cover[0]]
+        out.append((np.full(len(cidx), scale), cidx, np.tile(mod, (len(cidx), 1)), vals))
+    radii, idx, mods, coeffs = (np.concatenate(parts) for parts in zip(*out))
+    if plain:
+        return SchwartzBruhatFn._from_arrays(n, p, denom, radii, idx, coeffs)
+    return ModulatedSBFn._from_arrays(n, p, denom, radii, idx, mdenom, mods, coeffs)
+
+
 def fourier_modulated(G: ModulatedSBFn, sign: int) -> ModulatedSBFn:
-    if sign not in (-1, 1):
-        raise DomainError("sign must be -1 (forward) or +1 (inverse)")
-    raw = [
-        _term_transform(G.prime, ball, mod, coeff, sign)
-        for ball, mod, coeff in G.terms
-    ]
-    return _trusted_modulated(G.n, G.prime, tuple(_disjointify(G.prime, G.n, raw)))
+    return _disjointify(G.prime, G.n, _term_transform(G, sign))
 
 
 def embed(g: SchwartzBruhatFn) -> ModulatedSBFn:
-    zero = _as_padic_vector(g.prime, (0,) * g.n)
-    return ModulatedSBFn(
-        g.n, g.prime, tuple((ball, zero, coeff) for ball, coeff in g.terms)
-    )
+    arrays = (g.denom, g.radii, g.idx, 0, np.zeros_like(g.idx), g.coeffs)
+    return ModulatedSBFn._from_arrays(g.n, g.prime, *arrays)
 
 
 def to_schwartz(G: ModulatedSBFn) -> SchwartzBruhatFn:
     """Fold modulations into locally constant coefficients."""
-    plain: list[tuple[Ball, complex]] = []
-    for ball, mod, coeff in G.terms:
-        lev = _lev(mod)
-        if lev <= ball.radius_exp:
-            phase = character(
-                PadicRational(
-                    G.prime,
-                    -_dot(
-                        [m.as_fraction() for m in mod], ball.center_fractions()
-                    ),
-                )
-            )
-            plain.append((ball, coeff * phase.complex_value))
-            continue
-        for center in _ball_cosets(ball, lev):
-            phase = character(
-                PadicRational(
-                    G.prime,
-                    -_dot(
-                        [m.as_fraction() for m in mod],
-                        [c.as_fraction() for c in center],
-                    ),
-                )
-            )
-            plain.append((Ball(G.prime, center, lev), coeff * phase.complex_value))
-    return _trusted_schwartz(G.n, G.prime, tuple(plain))
+    raw = (G.denom, G.radii, G.idx, G.mdenom, G.mods, G.coeffs)
+    return _disjointify(G.prime, G.n, raw, plain=True)
 
 
 def fourier_sb(g: SchwartzBruhatFn, sign: int = -1) -> ModulatedSBFn:
@@ -365,49 +366,47 @@ def fourier_sb(g: SchwartzBruhatFn, sign: int = -1) -> ModulatedSBFn:
 
 
 def inverse_fourier_sb(G: ModulatedSBFn, sign: int = 1) -> SchwartzBruhatFn:
-    return to_schwartz(fourier_modulated(G, sign))
+    """to_schwartz(fourier_modulated(G, sign)) in one canonicalisation."""
+    return _disjointify(G.prime, G.n, _term_transform(G, sign), plain=True)
 
 
 # -- norms and comparisons ----------------------------------------------------
 
 
 def lp_norm(g: SchwartzBruhatFn, rho: float) -> float:
-    """||g||_rho, exact thanks to disjointness; rho = inf gives max |coeff|."""
+    """||g||_rho, exact thanks to disjointness; rho = inf gives max |coeff|.
+    A ModulatedSBFn has the same norms: its modulations have modulus 1."""
     if rho != math.inf and rho < 1:
         raise DomainError("rho must be >= 1 or infinity")
     if rho == math.inf:
-        return max(abs(c) for _, c in g.terms)
-    total = sum(abs(c) ** rho * float(ball.volume) for ball, c in g.terms)
-    return total ** (1.0 / rho)
+        return max(abs(c) for c in g.coeffs.tolist())
+    vols = _volumes(g.prime, g.n, g.radii)
+    return sum(abs(c) ** rho * v for c, v in zip(g.coeffs.tolist(), vols)) ** (1.0 / rho)
 
 
 def l2_norm(g: SchwartzBruhatFn) -> float:
     return lp_norm(g, 2)
 
 
-def l2_norm_modulated(G: ModulatedSBFn) -> float:
-    total = sum(abs(c) ** 2 * float(ball.volume) for ball, _, c in G.terms)
-    return math.sqrt(total)
+l2_norm_modulated = l2_norm
 
 
 def sb_allclose(g1: SchwartzBruhatFn, g2: SchwartzBruhatFn, tol: float = 1e-12) -> bool:
-    """Coefficientwise comparison after resampling to a common coset scale."""
-    scale = max(
-        [b.radius_exp for b, _ in g1.terms] + [b.radius_exp for b, _ in g2.terms]
-    )
-
-    def tabulate(g: SchwartzBruhatFn) -> dict[tuple[Fraction, ...], complex]:
-        table: dict[tuple[Fraction, ...], complex] = {}
-        for ball, coeff in g.terms:
-            for center in _ball_cosets(ball, scale):
-                key = tuple(
-                    _coset_rep(c.as_fraction(), g.prime, scale) for c in center
-                )
-                table[key] = table.get(key, 0j) + coeff
-        return table
-
-    t1, t2 = tabulate(g1), tabulate(g2)
-    for key in set(t1) | set(t2):
-        if abs(t1.get(key, 0j) - t2.get(key, 0j)) > tol:
-            return False
-    return True
+    """Pointwise comparison on the common refinement of the two ball forests:
+    g1 - g2 is constant on each region (a ball minus its children), and a
+    region is empty exactly when the children fill the ball's volume.
+    """
+    p, n, denom = g1.prime, g1.n, max(g1.denom, g2.denom)
+    radii = np.concatenate([g1.radii, g2.radii])
+    _modulus(p, int(radii.max(initial=0)) + denom, "ball index modulus")
+    idx = np.concatenate([g.idx * p ** (denom - g.denom) for g in (g1, g2)])
+    balls, ball_of, parent = _forest(p, denom, radii, idx)
+    values = np.zeros(len(balls), dtype=complex)
+    np.add.at(values, ball_of, np.concatenate([g1.coeffs, -g2.coeffs]))
+    values, rad = values.tolist(), balls[:, 0].tolist()
+    covered = [Fraction(0)] * len(rad)  # share of each ball's volume its children take
+    for b, a in enumerate(parent.tolist()):
+        if a >= 0:  # parents precede their children
+            values[b] += values[a]
+            covered[a] += Fraction(1, p ** (n * (rad[b] - rad[a])))
+    return all(abs(v) <= tol for v, c in zip(values, covered) if c != 1)

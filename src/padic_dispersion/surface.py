@@ -297,20 +297,20 @@ def zeta_kernel_numeric(
     if not isinstance(x_n, PadicRational):
         x_n = PadicRational(p, x_n)
     t = None if x_n.is_zero else -x_n._val  # |x_n| = p^t
-
-    def ball_integral(j: int) -> Fraction:
-        # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0
-        if t is None or t <= j:
-            return Fraction(1, p**j) if j >= 0 else Fraction(p**-j)
-        return Fraction(0)
-
+    # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
+    # shell |y| = p^-j integrates to (p - 1) / p^(j+1) for t <= j, to
+    # -1 / p^(j+1) for t = j + 1 and to 0 beyond; each a correctly rounded
+    # quotient of integers
     logp = math.log(p)
     J = e0 + max(2, math.ceil((-math.log(tol) + 4) / (z.real * logp)))
     total = 0j
     for j in range(e0, J + 1):
-        shell = ball_integral(j) - ball_integral(j + 1)
-        if shell == 0:
+        if t is None or t <= j:
+            shell = (p - 1) / p ** (j + 1)
+        elif t == j + 1:
+            shell = -1 / p ** (j + 1)
+        else:
             continue
-        total += cmath.exp(-j * (z - 1) * logp) * float(shell)
+        total += cmath.exp(-j * (z - 1) * logp) * shell
     gamma = (1 - cmath.exp(-z * logp)) / (1 - 1.0 / p)
     return gamma * total

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import frac_part, random_sb
-from padic_dispersion.errors import DomainError
+from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, PadicRational
 from padic_dispersion.schwartz import (
     ModulatedSBFn,
@@ -183,3 +185,155 @@ class TestValidation:
         assert g.value_at((Fraction(3),)) == 2.0
         assert g.value_at((Fraction(4),)) == -1.0
         assert g.value_at((Fraction(2),)) == 0.0
+
+
+# -- the exact integer form ------------------------------------------------------
+
+
+def _val(q: Fraction, p: int) -> float:
+    if q == 0:
+        return math.inf
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _in_ball(x, a, r: int, p: int) -> bool:
+    return all(_val(Fraction(xi) - ai, p) >= r for xi, ai in zip(x, a))
+
+
+def _closed_form_transform(terms, xi, p: int) -> complex:
+    """sum c p^(-n r) Psi(-[a, xi]) 1{||xi|| <= p^r}, ball by ball."""
+    total = 0j
+    for a, r, c in terms:
+        if _in_ball(xi, (0,) * len(a), -r, p):
+            dot = sum((ai * Fraction(x) for ai, x in zip(a, xi)), Fraction(0))
+            total += c * Fraction(p) ** (-len(a) * r) * cmath.exp(2j * math.pi * frac_part(-dot))
+    return total
+
+
+def _disjoint_terms(rng, p: int, n: int, radii: tuple[int, int], den: int):
+    terms = []
+    for _ in range(3):
+        a = tuple(Fraction(rng.randint(-p**2, p**2), p ** rng.randint(0, den)) for _ in range(n))
+        r = rng.randint(*radii)
+        if all(not _in_ball(a, b, min(r, s), p) for b, s, _ in terms):
+            terms.append((a, r, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
+    return terms
+
+
+# (p, n, radius range, centre denominator exponent); tilings stay small
+VALUE_CASES = [
+    (2, 1, (-2, 2), 2), (3, 1, (-1, 2), 1), (5, 1, (-1, 1), 1), (7, 1, (-1, 1), 1),
+    (2, 2, (-1, 1), 1), (3, 2, (-1, 1), 1), (5, 2, (-1, 0), 1), (7, 2, (-1, 0), 1),
+    (2, 3, (-1, 1), 1), (3, 3, (-1, 0), 1), (5, 3, (-1, 0), 1), (7, 3, (-1, 0), 0),
+]
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("p,n,radii,den", VALUE_CASES)
+    def test_values_match_the_ball_indicator_closed_form(self, p, n, radii, den):
+        rng = random.Random(31 * p + n)
+        for _ in range(3):
+            terms = _disjoint_terms(rng, p, n, radii, den)
+            g = SchwartzBruhatFn.of(p, [(Ball.of(p, a, r), c) for a, r, c in terms])
+            G = fourier_sb(g)
+            back = inverse_fourier_sb(G)
+            points = [(Fraction(0),) * n]
+            for a, r, _ in terms:
+                points += [a, tuple(x + Fraction(p) ** (r - 1) for x in a),
+                           tuple(x + Fraction(p) ** (r + 1) for x in a)]
+            points += [tuple(Fraction(rng.randint(-p**3, p**3), p ** rng.randint(0, den + 1))
+                             for _ in range(n)) for _ in range(4)]
+            for x in points:
+                want = sum((c for a, r, c in terms if _in_ball(x, a, r, p)), 0j)
+                assert abs(back.value_at(x) - want) < 1e-9
+                xi = tuple(-y for y in x)
+                assert abs(G.value_at(xi) - _closed_form_transform(terms, xi, p)) < 1e-9
+
+    def test_equality_is_exact_and_boolean(self):
+        g = random_sb(random.Random(3), 3, 2)
+        G, back = fourier_sb(g), inverse_fourier_sb(fourier_sb(g))
+        assert (fourier_sb(g) == G) is True
+        assert (inverse_fourier_sb(fourier_sb(g)) == back) is True
+        assert (ModulatedSBFn(G.n, G.prime, G.terms) == G) is True
+        assert (SchwartzBruhatFn(back.n, back.prime, back.terms) == back) is True
+        ball, mod, c = G.terms[0]
+        changed = ModulatedSBFn(G.n, G.prime, ((ball, mod, c + 1e-12),) + G.terms[1:])
+        assert (changed == G) is False
+        ball, c = back.terms[-1]
+        changed = SchwartzBruhatFn(back.n, back.prime, back.terms[:-1] + ((ball, c * 1j),))
+        assert (changed == back) is False
+
+    def test_outputs_retain_few_bytes_per_term(self):
+        terms = [(Ball.of(3, (Fraction(1, 9), 0), -1), 1 + 1j), (Ball.of(3, (0, 1), 2), -2.0)]
+        g = SchwartzBruhatFn.of(3, terms)
+        inverse_fourier_sb(fourier_sb(g))  # first-call allocations are not retained output
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            G = fourier_sb(g)
+            back = inverse_fourier_sb(G)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        count = len(G.terms) + len(back.terms)
+        assert count >= 1000
+        # n = 2: 36 B per modulated term and 28 B per plain term (int32 indices,
+        # complex128 coefficients), plus the fixed cost of two objects and
+        # their arrays
+        assert retained <= 40 * count + 4096, (retained, count)
+
+    def test_moduli_past_the_int32_guard_are_refused(self):
+        # Psi(-[b, a]) for b = a = 2^-16 has denominator 2^32
+        half = Fraction(1, 2**16)
+        G = ModulatedSBFn(1, 2, ((Ball.of(2, [half], 0), (PadicRational(2, half),), 1 + 0j),))
+        with pytest.raises(ResourceCapError):
+            fourier_modulated(G, -1)
+        # index moduli: 2^31 Z_2 itself, and the transform of 2^-40 Z_2 (radius 40)
+        with pytest.raises(ResourceCapError):
+            SchwartzBruhatFn.indicator(Ball.of(2, [0], 31))
+        with pytest.raises(ResourceCapError):
+            fourier_sb(SchwartzBruhatFn.indicator(Ball.of(2, [0], -40)))
+        assert abs(l2_norm(SchwartzBruhatFn.indicator(Ball.of(2, [0], 30))) - 2**-15) < 1e-18
+
+
+class TestCaps:
+    def test_to_schwartz_counts_every_tiled_coset(self):
+        # two balls of 3^12 cosets each: under the cap one by one, over it together
+        mod = (PadicRational(3, Fraction(1, 3**13)),)
+        G = ModulatedSBFn(1, 3, tuple((Ball.of(3, [k], 1), mod, 1 + 0j) for k in (0, 1)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError) as info:
+            to_schwartz(G)
+        assert info.value.required == 2 * 3**12
+        assert time.perf_counter() - start < 1.0
+
+    def test_canonicalisation_counts_every_tiled_coset(self):
+        # the transform puts two terms on Z_3 and two on 1/3 + Z_3, with
+        # modulations of denominator 3^12: two regions of 3^12 cosets each
+        zero, third = PadicRational(3, 0), PadicRational(3, Fraction(1, 3))
+        terms = tuple(
+            (Ball.of(3, [Fraction(k, 3**12)], 0), (b,), 1 + 0j)
+            for k, b in ((1, zero), (2, zero), (4, third), (5, third))
+        )
+        with pytest.raises(ResourceCapError) as info:
+            fourier_modulated(ModulatedSBFn(1, 3, terms), -1)
+        assert info.value.required == 2 * 3**12
+
+    def test_allclose_splits_balls_only_down_to_nested_balls(self):
+        unit = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0))
+        tiny = SchwartzBruhatFn.indicator(Ball.of(3, [0], 13))
+        start = time.perf_counter()
+        assert sb_allclose(unit, tiny) is False
+        assert sb_allclose(tiny, tiny.scaled(1 + 1e-15)) is True
+        # Z_3 as the disjoint union of its shells down to 3^13 Z_3
+        shells = [(Ball.of(3, [d * 3 ** (k - 1)], k), 1.0) for k in range(1, 14) for d in (1, 2)]
+        split = SchwartzBruhatFn.of(3, shells + [(Ball.of(3, [0], 13), 1.0)])
+        assert sb_allclose(unit, split) is True
+        assert sb_allclose(split, unit) is True
+        assert sb_allclose(unit, SchwartzBruhatFn.of(3, shells)) is False
+        assert time.perf_counter() - start < 1.0
