@@ -86,9 +86,9 @@ def _volumes(p: int, n: int, radii: np.ndarray) -> list[float]:
 
 def _integers(p: int, rows, floor: int = 0) -> tuple[int, list[list[int]]]:
     """(D, rows * p^D as integers) for rows of p-adic rationals, D >= floor minimal."""
-    rows = [[PadicRational(p, x).as_fraction() for x in row] for row in rows]
-    denom = max([floor] + [-split_p_part(x, p)[1] for row in rows for x in row if x != 0])
-    return denom, [[int(x * p**denom) for x in row] for row in rows]
+    rows = [[PadicRational(p, x) for x in row] for row in rows]
+    denom = max([floor] + [-x._val for row in rows for x in row if not x.is_zero])
+    return denom, [[x.unit * p ** (x._val + denom) for x in row] for row in rows]
 
 
 def _forest(p: int, denom: int, radii: np.ndarray, idx: np.ndarray):
@@ -99,11 +99,9 @@ def _forest(p: int, denom: int, radii: np.ndarray, idx: np.ndarray):
     parent = np.full(len(balls), -1)
     for level in sorted(set(radii.tolist()))[:-1]:  # ascending: the last hit is the smallest
         at, below = np.flatnonzero(radii == level), np.flatnonzero(radii > level)
-        keys = np.concatenate([idx[at], idx[below] % p ** (level + denom)])
-        group = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
-        owner = np.full(len(keys), -1)
-        owner[group[: len(at)]] = at
-        hit = owner[group[len(at):]]
+        owner = dict(zip(map(tuple, idx[at].tolist()), at.tolist()))
+        keys = map(tuple, (idx[below] % p ** (level + denom)).tolist())
+        hit = np.array([owner.get(k, -1) for k in keys], dtype=np.int64)
         parent[below[hit >= 0]] = hit[hit >= 0]
     return balls, ball_of.ravel(), parent
 
@@ -300,7 +298,7 @@ def _disjointify(p: int, n: int, raw: tuple, plain: bool = False):
     radii, idx, mods = keys[:, 0], keys[:, 1:n + 1], keys[:, n + 1:]
     balls, ball_of, parent = _forest(p, denom, radii, idx)
     starts = np.searchsorted(ball_of, np.arange(len(balls) + 1)).tolist()
-    rad = balls[:, 0].tolist()
+    rad, levels = balls[:, 0].tolist(), _den_exps(mods, mdenom, p)
     # children and covering terms per ball; the roots hang under index -1
     kids, covering = [[] for _ in range(len(balls) + 1)], {-1: []}
     for b, a in enumerate(parent.tolist()):  # parents precede their children
@@ -310,7 +308,7 @@ def _disjointify(p: int, n: int, raw: tuple, plain: bool = False):
     for b, e in enumerate(rad):
         cover, fold = covering[b], len(covering[b]) > 1 or plain
         scale = max([e] + [rad[k] for k in kids[b]]
-                    + ([int(_den_exps(mods[cover], mdenom, p).max())] if fold else []))
+                    + ([int(levels[cover].max())] if fold else []))
         if scale == e and len(cover) == 1:  # the ball stays whole
             whole.append(cover[0])
             continue
