@@ -11,8 +11,9 @@ expsum and surface evaluate each level's sum once; the table, the decay fit
 and the certificate all read that one table of values.
 
 Exact rationals are serialised as "num/den" strings, complex values as
-[re, im] doubles.  Output bytes are identical across runs and --threads
-settings: worker counts only repartition integer accumulation.
+[re, im] doubles.  Output bytes are identical across runs.  --threads (or
+PADIC_THREADS) is accepted for compatibility and has no effect: every command
+runs on one thread.
 
 Exit codes: 0 ok, 2 validation, 3 resource cap, 4 certificate unavailable.
 """
@@ -180,7 +181,7 @@ def _is_prime(p: int) -> bool:
 # -- command runners -----------------------------------------------------------
 
 
-def _run_newton(cfg: JobConfig, threads: int) -> dict:
+def _run_newton(cfg: JobConfig) -> dict:
     f = parse_polynomial(cfg.poly)
     P = newton_facets(f)
     beta, t0 = beta_and_t0(P)
@@ -222,15 +223,13 @@ def _default_ball(cfg: JobConfig, dim: int) -> Ball:
     return Ball.of(cfg.prime, (0,) * dim, 0)
 
 
-def _run_expsum(cfg: JobConfig, threads: int) -> dict:
+def _run_expsum(cfg: JobConfig) -> dict:
     f = parse_polynomial(cfg.poly)
     lo, hi = cfg.m_range
-    if lo < 1:
-        raise DomainError("m range must start at 1 or above")
     ball = _default_ball(cfg, f.nvars)
     p = cfg.prime
     values = {
-        m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap, threads=threads).value
+        m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap).value
         for m in range(lo, hi + 1)
     }
     table = [{"m": m, "value": _cx(v), "abs": abs(v)} for m, v in values.items()]
@@ -240,7 +239,7 @@ def _run_expsum(cfg: JobConfig, threads: int) -> dict:
         {
             str(c): n
             for c, n in sorted(
-                residue_histogram(f, hist_level, ball, cap=cfg.cap, threads=threads).items()
+                residue_histogram(f, hist_level, ball, cap=cfg.cap).items()
             )
         }
         if ball.is_integral()
@@ -285,7 +284,7 @@ def _fit_dict(fit) -> dict:
     }
 
 
-def _run_surface(cfg: JobConfig, threads: int) -> dict:
+def _run_surface(cfg: JobConfig) -> dict:
     phi = parse_polynomial(cfg.phi)
     n = phi.nvars + 1
     window = Ball.of(cfg.prime, (0,) * n, 0)
@@ -295,7 +294,7 @@ def _run_surface(cfg: JobConfig, threads: int) -> dict:
     values = {}
     for k in range(lo, hi + 1):
         xi = (Fraction(0),) * (n - 1) + (Fraction(1, cfg.prime**k),)
-        values[k] = surface_ft(Y, xi, cap=cfg.cap, threads=threads)
+        values[k] = surface_ft(Y, xi, cap=cfg.cap)
     dt = decay_table(Y, values)
     out = {
         "phi": str(phi),
@@ -359,7 +358,7 @@ def _random_sb(rng: random.Random, p: int, n: int) -> SchwartzBruhatFn:
     return SchwartzBruhatFn.of(p, terms)
 
 
-def _run_solve(cfg: JobConfig, threads: int) -> dict:
+def _run_solve(cfg: JobConfig) -> dict:
     phi = parse_polynomial(cfg.phi)
     p = cfg.prime
     f0 = SchwartzBruhatFn.of(p, parse_ball_list(cfg.f0, p))
@@ -398,7 +397,7 @@ def _run_solve(cfg: JobConfig, threads: int) -> dict:
     }
 
 
-def _run_strichartz(cfg: JobConfig, threads: int) -> dict:
+def _run_strichartz(cfg: JobConfig) -> dict:
     phi = parse_polynomial(cfg.phi)
     p = cfg.prime
     f0 = SchwartzBruhatFn.of(p, parse_ball_list(cfg.f0, p))
@@ -509,6 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
+    """The validated config and the requested thread count, which `run`
+    accepts and ignores; a count below 1 is still a validation error."""
     threads = args.threads
     if threads is None:
         threads = int(os.environ.get("PADIC_THREADS", "1"))
@@ -539,6 +540,9 @@ def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
     return cfg, threads
 
 
+_FLAGS = {"m_range": "--m", "k_range": "--k"}
+
+
 def _validate(cfg: JobConfig) -> None:
     need = {
         "newton": ("poly",),
@@ -549,10 +553,15 @@ def _validate(cfg: JobConfig) -> None:
     }[cfg.command]
     for field_name in need:
         if getattr(cfg, field_name) is None:
-            flag = {"m_range": "--m", "k_range": "--k"}.get(
-                field_name, "--" + field_name
-            )
+            flag = _FLAGS.get(field_name, "--" + field_name)
             raise DomainError(f"{cfg.command} requires {flag}")
+    # each level l stands for p^-l; the decay fit needs l >= 1
+    lowest = {"expsum": ("m_range", 1), "surface": ("k_range", 0), "solve": ("m_range", 0)}
+    if cfg.command in lowest:
+        field_name, least = lowest[cfg.command]
+        levels = getattr(cfg, field_name)
+        if levels is not None and levels[0] < least:
+            raise DomainError(f"{_FLAGS[field_name]} range must start at {least} or above")
     if cfg.sigma is not None and cfg.sigma <= 0:
         raise DomainError("--sigma must be positive")
 
@@ -561,9 +570,9 @@ def run(cfg: JobConfig, threads: int = 1) -> tuple[bytes, int]:
     """Execute the command; the status is 4 when a requested stationary
     certificate turned out to be unavailable (the artifact is still full).
 
-    The worker count only repartitions integer accumulation, so the emitted
-    bytes are identical for every value; it is not part of the config."""
-    results = _RUNNERS[cfg.command](cfg, threads)
+    `threads` is accepted and ignored: every command runs on one thread, so
+    the emitted bytes never depend on it, and it is not part of the config."""
+    results = _RUNNERS[cfg.command](cfg)
     status = EXIT_OK
     cert = results.get("certificate")
     if cert is not None and cert.get("status") == "unavailable":
@@ -575,8 +584,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg, threads = config_from_args(args)
-        payload, status = run(cfg, threads)
+        cfg, _ = config_from_args(args)
+        payload, status = run(cfg)
     except (DomainError, PolynomialSyntaxError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_VALIDATION

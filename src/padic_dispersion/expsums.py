@@ -3,16 +3,16 @@
 The integrand is constant on fine enough cosets, so every integral here is a
 finite sum of roots of unity.  The engine keeps everything as integer
 histograms: counts N_r of residues r with z*f(x) = r / p^L (mod 1), plus an
-exact rational volume scale.  A single complex evaluation, in ascending r,
-turns a histogram into a number; everything before that step is exact and
-order-independent, which is what makes parallel accumulation deterministic.
+exact rational volume scale.  A single complex evaluation, one fixed-order
+numpy sum, turns a histogram into a number; everything before that step is
+exact and order-independent.
 
 One dense engine builds every histogram: the common p-power of the
 non-constant coefficients is factored out, so the counting modulus never
 exceeds the grid side; each block of coupled variables is enumerated in numpy
-slabs of at most _CHUNK points (in parallel when a block has several slabs) by
-`poly_residues`, the one modular polynomial evaluator the package shares; and
-block histograms combine by exact cyclic convolution.
+slabs of at most _CHUNK points by `poly_residues`, the one modular polynomial
+evaluator the package shares; and block histograms combine by exact cyclic
+convolution into one dense count vector per sum.
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once, level by level.
@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -48,19 +47,33 @@ _CHUNK = 1 << 22
 class ExpSumResult:
     """Exact root-of-unity histogram of an oscillatory ball integral.
 
-    value = scale * sum_r N_r * exp(2 pi i r / p^level), accumulated in
-    ascending r so results are bit-identical for any worker count.
+    `dense[r]` = N_r counts the enumerated points whose phase is
+    const + step * r mod p^level; each stands for `multiplicity` points of the
+    variables the phase does not use (an exact Python int).  value =
+    scale * multiplicity * e(const / p^level) * sum_r N_r e(r / len(dense)),
+    one fixed-order numpy sum, so the same histogram always gives the same bits.
     """
 
     prime: int
     level: int
-    counts: dict[int, int]
+    dense: np.ndarray
+    const: int
+    step: int
+    multiplicity: int
     scale: Fraction
     _value: complex | None = field(default=None, repr=False)
 
     @property
+    def counts(self) -> dict[int, int]:
+        """{residue mod p^level: count} over the residues that occur."""
+        support = np.flatnonzero(self.dense)
+        keys = (self.const + self.step * support) % self.prime**self.level
+        mult = self.multiplicity
+        return dict(zip(keys.tolist(), [c * mult for c in self.dense[support].tolist()]))
+
+    @property
     def total_count(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.dense.tolist()) * self.multiplicity
 
     @property
     def volume(self) -> Fraction:
@@ -69,23 +82,11 @@ class ExpSumResult:
     @property
     def value(self) -> complex:
         if self._value is None:
-            self._value = histogram_value(
-                self.counts, self.level, self.prime, self.scale
-            )
+            size = len(self.dense)
+            total = (self.dense * np.exp(2j * np.pi * (np.arange(size) / size))).sum()
+            shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
+            self._value = complex(float(self.scale * self.multiplicity) * shift * total)
         return self._value
-
-
-def histogram_value(
-    counts: Mapping[int, int], level: int, p: int, scale: Fraction
-) -> complex:
-    """scale * sum N_r e(r / p^level), summed in ascending r."""
-    if level == 0:
-        return complex(float(scale) * sum(counts.values()))
-    tau = 2.0 * math.pi / p**level
-    total = 0j
-    for r in sorted(counts):
-        total += counts[r] * cmath.exp(1j * (tau * r))
-    return float(scale) * total
 
 
 # -- modular histogram core --------------------------------------------------
@@ -150,15 +151,12 @@ def _block_counts(
     terms: Mapping[Exponents, int],
     width: int,
     modulus: int,
-    threads: int,
 ) -> np.ndarray:
     """Counts of the block's part of the polynomial over [0, width)^len(block).
 
     The fewest leading variables that leave at most _CHUNK points are fixed:
     all but the last of them are scalars, the last is walked in rows, and the
-    rest are broadcast, so a slab never exceeds _CHUNK points.  Slabs run on
-    `threads` workers when there are several; integer counts add exactly, so
-    the order of slabs is immaterial.
+    rest are broadcast, so a slab never exceeds _CHUNK points.
     """
     local = [
         (tuple(exps[j] for j in block), coeff)
@@ -170,22 +168,13 @@ def _block_counts(
         free -= 1
     rows = _CHUNK // width**free
     y = np.arange(width, dtype=np.int64)
-
-    def slab_counts(task: tuple[tuple[int, ...], int]) -> np.ndarray:
-        prefix, lo = task
-        axes = np.ix_(y[lo : lo + rows], *[y] * free)
-        vals = poly_residues(local, [*prefix, *axes], modulus)
-        return np.bincount(vals.ravel(), minlength=modulus)
-
-    tasks = [
-        (prefix, lo)
-        for prefix in product(range(width), repeat=len(block) - free - 1)
-        for lo in range(0, width, rows)
-    ]
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(slab_counts, tasks))
-    return sum(map(slab_counts, tasks))
+    counts = np.zeros(modulus, dtype=np.int64)
+    for prefix in product(range(width), repeat=len(block) - free - 1):
+        for lo in range(0, width, rows):
+            axes = np.ix_(y[lo : lo + rows], *[y] * free)
+            vals = poly_residues(local, [*prefix, *axes], modulus)
+            counts += np.bincount(vals.ravel(), minlength=modulus)
+    return counts
 
 
 def _cyclic_convolve(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
@@ -205,47 +194,51 @@ def _cyclic_convolve(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
 
 
 def _mod_histogram(
-    terms: Mapping[Exponents, int],
-    n: int,
-    p: int,
-    level: int,
-    modulus: int,
-    cap: int,
-    threads: int,
-) -> dict[int, int]:
-    """Counts of H(y) mod modulus over y in [0, p^level)^n.
+    terms: Mapping[Exponents, int], n: int, p: int, level: int, modulus: int, cap: int
+) -> np.ndarray:
+    """Dense counts N_r of h(y) = r mod modulus over the used variables y in
+    [0, p^level).
 
-    The non-constant part is step * h with step = gcd(modulus, coefficients),
-    so it is counted as h mod modulus // step, a modulus never above the grid
-    side p^level for the integrands built here.  h splits over connected
-    variable blocks; block histograms combine by exact cyclic convolution, and
-    each residue r of h lands on const + step * r.
+    `terms` has no constant term.  h splits over connected variable blocks,
+    whose count vectors combine by exact cyclic convolution; variables h does
+    not use are not enumerated.
     """
     width = p**level
-    const = sum(c for e, c in terms.items() if sum(e) == 0) % modulus
-    nonconst = {e: c for e, c in terms.items() if sum(e) > 0}
-    blocks = _variable_blocks(nonconst, n)
-    unused = n - sum(len(b) for b in blocks)
+    blocks = _variable_blocks(terms, n)
     # The cap bounds the points actually visited: blocks decouple, so the
     # conceptual p^(n*level) enumeration costs only the sum of block grids.
     work = sum(width ** len(b) for b in blocks) if blocks else 1
-    if work > cap or modulus > 8 * cap:
-        raise ResourceCapError(max(work, modulus), cap)
-    step = math.gcd(modulus, *nonconst.values())
-    reduced = modulus // step
-    if reduced > 1 << 31:  # products of two residues must stay inside int64
-        raise ResourceCapError(reduced, 1 << 31, what="residue classes")
-    h = {e: c // step for e, c in nonconst.items()}
+    if work > cap:
+        raise ResourceCapError(work, cap)
+    if modulus > 1 << 31:  # products of two residues must stay inside int64
+        raise ResourceCapError(modulus, 1 << 31, what="residue classes")
     acc = np.ones(1, dtype=np.int64)  # h = 0 when every variable is unused
     for i, block in enumerate(blocks):
-        block_counts = _block_counts(block, h, width, reduced, threads)
+        block_counts = _block_counts(block, terms, width, modulus)
         acc = _cyclic_convolve(acc, block_counts) if i else block_counts
-    support = np.flatnonzero(acc)
-    residues = ((const + step * support) % modulus).tolist()
-    counts = acc[support].tolist()
-    if unused:
-        counts = [c * width**unused for c in counts]
-    return dict(zip(residues, counts))
+    return acc
+
+
+def _histogram(
+    terms: Mapping[Exponents, int], n: int, p: int, level: int, key_level: int, cap: int,
+    scale: Fraction = Fraction(1),
+) -> ExpSumResult:
+    """The histogram of H(y) mod p^key_level over y in [0, p^level)^n.
+
+    The non-constant part is step * h with step = gcd(modulus, coefficients),
+    so it is counted as h mod modulus // step, a modulus never above the grid
+    side p^level for the integrands built here.
+    """
+    modulus = p**key_level
+    if modulus > 8 * cap:
+        raise ResourceCapError(modulus, cap)
+    const = terms.get((0,) * n, 0) % modulus
+    nonconst = {e: c for e, c in terms.items() if sum(e) > 0}
+    step = math.gcd(modulus, *nonconst.values())
+    h = {e: c // step for e, c in nonconst.items()}
+    dense = _mod_histogram(h, n, p, level, modulus // step, cap)
+    unused = n - len({j for e in h for j, a in enumerate(e) if a > 0})
+    return ExpSumResult(p, key_level, dense, const, step, p ** (level * unused), scale)
 
 
 # -- the ball character-sum engine -------------------------------------------
@@ -256,7 +249,6 @@ def character_sum(
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
     extra_level: int = 0,
 ) -> ExpSumResult:
     """int_ball Psi(phase(x)) dx as an exact histogram.
@@ -284,11 +276,8 @@ def character_sum(
         if ci.denominator != 1:
             raise AssertionError("key level too small for coefficient valuations")
         scaled[exps] = int(ci)
-    counts = _mod_histogram(scaled, n, p, level, modulus, cap, threads)
-    scale = Fraction(1, p ** (n * (e + level))) if e + level >= 0 else Fraction(
-        p ** (-n * (e + level))
-    )
-    return ExpSumResult(p, key_level, counts, scale)
+    scale = Fraction(p) ** (-n * (e + level))
+    return _histogram(scaled, n, p, level, key_level, cap, scale)
 
 
 def exp_sum(
@@ -302,7 +291,8 @@ def exp_sum(
 ) -> ExpSumResult:
     """E_A(z, f) = int_A Psi(z f(x)) |dx| over the ball A.
 
-    z = 0 is rejected: the value there is just vol(A).
+    z = 0 is rejected: the value there is just vol(A).  `threads` is accepted
+    and ignored: every sum runs on the calling thread.
     """
     if not isinstance(z, PadicRational):
         z = PadicRational(ball.prime, z)
@@ -313,7 +303,7 @@ def exp_sum(
     if f.nvars != ball.dim:
         raise DomainError("polynomial arity does not match the ball dimension")
     return character_sum(
-        f.scale(z.as_fraction()), ball, cap=cap, threads=threads, extra_level=extra_level
+        f.scale(z.as_fraction()), ball, cap=cap, extra_level=extra_level
     )
 
 
@@ -323,7 +313,6 @@ def residue_histogram(
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
 ) -> dict[int, int]:
     """N_m(c) = #{x mod p^m in A : f(x) = c mod p^m}, exactly.
 
@@ -336,7 +325,7 @@ def residue_histogram(
     p, n, e = ball.prime, ball.dim, ball.radius_exp
     g = compose_affine(f.scale(1), ball.center_fractions(), Fraction(p) ** e)
     terms = {exps: int(c) for exps, c in g.items()}
-    return _mod_histogram(terms, n, p, max(0, m - e), p**m, cap, threads)
+    return _histogram(terms, n, p, max(0, m - e), m, cap).counts
 
 
 # -- stationary phase ---------------------------------------------------------

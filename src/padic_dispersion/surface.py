@@ -102,7 +102,6 @@ def surface_ft(
     xi: Sequence,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    threads: int = 1,
     extra_level: int = 0,
 ) -> complex:
     """hat(d mu_Y)(xi) = int_{S'} Psi(-xi_n phi(x') - [x', xi']) dx'.
@@ -119,10 +118,7 @@ def surface_ft(
         if c:
             key = tuple(1 if j == i else 0 for j in range(m))
             phase[key] = phase.get(key, Fraction(0)) - c
-    result = character_sum(
-        phase, Y.base_window, cap=cap, threads=threads, extra_level=extra_level
-    )
-    return result.value
+    return character_sum(phase, Y.base_window, cap=cap, extra_level=extra_level).value
 
 
 def remark_family_exponent(phi: SparsePolynomial) -> Fraction | None:

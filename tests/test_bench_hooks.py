@@ -1,13 +1,21 @@
-"""Every library name that the benchmark's tracer patches still exists.
+"""Every library name and call that the benchmark relies on still works.
 
-`bench/tracing.py` wraps library functions by (module, attribute); without
-this check a rename in the library only shows in the slow benchmark suite.
-The tracer file is loaded as it is and never modified.
+`bench/tracing.py` wraps library functions by (module, attribute), and
+`bench/workloads.py` and `bench/test_bench.py` call a few of them directly;
+without these checks a rename or a signature change in the library only shows
+in the slow benchmark suite.  The tracer file is loaded as it is and never
+modified.
 """
 
 import importlib
 import importlib.util
+import inspect
+from fractions import Fraction
 from pathlib import Path
+
+from padic_dispersion import cli, expsums
+from padic_dispersion.padic import Ball
+from padic_dispersion.polynomials import parse_polynomial
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +40,28 @@ def test_traced_names_resolve():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing, f"traced names missing from the library: {missing}"
+
+
+def test_benchmark_calls_bind(monkeypatch):
+    f, ball = parse_polynomial("x1^2+x2^3"), Ball.of(3, (0, 0), 0)
+    inspect.signature(expsums.exp_sum).bind(f, Fraction(1, 27), ball, threads=1)
+    parsed = cli.build_parser().parse_args(["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..2"])
+    pair = cli.config_from_args(parsed)
+    assert isinstance(pair, tuple) and len(pair) == 2
+    inspect.signature(cli.run).bind(pair[0], 1)
+    # the tracer reads (terms, n, p, level) from the positional arguments of
+    # `_mod_histogram` and counts len() of its result
+    params = list(inspect.signature(expsums._mod_histogram).parameters)
+    assert params[:4] == ["terms", "n", "p", "level"]
+    seen = []
+    original = expsums._mod_histogram
+
+    def recording(*args):
+        result = original(*args)
+        seen.append((args[1:4], len(result)))
+        return result
+
+    monkeypatch.setattr(expsums, "_mod_histogram", recording)
+    res = expsums.exp_sum(f, Fraction(1, 27), ball, threads=1)
+    assert seen == [((2, 3, 3), 27)]
+    assert sum(res.counts.values()) == 3**6

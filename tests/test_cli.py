@@ -269,6 +269,26 @@ class TestValidationAndExitCodes:
         assert code in (EXIT_VALIDATION, EXIT_RESOURCE, EXIT_CERTIFICATE)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expsum", "--prime", "3", "--poly", "x^2", "--m=0..2"],
+            ["surface", "--prime", "3", "--phi", "x^2", "--k=-1..2"],
+            ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--m=-2..1"],
+        ],
+        ids=["expsum", "surface", "solve"],
+    )
+    def test_levels_below_the_floor_are_refused(self, tmp_path, capsys, argv):
+        code, _ = run_cli(tmp_path, argv)
+        assert code == EXIT_VALIDATION
+        assert "range must start at" in capsys.readouterr().err
+
+    def test_level_zero_is_accepted(self, tmp_path):
+        surface = ["surface", "--prime", "3", "--phi", "x^2", "--k", "0..2"]
+        solve = ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--m", "0..1"]
+        assert run_cli(tmp_path, surface)[0] == EXIT_OK
+        assert run_cli(tmp_path, solve)[0] == EXIT_OK
+
     def test_bad_ball_grammar(self, tmp_path):
         code, _ = run_cli(
             tmp_path,

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,7 +124,7 @@ class TestExpSum:
         )
         assert abs(whole - parts) < 1e-12
 
-    def test_worker_count_does_not_change_anything(self, monkeypatch):
+    def test_slab_splitting_matches_the_oracles(self, monkeypatch):
         monkeypatch.setattr(expsums, "_CHUNK", 100)  # many slabs per block
         cases = [
             (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
@@ -134,14 +135,58 @@ class TestExpSum:
         ]
         for f, ball, m in cases:
             z = Fraction(1, ball.prime**m)
-            first = exp_sum(f, z, ball, threads=1)
-            assert abs(first.value - oracle_exp_sum(f, z, ball, m)) < 1e-9
-            want = oracle_residue_counts(f, m, ball)
-            for threads in (1, 2, 5):
-                b = exp_sum(f, z, ball, threads=threads)
-                assert first.counts == b.counts
-                assert first.value == b.value
-                assert residue_histogram(f, m, ball, threads=threads) == want
+            assert abs(exp_sum(f, z, ball).value - oracle_exp_sum(f, z, ball, m)) < 1e-9
+            assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
+
+
+class TestExpSumResult:
+    @pytest.mark.parametrize(
+        "text, nvars, p, m",
+        [
+            ("x1^2 + x1*x2", 3, 3, 2),  # x3 unused: each count stands for 9 points
+            ("x2^3", 3, 2, 3),  # two unused variables
+            ("x1^2 + x2", 2, 3, 0),  # z = 1: level 0, reduced modulus 1
+            ("x1^2", 3, 5, 0),  # level 0 with unused variables
+        ],
+    )
+    def test_counts_match_the_oracle(self, text, nvars, p, m):
+        f = parse_polynomial(text, nvars=nvars)
+        ball = Ball.of(p, [0] * nvars, 0)
+        res = exp_sum(f, Fraction(1, p**m), ball)
+        want = oracle_residue_counts(f, m, ball)
+        assert res.counts == want
+        assert res.total_count == sum(want.values()) == p ** (nvars * m)
+        assert res.volume == ball.volume
+
+    def test_unused_multiplicity_beyond_int64(self):
+        # 3^40 points of x2..x6 per residue class of x1
+        res = exp_sum(parse_polynomial("x1^2+0*x6"), Fraction(1, 3**8), Ball.of(3, [0] * 6, 0))
+        one = oracle_residue_counts(SQUARE, 8, Z3)
+        assert res.counts == {r: c * 3**40 for r, c in one.items()}
+        assert res.total_count == 3**48
+        assert res.volume == 1
+
+    def test_constant_shift_over_reduced_modulus_one(self):
+        # z f = x^2 + 1/3: every point has phase 1/3
+        res = exp_sum(parse_polynomial("3*x^2 + 1"), Fraction(1, 3), Z3)
+        assert len(res.dense) == 1
+        assert res.counts == {1: 1}
+        assert res.volume == 1
+        assert abs(res.value - cmath.exp(2j * math.pi / 3)) < 1e-15
+
+    def test_result_retains_only_its_count_vector(self):
+        cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
+        exp_sum(cube, Fraction(1, 5**2), z5).value  # first-call allocations are not retained
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = exp_sum(cube, Fraction(1, 5**8), z5)
+            res.value
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # one int64 count per residue class, plus the fixed cost of the objects
+        assert retained <= 16 * 5**8 + 4096, retained
 
 
 class TestResidueHistogram:
