@@ -562,8 +562,10 @@ def _validate(cfg: JobConfig) -> None:
         levels = getattr(cfg, field_name)
         if levels is not None and levels[0] < least:
             raise DomainError(f"{_FLAGS[field_name]} range must start at {least} or above")
-    if cfg.sigma is not None and cfg.sigma <= 0:
+    if cfg.sigma is not None and not cfg.sigma > 0:  # refuses nan; inf is the L^inf norm
         raise DomainError("--sigma must be positive")
+    if cfg.rho is not None and math.isnan(cfg.rho):
+        raise DomainError("--rho must be a number")
 
 
 def run(cfg: JobConfig, threads: int = 1) -> tuple[bytes, int]:

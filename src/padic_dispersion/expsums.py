@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -64,12 +64,9 @@ class ExpSumResult:
     _value: complex | None = field(default=None, repr=False)
 
     @property
-    def counts(self) -> dict[int, int]:
+    def counts(self) -> ResidueCounts:
         """{residue mod p^level: count} over the residues that occur."""
-        support = np.flatnonzero(self.dense)
-        keys = (self.const + self.step * support) % self.prime**self.level
-        mult = self.multiplicity
-        return dict(zip(keys.tolist(), [c * mult for c in self.dense[support].tolist()]))
+        return ResidueCounts(self)
 
     @property
     def total_count(self) -> int:
@@ -83,10 +80,56 @@ class ExpSumResult:
     def value(self) -> complex:
         if self._value is None:
             size = len(self.dense)
-            total = (self.dense * np.exp(2j * np.pi * (np.arange(size) / size))).sum()
+            roots = np.zeros(size, dtype=np.complex128)  # filled in place: one complex array
+            np.divide(np.arange(size), size, out=roots.imag)
+            roots.imag *= 2 * np.pi
+            np.exp(roots, out=roots)
+            roots *= self.dense
             shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
-            self._value = complex(float(self.scale * self.multiplicity) * shift * total)
+            self._value = complex(float(self.scale * self.multiplicity) * shift * roots.sum())
         return self._value
+
+
+class ResidueCounts(Mapping[int, int]):
+    """Read-only {residue mod p^level: count} view of an ExpSumResult's dense
+    vector, without a copy: the residues that occur, in ascending dense
+    index, each count an exact Python int times the multiplicity.  It
+    compares equal to the dict with the same items."""
+
+    def __init__(self, res: ExpSumResult):
+        self._res = res
+
+    def __getitem__(self, key: int) -> int:
+        res = self._res
+        modulus = res.prime**res.level
+        if isinstance(key, (int, np.integer)) and 0 <= key < modulus:
+            r, off = divmod((int(key) - res.const) % modulus, res.step)
+            if not off and res.dense[r]:
+                return int(res.dense[r]) * res.multiplicity
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._res.dense))
+
+    # iteration builds a transient dict in bulk, not one lookup per key
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._dict())
+
+    def items(self) -> ItemsView[int, int]:
+        return self._dict().items()
+
+    def values(self) -> ValuesView[int]:
+        return self._dict().values()
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    def _dict(self) -> dict[int, int]:
+        res = self._res
+        support = np.flatnonzero(res.dense)
+        keys = (res.const + res.step * support) % res.prime**res.level
+        mult = res.multiplicity
+        return dict(zip(keys.tolist(), [c * mult for c in res.dense[support].tolist()]))
 
 
 # -- modular histogram core --------------------------------------------------
@@ -313,7 +356,7 @@ def residue_histogram(
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> dict[int, int]:
+) -> ResidueCounts:
     """N_m(c) = #{x mod p^m in A : f(x) = c mod p^m}, exactly.
 
     Requires an integral ball.  sum_c N_m(c) = p^(n m) * vol(A).

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import DegenerateInputError, DomainError, ResourceCapError
 from .polynomials import Exponents, SparsePolynomial
@@ -74,80 +74,59 @@ def _require_vanishing(f: SparsePolynomial) -> None:
 # -- exact linear algebra over Q ---------------------------------------------
 
 
-def _rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+def _rref(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: the nonzero reduced rows and their
+    pivot columns, so the rank is len(pivots)."""
     mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col] / inv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _nullspace_vector(rows: list[list[int]], m: int) -> tuple[int, ...] | None:
-    """A basis vector of the nullspace if it is one-dimensional, else None."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    rank = 0
+    pivots: list[int] = []
     for col in range(m):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
+        top = len(pivots)
+        hit = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if hit is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [a / inv for a in mat[rank]]
+        mat[top], mat[hit] = mat[hit], mat[top]
+        lead = mat[top][col]
+        mat[top] = [a / lead for a in mat[top]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
+            if r != top and mat[r][col] != 0:
                 factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    if m - rank != 1:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def _nullspace_vector(rows: Sequence[Sequence[int]], m: int) -> tuple[int, ...] | None:
+    """The primitive integer basis vector of the nullspace if it is
+    one-dimensional, else None."""
+    reduced, pivots = _rref(rows, m)
+    if m - len(pivots) != 1:
         return None
-    free_col = next(c for c in range(m) if c not in {col for _, col in pivots})
+    free_col = next(c for c in range(m) if c not in pivots)
     vec = [Fraction(0)] * m
     vec[free_col] = Fraction(1)
-    for row, col in pivots:
-        vec[col] = -mat[row][free_col]
+    for row, col in zip(reduced, pivots):
+        vec[col] = -row[free_col]
     lcm = math.lcm(*(x.denominator for x in vec))
     ints = [int(x * lcm) for x in vec]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
 
-def _facet_dimension(
-    normal: Sequence[int], points_on: Sequence[Exponents], m: int
-) -> int:
-    """Dimension of conv(points_on) + cone{e_i : normal_i = 0}."""
-    rows: list[list[int]] = []
-    base = points_on[0]
-    for pt in points_on[1:]:
-        rows.append([a - b for a, b in zip(pt, base)])
-    for i, a in enumerate(normal):
-        if a == 0:
-            rows.append([1 if j == i else 0 for j in range(m)])
-    if not rows:
-        return 0
-    return _rank(rows)
+def _span_rows(points: Sequence[Exponents], rays: Sequence[int], m: int) -> list[list[int]]:
+    """Differences from the first point plus the ray unit vectors: they span
+    the directions of conv(points) + cone{e_i : i in rays}."""
+    return [[a - b for a, b in zip(pt, points[0])] for pt in points[1:]] + [
+        [1 if j == i else 0 for j in range(m)] for i in rays
+    ]
 
 
-def _is_facet_normal(
-    normal: Sequence[int], supp: Sequence[Exponents], m: int
-) -> tuple[bool, int, tuple[Exponents, ...]]:
-    values = [sum(a * l for a, l in zip(normal, pt)) for pt in supp]
-    mval = min(values)
-    on = tuple(pt for pt, v in zip(supp, values) if v == mval)
-    return _facet_dimension(normal, on, m) == m - 1, mval, on
+def _face_dim(points: Sequence[Exponents], rays: Sequence[int], m: int) -> int:
+    """Dimension of conv(points) + cone{e_i : i in rays}."""
+    return len(_rref(_span_rows(points, rays, m), m)[1])
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
@@ -168,27 +147,21 @@ def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     for k in range(m):
         for rays in combinations(range(m), k):
             for pts in combinations(supp, m - k):
-                rows = [
-                    [a - b for a, b in zip(pt, pts[0])] for pt in pts[1:]
-                ]
-                rows += [
-                    [1 if j == i else 0 for j in range(m)] for i in rays
-                ]
+                rows = _span_rows(pts, rays, m)
                 normal = _nullspace_vector(rows, m) if rows else (1,) * m
                 if normal is None:
                     continue
                 if all(a <= 0 for a in normal):
                     normal = tuple(-a for a in normal)
-                if any(a < 0 for a in normal) or all(a == 0 for a in normal):
-                    continue
-                if normal in seen:
+                if any(a < 0 for a in normal) or normal in seen:
                     continue
                 seen.add(normal)
-                ok, mval, on = _is_facet_normal(normal, supp, m)
-                if ok:
-                    facets.append(
-                        Facet(normal, mval, sum(normal), on)
-                    )
+                values = [_dot(normal, pt) for pt in supp]
+                mval = min(values)
+                on = tuple(pt for pt, v in zip(supp, values) if v == mval)
+                zero = [i for i, a in enumerate(normal) if a == 0]
+                if _face_dim(on, zero, m) == m - 1:
+                    facets.append(Facet(normal, mval, sum(normal), on))
     facets.sort(key=lambda fc: fc.normal)
     return NewtonPolyhedron(m, tuple(facets), frozenset(supp))
 
@@ -219,26 +192,21 @@ def quasi_homogeneous_detect(
     """
     _require_vanishing(f)
     supp = sorted(f.support())
-    base = supp[0]
     m = f.nvars
-    rows = [[a - b for a, b in zip(pt, base)] for pt in supp[1:]]
-    nulldim = m - (_rank(rows) if rows else 0)
+    nulldim = m - _face_dim(supp, (), m)
     if nulldim == 0:
         return None
     if nulldim == 1:
-        gen = _nullspace_vector(rows, m)
-        if gen is None:
-            return None
+        gen = _nullspace_vector(_span_rows(supp, (), m), m)
         if all(a < 0 for a in gen):
             gen = tuple(-a for a in gen)
         if any(a <= 0 for a in gen):
             return None
-        d = sum(a * l for a, l in zip(gen, base))
-        return QuasiHomogeneityWitness(gen, d)
+        return QuasiHomogeneityWitness(gen, _dot(gen, supp[0]))
     best: tuple[int, tuple[int, ...]] | None = None
     for alpha in product(range(1, bound + 1), repeat=m):
-        d = sum(a * l for a, l in zip(alpha, base))
-        if any(sum(a * l for a, l in zip(alpha, pt)) != d for pt in supp[1:]):
+        d = _dot(alpha, supp[0])
+        if any(_dot(alpha, pt) != d for pt in supp[1:]):
             continue
         if math.gcd(d, *alpha) != 1:
             continue
@@ -252,45 +220,34 @@ def quasi_homogeneous_detect(
 def face_polynomials(
     f: SparsePolynomial, P: NewtonPolyhedron
 ) -> list[tuple[Face, SparsePolynomial]]:
-    """All proper faces (every dimension) with their face polynomials f_gamma."""
+    """All proper faces (every dimension) with their face polynomials f_gamma,
+    ordered by (dim, support_points, rays).
+
+    Every proper face is an intersection of facets.  The walk starts from
+    each facet as (support points on it, rays its normal is zero on) and
+    intersects every face found with every facet until nothing new appears.
+    """
     m = P.dim
-    by_key: dict[tuple[frozenset, frozenset], Face] = {}
-    for size in range(1, len(P.facets) + 1):
-        for chosen in combinations(P.facets, size):
-            pts = tuple(
-                pt
-                for pt in sorted(P.support)
-                if all(
-                    sum(a * l for a, l in zip(fc.normal, pt)) == fc.support_value
-                    for fc in chosen
-                )
-            )
-            if not pts:
-                continue
-            rays = tuple(
-                i for i in range(m) if all(fc.normal[i] == 0 for fc in chosen)
-            )
-            key = (frozenset(pts), frozenset(rays))
-            if key in by_key:
-                continue
-            by_key[key] = Face(pts, rays, _face_dim(pts, rays, m))
-    out = []
+    facets = [
+        (frozenset(fc.vertices), frozenset(i for i, a in enumerate(fc.normal) if a == 0))
+        for fc in P.facets
+    ]
+    found = set(facets)
+    frontier = list(found)
+    while frontier:
+        meets = {(pts & on, rays & zero) for pts, rays in frontier for on, zero in facets}
+        frontier = [face for face in meets if face[0] and face not in found]
+        found.update(frontier)
+    faces = []
+    for pts, rays in found:
+        pts, rays = tuple(sorted(pts)), tuple(sorted(rays))
+        faces.append(Face(pts, rays, _face_dim(pts, rays, m)))
+    faces.sort(key=lambda fc: (fc.dim, fc.support_points, fc.rays))
     coeff = dict(f.terms)
-    for face in sorted(by_key.values(), key=lambda fc: (fc.dim, fc.support_points)):
-        fg = SparsePolynomial.from_terms(
-            f.nvars, {pt: coeff[pt] for pt in face.support_points}
-        )
-        out.append((face, fg))
-    return out
-
-
-def _face_dim(points: Sequence[Exponents], rays: Sequence[int], m: int) -> int:
-    rows: list[list[int]] = []
-    for pt in points[1:]:
-        rows.append([a - b for a, b in zip(pt, points[0])])
-    for i in rays:
-        rows.append([1 if j == i else 0 for j in range(m)])
-    return _rank(rows) if rows else 0
+    return [
+        (face, SparsePolynomial.from_terms(f.nvars, {pt: coeff[pt] for pt in face.support_points}))
+        for face in faces
+    ]
 
 
 Verdict = Literal["certified", "degenerate-mod-p", "indeterminate"]
@@ -312,33 +269,29 @@ def nondegeneracy_mod_p(
     if p**m > cap:
         raise ResourceCapError(p**m, cap, what="points of F_p^m")
     grad = f.gradient()
-    if all(_is_zero_mod(g, p) for g in grad):
+    if _is_zero_mod(f, p) or all(_is_zero_mod(g, p) for g in grad):
         return "indeterminate"
-    if _is_zero_mod(f, p):
-        return "indeterminate"
-
     if has_nonzero_common_zero(grad, p):
         return "degenerate-mod-p"
-
-    P = newton_facets(f)
-    for face, fg in face_polynomials(f, P):
+    for _, fg in face_polynomials(f, newton_facets(f)):
         if _is_zero_mod(fg, p):
             return "indeterminate"
-        grad_g = fg.gradient()
-        for point in product(range(1, p), repeat=m):
-            if fg.eval_mod(point, p, 1) != 0:
-                continue
-            if all(g.eval_mod(point, p, 1) == 0 for g in grad_g):
-                return "degenerate-mod-p"
+        if _common_zero([fg, *fg.gradient()], p, product(range(1, p), repeat=m)):
+            return "degenerate-mod-p"
     return "certified"
 
 
 def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
     """Whether the polynomials share a zero in F_p^m other than the origin."""
-    return any(
-        any(point) and all(g.eval_mod(point, p, 1) == 0 for g in polys)
-        for point in product(range(p), repeat=polys[0].nvars)
-    )
+    points = product(range(p), repeat=polys[0].nvars)
+    return _common_zero(polys, p, (pt for pt in points if any(pt)))
+
+
+def _common_zero(
+    polys: Sequence[SparsePolynomial], p: int, points: Iterable[Exponents]
+) -> bool:
+    """Whether the polynomials all vanish mod p at some point of `points`."""
+    return any(all(g.eval_mod(pt, p, 1) == 0 for g in polys) for pt in points)
 
 
 def _is_zero_mod(g: SparsePolynomial, p: int) -> bool:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from padic_dispersion.expsums import exp_sum
+from padic_dispersion.newton import NewtonPolyhedron
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn
@@ -184,6 +185,34 @@ def oracle_compact_facets(
             found.add((a, mval))
     return found
 
+
+
+def oracle_faces(P: NewtonPolyhedron) -> set[tuple[tuple, tuple[int, ...], int]]:
+    """Every proper face as (support points, coordinate rays, dimension):
+    the nonempty intersections over all subsets of facets.
+
+    Subsets are grown one facet at a time in index order; a subset whose
+    support points are already empty is not grown, since adding facets only
+    removes points.
+    """
+    m = P.dim
+    supp = sorted(P.support)
+    found = set()
+
+    def grow(start: int, pts: list, rays: list[int]) -> None:
+        for i in range(start, len(P.facets)):
+            fc = P.facets[i]
+            on = [pt for pt in pts if sum(a * l for a, l in zip(fc.normal, pt)) == fc.support_value]
+            if not on:
+                continue
+            zero = [j for j in rays if fc.normal[j] == 0]
+            rows = [[x - y for x, y in zip(pt, on[0])] for pt in on[1:]]
+            rows += [[1 if k == j else 0 for k in range(m)] for j in zero]
+            found.add((tuple(on), tuple(zero), echelon_rank(rows)))
+            grow(i + 1, on, zero)
+
+    grow(0, supp, list(range(m)))
+    return found
 
 # -- seeded Schwartz-Bruhat test data -------------------------------------------
 

@@ -10,10 +10,13 @@ modified.
 import importlib
 import importlib.util
 import inspect
+import random
 from fractions import Fraction
 from pathlib import Path
 
-from padic_dispersion import cli, expsums
+import numpy as np
+
+from padic_dispersion import cli, expsums, schwartz
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import parse_polynomial
 
@@ -65,3 +68,51 @@ def test_benchmark_calls_bind(monkeypatch):
     res = expsums.exp_sum(f, Fraction(1, 27), ball, threads=1)
     assert seen == [((2, 3, 3), 27)]
     assert sum(res.counts.values()) == 3**6
+
+
+def test_block_counts_signature_and_total():
+    # bench/test_bench.py wraps `_block_counts(*args)` and sums its result
+    params = list(inspect.signature(expsums._block_counts).parameters)
+    assert params == ["block", "terms", "width", "modulus"]
+    counts = expsums._block_counts((0, 1), {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 1): 1}, 3, 9)
+    assert isinstance(counts, np.ndarray) and len(counts) == 9
+    assert int(counts.sum()) == 3**2
+
+
+def test_random_sb_draw():
+    # bench/workloads.py redraws the CLI's restriction test functions
+    inspect.signature(cli._random_sb).bind(random.Random(14), 3, 2)
+    g = cli._random_sb(random.Random(14), 3, 2)
+    assert isinstance(g, schwartz.SchwartzBruhatFn)
+    for ball, coeff in g.terms:
+        assert len(ball.center_fractions()) == 2 and isinstance(ball.radius_exp, int)
+        assert isinstance(coeff, complex)
+
+
+def test_modulated_value_at_is_patchable(monkeypatch):
+    # bench/test_bench.py counts `ModulatedSBFn.value_at` calls by patching the class
+    assert list(inspect.signature(schwartz.ModulatedSBFn.value_at).parameters) == ["self", "point"]
+    original, calls = schwartz.ModulatedSBFn.value_at, []
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(schwartz.ModulatedSBFn, "value_at", counting)
+    g = schwartz.SchwartzBruhatFn.of(3, [(Ball.of(3, [0], 0), 1 + 0j)])
+    G = schwartz.fourier_sb(g)
+    assert isinstance(G, schwartz.ModulatedSBFn)
+    assert abs(G.value_at((Fraction(1, 3),))) < 1e-12 and calls == [(Fraction(1, 3),)]
+
+
+def test_counts_values_and_equality():
+    # the six-squares operation returns `res.counts`; its check sums values()
+    # and later rounds compare the output tuple with ==
+    f, ball = parse_polynomial("x1^2+x2^2"), Ball.of(3, (0, 0), 0)
+    one = expsums.exp_sum(f, Fraction(1, 27), ball)
+    two = expsums.exp_sum(f, Fraction(1, 27), ball)
+    assert one.scale * sum(one.counts.values()) == 1
+    assert not any(k < 0 for k in one.counts.values())
+    assert (one.counts, one.scale, one.value) == (two.counts, two.scale, two.value)
+    assert one.counts == dict(two.counts) and dict(one.counts) == two.counts
+    assert one.counts != expsums.exp_sum(f, Fraction(1, 9), ball).counts

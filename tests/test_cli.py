@@ -283,6 +283,21 @@ class TestValidationAndExitCodes:
         assert code == EXIT_VALIDATION
         assert "range must start at" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strichartz", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--rmax", "2",
+             "--sigma"],
+            ["surface", "--prime", "3", "--phi", "x^2", "--k", "1..2", "--seed", "1", "--rho"],
+        ],
+        ids=["sigma", "rho"],
+    )
+    def test_nan_exponent_is_refused_and_inf_accepted(self, tmp_path, capsys, argv):
+        assert run_cli(tmp_path, argv + ["nan"]) == (EXIT_VALIDATION, b"")
+        assert argv[-1] in capsys.readouterr().err
+        code, out = run_cli(tmp_path, argv + ["inf"])  # the L^inf norm
+        assert code == EXIT_OK and json.loads(out)["config"][argv[-1][2:]] == float("inf")
+
     def test_level_zero_is_accepted(self, tmp_path):
         surface = ["surface", "--prime", "3", "--phi", "x^2", "--k", "0..2"]
         solve = ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--m", "0..1"]

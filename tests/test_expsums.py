@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import expsum_values, oracle_exp_sum, oracle_residue_counts
@@ -187,6 +188,55 @@ class TestExpSumResult:
             tracemalloc.stop()
         # one int64 count per residue class, plus the fixed cost of the objects
         assert retained <= 16 * 5**8 + 4096, retained
+
+
+class TestCountsView:
+    """`counts` reads the dense vector in place and builds no dict."""
+
+    # 3 x^3 + 20 at z = 1/27: constant residue 20, step 3, x^3 mod 9 over x mod 9
+    SHIFTED = parse_polynomial("3*x^3 + 20")
+
+    def test_len_order_and_dict_equality(self):
+        counts = exp_sum(self.SHIFTED, Fraction(1, 27), Z3).counts
+        assert len(counts) == 3
+        # ascending dense index r, key (20 + 3 r) mod 27: the order wraps
+        assert list(counts) == [20, 23, 17]
+        assert list(counts.items()) == [(20, 3), (23, 3), (17, 3)]
+        assert counts == {17: 3, 20: 3, 23: 3} and {17: 3, 20: 3, 23: 3} == counts
+        assert counts != {17: 3, 20: 3} and counts != {17: 3, 20: 3, 23: 4}
+        assert counts[np.int64(23)] == 3 and counts.get(18) is None
+
+    @pytest.mark.parametrize("key", [18, 21, 0, 47, -7, 2.5, "20", None])
+    def test_missing_key(self, key):
+        # 47 = 20 + 27 and -7 = 20 - 27 are congruent to a stored residue
+        counts = exp_sum(self.SHIFTED, Fraction(1, 27), Z3).counts
+        assert key not in counts
+        with pytest.raises(KeyError):
+            counts[key]
+
+    def test_multiplicity_beyond_int64_is_exact(self):
+        counts = exp_sum(
+            parse_polynomial("x1^2+0*x6"), Fraction(1, 3**8), Ball.of(3, [0] * 6, 0)
+        ).counts
+        want = oracle_residue_counts(SQUARE, 8, Z3)[1] * 3**40
+        assert type(counts[1]) is int and counts[1] == want > 2**63
+        assert sum(counts.values()) == 3**48
+
+    def test_held_view_retains_only_the_count_vector(self):
+        cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
+        exp_sum(cube, Fraction(1, 5**2), z5).counts  # first-call allocations are not retained
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = exp_sum(cube, Fraction(1, 5**6), z5).counts
+            retained = tracemalloc.get_traced_memory()[0] - before
+            copy = dict(held)
+            copied = tracemalloc.get_traced_memory()[0] - before - retained
+        finally:
+            tracemalloc.stop()
+        assert copy == held
+        # one int64 per residue class, against a dict of every occurring residue
+        assert retained <= 8 * 5**6 + 4096 < copied, (retained, copied)
 
 
 class TestResidueHistogram:

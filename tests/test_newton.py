@@ -1,8 +1,10 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_compact_facets
+from helpers import oracle_compact_facets, oracle_faces
 from padic_dispersion.errors import DomainError
 from padic_dispersion.newton import (
     beta_and_t0,
@@ -12,7 +14,7 @@ from padic_dispersion.newton import (
     quasi_homogeneous_detect,
     support,
 )
-from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
 
 
 def compact(P):
@@ -171,6 +173,65 @@ class TestFacePolynomials:
         keys = [(face.support_points, face.rays) for face, _ in faces]
         assert len(keys) == len(set(keys))
         assert all(face.dim <= P.dim - 1 for face, _ in faces)
+
+
+def random_vanishing_polynomials(seed: int, count: int):
+    rng = random.Random(seed)
+    while count:
+        m = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, 4 if m <= 2 else 3) for _ in range(m))
+            if sum(exps):
+                terms[exps] = rng.randint(1, 6)
+        if terms:
+            count -= 1
+            yield SparsePolynomial.from_terms(m, terms)
+
+
+def convex_chain(edges: int) -> SparsePolynomial:
+    """sum of x1^a x2^b over the vertices of a chain of `edges` primitive
+    edges of distinct slopes; its polygon has edges + 2 facets."""
+    directions = sorted(
+        ((dx, dy) for dx in range(1, 6) for dy in range(1, 6) if math.gcd(dx, dy) == 1),
+        key=lambda v: Fraction(v[1], v[0]),
+        reverse=True,
+    )[:edges]
+    x, y = 0, sum(dy for _, dy in directions)
+    terms = {(x, y): 1}
+    for dx, dy in directions:
+        x, y = x + dx, y - dy
+        terms[(x, y)] = 1
+    return SparsePolynomial.from_terms(2, terms)
+
+
+class TestFaceWalk:
+    """face_polynomials against the facet-subset oracle of tests/helpers.py."""
+
+    @staticmethod
+    def check(f):
+        P = newton_facets(f)
+        faces = face_polynomials(f, P)
+        got = [(face.support_points, face.rays, face.dim) for face, _ in faces]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_faces(P)
+        order = [(dim, pts, rays) for pts, rays, dim in got]
+        assert order == sorted(order)
+        coeff = dict(f.terms)
+        for face, fg in faces:
+            assert dict(fg.terms) == {pt: coeff[pt] for pt in face.support_points}
+        return P, faces
+
+    def test_random_polynomials_in_one_to_four_variables(self):
+        for f in random_vanishing_polynomials(11, 80):
+            self.check(f)
+
+    def test_seventeen_facet_polygon(self):
+        P, faces = self.check(convex_chain(15))
+        assert len(P.facets) == 17
+        # 15 edges, 2 unbounded coordinate facets and 16 vertices
+        assert [face.dim for face, _ in faces].count(0) == 16
+        assert len(faces) == 33
 
 
 class TestNondegeneracy:
