@@ -157,14 +157,18 @@ def _variable_blocks(terms: Mapping[Exponents, int], n: int) -> list[tuple[int, 
 
 
 def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:
-    result = np.ones_like(base)
-    b = base % modulus
+    """base^exp mod modulus in a fresh array, squared and reduced in place."""
+    b = np.remainder(base, modulus)
+    result = np.ones_like(b)
     e = exp
     while e:
         if e & 1:
-            result = result * b % modulus
-        b = b * b % modulus
+            result *= b
+            result %= modulus
         e >>= 1
+        if e:
+            b *= b
+            b %= modulus
     return result
 
 
@@ -183,7 +187,13 @@ def poly_residues(
         term = coeff % modulus
         for x, a in zip(coords, exps):
             if a:
-                term = term * _powmod_vector(x, a, modulus) % modulus
+                power = _powmod_vector(x, a, modulus)
+                if np.shape(power) == np.broadcast_shapes(np.shape(power), np.shape(term)):
+                    power *= term  # power is fresh and already the product's shape
+                    power %= modulus
+                    term = power
+                else:
+                    term = term * power % modulus
         total += term
         total %= modulus
     return total
@@ -210,13 +220,17 @@ def _block_counts(
     while free and width**free > _CHUNK:
         free -= 1
     rows = _CHUNK // width**free
-    y = np.arange(width, dtype=np.int64)
-    counts = np.zeros(modulus, dtype=np.int64)
+    broadcast = [np.arange(width, dtype=np.int64)] * free
+    counts = None  # the first slab's counts become the accumulator
     for prefix in product(range(width), repeat=len(block) - free - 1):
         for lo in range(0, width, rows):
-            axes = np.ix_(y[lo : lo + rows], *[y] * free)
+            axes = np.ix_(np.arange(lo, min(lo + rows, width), dtype=np.int64), *broadcast)
             vals = poly_residues(local, [*prefix, *axes], modulus)
-            counts += np.bincount(vals.ravel(), minlength=modulus)
+            if counts is None:
+                counts = np.bincount(vals.ravel(), minlength=modulus)
+            else:
+                np.add.at(counts, vals.ravel(), 1)
+            del vals  # freed before the next slab is evaluated
     return counts
 
 

@@ -187,8 +187,8 @@ def quasi_homogeneous_detect(
 
     Witnesses are normalised to gcd(alpha, d) = 1.  When the solution space
     of <alpha, l_i - l_0> = 0 is a line, its primitive positive generator is
-    the unique normalised witness; otherwise the search falls back to a scan
-    of alpha in [1, bound]^m.
+    the unique normalised witness; otherwise the search walks d upward over
+    the alpha in [1, bound]^m of degree d and stops at the first gcd-1 one.
     """
     _require_vanishing(f)
     supp = sorted(f.support())
@@ -203,18 +203,41 @@ def quasi_homogeneous_detect(
         if any(a <= 0 for a in gen):
             return None
         return QuasiHomogeneityWitness(gen, _dot(gen, supp[0]))
-    best: tuple[int, tuple[int, ...]] | None = None
-    for alpha in product(range(1, bound + 1), repeat=m):
-        d = _dot(alpha, supp[0])
-        if any(_dot(alpha, pt) != d for pt in supp[1:]):
-            continue
-        if math.gcd(d, *alpha) != 1:
-            continue
-        if best is None or (d, alpha) < best:
-            best = (d, alpha)
-    if best is None:
-        return None
-    return QuasiHomogeneityWitness(best[1], best[0])
+    for d in range(sum(supp[0]), bound * sum(supp[0]) + 1):
+        for alpha in _weights_of_degree(supp, d, bound):
+            if math.gcd(d, *alpha) == 1:
+                return QuasiHomogeneityWitness(alpha, d)
+    return None
+
+
+def _weights_of_degree(
+    supp: Sequence[Exponents], d: int, bound: int
+) -> Iterable[tuple[int, ...]]:
+    """Every alpha in [1, bound]^m with <alpha, l_0> = d and <alpha, l - l_0> = 0
+    on the support, in lexicographic order.
+
+    Coordinates are fixed one at a time; a prefix is dropped as soon as some
+    constraint is out of reach of every completion in [1, bound].
+    """
+    m = len(supp[0])
+    rows = [supp[0]] + [tuple(a - b for a, b in zip(pt, supp[0])) for pt in supp[1:]]
+    targets = [d] + [0] * (len(rows) - 1)
+    reach = [
+        [(sum(min(v, bound * v) for v in row[j:]), sum(max(v, bound * v) for v in row[j:]))
+         for row in rows]
+        for j in range(m + 1)
+    ]
+
+    def walk(j: int, alpha: tuple[int, ...], sums: list[int]):
+        if j == m:
+            yield alpha
+            return
+        for a in range(1, bound + 1):
+            nxt = [s + a * row[j] for s, row in zip(sums, rows)]
+            if all(s + lo <= t <= s + hi for s, (lo, hi), t in zip(nxt, reach[j + 1], targets)):
+                yield from walk(j + 1, alpha + (a,), nxt)
+
+    return walk(0, (), [0] * len(rows))
 
 
 def face_polynomials(

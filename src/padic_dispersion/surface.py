@@ -27,7 +27,7 @@ from .padic import (
     split_p_part,
 )
 from .polynomials import SparsePolynomial, compose_affine
-from .schwartz import ModulatedSBFn, SchwartzBruhatFn, fourier_sb, lp_norm
+from .schwartz import ModulatedSBFn, SchwartzBruhatFn, _den_exps, fourier_sb, lp_norm
 
 
 @dataclass(frozen=True)
@@ -233,18 +233,16 @@ def _graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int:
         (split_p_part(c, p)[1] for e, c in phi_comp.items() if sum(e) > 0),
         default=0,
     )
-    rel = 0
-    for ball, mod, _ in Fg.terms:
-        r = ball.radius_exp
-        rel = max(rel, r - e0, r - w_phi)
-        for j, b in enumerate(mod):
-            if b.is_zero:
-                continue
-            if j < len(mod) - 1:
-                rel = max(rel, -b._val - e0)
-            else:
-                rel = max(rel, -b._val - w_phi)
-    return e0 + max(rel, 0)
+    # modulations: the last coordinate against w_phi, the others against e0
+    den = _den_exps(Fg.mods[..., None], Fg.mdenom, p)  # per entry; about -2^20 where 0
+    none = -1 << 20
+    rel = max(
+        0,
+        int(Fg.radii.max(initial=none)) - min(e0, w_phi),
+        int(den[:, :-1].max(initial=none)) - e0,
+        int(den[:, -1].max(initial=none)) - w_phi,
+    )
+    return e0 + rel
 
 
 # -- the interpolation kernel zeta_z ------------------------------------------

@@ -16,7 +16,7 @@ space-time norms; their increments decide convergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -48,6 +48,9 @@ class SolutionSpec:
     spectrum: ModulatedSBFn
     freq_bound: int
     phase_bound: int
+    _cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def build(cls, f0: SchwartzBruhatFn, phi: SparsePolynomial) -> "SolutionSpec":
@@ -70,6 +73,15 @@ class SolutionSpec:
     @property
     def n(self) -> int:
         return self.f0.n
+
+    def cells(self, level: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """`_freq_cells` of this spectrum, tiled once per (level, cap)."""
+        if (level, cap) not in self._cells:
+            arrays = _freq_cells(self, level, cap)
+            for a in arrays:
+                a.setflags(write=False)
+            self._cells[level, cap] = arrays
+        return self._cells[level, cap]
 
 
 def _freq_cells(
@@ -146,7 +158,7 @@ def solve_u(
         raise DomainError("x has wrong dimension")
     t = t.as_fraction() if isinstance(t, PadicRational) else Fraction(t)
     level = _cell_level(spec, x, t, extra_level)
-    idx, vals = _freq_cells(spec, level, cap)
+    idx, vals = spec.cells(level, cap)
     phase = spec.phi.scale(t)  # t phi(xi) + [x, xi]
     for d, xd in enumerate(x):
         unit = tuple(int(j == d) for j in range(spec.n))
@@ -189,7 +201,7 @@ def windowed_spectrum(
         max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
         + extra_level
     )
-    idx, vals = _freq_cells(spec, level, cap)
+    idx, vals = spec.cells(level, cap)
     window = Fraction(1, p**R)
     keep = np.ones(len(vals), dtype=bool)
     coordinates = [{tuple(int(j == i) for j in range(n)): 1} for i in range(n)]
@@ -249,7 +261,7 @@ def solution_grid(
     if nt * N**n > cap:
         raise ResourceCapError(nt * N**n, cap, what="grid samples")
     level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
-    idx, vals = _freq_cells(spec, level, cap)
+    idx, vals = spec.cells(level, cap)
     r, modulus = _cell_residues(spec, spec.phi.scale(Fraction(1, p**R)), idx)
     # modulus divides nt: both are p^max(0, R + e') for the phase bound e'
     bins = np.zeros((nt,) + (N,) * n, dtype=complex)

@@ -15,9 +15,9 @@ from itertools import product
 
 from padic_dispersion.expsums import exp_sum
 from padic_dispersion.newton import NewtonPolyhedron
-from padic_dispersion.padic import Ball
-from padic_dispersion.polynomials import SparsePolynomial
-from padic_dispersion.schwartz import SchwartzBruhatFn
+from padic_dispersion.padic import Ball, split_p_part
+from padic_dispersion.polynomials import SparsePolynomial, compose_affine
+from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn
 from padic_dispersion.surface import GraphHypersurface, surface_ft
 
 
@@ -213,6 +213,44 @@ def oracle_faces(P: NewtonPolyhedron) -> set[tuple[tuple, tuple[int, ...], int]]
 
     grow(0, supp, list(range(m)))
     return found
+
+def oracle_quasi_homogeneous(
+    f: SparsePolynomial, bound: int = 32
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest (d, alpha) over every alpha in [1, bound]^m with <alpha, l> = d
+    on the support and gcd(d, alpha) = 1: the full scan, bound^m candidates."""
+    supp = sorted(f.support())
+    best = None
+    for alpha in product(range(1, bound + 1), repeat=f.nvars):
+        d = sum(a * l for a, l in zip(alpha, supp[0]))
+        if any(sum(a * l for a, l in zip(alpha, pt)) != d for pt in supp[1:]):
+            continue
+        if math.gcd(d, *alpha) == 1 and (best is None or (d, alpha) < best):
+            best = (d, alpha)
+    return best
+
+
+def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int:
+    """The coset scale of `surface._graph_constancy_level`, term by term over
+    Fg.terms as exact p-adic numbers."""
+    p = Y.prime
+    base = Y.base_window
+    e0 = base.radius_exp
+    phi_comp = compose_affine(Y.phi.scale(1), base.center_fractions(), Fraction(p) ** e0)
+    w_phi = min(
+        (split_p_part(c, p)[1] for e, c in phi_comp.items() if sum(e) > 0),
+        default=0,
+    )
+    rel = 0
+    for ball, mod, _ in Fg.terms:
+        r = ball.radius_exp
+        rel = max(rel, r - e0, r - w_phi)
+        for j, b in enumerate(mod):
+            if b.is_zero:
+                continue
+            rel = max(rel, -b.val - (e0 if j < len(mod) - 1 else w_phi))
+    return e0 + rel
+
 
 # -- seeded Schwartz-Bruhat test data -------------------------------------------
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from padic_dispersion import cli, expsums, schwartz
+from padic_dispersion import cli, expsums, schwartz, wave
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import parse_polynomial
 
@@ -116,3 +116,34 @@ def test_counts_values_and_equality():
     assert (one.counts, one.scale, one.value) == (two.counts, two.scale, two.value)
     assert one.counts == dict(two.counts) and dict(one.counts) == two.counts
     assert one.counts != expsums.exp_sum(f, Fraction(1, 9), ball).counts
+
+
+def test_value_at_calls_match_the_traced_cell_count(monkeypatch):
+    # bench/test_bench.py asserts that the tracer's `wave.freq_cells` count,
+    # p^(n (e + level)) per `_freq_cells` call, equals the `value_at` calls;
+    # so `_freq_cells` tiles every cell it is asked for, and the repeated
+    # levels below must be served without calling it again
+    tracing = load_tracing()
+    counted, visited = [0], [0]
+    cells, value_at = wave._freq_cells, schwartz.ModulatedSBFn.value_at
+
+    def counting_cells(*args):
+        counted[0] += tracing.freq_cells(*args[:2])
+        return cells(*args)
+
+    def counting_values(self, point):
+        visited[0] += 1
+        return value_at(self, point)
+
+    monkeypatch.setattr(wave, "_freq_cells", counting_cells)
+    monkeypatch.setattr(schwartz.ModulatedSBFn, "value_at", counting_values)
+    f0 = schwartz.SchwartzBruhatFn.of(
+        3, [(Ball.of(3, [0], 0), 1 + 0j), (Ball.of(3, [Fraction(1, 3)], 0), 1j)]
+    )
+    spec = wave.SolutionSpec.build(f0, parse_polynomial("x^2"))
+    for _ in range(2):
+        wave.solve_u(spec, (Fraction(1, 3),), Fraction(1, 9))
+        wave.solve_u(spec, (0,), Fraction(1, 27))
+        wave.windowed_spectrum(spec, (Fraction(0),), Fraction(1, 3), 1)
+        wave.solution_grid(spec, 2)
+    assert counted[0] == visited[0] > 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_dispersion import expsums, surface
+from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
     EXIT_CERTIFICATE,
     EXIT_OK,
@@ -198,6 +198,22 @@ class TestSolveCommand:
         u0 = next(s for s in res["u_samples"] if s["x"] == "0" and s["t"] == "0")
         assert abs(u0["value"][0] - 1.0) < 1e-12
         assert all(w["abs"] < 1e-12 for w in res["windowed_spectrum"])
+
+    def test_each_level_tiled_once(self, tmp_path, monkeypatch):
+        levels, original = [], wave._freq_cells
+
+        def recording(spec, level, cap):
+            levels.append(level)
+            return original(spec, level, cap)
+
+        monkeypatch.setattr(wave, "_freq_cells", recording)
+        code, _ = run_cli(
+            tmp_path,
+            ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--m", "1..3"],
+        )
+        assert code == EXIT_OK
+        # 16 solve_u and 25 windowed_spectrum calls share these levels
+        assert len(levels) == len(set(levels)) >= 3
 
 
 class TestStrichartzCommand:

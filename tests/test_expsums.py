@@ -189,6 +189,22 @@ class TestExpSumResult:
         # one int64 count per residue class, plus the fixed cost of the objects
         assert retained <= 16 * 5**8 + 4096, retained
 
+    def test_enumeration_peak_stays_near_the_count_vector(self, monkeypatch):
+        # exp_sum(x^3, 5^-10, Z_5) may peak at 250 MiB for its 74.5 MiB count
+        # vector and 2^22-point slabs; at 5^-9 with slabs a fifth as large the
+        # proportions (three slabs, count vector to slab size) are the same
+        cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
+        whole = exp_sum(cube, Fraction(1, 5**9), z5).dense  # one slab
+        monkeypatch.setattr(expsums, "_CHUNK", expsums._CHUNK // 5)
+        tracemalloc.start()
+        try:
+            res = exp_sum(cube, Fraction(1, 5**9), z5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(res.dense, whole)
+        assert peak <= 250 * 2**20 / 5, peak
+
 
 class TestCountsView:
     """`counts` reads the dense vector in place and builds no dict."""

@@ -1,10 +1,13 @@
+import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_compact_facets, oracle_faces
+from helpers import oracle_compact_facets, oracle_faces, oracle_quasi_homogeneous
+from padic_dispersion.cli import main
 from padic_dispersion.errors import DomainError
 from padic_dispersion.newton import (
     beta_and_t0,
@@ -232,6 +235,62 @@ class TestFaceWalk:
         # 15 edges, 2 unbounded coordinate facets and 16 vertices
         assert [face.dim for face, _ in faces].count(0) == 16
         assert len(faces) == 33
+
+
+def few_term_polynomials(seed: int, count: int, nvars: tuple[int, int], bound: int = 3):
+    """Seeded polynomials with 1-3 support points: a small support often
+    leaves a weight space of dimension 2 or more."""
+    rng = random.Random(seed)
+    while count:
+        m = rng.randint(*nvars)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(0, bound) for _ in range(m))
+            if sum(exps):
+                terms[exps] = rng.randint(1, 6)
+        if terms:
+            count -= 1
+            yield SparsePolynomial.from_terms(m, terms)
+
+
+class TestWitnessSearch:
+    """quasi_homogeneous_detect against the full scan of tests/helpers.py."""
+
+    @staticmethod
+    def witness(f, bound=32):
+        w = quasi_homogeneous_detect(f, bound)
+        return None if w is None else (w.degree, w.alpha)
+
+    def test_one_to_three_variables(self):
+        # exponents <= 4 keep a one-dimensional weight space's generator
+        # inside [1, 32]^m, so every path must agree with the scan
+        polys = [*few_term_polynomials(5, 60, (1, 2)), *few_term_polynomials(6, 20, (3, 3))]
+        polys += [f for f in random_vanishing_polynomials(7, 40) if f.nvars <= 2]
+        for f in polys:
+            assert self.witness(f) == oracle_quasi_homogeneous(f), f
+
+    def test_four_variables_in_a_small_box(self):
+        # at most two support points: the weight space has dimension >= 3,
+        # so the search (not the generator) answers; bound 6 keeps the scan fast
+        for f in few_term_polynomials(8, 40, (4, 4)):
+            if len(f.terms) <= 2:
+                assert self.witness(f, 6) == oracle_quasi_homogeneous(f, 6), f
+
+    def test_no_witness_is_refused_quickly(self):
+        # both points on the diagonal: <alpha, (1,1,1,1)> = 0 has no positive solution
+        f = parse_polynomial("x1*x2*x3*x4 + x1^2*x2^2*x3^2*x4^2")
+        start = time.perf_counter()
+        assert quasi_homogeneous_detect(f) is None
+        assert time.perf_counter() - start < 0.5
+
+    def test_four_variable_monomial_answers_at_once(self, tmp_path):
+        start = time.perf_counter()
+        code = main(["newton", "--prime", "3", "--poly", "x1*x2*x3*x4", "--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        doc = json.loads((tmp_path / "o").read_bytes())
+        assert code == 0
+        assert doc["results"]["quasi_homogeneous"] == {"alpha": [1, 1, 1, 1], "degree": 4}
+        assert elapsed < 0.1, elapsed
 
 
 class TestNondegeneracy:

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_surface_ft, random_sb, ray_values
-from padic_dispersion.errors import DomainError
+from helpers import oracle_graph_constancy_level, oracle_surface_ft, random_sb, ray_values
+from padic_dispersion.cli import _random_sb
+from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball
-from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
+from padic_dispersion.schwartz import fourier_sb
 from padic_dispersion.surface import (
     GraphHypersurface,
+    _graph_constancy_level,
     decay_table,
     remark_family_exponent,
     restriction_ratio,
@@ -183,6 +186,32 @@ class TestRestriction:
             restriction_ratio(g, PARABOLA, 1.3, beta_phi=Fraction(1, 2))
         with pytest.raises(DomainError):
             restriction_ratio(g, PARABOLA, 0.9)
+
+    def test_constancy_level_matches_the_term_walk(self):
+        # integer phases with p-divisible coefficients move w_phi away from
+        # e0, so both comparisons of the rule (against e0 and against w_phi)
+        # decide the level on some draws
+        rng = random.Random(29)
+        compared = 0
+        while compared < 300:
+            p, m = rng.choice([2, 3, 5, 7]), rng.randint(1, 2)
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, 3) for _ in range(m))
+                if sum(exps):
+                    terms[exps] = rng.randint(1, p - 1 if p > 2 else 1) * p ** rng.randint(0, 2)
+            center = [Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 1)) for _ in range(m + 1)]
+            if not terms or not any(center):
+                continue
+            Y = GraphHypersurface(SparsePolynomial.from_terms(m, terms), Ball.of(p, center, rng.randint(-1, 2)))
+            try:
+                Fg = fourier_sb(_random_sb(rng, p, m + 1), -1)
+            except ResourceCapError:
+                continue
+            if len(Fg.radii) > 500:  # the oracle builds ~30 us of PadicRationals per term
+                continue
+            assert _graph_constancy_level(Y, Fg) == oracle_graph_constancy_level(Y, Fg)
+            compared += 1
 
 
 class TestZetaKernel:

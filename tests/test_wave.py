@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import oracle_solution, random_sb
+from padic_dispersion import wave
 from padic_dispersion.errors import DomainError, ResourceCapError
-from padic_dispersion.padic import Ball, split_p_part
+from padic_dispersion.padic import DEFAULT_ENUMERATION_CAP, Ball, split_p_part
 from padic_dispersion.polynomials import parse_polynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn, l2_norm, l2_norm_modulated
 from padic_dispersion.wave import (
@@ -295,3 +296,56 @@ class TestStrichartz:
         assert solution_grid(spec, 3, cap=3**9).values.shape == (27, 27**2)
         with pytest.raises(ResourceCapError):
             solution_grid(spec, 3, cap=3**9 - 1)
+
+
+class TestCellMemo:
+    """A spec tiles each (level, cap) once, for itself, into read-only arrays."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls, original = [], wave._freq_cells
+
+        def recording(spec, level, cap):
+            calls.append((spec, level, cap))
+            return original(spec, level, cap)
+
+        monkeypatch.setattr(wave, "_freq_cells", recording)
+        return calls
+
+    @staticmethod
+    def gauss():
+        return SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(3, [0], 0)), parse_polynomial("x^2")
+        )
+
+    def test_repeated_level_tiles_once(self, monkeypatch):
+        calls, spec = self.record(monkeypatch), self.gauss()
+        first = solve_u(spec, (Fraction(1, 3),), Fraction(1, 9))
+        again = solve_u(spec, (Fraction(2, 3),), Fraction(1, 9))
+        assert len(calls) == 1
+        assert first == solve_u(self.gauss(), (Fraction(1, 3),), Fraction(1, 9))
+        assert again == solve_u(self.gauss(), (Fraction(2, 3),), Fraction(1, 9))
+
+    def test_smaller_cap_still_refuses(self):
+        spec = self.gauss()
+        solve_u(spec, (0,), Fraction(1, 9))  # 9 cells at level 2, default cap
+        with pytest.raises(ResourceCapError):
+            solve_u(spec, (0,), Fraction(1, 9), cap=8)
+        with pytest.raises(ResourceCapError):
+            windowed_spectrum(spec, (0,), Fraction(1, 3), 2, cap=8)
+
+    def test_specs_built_from_the_same_input_tile_separately(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        one, two = self.gauss(), self.gauss()
+        assert one == two
+        solve_u(one, (0,), Fraction(1, 9))
+        solve_u(two, (0,), Fraction(1, 9))
+        assert [c[0] for c in calls] == [one, two] and calls[0][0] is not calls[1][0]
+
+    def test_cached_arrays_are_read_only(self):
+        spec = self.gauss()
+        solve_u(spec, (0,), Fraction(1, 9))
+        idx, vals = spec.cells(2, DEFAULT_ENUMERATION_CAP)
+        assert not idx.flags.writeable and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 0
