@@ -515,6 +515,8 @@ def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
         threads = int(os.environ.get("PADIC_THREADS", "1"))
     if threads < 1:
         raise DomainError("threads must be >= 1")
+    if args.prime >= 1 << 31:  # no command accepts it; trial division would take O(sqrt p)
+        raise DomainError(f"--prime {args.prime} is not below 2^31, the modulus limit")
     if not _is_prime(args.prime):
         raise DomainError(f"--prime {args.prime} is not a prime")
     if args.cap < 1:

@@ -10,9 +10,9 @@ exact and order-independent.
 One dense engine builds every histogram: the common p-power of the
 non-constant coefficients is factored out, so the counting modulus never
 exceeds the grid side; each block of coupled variables is enumerated in numpy
-slabs of at most _CHUNK points by `poly_residues`, the one modular polynomial
-evaluator the package shares; and block histograms combine by exact cyclic
-convolution into one dense count vector per sum.
+slabs of at most _CHUNK points by `polynomials.poly_residues`, the one
+modular polynomial evaluator the package shares; and block histograms
+combine by exact cyclic convolution into one dense count vector per sum.
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once, level by level.
@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
+from typing import ItemsView, Iterator, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -38,9 +38,13 @@ from .errors import (
 )
 from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
-from .polynomials import Exponents, SparsePolynomial, compose_affine
+from .polynomials import Exponents, SparsePolynomial, compose_affine, poly_residues
 
 _CHUNK = 1 << 22
+# decay_fit: how far below beta_f a fitted slope may fall and still count as
+# consistent, for quasi-homogeneous phases and for all others
+SHARP_TOLERANCE = 0.05
+EPS_MARGIN = 0.1
 
 
 @dataclass
@@ -52,6 +56,9 @@ class ExpSumResult:
     variables the phase does not use (an exact Python int).  value =
     scale * multiplicity * e(const / p^level) * sum_r N_r e(r / len(dense)),
     one fixed-order numpy sum, so the same histogram always gives the same bits.
+    It is exactly 0j when the sum vanishes: for len(dense) = p^L > 1, iff every
+    column of dense.reshape(p, -1) is constant, as Phi_{p^L}(x) =
+    Phi_p(x^(p^(L-1))) (Lam & Leung, J. Algebra 224, 2000).
     """
 
     prime: int
@@ -78,6 +85,10 @@ class ExpSumResult:
 
     @property
     def value(self) -> complex:
+        if self._value is None and len(self.dense) > 1:
+            columns = self.dense.reshape(self.prime, -1)
+            if (columns == columns[0]).all():
+                self._value = 0j
         if self._value is None:
             size = len(self.dense)
             roots = np.zeros(size, dtype=np.complex128)  # filled in place: one complex array
@@ -154,49 +165,6 @@ def _variable_blocks(terms: Mapping[Exponents, int], n: int) -> list[tuple[int, 
     for j in sorted(used):
         groups.setdefault(find(j), []).append(j)
     return [tuple(g) for g in groups.values()]
-
-
-def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:
-    """base^exp mod modulus in a fresh array, squared and reduced in place."""
-    b = np.remainder(base, modulus)
-    result = np.ones_like(b)
-    e = exp
-    while e:
-        if e & 1:
-            result *= b
-            result %= modulus
-        e >>= 1
-        if e:
-            b *= b
-            b %= modulus
-    return result
-
-
-def poly_residues(
-    terms: Iterable[tuple[Exponents, int]],
-    coords: Sequence[np.ndarray | int],
-    modulus: int,
-) -> np.ndarray:
-    """sum c * prod coords^a mod modulus, broadcast over the coordinates.
-
-    Each coordinate is an int64 array or a Python int; with modulus <= 2^31
-    every product of two reduced residues stays inside int64.
-    """
-    total = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
-    for exps, coeff in terms:
-        term = coeff % modulus
-        for x, a in zip(coords, exps):
-            if a:
-                power = _powmod_vector(x, a, modulus)
-                if np.shape(power) == np.broadcast_shapes(np.shape(power), np.shape(term)):
-                    power *= term  # power is fresh and already the product's shape
-                    power %= modulus
-                    term = power
-                else:
-                    term = term * power % modulus
-        total += term
-        total %= modulus
-    return total
 
 
 def _block_counts(
@@ -395,7 +363,7 @@ class StationaryCertificate:
     bound_exponent: int
     threshold: int
     verified_levels: tuple[int, ...]
-    max_abs: float
+    max_abs: float  # always 0.0: every verified level is an exact zero
 
 
 def stationary_certificate(
@@ -404,11 +372,10 @@ def stationary_certificate(
     values: Mapping[int, complex],
     *,
     depth_cap: int = 12,
-    tol: float = 1e-9,
 ) -> StationaryCertificate:
     """Compute I(f, A) = sup_A min_i v(df/dx_i) by residue-class refinement
-    and verify E_A(p^-m, f) = 0 at every given level m with p^m above the
-    threshold.
+    and verify E_A(p^-m, f) = 0 exactly at every given level m with p^m above
+    the threshold.
 
     `values` maps m to E_A(p^-m, f); levels below 2I + 2 are not checked.
     A must be a union of residue classes mod p (radius exponent 0 or 1,
@@ -453,13 +420,10 @@ def stationary_certificate(
     assert bound is not None
     threshold = p ** (2 * bound + 1)
     verified = tuple(m for m in sorted(values) if m >= 2 * bound + 2)
-    worst = 0.0
     for m in verified:
-        size = abs(values[m])
-        if size > tol:
-            raise AssertionError(f"E_A vanishing failed at m={m}: |E| = {size}")
-        worst = max(worst, size)
-    return StationaryCertificate(bound, threshold, verified, worst)
+        if values[m] != 0:
+            raise AssertionError(f"E_A vanishing failed at m={m}: |E| = {abs(values[m])}")
+    return StationaryCertificate(bound, threshold, verified, 0.0)
 
 
 # -- decay fits ----------------------------------------------------------------
@@ -496,19 +460,15 @@ def decay_fit(
     f: SparsePolynomial,
     ball: Ball,
     values: Mapping[int, complex],
-    *,
-    zero_tol: float = 1e-12,
-    sharp_tolerance: float = 0.05,
-    eps_margin: float = 0.1,
 ) -> DecayFit:
     """Fit the empirical decay exponent of |E(p^-m, f)| and compare it with
     the Newton-polyhedron exponent beta_f.
 
     `values` maps each level m >= 1 to E_A(p^-m, f); the ball only supplies p.
-    Samples with |E| <= zero_tol are treated as exact zeros; if none remain
+    Exact zeros are left out of the fit; with fewer than two other samples
     the decay is reported as super-polynomial (stationary-phase regime).
-    The consistency flag applies the sharp tolerance for quasi-homogeneous
-    phases and the epsilon margin otherwise.
+    The consistency flag applies SHARP_TOLERANCE for quasi-homogeneous
+    phases and EPS_MARGIN otherwise.
     """
     p = ball.prime
     if any(m < 1 for m in values):
@@ -522,7 +482,7 @@ def decay_fit(
     if not reduced.is_constant():
         beta, _ = beta_and_t0(newton_facets(reduced))
         witness = quasi_homogeneous_detect(reduced)
-    usable = [(m, -math.log(a, p)) for m, a in samples if a > zero_tol]
+    usable = [(m, -math.log(a, p)) for m, a in samples if a != 0]
     if len(usable) < 2:
         return DecayFit(
             tuple(samples), None, None, None, "superpolynomial", beta,
@@ -531,7 +491,7 @@ def decay_fit(
     slope, intercept, residual = fit_line(usable)
     consistent = None
     if beta is not None:
-        margin = sharp_tolerance if witness is not None else eps_margin
+        margin = SHARP_TOLERANCE if witness is not None else EPS_MARGIN
         consistent = slope >= float(beta) - margin
     return DecayFit(
         tuple(samples), slope, intercept, residual, "ok", beta,

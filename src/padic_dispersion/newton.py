@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError, ResourceCapError
-from .polynomials import Exponents, SparsePolynomial
+from .polynomials import Exponents, SparsePolynomial, poly_residues
 
 MAX_NEWTON_VARS = 4
 DEFAULT_FACE_SCAN_CAP = 10**7
@@ -299,22 +301,27 @@ def nondegeneracy_mod_p(
     for _, fg in face_polynomials(f, newton_facets(f)):
         if _is_zero_mod(fg, p):
             return "indeterminate"
-        if _common_zero([fg, *fg.gradient()], p, product(range(1, p), repeat=m)):
+        if _common_zero([fg, *fg.gradient()], p, 1):
             return "degenerate-mod-p"
     return "certified"
 
 
 def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
     """Whether the polynomials share a zero in F_p^m other than the origin."""
-    points = product(range(p), repeat=polys[0].nvars)
-    return _common_zero(polys, p, (pt for pt in points if any(pt)))
+    return _common_zero(polys, p, 0)
 
 
-def _common_zero(
-    polys: Sequence[SparsePolynomial], p: int, points: Iterable[Exponents]
-) -> bool:
-    """Whether the polynomials all vanish mod p at some point of `points`."""
-    return any(all(g.eval_mod(pt, p, 1) == 0 for g in polys) for pt in points)
+def _common_zero(polys: Sequence[SparsePolynomial], p: int, lo: int) -> bool:
+    """Whether the polynomials all vanish mod p at some point of [lo, p)^m
+    other than the origin, from one mesh evaluation per polynomial."""
+    m = polys[0].nvars
+    mesh = np.ix_(*[np.arange(lo, p, dtype=np.int64)] * m)
+    common = np.ones((p - lo,) * m, dtype=bool)
+    for g in polys:
+        common &= poly_residues(g.terms, mesh, p) == 0
+    if lo == 0:
+        common[(0,) * m] = False
+    return bool(common.any())
 
 
 def _is_zero_mod(g: SparsePolynomial, p: int) -> bool:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError, PolynomialSyntaxError
 
 Exponents = tuple[int, ...]
@@ -94,20 +96,6 @@ class SparsePolynomial:
             total += term
         return total
 
-    def eval_mod(self, point: Sequence[int], p: int, m: int) -> int:
-        """f(point) reduced to [0, p^m); agrees with exact evaluation."""
-        if m < 1:
-            raise DomainError("level m must be >= 1")
-        modulus = p**m
-        total = 0
-        for exps, coeff in self.terms:
-            term = coeff % modulus
-            for x, a in zip(point, exps, strict=True):
-                if a:
-                    term = term * pow(x, a, modulus) % modulus
-            total = (total + term) % modulus
-        return total
-
     def partial(self, j: int) -> "SparsePolynomial":
         terms = {}
         for exps, coeff in self.terms:
@@ -172,6 +160,49 @@ def compose_affine(
             if c != 0:
                 out[key] = out.get(key, Fraction(0)) + c
     return {e: c for e, c in out.items() if c != 0}
+
+
+def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:
+    """base^exp mod modulus in a fresh array, squared and reduced in place."""
+    b = np.remainder(base, modulus)
+    result = np.ones_like(b)
+    e = exp
+    while e:
+        if e & 1:
+            result *= b
+            result %= modulus
+        e >>= 1
+        if e:
+            b *= b
+            b %= modulus
+    return result
+
+
+def poly_residues(
+    terms: Iterable[tuple[Exponents, int]],
+    coords: Sequence[np.ndarray | int],
+    modulus: int,
+) -> np.ndarray:
+    """sum c * prod coords^a mod modulus, broadcast over the coordinates.
+
+    Each coordinate is an int64 array or a Python int; with modulus <= 2^31
+    every product of two reduced residues stays inside int64.
+    """
+    total = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
+    for exps, coeff in terms:
+        term = coeff % modulus
+        for x, a in zip(coords, exps):
+            if a:
+                power = _powmod_vector(x, a, modulus)
+                if np.shape(power) == np.broadcast_shapes(np.shape(power), np.shape(term)):
+                    power *= term  # power is fresh and already the product's shape
+                    power %= modulus
+                    term = power
+                else:
+                    term = term * power % modulus
+        total += term
+        total %= modulus
+    return total
 
 
 # -- parsing ---------------------------------------------------------------

@@ -29,6 +29,9 @@ from .padic import (
 from .polynomials import SparsePolynomial, compose_affine
 from .schwartz import ModulatedSBFn, SchwartzBruhatFn, _den_exps, fourier_sb, lp_norm
 
+SLOPE_TOL = 0.05  # decay_table: |slope - operative exponent| for consistency
+ZETA_TAIL_TOL = 1e-12  # zeta_kernel_numeric: truncation of the shell tail
+
 
 @dataclass(frozen=True)
 class GraphHypersurface:
@@ -102,7 +105,6 @@ def surface_ft(
     xi: Sequence,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    extra_level: int = 0,
 ) -> complex:
     """hat(d mu_Y)(xi) = int_{S'} Psi(-xi_n phi(x') - [x', xi']) dx'.
 
@@ -118,7 +120,7 @@ def surface_ft(
         if c:
             key = tuple(1 if j == i else 0 for j in range(m))
             phase[key] = phase.get(key, Fraction(0)) - c
-    return character_sum(phase, Y.base_window, cap=cap, extra_level=extra_level).value
+    return character_sum(phase, Y.base_window, cap=cap).value
 
 
 def remark_family_exponent(phi: SparsePolynomial) -> Fraction | None:
@@ -147,28 +149,24 @@ class SurfaceDecayTable:
 def decay_table(
     Y: GraphHypersurface,
     values: Mapping[int, complex],
-    *,
-    expected: Fraction | None = None,
-    slope_tol: float = 0.05,
-    zero_tol: float = 1e-12,
 ) -> SurfaceDecayTable:
     """|hat(d mu_Y)| along a ray, with the fitted decay slope in -log_p scale.
 
     `values` maps k to hat(d mu_Y)(p^-k * direction) for one fixed nonzero
-    direction.  When phi lies in one of the two covered families the sharp
-    exponent is used for the consistency flag; otherwise `expected` (if
-    given).  Both readings of the general theorem exponent are reported
-    alongside.
+    direction; exact zeros are left out of the fit.  When phi lies in one
+    of the two covered families the sharp exponent is the operative one and
+    the slope is consistent within SLOPE_TOL of it; otherwise there is no
+    operative exponent.  Both readings of the general theorem exponent are
+    reported alongside.
     """
     p = Y.prime
     rows = [(k, abs(values[k])) for k in sorted(values)]
-    usable = [(k, -math.log(a, p)) for k, a in rows if a > zero_tol]
+    usable = [(k, -math.log(a, p)) for k, a in rows if a != 0]
     slope = fit_line(usable)[0] if len(usable) >= 2 else None
-    family = remark_family_exponent(Y.phi)
-    operative = family if family is not None else expected
+    operative = remark_family_exponent(Y.phi)
     consistent = None
     if operative is not None and slope is not None:
-        consistent = abs(slope - float(operative)) <= slope_tol
+        consistent = abs(slope - float(operative)) <= SLOPE_TOL
     dmax = max(Y.phi.degree_in(j) for j in range(Y.phi.nvars))
     return SurfaceDecayTable(
         tuple(rows), slope, operative, dmax, Fraction(1, dmax), consistent
@@ -276,13 +274,12 @@ def zeta_kernel_numeric(
     x_n: PadicRational | Fraction | int,
     e0: int,
     p: int,
-    tol: float = 1e-12,
 ) -> complex:
     """Shell-sum evaluation of zeta_z for Re(z) > 0.
 
     Sums gamma(z) * p^(-j(z-1)) * shell_j over valuation shells |y| = p^-j,
     j >= e0, where shell_j is the exact two-ball character integral; the
-    geometric tail is truncated below `tol`.
+    geometric tail is truncated below ZETA_TAIL_TOL.
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
@@ -296,7 +293,7 @@ def zeta_kernel_numeric(
     # -1 / p^(j+1) for t = j + 1 and to 0 beyond; each a correctly rounded
     # quotient of integers
     logp = math.log(p)
-    J = e0 + max(2, math.ceil((-math.log(tol) + 4) / (z.real * logp)))
+    J = e0 + max(2, math.ceil((-math.log(ZETA_TAIL_TOL) + 4) / (z.real * logp)))
     total = 0j
     for j in range(e0, J + 1):
         if t is None or t <= j:

@@ -8,8 +8,8 @@ The solution of (Hu)(x,t) = 0, u(x,0) = f0 with symbol |tau - phi(xi)|_K is
 a finite sum over frequency cells because F f0 is a finite combination of
 modulated ball indicators.  Cells are integer index vectors k (centers
 k p^-e); every phase is reduced to integer residues r / M of k by the shared
-modular evaluator `expsums.poly_residues`, and the complex exponentials come
-last.  Truncated L^sigma norms over growing boxes stand in for the full
+modular evaluator `polynomials.poly_residues`, and the complex exponentials
+come last.  Truncated L^sigma norms over growing boxes stand in for the full
 space-time norms; their increments decide convergence.
 """
 
@@ -24,15 +24,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .expsums import poly_residues
 from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
-from .polynomials import Exponents, SparsePolynomial, compose_affine
+from .polynomials import Exponents, SparsePolynomial, compose_affine, poly_residues
 from .schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
     fourier_sb,
     l2_norm,
 )
+
+SHRINK_THRESHOLD = 0.9  # strichartz_report: increment ratio that flags divergence
+
 
 @dataclass(frozen=True)
 class SolutionSpec:
@@ -175,7 +177,6 @@ def windowed_spectrum(
     R: int,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    extra_level: int = 0,
 ) -> complex:
     """W_R(xi, tau) = int_{||x||<=p^R} int_{|t|<=p^R} u Psi(-t tau - [x, xi]).
 
@@ -197,10 +198,7 @@ def windowed_spectrum(
     for c in (tau, *xi):
         split_p_part(c, p)  # DomainError unless c lies in Z[1/p]
     n, d, e = spec.n, spec.phi.total_degree(), spec.freq_bound
-    level = (
-        max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
-        + extra_level
-    )
+    level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
     idx, vals = spec.cells(level, cap)
     window = Fraction(1, p**R)
     keep = np.ones(len(vals), dtype=bool)
@@ -332,14 +330,14 @@ def strichartz_report(
     sigma: float,
     R_max: int,
     *,
-    shrink_threshold: float = 0.9,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> StrichartzReport:
     """Truncated-norm series R = 0..R_max with a convergence diagnosis.
 
     Converging means the increments norm(R+1)^sigma - norm(R)^sigma are
     non-increasing over the tail; the divergence flag fires when they fail
-    to shrink over the last three steps (the sigma-too-small regime).
+    to shrink below SHRINK_THRESHOLD times the step before over the last
+    three steps (the sigma-too-small regime).
     """
     if R_max < 1:
         raise DomainError("R_max must be >= 1")
@@ -361,7 +359,7 @@ def strichartz_report(
         tail[i + 1] / tail[i] if tail[i] > 0 else 1.0
         for i in range(len(tail) - 1)
     ]
-    diverged = bool(ratios) and min(ratios) >= shrink_threshold
+    diverged = bool(ratios) and min(ratios) >= SHRINK_THRESHOLD
     return StrichartzReport(
         sigma, rows, increments, converged, diverged, rows[-1][2]
     )

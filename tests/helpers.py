@@ -280,6 +280,35 @@ def random_sb(
     return SchwartzBruhatFn.of(p, terms)
 
 
+def oracle_vanishes(counts: dict[int, int], p: int, level: int) -> bool:
+    """Whether sum_r counts[r] e(r / p^level) = 0, decided over the integers.
+
+    The sum vanishes iff sum_r counts[r] x^r is divisible by the cyclotomic
+    polynomial Phi_{p^level}(x) = sum_{j < p} x^(j p^(level-1)); the
+    remainder comes from long division with Python ints.
+    """
+    if level == 0:
+        return sum(counts.values()) == 0
+    N = p**level
+    step = N // p
+    deg = (p - 1) * step
+    poly = [0] * N
+    for r, c in counts.items():
+        poly[r % N] += c
+    for top in range(N - 1, deg - 1, -1):  # subtract poly[top] x^(top-deg) Phi
+        c = poly[top]
+        if c:
+            for j in range(p):
+                poly[top - deg + j * step] -= c
+    return not any(poly[:deg])
+
+
+def oracle_common_zero(polys, p: int, points) -> bool:
+    """Whether the polynomials all vanish mod p at some point of `points`,
+    one exact evaluation per point and polynomial."""
+    return any(all(int(g.evaluate(pt)) % p == 0 for g in polys) for pt in points)
+
+
 # -- value tables read by the analysis functions --------------------------------
 # These call the library's evaluators (they are inputs, not oracles): the fits,
 # certificates and decay tables take such a table instead of evaluating sums.

@@ -1,5 +1,8 @@
 import json
+import shlex
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -261,6 +264,15 @@ class TestValidationAndExitCodes:
     def test_bad_prime(self, tmp_path):
         assert run_cli(tmp_path, ["newton", "--prime", "6", "--poly", "x^2"])[0] == EXIT_VALIDATION
 
+    def test_huge_prime_is_refused_at_once(self, tmp_path, capsys):
+        argv = ["newton", "--prime", str(2**61 - 1), "--poly", "x"]
+        start = time.perf_counter()
+        code, _ = run_cli(tmp_path, argv)
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_VALIDATION
+        assert "2^31" in capsys.readouterr().err
+        assert elapsed < 0.1, elapsed
+
     def test_bad_polynomial(self, tmp_path):
         assert (
             run_cli(tmp_path, ["newton", "--prime", "3", "--poly", "x^^2"])[0]
@@ -416,3 +428,20 @@ class TestHelpers:
         assert ball1.dim == 2 and ball1.radius_exp == 1
         assert ball1.center_fractions() == (Fraction(1, 3), Fraction(0))
         assert c1 == 0.5
+
+
+def readme_examples() -> list[list[str]]:
+    """Every `padic-dispersion ...` line of the README's examples block."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line)[1:] for line in block.splitlines() if line.startswith("padic-dispersion ")
+    ]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, argv):
+    code, data = run_cli(tmp_path, argv)
+    # x^2 has a critical point in Z_3: the documented certificate is unavailable
+    assert code == (EXIT_CERTIFICATE if argv[0] == "expsum" else EXIT_OK)
+    assert data

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expsum_values, oracle_exp_sum, oracle_residue_counts
+from helpers import expsum_values, oracle_exp_sum, oracle_residue_counts, oracle_vanishes
 from padic_dispersion import expsums
 from padic_dispersion.errors import (
     CertificateIndeterminate,
@@ -22,7 +22,7 @@ from padic_dispersion.expsums import (
     stationary_certificate,
 )
 from padic_dispersion.padic import Ball, PadicRational
-from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
 
 Z3 = Ball.of(3, [0], 0)
 SQUARE = parse_polynomial("x^2")
@@ -317,7 +317,7 @@ class TestStationaryCertificate:
         assert cert.bound_exponent == 0
         assert cert.threshold == 3
         assert cert.verified_levels == (2, 3, 4, 5, 6)
-        assert cert.max_abs < 1e-9
+        assert cert.max_abs == 0.0
 
     def test_unit_ball_shifted(self):
         ball = Ball.of(3, [1], 1)
@@ -343,7 +343,7 @@ class TestStationaryCertificate:
         assert cert.bound_exponent == 1
         assert cert.threshold == 27
         assert cert.verified_levels == (4, 5, 6, 7, 8)
-        assert cert.max_abs < 1e-9
+        assert cert.max_abs == 0.0
 
     def test_small_ball_rejected(self):
         with pytest.raises(DomainError):
@@ -357,6 +357,11 @@ class TestStationaryCertificate:
         assert cert.max_abs == 0.0
         with pytest.raises(AssertionError):
             stationary_certificate(f, ball, {2: 0j, 3: 0.5})
+
+    def test_a_tiny_nonzero_level_is_not_a_zero(self):
+        f, ball = parse_polynomial("x^2+x+1"), Ball.of(3, [0], 1)
+        with pytest.raises(AssertionError):
+            stationary_certificate(f, ball, {4: 0j, 5: 1e-12})
 
 
 class TestDecayFit:
@@ -395,3 +400,39 @@ class TestDecayFit:
     def test_levels_below_one_rejected(self):
         with pytest.raises(DomainError):
             decay_fit(SQUARE, Z3, {0: 1.0, 1: 3**-0.5})
+
+    def test_tiny_samples_are_kept(self):
+        fit = decay_fit(SQUARE, Z3, {2: 1e-10, 3: 1e-13, 4: 0j})
+        assert fit.status == "ok"
+        assert fit.samples[-1] == (4, 0.0)
+        assert abs(fit.slope - math.log(1000, 3)) < 1e-9
+
+
+class TestExactZeros:
+    """`value` is exactly 0j iff the sum vanishes, decided by the cyclotomic
+    oracle of tests/helpers.py."""
+
+    def test_cubic_vanishes_exactly(self):
+        # float evaluation leaves about 4.5e-18 here
+        res = exp_sum(parse_polynomial("x^3"), Fraction(1, 5**5), Ball.of(5, [2], 1))
+        assert res.const != 0
+        assert res.value == 0j
+        assert oracle_vanishes(dict(res.counts), 5, res.level)
+
+    def test_seeded_sums_agree_with_the_oracle(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(80):
+            p, n = rng.choice((2, 3, 5)), rng.randint(1, 2)
+            terms = {
+                tuple(rng.randint(0, 4) for _ in range(n)): rng.randint(-4, 4)
+                for _ in range(rng.randint(1, 3))
+            }
+            f = SparsePolynomial.from_terms(n, terms)
+            ball = Ball.of(p, [rng.randint(0, p * p) for _ in range(n)], rng.randint(0, 1))
+            z = Fraction(rng.randint(1, p * p), p ** rng.randint(1, 6 - 2 * n))
+            res = exp_sum(f, z, ball)
+            zero = oracle_vanishes(dict(res.counts), p, res.level)
+            assert (res.value == 0j) == zero
+            seen.add((zero, res.const != 0))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}

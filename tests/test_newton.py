@@ -3,10 +3,17 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import cycle, product
 
 import pytest
 
-from helpers import oracle_compact_facets, oracle_faces, oracle_quasi_homogeneous
+from helpers import (
+    oracle_common_zero,
+    oracle_compact_facets,
+    oracle_faces,
+    oracle_quasi_homogeneous,
+)
+from padic_dispersion import newton
 from padic_dispersion.cli import main
 from padic_dispersion.errors import DomainError
 from padic_dispersion.newton import (
@@ -306,3 +313,22 @@ class TestNondegeneracy:
 
     def test_monomial_odd_p(self):
         assert nondegeneracy_mod_p(parse_polynomial("x^2"), 3) == "certified"
+
+    def test_verdicts_match_the_point_scan(self, monkeypatch):
+        cases = list(zip(random_vanishing_polynomials(21, 120), cycle((2, 3, 5))))
+        got = [nondegeneracy_mod_p(f, p) for f, p in cases]
+
+        def scan(polys, p, lo):
+            points = product(range(lo, p), repeat=polys[0].nvars)
+            return oracle_common_zero(polys, p, (pt for pt in points if any(pt)))
+
+        monkeypatch.setattr(newton, "_common_zero", scan)
+        assert [nondegeneracy_mod_p(f, p) for f, p in cases] == got
+        assert set(got) == {"certified", "degenerate-mod-p", "indeterminate"}
+
+    def test_large_prime_scan_is_quick(self):
+        start = time.perf_counter()
+        verdict = nondegeneracy_mod_p(parse_polynomial("x1^2+x2^2+x3^3"), 101)
+        elapsed = time.perf_counter() - start
+        assert verdict == "certified"
+        assert elapsed < 2.0, elapsed
