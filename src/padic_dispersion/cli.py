@@ -21,6 +21,7 @@ Exit codes: 0 ok, 2 validation, 3 resource cap, 4 certificate unavailable.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -53,7 +54,7 @@ from .newton import (
     quasi_homogeneous_detect,
 )
 from .padic import Ball
-from .polynomials import parse_polynomial
+from .polynomials import MODULUS_LIMIT, parse_polynomial
 from .schwartz import SchwartzBruhatFn, l2_norm
 from .surface import (
     GraphHypersurface,
@@ -139,6 +140,8 @@ def parse_ball_list(text: str, prime: int) -> list[tuple[Ball, complex]]:
                 coeff = complex(coeff_text.strip())
             except ValueError as ex:
                 raise DomainError(f"bad coefficient {coeff_text!r}") from ex
+            if not cmath.isfinite(coeff):
+                raise DomainError(f"coefficient {coeff_text.strip()!r} is not finite")
             chunk = chunk.strip()
         parts = chunk.split()
         if not parts or parts[0] != "ball" or len(parts) < 3:
@@ -515,7 +518,7 @@ def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
         threads = int(os.environ.get("PADIC_THREADS", "1"))
     if threads < 1:
         raise DomainError("threads must be >= 1")
-    if args.prime >= 1 << 31:  # no command accepts it; trial division would take O(sqrt p)
+    if args.prime > MODULUS_LIMIT:  # no command accepts it; trial division would take O(sqrt p)
         raise DomainError(f"--prime {args.prime} is not below 2^31, the modulus limit")
     if not _is_prime(args.prime):
         raise DomainError(f"--prime {args.prime} is not a prime")

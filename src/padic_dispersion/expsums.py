@@ -37,8 +37,8 @@ from .errors import (
     ResourceCapError,
 )
 from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
-from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
-from .polynomials import Exponents, SparsePolynomial, compose_affine, poly_residues
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, split_p_part
+from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
 
 _CHUNK = 1 << 22
 # decay_fit: how far below beta_f a fitted slope may fall and still count as
@@ -235,8 +235,7 @@ def _mod_histogram(
     work = sum(width ** len(b) for b in blocks) if blocks else 1
     if work > cap:
         raise ResourceCapError(work, cap)
-    if modulus > 1 << 31:  # products of two residues must stay inside int64
-        raise ResourceCapError(modulus, 1 << 31, what="residue classes")
+    checked_modulus(modulus, "residue classes")
     acc = np.ones(1, dtype=np.int64)  # h = 0 when every variable is unused
     for i, block in enumerate(blocks):
         block_counts = _block_counts(block, terms, width, modulus)
@@ -286,23 +285,12 @@ def character_sum(
     if isinstance(phase, SparsePolynomial):
         phase = phase.scale(1)
     p, n, e = ball.prime, ball.dim, ball.radius_exp
-    step = Fraction(p) ** e
-    g = compose_affine(phase, ball.center_fractions(), step)
-    zero = (0,) * n
-    g0 = g.get(zero, Fraction(0))
-    vals = [split_p_part(c, p)[1] for exps, c in g.items() if sum(exps) > 0]
-    w = min(vals) if vals else 0
-    level = max(0, -w) + extra_level
-    key_level = max(0, -w, -split_p_part(g0, p)[1] if g0 else 0)
-    modulus = p**key_level
-    scaled = {}
-    for exps, c in g.items():
-        ci = c * modulus
-        if ci.denominator != 1:
-            raise AssertionError("key level too small for coefficient valuations")
-        scaled[exps] = int(ci)
+    terms, key_level = lattice_form(phase, ball.center_fractions(), Fraction(p) ** e, p)
+    # the non-constant terms share p^w, so over p^key_level they vary mod p^(key_level - w)
+    w = min([key_level] + [int_valuation(c, p) for exps, c in terms.items() if any(exps)])
+    level = key_level - w + extra_level
     scale = Fraction(p) ** (-n * (e + level))
-    return _histogram(scaled, n, p, level, key_level, cap, scale)
+    return _histogram(terms, n, p, level, key_level, cap, scale)
 
 
 def exp_sum(
@@ -319,10 +307,7 @@ def exp_sum(
     z = 0 is rejected: the value there is just vol(A).  `threads` is accepted
     and ignored: every sum runs on the calling thread.
     """
-    if not isinstance(z, PadicRational):
-        z = PadicRational(ball.prime, z)
-    if z.prime != ball.prime:
-        raise DomainError("prime mismatch between z and the ball")
+    z = PadicRational(ball.prime, z)
     if z.is_zero:
         raise DomainError("z = 0 rejected: E_A(0, f) = vol(A)")
     if f.nvars != ball.dim:
@@ -348,8 +333,7 @@ def residue_histogram(
     if not ball.is_integral():
         raise DomainError("residue histograms need a ball inside Z_p^n")
     p, n, e = ball.prime, ball.dim, ball.radius_exp
-    g = compose_affine(f.scale(1), ball.center_fractions(), Fraction(p) ** e)
-    terms = {exps: int(c) for exps, c in g.items()}
+    terms, _ = lattice_form(f.scale(1), ball.center_fractions(), p**e, p)  # K = 0: integral
     return _histogram(terms, n, p, max(0, m - e), m, cap).counts
 
 

@@ -313,15 +313,19 @@ def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
 
 def _common_zero(polys: Sequence[SparsePolynomial], p: int, lo: int) -> bool:
     """Whether the polynomials all vanish mod p at some point of [lo, p)^m
-    other than the origin, from one mesh evaluation per polynomial."""
+    other than the origin.  Each polynomial is evaluated on the mesh axes of
+    the variables it uses only, and the scan stops once no point is left."""
     m = polys[0].nvars
     mesh = np.ix_(*[np.arange(lo, p, dtype=np.int64)] * m)
     common = np.ones((p - lo,) * m, dtype=bool)
-    for g in polys:
-        common &= poly_residues(g.terms, mesh, p) == 0
     if lo == 0:
         common[(0,) * m] = False
-    return bool(common.any())
+    for g in polys:
+        used = {j for exps, _ in g.terms for j, a in enumerate(exps) if a}
+        common &= poly_residues(g.terms, [mesh[j] if j in used else 0 for j in range(m)], p) == 0
+        if not common.any():
+            return False
+    return True
 
 
 def _is_zero_mod(g: SparsePolynomial, p: int) -> bool:

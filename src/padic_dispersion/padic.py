@@ -252,31 +252,22 @@ class RootOfUnity:
         return f"RootOfUnity({self.prime}, e(2pi*{self.numerator}/{self.prime}^{self.level}))"
 
 
-def fractional_part(x: Rational, p: int) -> tuple[int, int]:
-    """(r, m) with {x}_p = r / p^m canonical; requires a p-power denominator."""
-    unit, val = split_p_part(x, p)
-    if unit == 0 or val >= 0:
-        return 0, 0
-    m = -val
-    return unit % p**m, m
-
-
 def character(x: PadicRational | Rational, p: int | None = None) -> RootOfUnity:
     """The standard additive character Psi(x) = exp(2*pi*i * {x}_p).
 
     Psi is trivial on Z_p and nontrivial on p^(-1) Z_p; it is additive:
-    character(x + y) = character(x) * character(y).
+    character(x + y) = character(x) * character(y).  p may be left out for a
+    PadicRational, which carries its prime.
     """
-    if isinstance(x, PadicRational):
-        prime = x.prime
-        if x.is_zero or x._val >= 0:
-            return RootOfUnity(prime, 0, 0)
-        m = -x._val
-        return RootOfUnity(prime, x.unit % prime**m, m)
     if p is None:
-        raise DomainError("prime required when x is a plain rational")
-    r, m = fractional_part(x, p)
-    return RootOfUnity(p, r, m)
+        if not isinstance(x, PadicRational):
+            raise DomainError("prime required when x is a plain rational")
+        p = x.prime
+    x = PadicRational(p, x)
+    if x.is_zero or x._val >= 0:
+        return RootOfUnity(p, 0, 0)
+    m = -x._val
+    return RootOfUnity(p, x.unit % p**m, m)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PolynomialSyntaxError
+from .errors import DomainError, PolynomialSyntaxError, ResourceCapError
+from .padic import split_p_part
 
 Exponents = tuple[int, ...]
 
@@ -162,6 +163,21 @@ def compose_affine(
     return {e: c for e, c in out.items() if c != 0}
 
 
+def lattice_form(
+    phase: Mapping[Exponents, Fraction],
+    center: Sequence[Fraction | int],
+    step: Fraction | int,
+    p: int,
+) -> tuple[dict[Exponents, int], int]:
+    """(terms, K): integer terms and the least K >= 0 with
+    phase(center + step*y) = terms(y) / p^K; DomainError unless every
+    coefficient lies in Z[1/p]."""
+    g = compose_affine(phase, center, step)
+    K = max([0] + [-split_p_part(c, p)[1] for c in g.values()])
+    modulus = p**K
+    return {e: int(c * modulus) for e, c in g.items()}, K
+
+
 def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:
     """base^exp mod modulus in a fresh array, squared and reduced in place."""
     b = np.remainder(base, modulus)
@@ -178,6 +194,16 @@ def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray
     return result
 
 
+MODULUS_LIMIT = 2**31 - 1  # int32 holds every residue; products of two fit in int64
+
+
+def checked_modulus(modulus: int, what: str) -> int:
+    """`modulus` itself, or ResourceCapError when it passes MODULUS_LIMIT."""
+    if modulus > MODULUS_LIMIT:
+        raise ResourceCapError(modulus, MODULUS_LIMIT, what=what)
+    return modulus
+
+
 def poly_residues(
     terms: Iterable[tuple[Exponents, int]],
     coords: Sequence[np.ndarray | int],
@@ -185,8 +211,8 @@ def poly_residues(
 ) -> np.ndarray:
     """sum c * prod coords^a mod modulus, broadcast over the coordinates.
 
-    Each coordinate is an int64 array or a Python int; with modulus <= 2^31
-    every product of two reduced residues stays inside int64.
+    Each coordinate is an int64 array or a Python int; with modulus <=
+    MODULUS_LIMIT every product of two reduced residues stays inside int64.
     """
     total = np.zeros(np.broadcast_shapes(*map(np.shape, coords)), dtype=np.int64)
     for exps, coeff in terms:

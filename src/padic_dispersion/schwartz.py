@@ -29,19 +29,16 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .padic import Ball, PadicRational, split_p_part
+from .polynomials import checked_modulus
 
 _COSET_CAP = 10**6
-_LIMIT = (1 << 31) - 1  # every modulus and stored integer: int32 holds it
 _FOLD_BLOCK = 1 << 16  # entries of one block of a residue matrix
 
 Vector = tuple[PadicRational, ...]
 
 
 def _modulus(p: int, k: int, what: str) -> int:
-    m = p ** max(k, 0)
-    if m > _LIMIT:
-        raise ResourceCapError(m, _LIMIT, what=what)
-    return m
+    return checked_modulus(p ** max(k, 0), what)
 
 
 def _den_exps(nums: np.ndarray, denom: int, p: int) -> np.ndarray:
@@ -63,7 +60,7 @@ def _lowest(nums: np.ndarray, denom: int, p: int, floor: int = 0) -> tuple[np.nd
 def _phase_residues(p: int, mods: np.ndarray, mdenom: int, points: np.ndarray, denom: int):
     """(r, M) with -[mods / p^mdenom, points / p^denom] = r / M mod Z_p, broadcast
     over the leading axes.  M is the product of the actual denominators (1 when
-    every modulation is 0); past _LIMIT the call is refused."""
+    every modulation is 0); past MODULUS_LIMIT the call is refused."""
     mods, km = _lowest(mods, mdenom, p)
     points, kp = _lowest(points, denom, p)
     M = _modulus(p, km + kp if mods.any() else 0, "phase denominator")
@@ -218,8 +215,7 @@ class ModulatedSBFn(_BallSum):
         if any(len(mod) != n for _, mod, _ in terms):
             raise DomainError("term shape mismatch")
         mdenom, nums = _integers(prime, [mod for _, mod, _ in terms])
-        if (bound := max((abs(v) for row in nums for v in row), default=0)) > _LIMIT:
-            raise ResourceCapError(bound, _LIMIT, what="modulation numerator")
+        checked_modulus(max((abs(v) for r in nums for v in r), default=0), "modulation numerator")
         mods = np.array(nums, dtype=np.int64).reshape(-1, n)
         self._set_balls(n, prime, [b for b, _, _ in terms], [c for *_, c in terms], mdenom, mods)
 

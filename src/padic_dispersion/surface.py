@@ -88,18 +88,6 @@ def _critical_status(phi: SparsePolynomial, p: int, cap: int = 10**6) -> str:
     return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
 
-def _as_fractions(prime: int, xi: Sequence) -> tuple[Fraction, ...]:
-    out = []
-    for x in xi:
-        if isinstance(x, PadicRational):
-            if x.prime != prime:
-                raise DomainError("prime mismatch in frequency vector")
-            out.append(x.as_fraction())
-        else:
-            out.append(Fraction(x))
-    return tuple(out)
-
-
 def surface_ft(
     Y: GraphHypersurface,
     xi: Sequence,
@@ -111,7 +99,7 @@ def surface_ft(
     At xi = 0 this returns the measure of the windowed graph, vol(S').
     """
     p = Y.prime
-    comps = _as_fractions(p, xi)
+    comps = [PadicRational(p, x).as_fraction() for x in xi]
     if len(comps) != Y.ambient_dim:
         raise DomainError("frequency vector has wrong dimension")
     phase = Y.phi.scale(-comps[-1])
@@ -259,8 +247,7 @@ def zeta_kernel(
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
-    if not isinstance(x_n, PadicRational):
-        x_n = PadicRational(p, x_n)
+    x_n = PadicRational(p, x_n)
     logp = math.log(p)
     if x_n.is_zero or -x_n._val <= e0:
         return cmath.exp(-e0 * z * logp)
@@ -285,8 +272,7 @@ def zeta_kernel_numeric(
         raise DomainError("e0 must be >= 1")
     if z.real <= 0:
         raise DomainError("numeric mode needs Re(z) > 0")
-    if not isinstance(x_n, PadicRational):
-        x_n = PadicRational(p, x_n)
+    x_n = PadicRational(p, x_n)
     t = None if x_n.is_zero else -x_n._val  # |x_n| = p^t
     # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
     # shell |y| = p^-j integrates to (p - 1) / p^(j+1) for t <= j, to

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
-from .polynomials import Exponents, SparsePolynomial, compose_affine, poly_residues
+from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
 from .schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
@@ -111,12 +111,9 @@ def _cell_residues(
 ) -> tuple[np.ndarray, int]:
     """(r, M) with phase(k p^-e) = r / M mod Z_p for every row k of idx."""
     p = spec.prime
-    g = compose_affine(phase, (0,) * spec.n, Fraction(p) ** -spec.freq_bound)
-    modulus = p ** max([0] + [-split_p_part(c, p)[1] for c in g.values()])
-    if modulus > 1 << 31:  # products of two residues must stay inside int64
-        raise ResourceCapError(modulus, 1 << 31, what="phase denominator")
-    terms = [(exps, int(c * modulus)) for exps, c in g.items()]
-    return poly_residues(terms, list(idx.T), modulus), modulus
+    terms, K = lattice_form(phase, (0,) * spec.n, Fraction(p) ** -spec.freq_bound, p)
+    modulus = checked_modulus(p**K, "phase denominator")
+    return poly_residues(terms.items(), list(idx.T), modulus), modulus
 
 
 def _cell_level(
@@ -152,13 +149,10 @@ def solve_u(
     independent of any further refinement; u(x, 0) = f0(x) exactly.
     """
     p = spec.prime
-    x = tuple(
-        xi.as_fraction() if isinstance(xi, PadicRational) else Fraction(xi)
-        for xi in x
-    )
+    x = tuple(PadicRational(p, xi).as_fraction() for xi in x)
     if len(x) != spec.n:
         raise DomainError("x has wrong dimension")
-    t = t.as_fraction() if isinstance(t, PadicRational) else Fraction(t)
+    t = PadicRational(p, t).as_fraction()
     level = _cell_level(spec, x, t, extra_level)
     idx, vals = spec.cells(level, cap)
     phase = spec.phi.scale(t)  # t phi(xi) + [x, xi]
@@ -188,15 +182,10 @@ def windowed_spectrum(
     if R < 0:
         raise DomainError("window exponent R must be >= 0")
     p = spec.prime
-    xi = tuple(
-        c.as_fraction() if isinstance(c, PadicRational) else Fraction(c)
-        for c in xi
-    )
+    xi = tuple(PadicRational(p, c).as_fraction() for c in xi)
     if len(xi) != spec.n:
         raise DomainError("xi has wrong dimension")
-    tau = tau.as_fraction() if isinstance(tau, PadicRational) else Fraction(tau)
-    for c in (tau, *xi):
-        split_p_part(c, p)  # DomainError unless c lies in Z[1/p]
+    tau = PadicRational(p, tau).as_fraction()
     n, d, e = spec.n, spec.phi.total_degree(), spec.freq_bound
     level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
     idx, vals = spec.cells(level, cap)

@@ -326,6 +326,16 @@ class TestValidationAndExitCodes:
         code, out = run_cli(tmp_path, argv + ["inf"])  # the L^inf norm
         assert code == EXIT_OK and json.loads(out)["config"][argv[-1][2:]] == float("inf")
 
+    @pytest.mark.parametrize("command", ["solve", "strichartz"])
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1+nanj"])
+    def test_non_finite_f0_coefficient_is_refused(self, tmp_path, capsys, command, coeff):
+        argv = [command, "--prime", "3", "--phi", "x^2", "--f0", f"{coeff}*ball 0 0",
+                "--sigma", "6", "--rmax", "2"]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
     def test_level_zero_is_accepted(self, tmp_path):
         surface = ["surface", "--prime", "3", "--phi", "x^2", "--k", "0..2"]
         solve = ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--m", "0..1"]

@@ -332,3 +332,11 @@ class TestNondegeneracy:
         elapsed = time.perf_counter() - start
         assert verdict == "certified"
         assert elapsed < 2.0, elapsed
+
+    def test_four_variable_scan_at_53_is_quick(self):
+        # each gradient entry and face polynomial uses few of the four variables
+        start = time.perf_counter()
+        verdict = nondegeneracy_mod_p(parse_polynomial("x1^2+x2^2+x3^2+x4^3"), 53)
+        elapsed = time.perf_counter() - start
+        assert verdict == "certified"
+        assert elapsed < 2.0, elapsed

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padic_dispersion.errors import DomainError, ResourceCapError
+from padic_dispersion.expsums import exp_sum
 from padic_dispersion.padic import (
     Ball,
     PadicRational,
@@ -16,6 +17,10 @@ from padic_dispersion.padic import (
     padic_meta,
     residue_count,
 )
+from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.schwartz import SchwartzBruhatFn
+from padic_dispersion.surface import GraphHypersurface, surface_ft, zeta_kernel, zeta_kernel_numeric
+from padic_dispersion.wave import SolutionSpec, solve_u, windowed_spectrum
 
 
 def meta_oracle(x: Fraction, p: int, precision: int) -> tuple[int, Fraction, int]:
@@ -197,3 +202,31 @@ class TestBallsAndResidues:
         assert not big.is_disjoint(small)
         assert big.is_disjoint(other)
         assert small.volume == Fraction(1, 3)
+
+
+SPEC3 = SolutionSpec.build(SchwartzBruhatFn.indicator(Ball.of(3, [0], 0)), parse_polynomial("x^2"))
+PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
+
+
+# 5 lies in Z, so only the prime check tells 5-adic from 3-adic; 1/5 does not lie in Z[1/3]
+@pytest.mark.parametrize("a", [PadicRational(5, 5), PadicRational(5, Fraction(1, 5))],
+                         ids=["5", "1/5"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: character(a, 3),
+        lambda a: exp_sum(parse_polynomial("x^2"), a, Ball.of(3, [0], 0)),
+        lambda a: surface_ft(PARABOLA3, (0, a)),
+        lambda a: solve_u(SPEC3, (a,), 0),
+        lambda a: solve_u(SPEC3, (0,), a),
+        lambda a: windowed_spectrum(SPEC3, (a,), 0, 1),
+        lambda a: windowed_spectrum(SPEC3, (0,), a, 1),
+        lambda a: zeta_kernel(0.5, a, 1, 3),
+        lambda a: zeta_kernel_numeric(0.5, a, 1, 3),
+    ],
+    ids=["character", "exp_sum-z", "surface_ft-xi", "solve_u-x", "solve_u-t",
+         "windowed_spectrum-xi", "windowed_spectrum-tau", "zeta_kernel", "zeta_kernel_numeric"],
+)
+def test_scalar_of_another_prime_is_refused_at_p_3(call, a):
+    with pytest.raises(DomainError):
+        call(a)

@@ -1,18 +1,27 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_dispersion.errors import DomainError, PolynomialSyntaxError
+import padic_dispersion
+from padic_dispersion import expsums, wave
+from padic_dispersion.errors import DomainError, PolynomialSyntaxError, ResourceCapError
+from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import (
+    MODULUS_LIMIT,
     SparsePolynomial,
+    checked_modulus,
     compose_affine,
+    lattice_form,
     parse_polynomial,
     poly_residues,
 )
+from padic_dispersion.schwartz import SchwartzBruhatFn
 
 
 class TestParser:
@@ -129,3 +138,63 @@ class TestEvaluation:
             SparsePolynomial.from_terms(1, {(1,): Fraction(1, 2)})
         with pytest.raises(DomainError):
             SparsePolynomial.from_terms(0, {})
+
+
+class TestLatticeForm:
+    def test_terms_over_p_to_the_k_match_the_composition(self):
+        f = parse_polynomial("x1^3 - 2*x1*x2 + 5*x2^2")
+        for center, step in [((Fraction(1, 3), Fraction(4)), Fraction(9)),
+                             ((Fraction(2), Fraction(-7, 9)), Fraction(1, 3)),
+                             ((0, 0), 1)]:
+            phase = f.scale(Fraction(1, 27))
+            terms, K = lattice_form(phase, center, step, 3)
+            g = compose_affine(phase, center, step)
+            assert terms == {e: c * 3**K for e, c in g.items()}
+            assert all(isinstance(c, int) for c in terms.values())
+            # K is least: p^(K-1) * g leaves Z for some coefficient
+            assert K == 0 or any((c * 3 ** (K - 1)).denominator != 1 for c in g.values())
+
+    def test_integral_phase_has_k_zero(self):
+        terms, K = lattice_form(parse_polynomial("x^2 + 3*x").scale(1), (1,), 3, 3)
+        assert K == 0 and terms == {(0,): 4, (1,): 15, (2,): 9}
+
+    def test_denominator_off_p_is_refused(self):
+        with pytest.raises(DomainError):
+            lattice_form({(1,): Fraction(1, 5)}, (0,), 1, 3)
+
+
+class TestModulusLimit:
+    def test_checked_modulus_accepts_the_limit_and_refuses_past_it(self):
+        assert MODULUS_LIMIT == 2**31 - 1
+        assert checked_modulus(2**31 - 1, "residue classes") == 2**31 - 1
+        with pytest.raises(ResourceCapError) as err:
+            checked_modulus(2**31, "residue classes")
+        assert err.value.required == 2**31 and err.value.cap == MODULUS_LIMIT
+
+    def test_exp_sum_refuses_a_modulus_of_2_to_the_31_before_enumerating(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("the block was enumerated")
+
+        monkeypatch.setattr(expsums, "_block_counts", enumerated)
+        with pytest.raises(ResourceCapError) as err:
+            expsums.exp_sum(parse_polynomial("x"), Fraction(1, 2**31), Ball.of(2, [0], 0),
+                            cap=2**31)
+        assert err.value.required == 2**31 and err.value.cap == MODULUS_LIMIT
+
+    def test_wave_refuses_a_phase_denominator_of_2_to_the_31(self):
+        spec = wave.SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(2, [0], 0)), parse_polynomial("x^2")
+        )
+        idx = np.zeros((1, 1), dtype=np.int64)
+        assert wave._cell_residues(spec, {(1,): Fraction(1, 2**30)}, idx)[1] == 2**30
+        with pytest.raises(ResourceCapError) as err:
+            wave._cell_residues(spec, {(1,): Fraction(1, 2**31)}, idx)
+        assert err.value.cap == MODULUS_LIMIT
+
+    def test_only_polynomials_writes_the_limit(self):
+        package = Path(padic_dispersion.__file__).parent
+        pattern = re.compile(r"1\s*<<\s*31|2\s*\*\*\s*31")
+        writers = sorted(
+            path.name for path in package.glob("*.py") if pattern.search(path.read_text())
+        )
+        assert writers == ["polynomials.py"]

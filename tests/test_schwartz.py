@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import frac_part, random_sb
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, PadicRational
+from padic_dispersion.polynomials import MODULUS_LIMIT
 from padic_dispersion.schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
@@ -294,8 +295,9 @@ class TestIntegerForm:
         with pytest.raises(ResourceCapError):
             fourier_modulated(G, -1)
         # index moduli: 2^31 Z_2 itself, and the transform of 2^-40 Z_2 (radius 40)
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError) as err:
             SchwartzBruhatFn.indicator(Ball.of(2, [0], 31))
+        assert err.value.cap == MODULUS_LIMIT
         with pytest.raises(ResourceCapError):
             fourier_sb(SchwartzBruhatFn.indicator(Ball.of(2, [0], -40)))
         assert abs(l2_norm(SchwartzBruhatFn.indicator(Ball.of(2, [0], 30))) - 2**-15) < 1e-18
