@@ -41,7 +41,6 @@ from .padic import (
     PadicRational,
     RootOfUnity,
     character,
-    enumerate_residues,
     padic_meta,
 )
 from .polynomials import SparsePolynomial, parse_polynomial

@@ -12,10 +12,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError
 
 DEFAULT_ANGULAR_PRECISION = 8
 DEFAULT_ENUMERATION_CAP = 10**8
@@ -333,30 +332,3 @@ class Ball:
         return self.radius_exp >= 0 and all(
             c.is_zero or c._val >= 0 for c in self.center
         )
-
-
-def enumerate_residues(
-    ball: Ball,
-    m: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterator[tuple[Fraction, ...]]:
-    """Representatives of ball / (p^m Z_p)^n, in lexicographic order.
-
-    Yields exactly p^(n * max(0, m - e)) exact rational vectors of the form
-    center + p^e * t with t running over [0, p^(m-e))^n.
-    """
-    if m < 0:
-        raise DomainError("level m must be >= 0")
-    p, e, n = ball.prime, ball.radius_exp, ball.dim
-    width = p ** max(0, m - e)
-    required = width**n
-    if required > cap:
-        raise ResourceCapError(required, cap)
-    center = ball.center_fractions()
-    step = Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
-    for t in product(range(width), repeat=n):
-        yield tuple(c + step * ti for c, ti in zip(center, t))
-
-
-def residue_count(ball: Ball, m: int) -> int:
-    return ball.prime ** (ball.dim * max(0, m - ball.radius_exp))

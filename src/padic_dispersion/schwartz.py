@@ -88,19 +88,32 @@ def _integers(p: int, rows, floor: int = 0) -> tuple[int, list[list[int]]]:
     return denom, [[x.unit * p ** (x._val + denom) for x in row] for row in rows]
 
 
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows in lexicographic order, the position of each row among them):
+    np.unique(rows, axis=0, return_inverse=True) through one lexsort."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 def _forest(p: int, denom: int, radii: np.ndarray, idx: np.ndarray):
     """(distinct balls sorted by radius, the ball of each row, each ball's parent or -1);
     a ball of radius e contains another iff their indices agree mod p^(e + D)."""
-    balls, ball_of = np.unique(np.column_stack([radii, idx]), axis=0, return_inverse=True)
+    balls, ball_of = _group_rows(np.column_stack([radii, idx]))
     radii, idx = balls[:, 0], balls[:, 1:]
     parent = np.full(len(balls), -1)
     for level in sorted(set(radii.tolist()))[:-1]:  # ascending: the last hit is the smallest
         at, below = np.flatnonzero(radii == level), np.flatnonzero(radii > level)
-        owner = dict(zip(map(tuple, idx[at].tolist()), at.tolist()))
-        keys = map(tuple, (idx[below] % p ** (level + denom)).tolist())
-        hit = np.array([owner.get(k, -1) for k in keys], dtype=np.int64)
+        _, group = _group_rows(np.concatenate([idx[at], idx[below] % p ** (level + denom)]))
+        owner = np.full(len(group), -1)
+        owner[group[:len(at)]] = at
+        hit = owner[group[len(at):]]
         parent[below[hit >= 0]] = hit[hit >= 0]
-    return balls, ball_of.ravel(), parent
+    return balls, ball_of, parent
 
 
 class _BallSum:
@@ -287,9 +300,9 @@ def _disjointify(p: int, n: int, raw: tuple, plain: bool = False):
     tiles counts against the cap first.
     """
     denom, radii, idx, mdenom, mods, coeffs = raw
-    keys, inv = np.unique(np.column_stack([radii, idx, mods]), axis=0, return_inverse=True)
+    keys, inv = _group_rows(np.column_stack([radii, idx, mods]))
     merged = np.zeros(len(keys), dtype=complex)
-    np.add.at(merged, inv.ravel(), coeffs)
+    np.add.at(merged, inv, coeffs)
     keys, coeffs = keys[merged != 0], merged[merged != 0]
     radii, idx, mods = keys[:, 0], keys[:, 1:n + 1], keys[:, n + 1:]
     balls, ball_of, parent = _forest(p, denom, radii, idx)
@@ -372,10 +385,13 @@ def lp_norm(g: SchwartzBruhatFn, rho: float) -> float:
     A ModulatedSBFn has the same norms: its modulations have modulus 1."""
     if rho != math.inf and rho < 1:
         raise DomainError("rho must be >= 1 or infinity")
-    if rho == math.inf:
-        return max(abs(c) for c in g.coeffs.tolist())
+    mags = [abs(c) for c in g.coeffs.tolist()]
+    top = max(mags, default=0.0)
+    if rho == math.inf or top == 0:
+        return top
+    # the powers of |c| / top lie in [0, 1], so no rho overflows or underflows them all
     vols = _volumes(g.prime, g.n, g.radii)
-    return sum(abs(c) ** rho * v for c, v in zip(g.coeffs.tolist(), vols)) ** (1.0 / rho)
+    return top * sum((a / top) ** rho * v for a, v in zip(mags, vols)) ** (1.0 / rho)
 
 
 def l2_norm(g: SchwartzBruhatFn) -> float:
@@ -383,6 +399,25 @@ def l2_norm(g: SchwartzBruhatFn) -> float:
 
 
 l2_norm_modulated = l2_norm
+
+
+def squares_at(G: _BallSum, points: np.ndarray, denom: int) -> float:
+    """sum_k |G(points[k] / p^denom)|^2 for integer rows reduced mod p^(r + denom),
+    with r the largest radius of G and denom >= G.denom.
+
+    One forest holds G's balls and the points as balls of radius r: a point
+    lies in the ball of G it equals or in the parent of its own ball, since
+    the balls of G are pairwise disjoint.  Modulations have modulus 1.
+    """
+    p, r, n = G.prime, int(G.radii.max()), len(G.radii)
+    _modulus(p, r + denom, "ball index modulus")
+    radii = np.concatenate([G.radii, np.full(len(points), r, dtype=np.int32)])
+    idx = np.concatenate([G.idx.astype(np.int64) * p ** (denom - G.denom), points])
+    balls, ball_of, parent = _forest(p, denom, radii, idx)
+    weight = np.zeros(len(balls))
+    weight[ball_of[:n]] = np.abs(G.coeffs) ** 2
+    weight += np.where(parent >= 0, weight[parent], 0.0)
+    return float(np.bincount(ball_of[n:], minlength=len(balls)) @ weight)
 
 
 def sb_allclose(g1: SchwartzBruhatFn, g2: SchwartzBruhatFn, tol: float = 1e-12) -> bool:

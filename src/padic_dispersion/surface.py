@@ -12,25 +12,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DomainError
+import numpy as np
+
+from .errors import DomainError, ResourceCapError
 from .expsums import character_sum, fit_line
 from .newton import has_nonzero_common_zero
-from .padic import (
-    Ball,
-    DEFAULT_ENUMERATION_CAP,
-    PadicRational,
-    enumerate_residues,
-    split_p_part,
-)
-from .polynomials import SparsePolynomial, compose_affine
-from .schwartz import ModulatedSBFn, SchwartzBruhatFn, _den_exps, fourier_sb, lp_norm
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
+from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
+from .schwartz import SchwartzBruhatFn, fourier_sb, lp_norm, squares_at
 
 SLOPE_TOL = 0.05  # decay_table: |slope - operative exponent| for consistency
 ZETA_TAIL_TOL = 1e-12  # zeta_kernel_numeric: truncation of the shell tail
+_CRITICAL_SCAN_CAP = 10**6  # mod-p points the critical-status scan may visit
+_CELL_BLOCK = 1 << 20  # graph cells restriction_ratio tabulates at once, to bound memory
 
 
 @dataclass(frozen=True)
@@ -45,7 +43,7 @@ class GraphHypersurface:
 
     phi: SparsePolynomial
     window: Ball
-    critical_status: str = ""
+    critical_status: str = field(init=False)
 
     def __post_init__(self):
         if self.phi.nvars != self.window.dim - 1:
@@ -56,10 +54,7 @@ class GraphHypersurface:
             raise DomainError("phi is constant")
         if self.phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
-        if not self.critical_status:
-            object.__setattr__(
-                self, "critical_status", _critical_status(self.phi, self.prime)
-            )
+        object.__setattr__(self, "critical_status", _critical_status(self.phi, self.prime))
 
     @property
     def prime(self) -> int:
@@ -79,11 +74,11 @@ class GraphHypersurface:
         )
 
 
-def _critical_status(phi: SparsePolynomial, p: int, cap: int = 10**6) -> str:
+def _critical_status(phi: SparsePolynomial, p: int) -> str:
     grad = phi.gradient()
     if all(all(c % p == 0 for _, c in g.terms) for g in grad):
         return "indeterminate"
-    if p**phi.nvars > cap:
+    if p**phi.nvars > _CRITICAL_SCAN_CAP:
         return "indeterminate"
     return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
@@ -177,10 +172,14 @@ def restriction_ratio(
 ) -> float:
     """(int_Y |Fg|^2 dmu_{Y,S})^(1/2) / ||g||_rho.
 
-    The surface integral is evaluated exactly at a coset scale where
-    Fg(x', phi(x')) is locally constant.  When beta_phi is supplied, rho
-    must not exceed the admissible endpoint 2(1+beta)/(2+beta); the
-    endpoint itself is allowed (the ratio is still finite at desk scale).
+    Fg = sum_i c_i Psi(-[b_i, xi]) 1_{B_i}(xi) on pairwise disjoint balls, so
+    |Fg|^2 = sum_i |c_i|^2 1_{B_i} and the integral is sum_i |c_i|^2 times
+    the volume of {x' in S' : (x', phi(x')) in B_i}.  That volume is counted
+    exactly over the cells x' = c' + p^e0 y, y mod p^(L - e0), on which ball
+    membership is constant; `extra_level` refines the cells further.  When
+    beta_phi is supplied, rho must not exceed the admissible endpoint
+    2(1+beta)/(2+beta); the endpoint itself is allowed (the ratio is still
+    finite at desk scale).
     """
     if rho != math.inf and rho < 1:
         raise DomainError("rho must be >= 1")
@@ -190,45 +189,36 @@ def restriction_ratio(
         raise DomainError(
             f"rho={rho} outside the admissible range for beta_phi={beta_phi}"
         )
+    if extra_level < 0:
+        raise DomainError("extra_level must be >= 0")
     denom = lp_norm(g, rho)
     if denom == 0:
         raise DomainError("||g|| = 0 rejected")
     Fg = fourier_sb(g, -1)
-    level = _graph_constancy_level(Y, Fg) + extra_level
-    p = Y.prime
-    base = Y.base_window
-    m = base.dim
+    p, base = Y.prime, Y.base_window
+    m, e0, center = base.dim, base.radius_exp, base.center_fractions()
+    # each coordinate x_j and phi(x') as integer terms in y over p^K
+    units = [{tuple(int(i == j) for i in range(m)): Fraction(1)} for j in range(m)]
+    forms = [lattice_form(f, center, Fraction(p) ** e0, p) for f in units + [Y.phi.scale(1)]]
+    phi_terms, phi_K = forms[-1]
+    w_phi = min(int_valuation(c, p) for e, c in phi_terms.items() if any(e)) - phi_K
+    # a change of y by p^(L - e0) moves x' by p^L and phi by p^(L - e0 + w_phi)
+    r = int(Fg.radii.max())
+    level = max(e0, r, r + e0 - w_phi) + extra_level
+    width = p ** (level - e0)
+    cells = width**m
+    if cells > cap:
+        raise ResourceCapError(cells, cap)
+    D = max([Fg.denom] + [K for _, K in forms])
+    modulus = checked_modulus(p ** (r + D), "graph key modulus")
+    keys = [[(e, c * p ** (D - K)) for e, c in terms.items()] for terms, K in forms]
     total = 0.0
-    cell_vol = float(
-        Fraction(1, p ** (m * level)) if level >= 0 else Fraction(p ** (-m * level))
-    )
-    for x in enumerate_residues(base, level, cap=cap):
-        point = x + (Fraction(Y.phi.evaluate(x)),)
-        total += abs(Fg.value_at(point)) ** 2 * cell_vol
-    return math.sqrt(total) / denom
-
-
-def _graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int:
-    """An absolute coset scale of S' on which x' -> Fg(x', phi(x')) is constant."""
-    p = Y.prime
-    base = Y.base_window
-    e0 = base.radius_exp
-    step = Fraction(p) ** e0
-    phi_comp = compose_affine(Y.phi.scale(1), base.center_fractions(), step)
-    w_phi = min(
-        (split_p_part(c, p)[1] for e, c in phi_comp.items() if sum(e) > 0),
-        default=0,
-    )
-    # modulations: the last coordinate against w_phi, the others against e0
-    den = _den_exps(Fg.mods[..., None], Fg.mdenom, p)  # per entry; about -2^20 where 0
-    none = -1 << 20
-    rel = max(
-        0,
-        int(Fg.radii.max(initial=none)) - min(e0, w_phi),
-        int(den[:, :-1].max(initial=none)) - e0,
-        int(den[:, -1].max(initial=none)) - w_phi,
-    )
-    return e0 + rel
+    for start in range(0, cells, _CELL_BLOCK):
+        t = np.arange(start, min(cells, start + _CELL_BLOCK), dtype=np.int64)
+        y = [t // width ** (m - 1 - j) % width for j in range(m)]
+        rows = np.column_stack([poly_residues(terms, y, modulus) for terms in keys])
+        total += squares_at(Fg, rows, D)
+    return math.sqrt(total * float(Fraction(p) ** (-m * level))) / denom
 
 
 # -- the interpolation kernel zeta_z ------------------------------------------

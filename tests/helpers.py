@@ -17,7 +17,7 @@ from padic_dispersion.expsums import exp_sum
 from padic_dispersion.newton import NewtonPolyhedron
 from padic_dispersion.padic import Ball, split_p_part
 from padic_dispersion.polynomials import SparsePolynomial, compose_affine
-from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn
+from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn, fourier_sb, lp_norm
 from padic_dispersion.surface import GraphHypersurface, surface_ft
 
 
@@ -231,8 +231,9 @@ def oracle_quasi_homogeneous(
 
 
 def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int:
-    """The coset scale of `surface._graph_constancy_level`, term by term over
-    Fg.terms as exact p-adic numbers."""
+    """A coset scale of S' on which x' -> Fg(x', phi(x')) is constant, term by
+    term over Fg.terms as exact p-adic numbers: the ball radii and the
+    modulations against the scales of x' and of phi."""
     p = Y.prime
     base = Y.base_window
     e0 = base.radius_exp
@@ -250,6 +251,26 @@ def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int
                 continue
             rel = max(rel, -b.val - (e0 if j < len(mod) - 1 else w_phi))
     return e0 + rel
+
+
+def oracle_restriction_ratio(
+    g: SchwartzBruhatFn, Y: GraphHypersurface, rho: float, extra_level: int = 0
+) -> float:
+    """(int_Y |Fg|^2 dmu_{Y,S})^(1/2) / ||g||_rho, point by point: Fg is
+    evaluated with `value_at` at one exact graph point per coset of S' at the
+    constancy scale of `oracle_graph_constancy_level`, modulations included."""
+    p = Y.prime
+    base = Y.base_window
+    Fg = fourier_sb(g, -1)
+    level = oracle_graph_constancy_level(Y, Fg) + extra_level
+    m, e0, center = base.dim, base.radius_exp, base.center_fractions()
+    step = Fraction(p) ** e0
+    cell_vol = float(Fraction(p) ** (-m * level))
+    total = 0.0
+    for t in product(range(p ** (level - e0)), repeat=m):
+        x = tuple(c + step * ti for c, ti in zip(center, t))
+        total += abs(Fg.value_at(x + (Fraction(Y.phi.evaluate(x)),))) ** 2 * cell_vol
+    return math.sqrt(total) / lp_norm(g, rho)
 
 
 # -- seeded Schwartz-Bruhat test data -------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import time
 from fractions import Fraction
@@ -120,6 +121,13 @@ class TestSurfaceCommand:
             ["surface", "--prime", "3", "--phi", "x^2", "--rho", "1.2"],
         )
         assert code == EXIT_VALIDATION
+
+    def test_restriction_at_a_large_rho(self, tmp_path):
+        argv = ["surface", "--prime", "3", "--phi", "x^2", "--k", "1..2", "--rho", "1000", "--seed", "1"]
+        code, out = run_cli(tmp_path, argv)
+        assert code == EXIT_OK
+        ratios = json.loads(out)["results"]["restriction"]["ratios"]
+        assert all(math.isfinite(r) and r > 0 for r in ratios)
 
     def test_restriction_with_seed(self, tmp_path):
         code, out = run_cli(

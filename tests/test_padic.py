@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padic_dispersion.errors import DomainError, ResourceCapError
+from padic_dispersion.errors import DomainError
 from padic_dispersion.expsums import exp_sum
 from padic_dispersion.padic import (
     Ball,
     PadicRational,
     RootOfUnity,
     character,
-    enumerate_residues,
     padic_meta,
-    residue_count,
 )
 from padic_dispersion.polynomials import parse_polynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn
@@ -160,40 +158,6 @@ class TestRootOfUnity:
 
 
 class TestBallsAndResidues:
-    def test_unit_ball_level_one(self):
-        assert list(enumerate_residues(Ball.of(3, [0], 0), 1)) == [
-            (Fraction(0),),
-            (Fraction(1),),
-            (Fraction(2),),
-        ]
-
-    def test_shifted_ball(self):
-        reps = [x[0] for x in enumerate_residues(Ball.of(3, [1], 1), 2)]
-        assert reps == [Fraction(1), Fraction(4), Fraction(7)]
-
-    def test_product_count(self):
-        assert len(list(enumerate_residues(Ball.of(3, [0, 0], 0), 1))) == 9
-
-    @pytest.mark.parametrize(
-        "p,center,e,m",
-        [(3, (0,), 0, 3), (3, (1,), 1, 3), (2, (0, 0), 1, 3), (5, (Fraction(1, 5),), -1, 2)],
-    )
-    def test_cardinality_matches_volume(self, p, center, e, m):
-        ball = Ball.of(p, center, e)
-        reps = list(enumerate_residues(ball, m))
-        assert len(reps) == residue_count(ball, m)
-        if m >= e:
-            assert len(reps) == ball.volume * Fraction(p) ** (ball.dim * m)
-        assert len(set(reps)) == len(reps)
-
-    def test_coarser_level_single_rep(self):
-        assert len(list(enumerate_residues(Ball.of(3, [2], 2), 1))) == 1
-
-    def test_cap(self):
-        with pytest.raises(ResourceCapError) as exc:
-            list(enumerate_residues(Ball.of(3, [0], 0), 10, cap=100))
-        assert exc.value.required == 3**10
-
     def test_ultrametric_ball_relations(self):
         big = Ball.of(3, [0], 0)
         small = Ball.of(3, [6], 1)

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from padic_dispersion.polynomials import MODULUS_LIMIT
 from padic_dispersion.schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
+    _group_rows,
     embed,
     fourier_modulated,
     fourier_sb,
@@ -25,6 +27,7 @@ from padic_dispersion.schwartz import (
     l2_norm_modulated,
     lp_norm,
     sb_allclose,
+    squares_at,
     to_schwartz,
 )
 
@@ -158,6 +161,13 @@ class TestNorms:
         g = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0))
         with pytest.raises(DomainError):
             lp_norm(g, 0.5)
+
+    def test_large_rho_neither_underflows_nor_overflows(self):
+        unit = Ball.of(3, [0], 0)
+        assert abs(lp_norm(SchwartzBruhatFn.indicator(unit, 0.1), 400) - 0.1) < 1e-15
+        assert abs(lp_norm(SchwartzBruhatFn.indicator(unit, 3.0), 1000) - 3.0) < 1e-15
+        g = SchwartzBruhatFn.of(3, [(unit, 1e-3), (Ball.of(3, [Fraction(1, 3)], 1), 2e-3)])
+        assert abs(lp_norm(g, 500) - 2e-3 * (2.0**-500 + 1 / 3) ** (1 / 500)) < 1e-18
 
 
 class TestValidation:
@@ -301,6 +311,29 @@ class TestIntegerForm:
         with pytest.raises(ResourceCapError):
             fourier_sb(SchwartzBruhatFn.indicator(Ball.of(2, [0], -40)))
         assert abs(l2_norm(SchwartzBruhatFn.indicator(Ball.of(2, [0], 30))) - 2**-15) < 1e-18
+
+
+class TestGroupRows:
+    def test_matches_numpy_unique(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            dtype = np.int32 if trial % 2 else np.int64
+            rows = rng.integers(-4, 5, size=(rng.integers(0, 40), rng.integers(1, 5))).astype(dtype)
+            want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+            got, inv = _group_rows(rows)
+            assert got.dtype == rows.dtype and np.array_equal(got, want)
+            assert np.array_equal(inv, want_inv.ravel())
+
+
+class TestSquaresAt:
+    def test_matches_the_pointwise_values(self):
+        p, rng = 3, random.Random(17)
+        for _ in range(20):
+            G = fourier_sb(random_sb(rng, p, 2, max_balls=3, radius_range=(-1, 1)))
+            r, D = int(G.radii.max()), G.denom + rng.randint(0, 2)
+            points = np.array([[rng.randrange(p ** (r + D)) for _ in range(2)] for _ in range(30)])
+            want = sum(abs(G.value_at([Fraction(int(v), p**D) for v in row])) ** 2 for row in points)
+            assert abs(squares_at(G, points, D) - want) <= 1e-12 * max(want, 1)
 
 
 class TestCaps:

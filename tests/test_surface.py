@@ -4,15 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import oracle_graph_constancy_level, oracle_surface_ft, random_sb, ray_values
+from helpers import (
+    oracle_graph_constancy_level,
+    oracle_restriction_ratio,
+    oracle_surface_ft,
+    random_sb,
+    ray_values,
+)
+from padic_dispersion import schwartz
 from padic_dispersion.cli import _random_sb
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
-from padic_dispersion.schwartz import fourier_sb
+from padic_dispersion.schwartz import SchwartzBruhatFn, fourier_sb
 from padic_dispersion.surface import (
     GraphHypersurface,
-    _graph_constancy_level,
     decay_table,
     remark_family_exponent,
     restriction_ratio,
@@ -187,12 +193,13 @@ class TestRestriction:
         with pytest.raises(DomainError):
             restriction_ratio(g, PARABOLA, 0.9)
 
-    def test_constancy_level_matches_the_term_walk(self):
-        # integer phases with p-divisible coefficients move w_phi away from
-        # e0, so both comparisons of the rule (against e0 and against w_phi)
-        # decide the level on some draws
+    def test_ratio_matches_the_pointwise_oracle(self):
+        # the oracle evaluates Fg point by point at a scale that also resolves
+        # every modulation; integer phases with p-divisible coefficients move
+        # w_phi away from e0, so both bounds of the cell scale (against e0 and
+        # against w_phi) decide it on some draws
         rng = random.Random(29)
-        compared = 0
+        compared = nonzero = 0
         while compared < 300:
             p, m = rng.choice([2, 3, 5, 7]), rng.randint(1, 2)
             terms = {}
@@ -205,13 +212,46 @@ class TestRestriction:
                 continue
             Y = GraphHypersurface(SparsePolynomial.from_terms(m, terms), Ball.of(p, center, rng.randint(-1, 2)))
             try:
-                Fg = fourier_sb(_random_sb(rng, p, m + 1), -1)
+                g = _random_sb(rng, p, m + 1)
+                Fg = fourier_sb(g, -1)
             except ResourceCapError:
                 continue
             if len(Fg.radii) > 500:  # the oracle builds ~30 us of PadicRationals per term
                 continue
-            assert _graph_constancy_level(Y, Fg) == oracle_graph_constancy_level(Y, Fg)
             compared += 1
+            # the oracle evaluates Fg once per cell; 258 of the 300 draws have at most 1000
+            if p ** (m * (oracle_graph_constancy_level(Y, Fg) - Y.window.radius_exp)) > 1000:
+                continue
+            want = oracle_restriction_ratio(g, Y, 1.2)
+            assert abs(restriction_ratio(g, Y, 1.2) - want) <= 1e-12 * want
+            nonzero += want > 0
+        assert nonzero > 100
+
+    def test_translation_leaves_the_ratio_unchanged(self):
+        # g(x - s) has the transform Psi(-[s, xi]) Fg(xi), of the same modulus
+        rng = random.Random(5)
+        Y = GraphHypersurface(parse_polynomial("x1^2+3*x1*x2"), Ball.of(3, [1, 0, Fraction(1, 3)], 0))
+        for _ in range(10):
+            g = random_sb(rng, 3, 3, max_balls=3, radius_range=(-1, 1))
+            base = restriction_ratio(g, Y, 1.5)
+            shift = [Fraction(rng.randint(-9, 9), 3 ** rng.randint(0, 2)) for _ in range(3)]
+            assert abs(restriction_ratio(g.translated(shift), Y, 1.5) - base) <= 1e-12 * base
+
+    def test_no_point_of_fg_is_evaluated(self, monkeypatch):
+        def refuse(self, point):
+            raise AssertionError("value_at called")
+
+        monkeypatch.setattr(schwartz.ModulatedSBFn, "value_at", refuse)
+        g = random_sb(random.Random(3), 3, 2, max_balls=3, radius_range=(-1, 1))
+        assert restriction_ratio(g, PARABOLA, 1.2) > 0
+
+    def test_cells_are_counted_against_the_cap_first(self):
+        g = SchwartzBruhatFn.indicator(Ball.of(3, [0, 0], 4))  # Fg lives on balls of radius -4
+        with pytest.raises(ResourceCapError) as info:
+            restriction_ratio(g, PARABOLA, 1.2, cap=10, extra_level=3)
+        assert info.value.required == 3**3 and info.value.cap == 10
+        with pytest.raises(DomainError):
+            restriction_ratio(g, PARABOLA, 1.2, extra_level=-1)
 
 
 class TestZetaKernel:
