@@ -365,8 +365,6 @@ def _run_solve(cfg: JobConfig) -> dict:
     phi = parse_polynomial(cfg.phi)
     p = cfg.prime
     f0 = SchwartzBruhatFn.of(p, parse_ball_list(cfg.f0, p))
-    if f0.n != phi.nvars:
-        raise DomainError("f0 dimension does not match phi")
     spec = SolutionSpec.build(f0, phi)
     lo, hi = cfg.m_range if cfg.m_range else (1, 3)
     xs = [Fraction(j) for j in range(p)] + [Fraction(1, p)]
@@ -567,10 +565,6 @@ def _validate(cfg: JobConfig) -> None:
         levels = getattr(cfg, field_name)
         if levels is not None and levels[0] < least:
             raise DomainError(f"{_FLAGS[field_name]} range must start at {least} or above")
-    if cfg.sigma is not None and not cfg.sigma > 0:  # refuses nan; inf is the L^inf norm
-        raise DomainError("--sigma must be positive")
-    if cfg.rho is not None and math.isnan(cfg.rho):
-        raise DomainError("--rho must be a number")
 
 
 def run(cfg: JobConfig, threads: int = 1) -> tuple[bytes, int]:

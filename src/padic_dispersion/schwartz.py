@@ -383,7 +383,7 @@ def inverse_fourier_sb(G: ModulatedSBFn, sign: int = 1) -> SchwartzBruhatFn:
 def lp_norm(g: SchwartzBruhatFn, rho: float) -> float:
     """||g||_rho, exact thanks to disjointness; rho = inf gives max |coeff|.
     A ModulatedSBFn has the same norms: its modulations have modulus 1."""
-    if rho != math.inf and rho < 1:
+    if not rho >= 1:  # refuses nan
         raise DomainError("rho must be >= 1 or infinity")
     mags = [abs(c) for c in g.coeffs.tolist()]
     top = max(mags, default=0.0)

@@ -181,7 +181,7 @@ def restriction_ratio(
     2(1+beta)/(2+beta); the endpoint itself is allowed (the ratio is still
     finite at desk scale).
     """
-    if rho != math.inf and rho < 1:
+    if not rho >= 1:  # refuses nan
         raise DomainError("rho must be >= 1")
     if beta_phi is not None and not (
         rho <= float(restriction_rho_bound(beta_phi)) + 1e-12

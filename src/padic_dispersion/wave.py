@@ -116,23 +116,15 @@ def _cell_residues(
     return poly_residues(terms.items(), list(idx.T), modulus), modulus
 
 
-def _cell_level(
-    spec: SolutionSpec,
-    x: Sequence[Fraction],
-    t: Fraction,
-    extra_level: int,
-) -> int:
-    d = spec.phi.total_degree()
+def _cell_level(spec: SolutionSpec, space: int, time: int | None) -> int:
+    """The least level at which the spectrum and every phase
+    t phi(xi) + [x, xi] with ||x|| <= p^space and |t| <= p^time (time None:
+    t = 0) are constant on each cell k p^-e + (p^level Z_p)^n."""
     e = spec.freq_bound
-    level = max(0, e, spec.spectrum.resolution_level)
-    for xi in x:
-        if xi != 0:
-            level = max(level, -split_p_part(xi, spec.prime)[1])
-    if t != 0:
-        level = max(
-            level, -split_p_part(t, spec.prime)[1] + (d - 1) * max(e, 0)
-        )
-    return level + extra_level
+    level = max(0, e, spec.spectrum.resolution_level, space)
+    if time is not None:
+        level = max(level, time + (spec.phi.total_degree() - 1) * max(e, 0))
+    return level
 
 
 def solve_u(
@@ -153,7 +145,9 @@ def solve_u(
     if len(x) != spec.n:
         raise DomainError("x has wrong dimension")
     t = PadicRational(p, t).as_fraction()
-    level = _cell_level(spec, x, t, extra_level)
+    space = max((-split_p_part(xi, p)[1] for xi in x if xi != 0), default=0)
+    time = -split_p_part(t, p)[1] if t != 0 else None
+    level = _cell_level(spec, space, time) + extra_level
     idx, vals = spec.cells(level, cap)
     phase = spec.phi.scale(t)  # t phi(xi) + [x, xi]
     for d, xd in enumerate(x):
@@ -162,6 +156,20 @@ def solve_u(
     r, modulus = _cell_residues(spec, phase, idx)
     vol = Fraction(1, p ** (spec.n * level))
     return complex(vals @ np.exp(2j * np.pi * r / modulus)) * float(vol)
+
+
+def _box(spec: SolutionSpec, R: int, cap: int) -> tuple:
+    """(level, idx, vals, r, nt, N) for the box ||x||, |t| <= p^R.
+
+    idx, vals are the cells at the level of the box, and r / nt the residues
+    of p^-R phi at their centers c_k = k p^-e, with nt = p^max(0, R + e').
+    With t_j = j p^-R, x_i = i p^-R and N = p^max(0, R + e), the phases are
+    t_j phi(c_k) = j r_k / nt and [x_i, c_k] = (i . k) / N mod Z_p.
+    """
+    level = _cell_level(spec, R, R)
+    idx, vals = spec.cells(level, cap)
+    r, nt = _cell_residues(spec, spec.phi.scale(Fraction(1, spec.prime**R)), idx)
+    return level, idx, vals, r, nt, spec.prime ** max(0, R + spec.freq_bound)
 
 
 def windowed_spectrum(
@@ -175,8 +183,9 @@ def windowed_spectrum(
     """W_R(xi, tau) = int_{||x||<=p^R} int_{|t|<=p^R} u Psi(-t tau - [x, xi]).
 
     In closed form this is p^(R(n+1)) times the sum of cell contributions
-    whose centers satisfy both |phi(c) - tau| <= p^-R and ||c - xi|| <= p^-R;
-    it vanishes exactly when every cell fails one of the two conditions,
+    whose centers satisfy both |phi(c) - tau| <= p^-R and ||c - xi|| <= p^-R:
+    the one bin of `solution_grid` with r = p^-R tau nt and k = p^-R xi N.
+    It vanishes exactly when every cell fails one of the two conditions,
     which is the finite-window witness that F u lives on tau = phi(xi).
     """
     if R < 0:
@@ -186,22 +195,17 @@ def windowed_spectrum(
     if len(xi) != spec.n:
         raise DomainError("xi has wrong dimension")
     tau = PadicRational(p, tau).as_fraction()
-    n, d, e = spec.n, spec.phi.total_degree(), spec.freq_bound
-    level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
-    idx, vals = spec.cells(level, cap)
-    window = Fraction(1, p**R)
+    level, idx, vals, r, nt, N = _box(spec, R, cap)
     keep = np.ones(len(vals), dtype=bool)
-    coordinates = [{tuple(int(j == i) for j in range(n)): 1} for i in range(n)]
-    for poly, target in [(spec.phi.scale(1), tau), *zip(coordinates, xi)]:
-        # |poly(c) - target| <= p^-R  iff  p^-R poly(c) = p^-R target mod Z_p
-        scaled = {a: c * window for a, c in poly.items()}
-        r, modulus = _cell_residues(spec, scaled, idx)
-        shift = target * window * modulus
+    conditions = [(r, nt, tau)] + [(k, N, c) for k, c in zip(idx.T, xi)]
+    for residues, modulus, target in conditions:
+        # |v - target| <= p^-R  iff  p^-R v = p^-R target mod Z_p, v = phi(c) or c_d
+        shift = target * modulus / p**R
         if shift.denominator != 1:  # no residue r / modulus can match
             return 0j
-        keep &= r == shift.numerator % modulus
-    vol = Fraction(1, p ** (n * level))
-    return complex(vals[keep].sum()) * float(vol * p ** (R * (n + 1)))
+        keep &= residues % modulus == shift.numerator % modulus
+    vol = Fraction(1, p ** (spec.n * level))
+    return complex(vals[keep].sum()) * float(vol * p ** (R * (spec.n + 1)))
 
 
 # -- truncated Strichartz norms ------------------------------------------------
@@ -234,25 +238,19 @@ def solution_grid(
     """Evaluate u on every constancy cell of the box; exact up to the final
     complex arithmetic.
 
-    With t_j = j p^-R, x_i = i p^-R and cells c_k = k p^-e, the phases are
-    t_j phi(c_k) = j r_k / nt and [x_i, c_k] = (i . k) / N mod Z_p, so in
-    every dimension u is one inverse DFT of the spectrum values binned by
-    (r_k, k mod N).  The cap bounds the samples nt * N^n.
+    With the phases of `_box`, in every dimension u is one inverse DFT of the
+    spectrum values binned by (r_k, k mod N).  The cap bounds the samples
+    nt * N^n, counted before any cell is tiled.
     """
     if R < 0:
         raise DomainError("R must be >= 0")
     p, n = spec.prime, spec.n
-    e, ep, d = spec.freq_bound, spec.phase_bound, spec.phi.total_degree()
-    N = p ** max(0, R + e)
-    nt = p ** max(0, R + ep)
-    if nt * N**n > cap:
-        raise ResourceCapError(nt * N**n, cap, what="grid samples")
-    level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
-    idx, vals = spec.cells(level, cap)
-    r, modulus = _cell_residues(spec, spec.phi.scale(Fraction(1, p**R)), idx)
-    # modulus divides nt: both are p^max(0, R + e') for the phase bound e'
+    samples = p ** (max(0, R + spec.phase_bound) + n * max(0, R + spec.freq_bound))
+    if samples > cap:
+        raise ResourceCapError(samples, cap, what="grid samples")
+    level, idx, vals, r, nt, N = _box(spec, R, cap)
     bins = np.zeros((nt,) + (N,) * n, dtype=complex)
-    np.add.at(bins, (r * (nt // modulus), *(idx % N).T), vals)
+    np.add.at(bins, (r, *(idx % N).T), vals)
     vol = float(Fraction(1, p ** (n * level)))
     values = (np.fft.ifftn(bins) * (bins.size * vol)).reshape(nt, N**n)
     x_step = Fraction(1, p**R)
@@ -278,37 +276,33 @@ def strichartz_truncated(
 def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
     """Norm over the sub-box ||x||, |t| <= p^R of a grid computed at grid.R.
 
-    Reps are j p^-grid.R, so the sub-box keeps indices divisible by
-    p^(grid.R - R); u is refinement-stable, so the restriction is exact.
+    Reps are j p^-grid.R, so the sub-box is every p^(grid.R - R)-th index on
+    each axis; u is refinement-stable, so the restriction is exact.  A cell
+    wider than the sub-box holds it whole, so it counts with the sub-box's
+    width.  The powers are taken of |u| / max |u|, so no sigma overflows or
+    underflows them all.
     """
+    if not sigma > 0:  # refuses nan; inf is the L^inf norm
+        raise DomainError("sigma must be > 0")
     steps = grid.R - R
     if steps < 0:
         raise DomainError("R exceeds the grid box")
-    p = grid.prime
-    tmask = _valuation_mask(len(grid.t_reps), p, steps)
-    axis = _valuation_mask(len(grid.x_axis), p, steps)
-    xmask = axis
-    for _ in range(grid.n - 1):
-        xmask = np.logical_and.outer(xmask, axis).ravel()
-    sub = grid.values[np.ix_(tmask, xmask)]
-    if sigma == math.inf:
-        return float(np.max(np.abs(sub))) if sub.size else 0.0
-    weights = grid.x_cell_vol * grid.t_cell_vol
-    total = float(np.sum(np.abs(sub) ** sigma) * weights)
-    return total ** (1.0 / sigma)
-
-
-def _valuation_mask(count: int, p: int, steps: int) -> np.ndarray:
-    if steps <= 0 or count == 1:
-        return np.ones(count, dtype=bool)
-    return np.arange(count) % p**steps == 0
+    shape = (len(grid.t_reps),) + (len(grid.x_axis),) * grid.n
+    stride = (slice(None, None, grid.prime**steps),) * len(shape)
+    sub = np.abs(grid.values.reshape(shape)[stride])
+    top = float(sub.max())
+    if sigma == math.inf or top == 0:
+        return top
+    box = float(Fraction(grid.prime) ** R)
+    weights = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
+    return top * float(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
 
 
 @dataclass(frozen=True)
 class StrichartzReport:
     sigma: float
     rows: tuple[tuple[int, float, float], ...]  # (R, norm, norm / ||f0||_2)
-    increments: tuple[float, ...]  # norm(R)^sigma - norm(R-1)^sigma
+    increments: tuple[float, ...]  # ratio(R)^sigma - ratio(R-1)^sigma (power 1 at inf)
     converged: bool
     diverged: bool
     constant: float  # final ratio
@@ -323,22 +317,25 @@ def strichartz_report(
 ) -> StrichartzReport:
     """Truncated-norm series R = 0..R_max with a convergence diagnosis.
 
-    Converging means the increments norm(R+1)^sigma - norm(R)^sigma are
-    non-increasing over the tail; the divergence flag fires when they fail
-    to shrink below SHRINK_THRESHOLD times the step before over the last
-    three steps (the sigma-too-small regime).
+    The increments are ratio(R)^sigma - ratio(R-1)^sigma with
+    ratio = norm / ||f0||_2, so they do not change when f0 is scaled; for
+    sigma = inf they are ratio(R) - ratio(R-1), and a power beyond the float
+    range is refused.  Converging means they are non-increasing; the divergence
+    flag fires when they fail to shrink below SHRINK_THRESHOLD times the step
+    before over the last three steps (the sigma-too-small regime).
     """
     if R_max < 1:
         raise DomainError("R_max must be >= 1")
     grid = solution_grid(spec, R_max, cap=cap)
     base = l2_norm(spec.f0)
     norms = [_masked_norm(grid, sigma, R) for R in range(R_max + 1)]
-    rows = tuple(
-        (R, norms[R], norms[R] / base) for R in range(R_max + 1)
-    )
-    increments = tuple(
-        norms[R] ** sigma - norms[R - 1] ** sigma for R in range(1, R_max + 1)
-    )
+    rows = tuple((R, norm, norm / base) for R, norm in enumerate(norms))
+    power = 1.0 if sigma == math.inf else sigma  # ratio^inf is 0, 1 or inf
+    try:
+        powers = [ratio**power for _, _, ratio in rows]
+    except OverflowError:
+        raise DomainError(f"ratio^sigma leaves the float range at sigma = {sigma}") from None
+    increments = tuple(b - a for a, b in zip(powers, powers[1:]))
     converged = all(
         increments[i + 1] <= increments[i] * (1 + 1e-9) + 1e-300
         for i in range(len(increments) - 1)

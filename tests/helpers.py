@@ -13,10 +13,18 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from padic_dispersion.expsums import exp_sum
 from padic_dispersion.newton import NewtonPolyhedron
 from padic_dispersion.padic import Ball, split_p_part
-from padic_dispersion.polynomials import SparsePolynomial, compose_affine
+from padic_dispersion.polynomials import (
+    SparsePolynomial,
+    checked_modulus,
+    compose_affine,
+    lattice_form,
+    poly_residues,
+)
 from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn, fourier_sb, lp_norm
 from padic_dispersion.surface import GraphHypersurface, surface_ft
 
@@ -328,6 +336,59 @@ def oracle_common_zero(polys, p: int, points) -> bool:
     """Whether the polynomials all vanish mod p at some point of `points`,
     one exact evaluation per point and polynomial."""
     return any(all(int(g.evaluate(pt)) % p == 0 for g in polys) for pt in points)
+
+
+# -- the wave box one condition and one mask at a time ---------------------------
+
+
+def oracle_windowed_spectrum(spec, xi: tuple, tau: Fraction, R: int, cap: int) -> complex:
+    """W_R(xi, tau) one condition at a time, at its own cell level: the cells
+    whose centers c satisfy |phi(c) - tau| <= p^-R and |c_d - xi_d| <= p^-R,
+    each condition decided from the residues of p^-R (poly(c) - target) over
+    that condition's own lattice modulus."""
+    p, n, e = spec.prime, spec.n, spec.freq_bound
+    d = spec.phi.total_degree()
+    level = max(0, e, spec.spectrum.resolution_level, R, R + (d - 1) * max(e, 0))
+    idx, vals = spec.cells(level, cap)
+    window = Fraction(1, p**R)
+    keep = np.ones(len(vals), dtype=bool)
+    coordinates = [{tuple(int(j == i) for j in range(n)): 1} for i in range(n)]
+    for poly, target in [(spec.phi.scale(1), Fraction(tau)), *zip(coordinates, xi)]:
+        scaled = {a: c * window for a, c in poly.items()}
+        terms, K = lattice_form(scaled, (0,) * n, Fraction(p) ** -e, p)
+        modulus = checked_modulus(p**K, "phase denominator")
+        r = poly_residues(terms.items(), list(idx.T), modulus)
+        shift = Fraction(target) * window * modulus
+        if shift.denominator != 1:
+            return 0j
+        keep &= r == shift.numerator % modulus
+    vol = Fraction(1, p ** (n * level))
+    return complex(vals[keep].sum()) * float(vol * p ** (R * (n + 1)))
+
+
+def oracle_masked_norm(grid, sigma: float, R: int) -> float:
+    """The L^sigma norm of a solution grid over the sub-box ||x||, |t| <= p^R,
+    by boolean masks of the indices divisible by p^(grid.R - R) and unscaled
+    powers |u|^sigma; a cell wider than the sub-box is cut to its width."""
+    steps = grid.R - R
+    p = grid.prime
+
+    def mask(count: int) -> np.ndarray:
+        if steps <= 0 or count == 1:
+            return np.ones(count, dtype=bool)
+        return np.arange(count) % p**steps == 0
+
+    tmask, axis = mask(len(grid.t_reps)), mask(len(grid.x_axis))
+    xmask = axis
+    for _ in range(grid.n - 1):
+        xmask = np.logical_and.outer(xmask, axis).ravel()
+    sub = grid.values[np.ix_(tmask, xmask)]
+    if sigma == math.inf:
+        return float(np.max(np.abs(sub)))
+    box = p**R
+    cell = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
+    total = float(np.sum(np.abs(sub) ** sigma) * cell)
+    return total ** (1.0 / sigma)
 
 
 # -- value tables read by the analysis functions --------------------------------

@@ -252,6 +252,26 @@ class TestStrichartzCommand:
         assert abs(res["rows"][0]["norm"] - 1.0) < 1e-12
         assert res["l2_f0"] == 1.0
 
+    SCALED = ["strichartz", "--prime", "3", "--phi", "x^2", "--sigma", "2", "--rmax", "2",
+              "--f0"]
+
+    @pytest.mark.parametrize("coeff", ["1e200", "1e-200"])
+    def test_extreme_coefficients_keep_the_unit_ratios(self, tmp_path, coeff):
+        unit = json.loads(run_cli(tmp_path, self.SCALED + ["ball 0 0"])[1])["results"]
+        code, out = run_cli(tmp_path, self.SCALED + [f"{coeff} * ball 0 0"])
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        text = json.dumps(res)
+        assert "NaN" not in text and "Infinity" not in text
+
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * abs(b)
+
+        assert all(close(r["ratio"], u["ratio"]) for r, u in zip(res["rows"], unit["rows"]))
+        assert close(res["constant"], unit["constant"])
+        assert all(close(a, b) for a, b in zip(res["increments"], unit["increments"]))
+        assert (res["converged"], res["diverged"]) == (unit["converged"], unit["diverged"])
+
     TWO_D = ["strichartz", "--prime", "3", "--phi", "x1^2+x2^2", "--sigma", "4",
              "--f0", "ball 0 0 0", "--rmax", "3"]
 
@@ -329,8 +349,9 @@ class TestValidationAndExitCodes:
         ids=["sigma", "rho"],
     )
     def test_nan_exponent_is_refused_and_inf_accepted(self, tmp_path, capsys, argv):
+        # the library refuses it, naming the exponent but not the flag
         assert run_cli(tmp_path, argv + ["nan"]) == (EXIT_VALIDATION, b"")
-        assert argv[-1] in capsys.readouterr().err
+        assert argv[-1][2:] in capsys.readouterr().err
         code, out = run_cli(tmp_path, argv + ["inf"])  # the L^inf norm
         assert code == EXIT_OK and json.loads(out)["config"][argv[-1][2:]] == float("inf")
 
@@ -343,6 +364,11 @@ class TestValidationAndExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+    def test_solve_with_mismatched_dimension_is_refused(self, tmp_path, capsys):
+        argv = ["solve", "--prime", "3", "--phi", "x1^2+x2^2", "--f0", "ball 0 0"]
+        assert run_cli(tmp_path, argv) == (EXIT_VALIDATION, b"")
+        assert "arity" in capsys.readouterr().err
 
     def test_level_zero_is_accepted(self, tmp_path):
         surface = ["surface", "--prime", "3", "--phi", "x^2", "--k", "0..2"]

@@ -162,6 +162,10 @@ class TestNorms:
         with pytest.raises(DomainError):
             lp_norm(g, 0.5)
 
+    def test_nan_rho_is_refused(self):
+        with pytest.raises(DomainError):
+            lp_norm(SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), 2.0), math.nan)
+
     def test_large_rho_neither_underflows_nor_overflows(self):
         unit = Ball.of(3, [0], 0)
         assert abs(lp_norm(SchwartzBruhatFn.indicator(unit, 0.1), 400) - 0.1) < 1e-15

@@ -193,6 +193,11 @@ class TestRestriction:
         with pytest.raises(DomainError):
             restriction_ratio(g, PARABOLA, 0.9)
 
+    def test_nan_rho_is_refused(self):
+        g = SchwartzBruhatFn.indicator(Ball.of(3, [0, 0], 0))
+        with pytest.raises(DomainError):
+            restriction_ratio(g, PARABOLA, math.nan)
+
     def test_ratio_matches_the_pointwise_oracle(self):
         # the oracle evaluates Fg point by point at a scale that also resolves
         # every modulation; integer phases with p-divisible coefficients move

@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import oracle_solution, random_sb
+from helpers import (
+    oracle_masked_norm,
+    oracle_solution,
+    oracle_windowed_spectrum,
+    random_sb,
+)
 from padic_dispersion import wave
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import DEFAULT_ENUMERATION_CAP, Ball, split_p_part
@@ -35,6 +40,21 @@ def seeded_strichartz_data(rng: random.Random, p: int):
             continue
         terms.append((ball, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))))
     return SchwartzBruhatFn.of(p, terms)
+
+
+BOX_PHIS = {
+    1: ("x^2", "x^3", "x^3-x", "3*x^2+x", "x^4"),
+    2: ("x1^2+x2^2", "x1*x2", "x1^2+x1*x2+x2^3"),
+}
+
+
+def seeded_box_spec(rng: random.Random) -> tuple[SolutionSpec, int]:
+    """A spec with p in {2, 3, 5}, n in {1, 2}, up to two random balls and a
+    symbol of degree 2 to 4, and a box exponent R in 0..2."""
+    p, n = rng.choice((2, 3, 5)), rng.choice((1, 2))
+    f0 = random_sb(rng, p, n, max_balls=2)
+    phi = parse_polynomial(rng.choice(BOX_PHIS[n]))
+    return SolutionSpec.build(f0, phi), rng.randint(0, 2)
 
 
 class TestSolutionSpec:
@@ -174,6 +194,59 @@ class TestWindowedSpectrum:
         assert abs(total - want) < 1e-9
 
 
+class TestBox:
+    """`windowed_spectrum` and the sub-box norms against a window decided one
+    condition at a time and a norm over boolean masks."""
+
+    CAP = 3000
+
+    def test_window_equals_the_per_condition_oracle(self):
+        rng = random.Random(2026)
+        outcomes = {"refused": 0, "zero": 0, "nonzero": 0}
+        for _ in range(150):
+            spec, R = seeded_box_spec(rng)
+            p, n = spec.prime, spec.n
+            for _ in range(4):
+                xi = tuple(
+                    Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 2))
+                    for _ in range(n)
+                )
+                tau = Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 3))
+                if rng.random() < 0.5:  # on the graph tau = phi(xi)
+                    tau = Fraction(spec.phi.evaluate(xi))
+                try:
+                    want = oracle_windowed_spectrum(spec, xi, tau, R, self.CAP)
+                except ResourceCapError:
+                    with pytest.raises(ResourceCapError):
+                        windowed_spectrum(spec, xi, tau, R, cap=self.CAP)
+                    outcomes["refused"] += 1
+                    continue
+                got = windowed_spectrum(spec, xi, tau, R, cap=self.CAP)
+                assert got == want, (spec, xi, tau, R)
+                outcomes["nonzero" if got else "zero"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    @pytest.mark.parametrize("sigma", [2.0, 6.0, math.inf])
+    def test_sub_box_norms_equal_the_mask_oracle(self, sigma):
+        rng = random.Random(91)
+        grids = 0
+        for _ in range(40):
+            spec, _ = seeded_box_spec(rng)
+            try:
+                grid = solution_grid(spec, rng.randint(1, 3), cap=20000)
+            except ResourceCapError:
+                continue
+            grids += 1
+            for R in range(grid.R + 1):
+                want = oracle_masked_norm(grid, sigma, R)
+                assert abs(wave._masked_norm(grid, sigma, R) - want) <= 1e-12 * want
+        assert grids >= 20
+
+    def test_sub_box_beyond_the_grid_is_refused(self):
+        with pytest.raises(DomainError):
+            wave._masked_norm(solution_grid(GAUSS, 1), 2.0, 2)
+
+
 class TestSolutionGrid:
     def test_grid_column_equals_exponential_sum(self):
         # for f0 = 1_{Z_p}, u(0, t) = int_{Z_p} Psi(t phi(xi)) dxi = E(t, phi):
@@ -279,6 +352,55 @@ class TestStrichartz:
         for c in (3.0, -0.7 + 0.7j):
             spec_c = SolutionSpec.build(f0.scaled(c), parse_polynomial("x^2"))
             assert abs(strichartz_report(spec_c, 6.0, 3).constant - base) < 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_sigma_not_positive_is_refused(self, sigma):
+        with pytest.raises(DomainError):
+            strichartz_report(GAUSS, sigma, 2)
+        with pytest.raises(DomainError):
+            strichartz_truncated(GAUSS, sigma, 2)
+
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    @pytest.mark.parametrize("sigma", [2.0, 6.0])
+    def test_extreme_scales_keep_ratios_and_increments(self, c, sigma):
+        # the powers are taken of |u| / max |u| and of norm / ||f0||_2
+        f0 = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), c)
+        rep = strichartz_report(SolutionSpec.build(f0, parse_polynomial("x^2")), sigma, 3)
+        unit = strichartz_report(GAUSS, sigma, 3)
+        for (_, norm, ratio), (_, _, want) in zip(rep.rows, unit.rows):
+            assert abs(ratio - want) <= 1e-12 * want
+            assert abs(norm - c * want) <= 1e-12 * c * want
+        for got, want in zip(rep.increments, unit.increments):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert (rep.converged, rep.diverged) == (unit.converged, unit.diverged)
+
+    @pytest.mark.parametrize("radius", [-2, -1, 0, 1])
+    def test_report_rows_equal_boxes_computed_alone(self, radius):
+        # for radius < 0 the cells are wider than the boxes R < -e, -e'
+        spec = SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(3, [0], radius)), parse_polynomial("x^2")
+        )
+        rep = strichartz_report(spec, 6.0, 3)
+        for R, norm, _ in rep.rows:
+            want = strichartz_truncated(spec, 6.0, R)
+            assert abs(norm - want) <= 1e-12 * want
+
+    def test_sup_norm_increments_are_ratio_differences(self):
+        # ratio^inf would be inf - inf here: sup |u| = 1 against ||f0||_2 = 3^-1/2
+        spec = SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(3, [0], 1)), parse_polynomial("x^2")
+        )
+        rep = strichartz_report(spec, math.inf, 2)
+        ratios = [ratio for _, _, ratio in rep.rows]
+        assert abs(ratios[0] - 3**0.5) < 1e-12
+        assert rep.increments == tuple(b - a for a, b in zip(ratios, ratios[1:]))
+
+    def test_power_beyond_the_float_range_is_refused(self):
+        spec = SolutionSpec.build(
+            SchwartzBruhatFn.indicator(Ball.of(3, [0], 1)), parse_polynomial("x^2")
+        )
+        with pytest.raises(DomainError):
+            strichartz_report(spec, 2000.0, 2)  # 3^1000 > 1.8e308
 
     def test_infinite_sigma(self):
         assert strichartz_truncated(GAUSS, math.inf, 1) <= 1.0 + 1e-12
