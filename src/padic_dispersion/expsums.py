@@ -3,16 +3,20 @@
 The integrand is constant on fine enough cosets, so every integral here is a
 finite sum of roots of unity.  The engine keeps everything as integer
 histograms: counts N_r of residues r with z*f(x) = r / p^L (mod 1), plus an
-exact rational volume scale.  A single complex evaluation, one fixed-order
-numpy sum, turns a histogram into a number; everything before that step is
+exact rational volume scale.  A single complex evaluation, fixed-order numpy
+sums, turns the histograms into a number; everything before that step is
 exact and order-independent.
 
 One dense engine builds every histogram: the common p-power of the
 non-constant coefficients is factored out, so the counting modulus never
 exceeds the grid side; each block of coupled variables is enumerated in numpy
 slabs of at most _CHUNK points by `polynomials.poly_residues`, the one
-modular polynomial evaluator the package shares; and block histograms
-combine by exact cyclic convolution into one dense count vector per sum.
+modular polynomial evaluator the package shares.  Blocks are independent, so
+a sum is kept as its factors: one narrow count column per distinct block
+histogram, with the number of blocks that share it, and its value is the
+product of the block sums.  The histogram of the whole phase is built only
+when `counts` or `residue_histogram` asks for it, by exact FFT convolution
+in integer limbs, and is kept nowhere.
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once, level by level.
@@ -41,6 +45,9 @@ from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, 
 from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
 
 _CHUNK = 1 << 22
+# every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
+# inside the 2^53 that float64 holds exactly, so it rounds to the exact integers
+_FFT_BITS = 42
 # decay_fit: how far below beta_f a fitted slope may fall and still count as
 # consistent, for quasi-homogeneous phases and for all others
 SHARP_TOLERANCE = 0.05
@@ -49,21 +56,28 @@ EPS_MARGIN = 0.1
 
 @dataclass
 class ExpSumResult:
-    """Exact root-of-unity histogram of an oscillatory ball integral.
+    """Exact root-of-unity histogram of an oscillatory ball integral, kept as
+    a product of block histograms.
 
-    `dense[r]` = N_r counts the enumerated points whose phase is
-    const + step * r mod p^level; each stands for `multiplicity` points of the
-    variables the phase does not use (an exact Python int).  value =
-    scale * multiplicity * e(const / p^level) * sum_r N_r e(r / len(dense)),
-    one fixed-order numpy sum, so the same histogram always gives the same bits.
-    It is exactly 0j when the sum vanishes: for len(dense) = p^L > 1, iff every
-    column of dense.reshape(p, -1) is constant, as Phi_{p^L}(x) =
-    Phi_p(x^(p^(L-1))) (Lam & Leung, J. Algebra 224, 2000).
+    Column j of `dense` counts, for one block of coupled variables, the points
+    whose part of the phase is step * r mod p^level, r < len(dense); the
+    phase sums `powers[j]` blocks with that column, and each point stands for
+    `multiplicity` points of the variables the phase does not use (an exact
+    Python int).  value = volume * e(const / p^level) * prod_j (S_j / T_j) **
+    powers[j], where S_j = sum_r dense[r, j] e(r / len(dense)) is one
+    fixed-order numpy sum over one roots vector, T_j the column's total, and
+    the product runs in column order, so the same columns always give the
+    same bits.  It is exactly 0j when the sum vanishes: a product vanishes iff
+    a factor does, and for len(dense) = p^L > 1 a factor vanishes iff every
+    column of dense[:, j].reshape(p, -1) is constant, as Phi_{p^L}(x) =
+    Phi_p(x^(p^(L-1))) (Lam & Leung, J. Algebra 224, 2000).  A nonzero value
+    below the smallest float rounds to 0j.
     """
 
     prime: int
     level: int
     dense: np.ndarray
+    powers: tuple[int, ...]
     const: int
     step: int
     multiplicity: int
@@ -77,7 +91,8 @@ class ExpSumResult:
 
     @property
     def total_count(self) -> int:
-        return sum(self.dense.tolist()) * self.multiplicity
+        totals = self.dense.sum(axis=0, dtype=np.int64).tolist()
+        return math.prod(t**k for t, k in zip(totals, self.powers)) * self.multiplicity
 
     @property
     def volume(self) -> Fraction:
@@ -86,26 +101,35 @@ class ExpSumResult:
     @property
     def value(self) -> complex:
         if self._value is None and len(self.dense) > 1:
-            columns = self.dense.reshape(self.prime, -1)
-            if (columns == columns[0]).all():
-                self._value = 0j
+            for column in self.dense.T:
+                rows = column.reshape(self.prime, -1)
+                if (rows == rows[0]).all():
+                    self._value = 0j
+                    break
         if self._value is None:
-            size = len(self.dense)
+            size, last = self.dense.shape
             roots = np.zeros(size, dtype=np.complex128)  # filled in place: one complex array
             np.divide(np.arange(size), size, out=roots.imag)
             roots.imag *= 2 * np.pi
             np.exp(roots, out=roots)
-            roots *= self.dense
             shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
-            self._value = complex(float(self.scale * self.multiplicity) * shift * roots.sum())
+            value = float(self.volume) * shift
+            for j, (column, k) in enumerate(zip(self.dense.T, self.powers), 1):
+                terms = roots if j == last else roots.copy()
+                terms *= column
+                value *= (complex(terms.sum()) / int(column.sum(dtype=np.int64))) ** k
+            self._value = value
         return self._value
 
 
 class ResidueCounts(Mapping[int, int]):
-    """Read-only {residue mod p^level: count} view of an ExpSumResult's dense
-    vector, without a copy: the residues that occur, in ascending dense
-    index, each count an exact Python int times the multiplicity.  It
-    compares equal to the dict with the same items."""
+    """Read-only {residue mod p^level: count} view of an ExpSumResult: the
+    residues that occur, in ascending dense index, each count an exact
+    Python int times the multiplicity.  A single column is read in place;
+    several are combined by `_combine` on each read (each lookup, `len`,
+    `items`, `values`) and the result is not kept, so many counts are best
+    read through one `items()`.  It compares equal to the dict with the same
+    items."""
 
     def __init__(self, res: ExpSumResult):
         self._res = res
@@ -115,12 +139,14 @@ class ResidueCounts(Mapping[int, int]):
         modulus = res.prime**res.level
         if isinstance(key, (int, np.integer)) and 0 <= key < modulus:
             r, off = divmod((int(key) - res.const) % modulus, res.step)
-            if not off and res.dense[r]:
-                return int(res.dense[r]) * res.multiplicity
+            if not off:
+                count = int(_combine(res.dense, res.powers)[r])
+                if count:
+                    return count * res.multiplicity
         raise KeyError(key)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._res.dense))
+        return int(np.count_nonzero(_combine(self._res.dense, self._res.powers)))
 
     # iteration builds a transient dict in bulk, not one lookup per key
     def __iter__(self) -> Iterator[int]:
@@ -137,10 +163,11 @@ class ResidueCounts(Mapping[int, int]):
 
     def _dict(self) -> dict[int, int]:
         res = self._res
-        support = np.flatnonzero(res.dense)
+        counts = _combine(res.dense, res.powers)
+        support = np.flatnonzero(counts)
         keys = (res.const + res.step * support) % res.prime**res.level
         mult = res.multiplicity
-        return dict(zip(keys.tolist(), [c * mult for c in res.dense[support].tolist()]))
+        return dict(zip(keys.tolist(), [c * mult for c in counts[support].tolist()]))
 
 
 # -- modular histogram core --------------------------------------------------
@@ -202,31 +229,70 @@ def _block_counts(
     return counts
 
 
-def _cyclic_convolve(h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-    """Exact cyclic convolution of two integer count vectors."""
-    n = len(h1)
-    if n == 1:
-        return np.array([int(h1[0]) * int(h2[0])], dtype=np.int64)
-    approx = np.fft.irfft(np.fft.rfft(h1) * np.fft.rfft(h2), n)
-    out = np.rint(approx).astype(np.int64)
-    if abs(int(out.sum()) - int(h1.sum()) * int(h2.sum())) != 0 or np.max(
-        np.abs(approx - out)
-    ) > 0.25:
-        full = np.convolve(h1, h2)
-        out = full[:n].copy()
-        out[: len(full) - n] += full[n:]
-    return out
+def _limbs(rows: np.ndarray, bits: int) -> np.ndarray:
+    """Nonnegative int64 rows, row i of weight 2^(bits*i), carried into limbs
+    below 2^bits: the rows of the result spell the same numbers in base
+    2^bits."""
+    mask = (1 << bits) - 1
+    out, carry = [], np.zeros(rows.shape[1], dtype=np.int64)
+    for row in rows:
+        row = row + carry
+        out.append(row & mask)
+        carry = row >> bits
+    while carry.any():
+        out.append(carry & mask)
+        carry >>= bits
+    return np.array(out)
+
+
+def _combine(dense: np.ndarray, powers: Sequence[int]) -> np.ndarray:
+    """The exact cyclic convolution of every column, column j taken powers[j]
+    times: the count vector of the whole phase.
+
+    The running vector is held in limbs of `bits` bits, chosen from the
+    modulus and the largest column count so that every FFT product of a limb
+    with a column stays below 2^_FFT_BITS; a product that does not round to
+    integers with the right total refuses with ResourceCapError.  The counts
+    are int64 while they fit and Python ints (an object array) after.
+    """
+    if powers == (1,):
+        return dense[:, 0]
+    size = len(dense)
+    needed = size.bit_length() + int(dense.max()).bit_length()
+    bits = _FFT_BITS - needed
+    if bits < 1:
+        raise ResourceCapError(needed + 1, _FFT_BITS, what="bits in one FFT limb product")
+    acc = _limbs(dense[:, :1].T.astype(np.int64), bits)
+    for j, k in enumerate(powers):
+        column = dense[:, j]
+        spectrum = np.fft.rfft(column)
+        total = np.uint64(column.sum(dtype=np.uint64))
+        for _ in range(k - (j == 0)):
+            approx = np.fft.irfft(np.fft.rfft(acc, axis=1) * spectrum, size, axis=1)
+            out = np.rint(approx).astype(np.int64)
+            # the totals are compared mod 2^64, where uint64 sums wrap
+            want = acc.sum(axis=1, dtype=np.uint64) * total
+            if np.abs(approx - out).max() > 0.25 or not np.array_equal(
+                out.sum(axis=1, dtype=np.uint64), want
+            ):
+                raise ResourceCapError(54, 53, what="bits in one FFT limb product")
+            acc = _limbs(out, bits)
+    counts = acc[-1] if len(acc) * bits < 63 else acc[-1].astype(object)
+    for limb in acc[-2::-1]:
+        counts = (counts << bits) + limb
+    return counts
 
 
 def _mod_histogram(
     terms: Mapping[Exponents, int], n: int, p: int, level: int, modulus: int, cap: int
 ) -> np.ndarray:
-    """Dense counts N_r of h(y) = r mod modulus over the used variables y in
-    [0, p^level).
+    """A (modulus, blocks) array: column b counts N_r = #{y_b : h_b(y_b) = r
+    mod modulus} over the variables y_b of block b in [0, p^level).
 
-    `terms` has no constant term.  h splits over connected variable blocks,
-    whose count vectors combine by exact cyclic convolution; variables h does
-    not use are not enumerated.
+    `terms` has no constant term; h splits over connected variable blocks,
+    h = sum_b h_b, and variables h does not use are not enumerated.  The
+    array has the narrowest unsigned dtype that holds its largest count; h = 0
+    gives one column [1].
     """
     width = p**level
     blocks = _variable_blocks(terms, n)
@@ -236,11 +302,14 @@ def _mod_histogram(
     if work > cap:
         raise ResourceCapError(work, cap)
     checked_modulus(modulus, "residue classes")
-    acc = np.ones(1, dtype=np.int64)  # h = 0 when every variable is unused
-    for i, block in enumerate(blocks):
-        block_counts = _block_counts(block, terms, width, modulus)
-        acc = _cyclic_convolve(acc, block_counts) if i else block_counts
-    return acc
+    if not blocks:
+        return np.ones((1, 1), dtype=np.uint8)
+    # each column is narrowed as it is counted; stacking promotes to the widest
+    columns = []
+    for block in blocks:
+        counts = _block_counts(block, terms, width, modulus)
+        columns.append(counts.astype(np.min_scalar_type(int(counts.max()))))
+    return np.stack(columns, axis=1)
 
 
 def _histogram(
@@ -251,7 +320,8 @@ def _histogram(
 
     The non-constant part is step * h with step = gcd(modulus, coefficients),
     so it is counted as h mod modulus // step, a modulus never above the grid
-    side p^level for the integrands built here.
+    side p^level for the integrands built here.  Equal block columns are kept
+    once, with the number of blocks that share them.
     """
     modulus = p**key_level
     if modulus > 8 * cap:
@@ -260,9 +330,22 @@ def _histogram(
     nonconst = {e: c for e, c in terms.items() if sum(e) > 0}
     step = math.gcd(modulus, *nonconst.values())
     h = {e: c // step for e, c in nonconst.items()}
-    dense = _mod_histogram(h, n, p, level, modulus // step, cap)
+    columns = _mod_histogram(h, n, p, level, modulus // step, cap)
+    keep: list[int] = []
+    powers: list[int] = []
+    for j, column in enumerate(columns.T):
+        for i, kept in enumerate(keep):
+            if np.array_equal(columns[:, kept], column):
+                powers[i] += 1
+                break
+        else:
+            keep.append(j)
+            powers.append(1)
+    dense = columns if len(keep) == columns.shape[1] else columns[:, keep]
     unused = n - len({j for e in h for j, a in enumerate(e) if a > 0})
-    return ExpSumResult(p, key_level, dense, const, step, p ** (level * unused), scale)
+    return ExpSumResult(
+        p, key_level, dense, tuple(powers), const, step, p ** (level * unused), scale
+    )
 
 
 # -- the ball character-sum engine -------------------------------------------

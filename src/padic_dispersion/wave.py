@@ -295,7 +295,10 @@ def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
         return top
     box = float(Fraction(grid.prime) ** R)
     weights = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
-    return top * float(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
+    try:
+        return top * float(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
+    except OverflowError:
+        raise DomainError(f"the norm leaves the float range at sigma = {sigma}") from None
 
 
 @dataclass(frozen=True)
@@ -341,8 +344,8 @@ def strichartz_report(
         for i in range(len(increments) - 1)
     )
     tail = increments[-3:]
-    ratios = [
-        tail[i + 1] / tail[i] if tail[i] > 0 else 1.0
+    ratios = [  # an exactly zero step has stopped growing: it shrank
+        0.0 if tail[i + 1] == 0 else tail[i + 1] / tail[i] if tail[i] > 0 else 1.0
         for i in range(len(tail) - 1)
     ]
     diverged = bool(ratios) and min(ratios) >= SHRINK_THRESHOLD

@@ -68,6 +68,20 @@ def oracle_residue_counts(
     return counts
 
 
+def oracle_cyclic_convolution(factors: list[dict[int, int]], modulus: int) -> dict[int, int]:
+    """Counts of r_1 + ... + r_k mod modulus, each r_i drawn from one factor's
+    {residue: count}: a plain Python-int double loop per factor, no FFT."""
+    acc = {0: 1}
+    for factor in factors:
+        nxt: dict[int, int] = {}
+        for a, ca in acc.items():
+            for b, cb in factor.items():
+                r = (a + b) % modulus
+                nxt[r] = nxt.get(r, 0) + ca * cb
+        acc = nxt
+    return acc
+
+
 def oracle_surface_ft(
     phi: SparsePolynomial, window: Ball, xi: tuple[Fraction, ...], level: int
 ) -> complex:

@@ -287,6 +287,22 @@ class TestStrichartzCommand:
         code, _ = run_cli(tmp_path, self.TWO_D + ["--cap", "10000"])
         assert code == EXIT_RESOURCE
 
+    UNIT = ["strichartz", "--prime", "3", "--phi", "x^2", "--rmax", "2", "--f0", "ball 0 0"]
+
+    def test_a_zero_tail_has_converged(self, tmp_path):
+        # |u| = 1 on the unit box: the sup-norm series stops growing at once
+        code, out = run_cli(tmp_path, self.UNIT + ["--sigma", "inf"])
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        assert res["increments"] == [0.0, 0.0]
+        assert res["converged"] and not res["diverged"]
+
+    def test_a_norm_beyond_the_float_range_is_refused(self, tmp_path, capsys):
+        # the power 1 / sigma = 1e300 of a sum above 1 overflows
+        assert run_cli(tmp_path, self.UNIT + ["--sigma", "1e-300"]) == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert "sigma" in err and "Traceback" not in err
+
 
 class TestValidationAndExitCodes:
     def test_bad_prime(self, tmp_path):

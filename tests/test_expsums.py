@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import expsum_values, oracle_exp_sum, oracle_residue_counts, oracle_vanishes
+from helpers import (
+    expsum_values,
+    oracle_cyclic_convolution,
+    oracle_exp_sum,
+    oracle_residue_counts,
+    oracle_vanishes,
+)
 from padic_dispersion import expsums
 from padic_dispersion.errors import (
     CertificateIndeterminate,
@@ -204,6 +210,90 @@ class TestExpSumResult:
             tracemalloc.stop()
         assert np.array_equal(res.dense, whole)
         assert peak <= 250 * 2**20 / 5, peak
+
+
+def squares(k: int) -> SparsePolynomial:
+    return parse_polynomial("+".join(f"x{i}^2" for i in range(1, k + 1)))
+
+
+class TestFactoredSums:
+    """A separable sum is kept as its distinct block columns; `value` is the
+    product of the block sums and `counts` combines the columns exactly."""
+
+    def test_six_squares(self):
+        # every level-9 count of the combined histogram leaves int64
+        res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
+        assert res.dense.shape == (3**9, 1) and res.dense.dtype == np.uint8
+        assert res.powers == (6,)
+        counts = dict(res.counts.items())  # one combination, not one per key
+        assert min(counts.values()) >= 0 and max(counts.values()) > 2**63
+        assert res.volume == 1 and res.scale * sum(counts.values()) == 1
+        assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27
+
+    def test_four_squares_at_level_twelve(self):
+        res = exp_sum(squares(4), Fraction(1, 3**12), Ball.of(3, [0] * 4, 0))
+        assert res.volume == 1
+        assert abs(abs(res.value) - 3**-24) <= 1e-12 * 3**-24
+
+    def test_counts_beyond_int64_equal_the_python_int_convolution(self):
+        # 3^48 points over 3^6 classes: each count is about 3^42 > 2^63
+        res = exp_sum(squares(8), Fraction(1, 3**6), Ball.of(3, [0] * 8, 0))
+        want = oracle_cyclic_convolution([oracle_residue_counts(SQUARE, 6, Z3)] * 8, 3**6)
+        assert res.counts == want
+        assert min(want.values()) > 2**63
+        assert all(type(c) is int for c in res.counts.values())
+
+    def test_distinct_and_repeated_columns(self):
+        f = parse_polynomial("x1^2 + x2^2 + 2*x3^2 + x4^3")
+        m, ball = 5, Ball.of(3, [0] * 4, 0)
+        res = exp_sum(f, Fraction(1, 3**m), ball)
+        assert res.dense.shape == (3**m, 3) and res.powers == (2, 1, 1)
+        blocks = [parse_polynomial(t) for t in ("x^2", "x^2", "2*x^2", "x^3")]
+        want = oracle_cyclic_convolution(
+            [oracle_residue_counts(g, m, Z3) for g in blocks], 3**m
+        )
+        assert res.counts == want and len(res.counts) == len(want)
+        assert res.total_count == 3 ** (4 * m) and res.volume == 1
+        direct = sum(c * cmath.exp(2j * math.pi * r / 3**m) for r, c in want.items())
+        assert abs(res.value - direct / 3 ** (4 * m)) < 1e-12
+
+    def test_one_vanishing_factor_gives_an_exact_zero(self):
+        # x1^3 over 2 + 5 Z_5 vanishes at 5^-5; x2^2 over 5 Z_5 does not
+        z = Fraction(1, 5**5)
+        assert exp_sum(SQUARE, z, Ball.of(5, [0], 1)).value != 0
+        res = exp_sum(parse_polynomial("x1^3 + x2^2"), z, Ball.of(5, [2, 0], 1))
+        assert res.dense.shape[1] == 2
+        assert res.value == 0j
+        assert oracle_vanishes(dict(res.counts.items()), 5, res.level)
+
+    # 62: limb products pass 2^53 and no longer round exactly; 20: the
+    # modulus times the largest count leaves no bit for a limb
+    @pytest.mark.parametrize("fft_bits", [62, 20])
+    def test_counts_beyond_exact_fft_products_are_refused(self, monkeypatch, fft_bits):
+        res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
+        monkeypatch.setattr(expsums, "_FFT_BITS", fft_bits)
+        with pytest.raises(ResourceCapError):
+            res.counts.items()
+        assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27  # the value needs no combination
+
+    @pytest.mark.parametrize("hold", ["result", "counts"])
+    def test_a_held_six_squares_sum_keeps_one_narrow_column(self, hold):
+        f, ball, z = squares(6), Ball.of(3, [0] * 6, 0), Fraction(1, 3**9)
+        dict(exp_sum(f, z, ball).counts.items())  # first-call allocations are not retained
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = exp_sum(f, z, ball)
+            res.value
+            assert sum(res.counts.values()) == 3**54  # combined, then dropped
+            held = res if hold == "result" else res.counts
+            del res
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held is not None
+        # one uint8 count per residue class of one column, not the combined counts
+        assert retained <= 3**9 + 4096, retained
 
 
 class TestCountsView:
