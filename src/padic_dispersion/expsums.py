@@ -8,15 +8,18 @@ sums, turns the histograms into a number; everything before that step is
 exact and order-independent.
 
 One dense engine builds every histogram: the common p-power of the
-non-constant coefficients is factored out, so the counting modulus never
-exceeds the grid side; each block of coupled variables is enumerated in numpy
-slabs of at most _CHUNK points by `polynomials.poly_residues`, the one
-modular polynomial evaluator the package shares.  Blocks are independent, so
-a sum is kept as its factors: one narrow count column per distinct block
-histogram, with the number of blocks that share it, and its value is the
-product of the block sums.  The histogram of the whole phase is built only
-when `counts` or `residue_histogram` asks for it, by exact FFT convolution
-in integer limbs, and is kept nowhere.
+non-constant coefficients is factored out, so the counting modulus p^L never
+exceeds the grid side p^W.  Each block of coupled variables is counted from
+its half-level grid: only a in [0, p^ceil(L/2)) per variable is evaluated, in
+numpy slabs of at most _CHUNK points, by `polynomials.poly_residues`, the one
+modular polynomial evaluator the package shares, and one Hensel step spreads
+the rest of each point's coset over the residues it reaches (`_block_counts`).
+Blocks are independent, so a sum is kept as its factors: one narrow count
+column per distinct block histogram, with the number of blocks that share it,
+and its value is the product of the block sums, each evaluated from two root
+vectors of length about p^(L/2).  The histogram of the whole phase is built
+only when `counts` or `residue_histogram` asks for it, by exact FFT
+convolution in integer limbs, and is kept nowhere.
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once, level by level.
@@ -45,6 +48,9 @@ from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, 
 from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
 
 _CHUNK = 1 << 22
+# np.add.at costs about as much per entry it updates as this many entries of a
+# broadcast add, so a class of grid points is scattered only when it is sparse
+_SCATTER_COST = 32
 # every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
 # inside the 2^53 that float64 holds exactly, so it rounds to the exact integers
 _FFT_BITS = 42
@@ -64,12 +70,16 @@ class ExpSumResult:
     phase sums `powers[j]` blocks with that column, and each point stands for
     `multiplicity` points of the variables the phase does not use (an exact
     Python int).  value = volume * e(const / p^level) * prod_j (S_j / T_j) **
-    powers[j], where S_j = sum_r dense[r, j] e(r / len(dense)) is one
-    fixed-order numpy sum over one roots vector, T_j the column's total, and
-    the product runs in column order, so the same columns always give the
-    same bits.  It is exactly 0j when the sum vanishes: a product vanishes iff
-    a factor does, and for len(dense) = p^L > 1 a factor vanishes iff every
-    column of dense[:, j].reshape(p, -1) is constant, as Phi_{p^L}(x) =
+    powers[j], where S_j = sum_r dense[r, j] e(r / len(dense)) and T_j is the
+    column's total.  With len(dense) = p^L, r = b p^L1 + a and L1 = ceil(L/2),
+    e(r / p^L) = e(b / p^(L-L1)) e(a / p^L), so S_j = sum_b e(b / p^(L-L1))
+    sum_a dense[b p^L1 + a, j] e(a / p^L) needs p^L1 + p^(L-L1) exponentials:
+    the inner sums are one einsum, the outer one a numpy sum, and neither
+    goes through BLAS, whose thread count could change the bits.  The product
+    runs in column order, so the same columns always give the same bits.  It
+    is exactly 0j when the sum vanishes: a product vanishes iff a factor
+    does, and for len(dense) = p^L > 1 a factor vanishes iff every column of
+    dense[:, j].reshape(p, -1) is constant, as Phi_{p^L}(x) =
     Phi_p(x^(p^(L-1))) (Lam & Leung, J. Algebra 224, 2000).  A nonzero value
     below the smallest float rounds to 0j.
     """
@@ -107,17 +117,18 @@ class ExpSumResult:
                     self._value = 0j
                     break
         if self._value is None:
-            size, last = self.dense.shape
-            roots = np.zeros(size, dtype=np.complex128)  # filled in place: one complex array
-            np.divide(np.arange(size), size, out=roots.imag)
-            roots.imag *= 2 * np.pi
-            np.exp(roots, out=roots)
+            size = len(self.dense)
+            split = 1  # r = b * split + a, split = p^ceil(L/2)
+            while split * split < size:
+                split *= self.prime
+            inner = np.exp(2j * np.pi / size * np.arange(split))  # e(a / p^L)
+            outer = np.exp(2j * np.pi / (size // split) * np.arange(size // split))
             shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
             value = float(self.volume) * shift
-            for j, (column, k) in enumerate(zip(self.dense.T, self.powers), 1):
-                terms = roots if j == last else roots.copy()
-                terms *= column
-                value *= (complex(terms.sum()) / int(column.sum(dtype=np.int64))) ** k
+            for column, k in zip(self.dense.T, self.powers):
+                rows = np.einsum("ba,a->b", column.reshape(-1, split), inner)
+                total = (rows * outer).sum()
+                value *= (complex(total) / int(column.sum(dtype=np.int64))) ** k
             self._value = value
         return self._value
 
@@ -200,32 +211,74 @@ def _block_counts(
     width: int,
     modulus: int,
 ) -> np.ndarray:
-    """Counts of the block's part of the polynomial over [0, width)^len(block).
+    """Counts of the block's part h of the polynomial mod `modulus` over
+    [0, width)^len(block), from the half-level grid.
 
-    The fewest leading variables that leave at most _CHUNK points are fixed:
-    all but the last of them are scalars, the last is walked in rows, and the
-    rest are broadcast, so a slab never exceeds _CHUNK points.
+    Let width = p^W and modulus = p^L.  When W >= L, h mod p^L depends on y
+    mod p^L only, and y = a + p^k b with k = ceil(L/2), a in [0, p^k)^|b|:
+    h(y) = sum_alpha h^(alpha)(a)/alpha! p^(k|alpha|) b^alpha, each
+    h^(alpha)/alpha! has integer coefficients and p^(2k) = 0 mod p^L, so
+    h(y) = h(a) + p^k grad h(a).b mod p^L (one Hensel step).  With p^j the
+    gcd of p^(L-k) and the entries of grad h(a), the map b -> p^k grad
+    h(a).b mod p^L reaches the p^(L-k-j) residues p^(k+j) t equally often.
+    So only the grid points a are evaluated (with the gradient), and a adds
+    (p^(W-k))^|b| / p^(L-k-j) to each residue h(a) + p^(k+j) t: class j of
+    the grid is a bincount mod p^(k+j) tiled across the count vector, or,
+    when it holds few points, scattered into every tile by np.add.at.  When
+    W < L (only a direct call), the grid is the whole box and no b is split
+    off: plain enumeration through the same loop.
+
+    The fewest leading grid variables that leave at most _CHUNK points are
+    fixed: all but the last of them are scalars, the last is walked in rows,
+    and the rest are broadcast, so a slab never exceeds _CHUNK points.
     """
     local = [
         (tuple(exps[j] for j in block), coeff)
         for exps, coeff in terms.items()
         if any(exps[j] > 0 for j in block)
     ]
-    free = len(block) - 1
-    while free and width**free > _CHUNK:
+    d = len(block)
+    # modulus = p^level; only level >= 2 needs p, and then p <= sqrt(modulus)
+    p = next((q for q in range(2, math.isqrt(modulus) + 1) if modulus % q == 0), modulus)
+    level = 0
+    while p**level < modulus:
+        level += 1
+    fine = level // 2 if width >= modulus else 0  # b runs over [0, p^fine), fine = L - k
+    coarse = modulus // p**fine
+    side = min(width, coarse)  # the grid side: p^k, or the whole box when W < L
+    spread = (width // side) ** d  # points of the box per grid point
+    grads = [
+        [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in local if e[i]]
+        for i in range(d)
+    ] if fine else []
+    free = d - 1
+    while free and side**free > _CHUNK:
         free -= 1
-    rows = _CHUNK // width**free
-    broadcast = [np.arange(width, dtype=np.int64)] * free
-    counts = None  # the first slab's counts become the accumulator
-    for prefix in product(range(width), repeat=len(block) - free - 1):
-        for lo in range(0, width, rows):
-            axes = np.ix_(np.arange(lo, min(lo + rows, width), dtype=np.int64), *broadcast)
-            vals = poly_residues(local, [*prefix, *axes], modulus)
-            if counts is None:
-                counts = np.bincount(vals.ravel(), minlength=modulus)
-            else:
-                np.add.at(counts, vals.ravel(), 1)
-            del vals  # freed before the next slab is evaluated
+    rows = _CHUNK // side**free
+    broadcast = [np.arange(side, dtype=np.int64)] * free
+    counts = np.zeros(modulus, dtype=np.int64)
+    for prefix in product(range(side), repeat=d - free - 1):
+        for lo in range(0, side, rows):
+            axes = np.ix_(np.arange(lo, min(lo + rows, side), dtype=np.int64), *broadcast)
+            coords = [*prefix, *axes]
+            vals = poly_residues(local, coords, modulus).ravel()
+            steps = np.full(len(vals), p**fine, dtype=np.int64)  # p^j of each grid point
+            for grad in grads:
+                np.gcd(steps, poly_residues(grad, coords, p**fine).ravel(), out=steps)
+            for j in range(fine + 1):
+                # class j: each point a adds spread p^(j-fine) to h(a) + size t, all t
+                size = coarse * p**j
+                picked = vals[steps == p**j]
+                picked %= size
+                weight = spread * p**j // p**fine
+                tiles = counts.reshape(-1, size)
+                if len(picked) * _SCATTER_COST < size:
+                    np.add.at(tiles, (slice(None), picked), weight)
+                else:
+                    bins = np.bincount(picked, minlength=size)
+                    bins *= weight
+                    tiles += bins
+            del vals, steps  # freed before the next slab is evaluated
     return counts
 
 
@@ -296,11 +349,14 @@ def _mod_histogram(
     """
     width = p**level
     blocks = _variable_blocks(terms, n)
-    # The cap bounds the points actually visited: blocks decouple, so the
-    # conceptual p^(n*level) enumeration costs only the sum of block grids.
+    # The cap counts the points of the block boxes: blocks decouple, so the
+    # conceptual p^(n*level) points cost only the sum of block boxes, and
+    # `_block_counts` evaluates far fewer of them (its half-level grids).
     work = sum(width ** len(b) for b in blocks) if blocks else 1
     if work > cap:
         raise ResourceCapError(work, cap)
+    if work >= 1 << 63:  # every count of a column, and its total, is one int64
+        raise ResourceCapError(work, (1 << 63) - 1, what="points counted in int64")
     checked_modulus(modulus, "residue classes")
     if not blocks:
         return np.ones((1, 1), dtype=np.uint8)

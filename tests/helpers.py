@@ -68,6 +68,20 @@ def oracle_residue_counts(
     return counts
 
 
+def oracle_block_counts(
+    terms: dict[tuple[int, ...], int], block: tuple[int, ...], width: int, modulus: int
+) -> list[int]:
+    """Counts of the block's part of sum c y^e mod modulus over [0, width)^len(block):
+    the terms using a block variable, one Python-int evaluation per point."""
+    local = {e: c for e, c in terms.items() if any(e[j] for j in block)}
+    counts = [0] * modulus
+    for y in product(range(width), repeat=len(block)):
+        x = dict(zip(block, y))
+        value = sum(c * math.prod(x[j] ** e[j] for j in block) for e, c in local.items())
+        counts[value % modulus] += 1
+    return counts
+
+
 def oracle_cyclic_convolution(factors: list[dict[int, int]], modulus: int) -> dict[int, int]:
     """Counts of r_1 + ... + r_k mod modulus, each r_i drawn from one factor's
     {residue: count}: a plain Python-int double loop per factor, no FFT."""

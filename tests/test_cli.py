@@ -1,14 +1,19 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import padic_dispersion
 from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
     EXIT_CERTIFICATE,
@@ -420,6 +425,27 @@ class TestDeterminism:
         _, a = run_cli(tmp_path, job)
         _, b = run_cli(tmp_path, job)
         assert a == b
+
+    def test_byte_identical_across_processes_threads_and_blas_threads(self):
+        # sums are evaluated by einsum and plain sums, never through BLAS, so
+        # neither --threads nor the BLAS thread count reaches the output
+        jobs = [
+            ["expsum", "--prime", "3", "--poly", "x1^2+x1*x2+x2^3", "--m", "1..8"],
+            ["surface", "--prime", "3", "--phi", "x1^2+2*x2^2", "--k", "1..6"],
+        ]
+        src = str(Path(padic_dispersion.__file__).resolve().parents[1])
+        for job in jobs:
+            outputs = set()
+            for threads, blas in product("12", "12"):
+                env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas}
+                done = subprocess.run(
+                    [sys.executable, "-m", "padic_dispersion.cli", *job, "--threads", threads],
+                    env=env, capture_output=True, timeout=120,
+                )
+                outputs.add((done.returncode, done.stdout))
+            assert len(outputs) == 1, job
+            ((code, stdout),) = outputs
+            assert code in (EXIT_OK, EXIT_CERTIFICATE) and json.loads(stdout)["results"], job
 
     def test_env_thread_count(self, tmp_path, monkeypatch):
         job = self.JOBS[0]

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     expsum_values,
+    oracle_block_counts,
     oracle_cyclic_convolution,
     oracle_exp_sum,
     oracle_residue_counts,
@@ -132,18 +133,131 @@ class TestExpSum:
         assert abs(whole - parts) < 1e-12
 
     def test_slab_splitting_matches_the_oracles(self, monkeypatch):
-        monkeypatch.setattr(expsums, "_CHUNK", 100)  # many slabs per block
+        # slabs of 10 points: the coarse grid of every case spans several
+        monkeypatch.setattr(expsums, "_CHUNK", 10)
+        calls = []
+        evaluate = expsums.poly_residues
+
+        def recording(terms, coords, modulus):
+            out = evaluate(terms, coords, modulus)
+            calls.append((modulus, out.size))
+            return out
+
+        monkeypatch.setattr(expsums, "poly_residues", recording)
         cases = [
+            # a grid of 7^2 points in rows of 10
             (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
+            # 9 x 9 points: one row of 9 per slab
             (parse_polynomial("x1^2*x2 + x2^2"), Ball.of(3, [0, 0], 0), 4),
-            # width 8 over four coupled variables: 8^3 exceeds the chunk, so
-            # the first variable is a scalar and the second is walked
+            # side 4 over four coupled variables: 4^2 exceeds the chunk, so
+            # the first two variables are scalars and the third is walked
             (parse_polynomial("x1*x2 + x2*x3^2 + x3*x4 + x4^3"), Ball.of(2, [0] * 4, 0), 3),
         ]
         for f, ball, m in cases:
             z = Fraction(1, ball.prime**m)
+            calls.clear()
             assert abs(exp_sum(f, z, ball).value - oracle_exp_sum(f, z, ball, m)) < 1e-9
+            top = max(modulus for modulus, _ in calls)  # the phase's calls, not its gradient's
+            slabs = [size for modulus, size in calls if modulus == top]
+            assert len(slabs) > 1 and max(slabs) <= 10, slabs
             assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
+
+
+def seeded_block_terms(rng, p: int, n: int, block: tuple[int, ...]) -> dict:
+    """One to four monomials in the block's variables, with coefficients that
+    p or p^2 often divides, and one term in x1, which is not in the block."""
+    terms = {(2,) + (0,) * (n - 1): 1}
+    while len(terms) < 2:
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 3) if j in block else 0 for j in range(n))
+            if any(exps):
+                terms[exps] = rng.choice([-1, 1]) * rng.randint(1, 30) * p ** rng.choice([0, 0, 1, 2])
+    return terms
+
+
+class TestHalfLevelGrid:
+    """`_block_counts` evaluates only [0, p^ceil(L/2))^|b| and lifts each
+    grid point's fibre by one Hensel step; the counts, values and exact
+    zeros equal those of plain enumeration."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_counts_match_plain_enumeration(self, p, d):
+        rng = random.Random(f"{p}:{d}")
+        block = tuple(range(1, d + 1))
+        seen = set()
+        for level in range(7):
+            for width_level in (level - 1, level, level + 1):
+                if width_level < 0 or p ** (width_level * d) > 2500:
+                    continue
+                for draw in range(3):
+                    terms = seeded_block_terms(rng, p, d + 1, block)
+                    if draw == 2:  # the block's whole part divisible by p
+                        terms = {e: c * (p if e[0] == 0 else 1) for e, c in terms.items()}
+                    width, modulus = p**width_level, p**level
+                    got = expsums._block_counts(block, terms, width, modulus)
+                    assert got.tolist() == oracle_block_counts(terms, block, width, modulus), (
+                        terms, width, modulus,
+                    )
+                seen.add((min(level, 2), (width_level > level) - (width_level < level)))
+        # levels 0, 1 and above, each with a box narrower than the modulus or not
+        assert seen >= {(0, 0), (0, 1), (1, -1), (1, 0), (2, -1)}
+        if p ** (2 * d) <= 2500:  # a grid that lifts (W >= L >= 2) fits the budget
+            assert (2, 0) in seen
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_values_and_exact_zeros_match_the_oracles(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for _ in range(16):
+            n = rng.randint(1, 2)
+            m = rng.choice([m for m in range(1, 7) if p ** (m * n) <= 729])
+            terms = seeded_block_terms(rng, p, n + 1, tuple(range(1, n + 1)))
+            f = SparsePolynomial.from_terms(n, {e[1:]: c for e, c in terms.items() if any(e[1:])})
+            ball = Ball.of(p, [0] * n, 0)
+            z = Fraction(rng.randint(1, p - 1), p**m)
+            value = exp_sum(f, z, ball).value
+            # u f and f vanish together: e(u r / p^m) is a Galois conjugate of e(r / p^m)
+            zero = oracle_vanishes(oracle_residue_counts(f, m, ball), p, m)
+            if zero:
+                assert value == 0j, (f, z)
+            else:
+                want = oracle_exp_sum(f, z, ball, m)
+                assert abs(value - want) <= 1e-12 * abs(want), (f, z, value, want)
+            seen.add(zero)
+        assert seen == {True, False}
+
+    def test_a_box_beyond_int64_is_refused(self):
+        # 8 grid points at level 1 would be cheap, but 2^69 points do not fit
+        # the int64 counts, whatever the cap
+        with pytest.raises(ResourceCapError) as err:
+            exp_sum(parse_polynomial("x1*x2*x3"), Fraction(1, 2), Ball.of(2, [0] * 3, 0),
+                    cap=10**30, extra_level=22)
+        assert err.value.required == 2**69 and err.value.cap == 2**63 - 1
+
+    def test_points_evaluated_are_bounded_by_the_half_level_grid(self, monkeypatch):
+        points = []
+        evaluate = expsums.poly_residues
+
+        def counting(terms, coords, modulus):
+            out = evaluate(terms, coords, modulus)
+            points.append(out.size)
+            return out
+
+        monkeypatch.setattr(expsums, "poly_residues", counting)
+        cases = [
+            ({(3,): 1, (1,): -2}, (0,), 5, 8, 8),
+            ({(3,): 1}, (0,), 3, 6, 9),
+            ({(1, 1): 1}, (0, 1), 3, 6, 6),
+            ({(2, 1): 1, (0, 2): 3}, (0, 1), 2, 7, 9),
+            ({(1, 1, 0): 1, (0, 1, 2): 1, (0, 0, 3): 2}, (0, 1, 2), 2, 5, 5),
+        ]
+        for terms, block, p, level, width_level in cases:
+            points.clear()
+            counts = expsums._block_counts(block, terms, p**width_level, p**level)
+            assert int(counts.sum()) == p ** (width_level * len(block))
+            bound = (len(block) + 1) * p ** ((level + 1) // 2 * len(block))
+            assert sum(points) <= bound, (terms, sum(points), bound)
 
 
 class TestExpSumResult:
@@ -197,8 +311,8 @@ class TestExpSumResult:
 
     def test_enumeration_peak_stays_near_the_count_vector(self, monkeypatch):
         # exp_sum(x^3, 5^-10, Z_5) may peak at 250 MiB for its 74.5 MiB count
-        # vector and 2^22-point slabs; at 5^-9 with slabs a fifth as large the
-        # proportions (three slabs, count vector to slab size) are the same
+        # vector; at 5^-9 the count vector is a fifth as large, and so is the
+        # bound (the grid of 5^5 points is one slab at either slab size)
         cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
         whole = exp_sum(cube, Fraction(1, 5**9), z5).dense  # one slab
         monkeypatch.setattr(expsums, "_CHUNK", expsums._CHUNK // 5)
