@@ -36,12 +36,10 @@ from .newton import (
 )
 from .padic import (
     Ball,
-    DEFAULT_ANGULAR_PRECISION,
     DEFAULT_ENUMERATION_CAP,
     PadicRational,
     RootOfUnity,
     character,
-    padic_meta,
 )
 from .polynomials import SparsePolynomial, parse_polynomial
 from .schwartz import (

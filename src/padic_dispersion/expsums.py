@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -137,13 +138,29 @@ class ResidueCounts(Mapping[int, int]):
     """Read-only {residue mod p^level: count} view of an ExpSumResult: the
     residues that occur, in ascending dense index, each count an exact
     Python int times the multiplicity.  A single column is read in place;
-    several are combined by `_combine` on each read (each lookup, `len`,
-    `items`, `values`) and the result is not kept, so many counts are best
-    read through one `items()`.  It compares equal to the dict with the same
+    several are combined by `_combine` once per view, on its first read, and
+    kept while that view lives and is the view read last: one combined
+    vector at most is alive, so views held after a read, and the
+    ExpSumResult, keep nothing.  It compares equal to the dict with the same
     items."""
+
+    # (weak reference to the view read last, its combined counts)
+    _last: tuple = (None, None)
 
     def __init__(self, res: ExpSumResult):
         self._res = res
+
+    def _counts(self) -> np.ndarray:
+        ref, counts = ResidueCounts._last
+        if ref is None or ref() is not self:
+            counts = _combine(self._res.dense, self._res.powers)
+            ResidueCounts._last = (weakref.ref(self, ResidueCounts._forget), counts)
+        return counts
+
+    @staticmethod
+    def _forget(ref: weakref.ref) -> None:
+        if ResidueCounts._last[0] is ref:
+            ResidueCounts._last = (None, None)
 
     def __getitem__(self, key: int) -> int:
         res = self._res
@@ -151,13 +168,13 @@ class ResidueCounts(Mapping[int, int]):
         if isinstance(key, (int, np.integer)) and 0 <= key < modulus:
             r, off = divmod((int(key) - res.const) % modulus, res.step)
             if not off:
-                count = int(_combine(res.dense, res.powers)[r])
+                count = int(self._counts()[r])
                 if count:
                     return count * res.multiplicity
         raise KeyError(key)
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(_combine(self._res.dense, self._res.powers)))
+        return int(np.count_nonzero(self._counts()))
 
     # iteration builds a transient dict in bulk, not one lookup per key
     def __iter__(self) -> Iterator[int]:
@@ -173,8 +190,7 @@ class ResidueCounts(Mapping[int, int]):
         return repr(self._dict())
 
     def _dict(self) -> dict[int, int]:
-        res = self._res
-        counts = _combine(res.dense, res.powers)
+        res, counts = self._res, self._counts()
         support = np.flatnonzero(counts)
         keys = (res.const + res.step * support) % res.prime**res.level
         mult = res.multiplicity

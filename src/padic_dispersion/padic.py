@@ -1,9 +1,10 @@
-"""Exact arithmetic on Q_p truncations.
+"""Exact p-adic scalars, the additive character and balls of Q_p^n.
 
-Scalars are elements of Z[1/p] stored exactly as unit * p^val with the unit
-coprime to p.  The field is fixed to K = Q_p, so the local parameter is p and
-the residue field has q = p elements.  Complex numbers enter only when a
-root of unity is finally evaluated.
+Scalars are elements of Z[1/p], read once as unit * p^val with the unit
+coprime to p and then only read: callers do their arithmetic on Fractions.
+The field is fixed to K = Q_p, so the local parameter is p and the residue
+field has q = p elements.  Complex numbers enter only when a root of unity
+is finally evaluated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 
 from .errors import DomainError
 
-DEFAULT_ANGULAR_PRECISION = 8
 DEFAULT_ENUMERATION_CAP = 10**8
 
 Rational = int | Fraction
@@ -61,9 +61,11 @@ def split_p_part(x: Rational, p: int) -> tuple[int, int]:
 
 
 class PadicRational:
-    """An element a * p^v of Q_p with a in Z coprime to p (exact).
+    """An element a * p^v of Q_p with a in Z coprime to p, exact and read-only.
 
-    The zero element stores unit 0 and reports valuation +infinity.
+    The zero element stores unit 0 and val 0 and reports valuation +infinity.
+    It equals only PadicRationals: it hashes apart from the int or Fraction it
+    was built from, so it does not compare equal to them either.
     """
 
     __slots__ = ("prime", "unit", "_val")
@@ -80,16 +82,6 @@ class PadicRational:
         self.unit = unit
         self._val = val
 
-    @classmethod
-    def from_unit_val(cls, prime: int, unit: int, val: int) -> "PadicRational":
-        if unit != 0 and unit % prime == 0:
-            raise DomainError(f"unit {unit} divisible by p={prime}")
-        x = cls.__new__(cls)
-        x.prime = prime
-        x.unit = unit
-        x._val = val if unit != 0 else 0
-        return x
-
     @property
     def is_zero(self) -> bool:
         return self.unit == 0
@@ -99,20 +91,6 @@ class PadicRational:
         """v(x); +infinity for x = 0."""
         return math.inf if self.unit == 0 else self._val
 
-    @property
-    def abs_value(self) -> Fraction:
-        """|x|_K = p^(-v(x)) as an exact rational; 0 for x = 0."""
-        if self.unit == 0:
-            return Fraction(0)
-        v = self._val
-        return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime**-v)
-
-    def angular_component(self, precision: int = DEFAULT_ANGULAR_PRECISION) -> int:
-        """ac(x) = x * p^(-v(x)) reduced mod p^precision; 0 for x = 0."""
-        if precision < 1:
-            raise DomainError("precision must be >= 1")
-        return self.unit % self.prime**precision
-
     def as_fraction(self) -> Fraction:
         if self.unit == 0:
             return Fraction(0)
@@ -121,78 +99,18 @@ class PadicRational:
             return Fraction(self.unit * self.prime**v)
         return Fraction(self.unit, self.prime**-v)
 
-    def _coerce(self, other) -> "PadicRational":
-        if isinstance(other, PadicRational):
-            if other.prime != self.prime:
-                raise DomainError("prime mismatch")
-            return other
-        return PadicRational(self.prime, other)
-
-    def __add__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        return PadicRational(self.prime, self.as_fraction() + other.as_fraction())
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PadicRational":
-        return PadicRational.from_unit_val(self.prime, -self.unit, self._val)
-
-    def __sub__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        return PadicRational(self.prime, self.as_fraction() - other.as_fraction())
-
-    def __rsub__(self, other) -> "PadicRational":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return PadicRational(self.prime, 0)
-        return PadicRational.from_unit_val(
-            self.prime, self.unit * other.unit, self._val + other._val
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by p-adic zero")
-        return PadicRational(self.prime, self.as_fraction() / other.as_fraction())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PadicRational):
-            try:
-                other = self._coerce(other)
-            except (DomainError, ValueError, TypeError):
-                return NotImplemented
-        return (self.prime, self.unit, self._val if self.unit else 0) == (
-            other.prime,
-            other.unit,
-            other._val if other.unit else 0,
-        )
+            return NotImplemented
+        return (self.prime, self.unit, self._val) == (other.prime, other.unit, other._val)
 
     def __hash__(self) -> int:
-        return hash((self.prime, self.unit, self._val if self.unit else 0))
+        return hash((self.prime, self.unit, self._val))
 
     def __repr__(self) -> str:
         if self.is_zero:
             return f"PadicRational({self.prime}, 0)"
         return f"PadicRational({self.prime}, {self.unit}*{self.prime}^{self._val})"
-
-
-def padic_meta(
-    x: Rational,
-    p: int,
-    precision: int = DEFAULT_ANGULAR_PRECISION,
-) -> tuple[int | float, Fraction, int]:
-    """(v(x), |x|_K, ac(x) mod p^precision) for an exact rational x.
-
-    x must have a p-power denominator.  v(0) = +infinity, |0| = 0 and the
-    angular component of 0 is reported as 0.
-    """
-    y = PadicRational(p, x)
-    return y.val, y.abs_value, y.angular_component(precision)
 
 
 class RootOfUnity:
@@ -289,11 +207,7 @@ class Ball:
     def of(
         cls, prime: int, center: Sequence[Rational | PadicRational], radius_exp: int
     ) -> "Ball":
-        comps = tuple(
-            c if isinstance(c, PadicRational) else PadicRational(prime, c)
-            for c in center
-        )
-        return cls(prime, comps, radius_exp)
+        return cls(prime, tuple(PadicRational(prime, c) for c in center), radius_exp)
 
     @property
     def dim(self) -> int:
@@ -315,11 +229,6 @@ class Ball:
             if d != 0 and split_p_part(d, self.prime)[1] < self.radius_exp:
                 return False
         return True
-
-    def contains_ball(self, other: "Ball") -> bool:
-        if other.dim != self.dim or other.radius_exp < self.radius_exp:
-            return False
-        return self.contains_point(other.center_fractions())
 
     def is_disjoint(self, other: "Ball") -> bool:
         # Ultrametric: two balls are nested or disjoint.

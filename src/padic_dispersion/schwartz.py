@@ -84,8 +84,9 @@ def _volumes(p: int, n: int, radii: np.ndarray) -> list[float]:
 def _integers(p: int, rows, floor: int = 0) -> tuple[int, list[list[int]]]:
     """(D, rows * p^D as integers) for rows of p-adic rationals, D >= floor minimal."""
     rows = [[PadicRational(p, x) for x in row] for row in rows]
-    denom = max([floor] + [-x._val for row in rows for x in row if not x.is_zero])
-    return denom, [[x.unit * p ** (x._val + denom) for x in row] for row in rows]
+    denom = max([floor] + [-x.val for row in rows for x in row if not x.is_zero])
+    return denom, [[0 if x.is_zero else x.unit * p ** (x.val + denom) for x in row]
+                   for row in rows]
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +213,8 @@ class SchwartzBruhatFn(_BallSum):
 
     def translated(self, shift: Sequence) -> "SchwartzBruhatFn":
         """g(x - shift): every ball center moves by shift."""
-        terms = [(Ball.of(self.prime, [x + s for x, s in zip(b.center, shift)], b.radius_exp), c)
+        terms = [(Ball.of(self.prime, [x + s for x, s in zip(b.center_fractions(), shift)],
+                          b.radius_exp), c)
                  for b, c in self.terms]
         return SchwartzBruhatFn(self.n, self.prime, terms)
 

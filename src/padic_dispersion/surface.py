@@ -239,9 +239,9 @@ def zeta_kernel(
         raise DomainError("e0 must be >= 1")
     x_n = PadicRational(p, x_n)
     logp = math.log(p)
-    if x_n.is_zero or -x_n._val <= e0:
+    if x_n.is_zero or -x_n.val <= e0:
         return cmath.exp(-e0 * z * logp)
-    t = -x_n._val  # |x_n| = p^t > p^e0
+    t = -x_n.val  # |x_n| = p^t > p^e0
     gamma_num = 1 - cmath.exp((z - 1) * logp)
     return gamma_num / (1 - 1.0 / p) * cmath.exp(-t * z * logp)
 
@@ -263,7 +263,7 @@ def zeta_kernel_numeric(
     if z.real <= 0:
         raise DomainError("numeric mode needs Re(z) > 0")
     x_n = PadicRational(p, x_n)
-    t = None if x_n.is_zero else -x_n._val  # |x_n| = p^t
+    t = None if x_n.is_zero else -x_n.val  # |x_n| = p^t
     # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
     # shell |y| = p^-j integrates to (p - 1) / p^(j+1) for t <= j, to
     # -1 / p^(j+1) for t = j + 1 and to 0 beyond; each a correctly rounded

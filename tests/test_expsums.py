@@ -442,6 +442,32 @@ class TestCountsView:
         assert type(counts[1]) is int and counts[1] == want > 2**63
         assert sum(counts.values()) == 3**48
 
+    def test_a_view_combines_its_columns_once(self, monkeypatch):
+        calls = []
+        combine = expsums._combine
+        monkeypatch.setattr(expsums, "_combine", lambda *a: calls.append(a) or combine(*a))
+        f, z = parse_polynomial("x1^2 + x2^3"), Fraction(1, 27)
+        counts = exp_sum(f, z, Ball.of(3, [0, 0], 0)).counts
+        copy = dict(counts)
+        assert len(counts) == len(copy) == 27
+        assert all(r in counts and counts[r] == c for r, c in copy.items())
+        assert copy == oracle_residue_counts(f, 3, Ball.of(3, [0, 0], 0))
+        assert len(calls) == 1
+
+    def test_views_held_after_a_read_keep_one_combined_vector_in_all(self):
+        res = exp_sum(parse_polynomial("x1^2 + x2^3"), Fraction(1, 3**8), Ball.of(3, [0, 0], 0))
+        len(res.counts)  # first-call allocations are not retained
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            held = [res.counts for _ in range(6)]
+            assert all(len(view) == len(held[0]) for view in held)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # one int64 count per residue class, of the view read last
+        assert retained <= 8 * 3**8 + 4096, retained
+
     def test_held_view_retains_only_the_count_vector(self):
         cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
         exp_sum(cube, Fraction(1, 5**2), z5).counts  # first-call allocations are not retained

@@ -2,7 +2,9 @@
 
 A private name is one module's own decision.  A sibling module that imports
 it, or reads it as `module._name`, gives that decision a second home; the
-public name it should use instead says which module owns it.
+public name it should use instead says which module owns it.  The same holds
+for the private attributes of objects: `x._name` on anything but `self`,
+`cls` or `super()` must name an attribute the reading module defines.
 """
 
 import ast
@@ -50,6 +52,49 @@ def private_uses(source: str) -> list[str]:
     return found
 
 
+def _own_attributes(tree: ast.AST) -> set[str]:
+    """The private attributes a module defines: `__slots__` entries, class-level
+    names and `self._x = ...` assignments."""
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    own.add(stmt.name)
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+                    [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        own.add(target.id)
+                        if target.id == "__slots__":
+                            own.update(c.value for c in ast.walk(stmt.value)
+                                       if isinstance(c, ast.Constant))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            own.add(node.attr)
+    return {name for name in own if isinstance(name, str) and _private(name)}
+
+
+def _on_itself(base: ast.expr) -> bool:
+    if isinstance(base, ast.Name):
+        return base.id in ("self", "cls")
+    return (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+            and base.func.id == "super")
+
+
+def foreign_attribute_reads(source: str) -> list[str]:
+    """`x._name` reads, x not `self`, `cls` or `super()`, of attributes `source`
+    does not define."""
+    tree = ast.parse(source)
+    own = _own_attributes(tree)
+    return [
+        f"{ast.unparse(node.value)}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and _private(node.attr) and node.attr not in own and not _on_itself(node.value)
+    ]
+
+
 def test_the_package_has_modules():
     assert len(SOURCES) >= 8
 
@@ -57,6 +102,11 @@ def test_the_package_has_modules():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_private_name_crosses_a_module(path):
     assert private_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_private_attribute_of_another_module_is_read(path):
+    assert foreign_attribute_reads(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
@@ -81,3 +131,31 @@ def test_the_check_allows_public_and_own_names():
         "def _own():\n    return wave.solve_u, wave.__name__, self._x\n_own()"
     )
     assert private_uses(source) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(x):\n    return x._val",
+        "def f(xs):\n    return [-x._val for x in xs]",
+        "def f(res):\n    return res._value is None",
+        "class A:\n    _n = 1\n\ndef f(b):\n    return b._m",
+        "class A:\n    def g(self):\n        return self._n\n\ndef f(a):\n    return a._n",
+    ],
+)
+def test_the_check_sees_a_foreign_attribute_read(source):
+    assert foreign_attribute_reads(source)
+
+
+def test_the_check_allows_attributes_the_module_defines():
+    source = (
+        "class A:\n"
+        "    __slots__ = ('_val', 'unit')\n"
+        "    _FIELDS = ('unit',)\n"
+        "    _cache: dict = {}\n"
+        "    def __init__(self):\n        self._seen = 0\n"
+        "    def _set(self):\n        return super()._set(), cls._other, self._anything\n"
+        "def f(a, b):\n"
+        "    return a._val, a._FIELDS, A._cache, b._seen, a._set(), a.__class__, a.unit"
+    )
+    assert foreign_attribute_reads(source) == []
