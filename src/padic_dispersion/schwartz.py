@@ -20,7 +20,6 @@ every character value Psi(-[b, x]) is a residue r / M, exponentiated last.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -120,14 +119,12 @@ def _forest(p: int, denom: int, radii: np.ndarray, idx: np.ndarray):
 class _BallSum:
     """Coefficients on balls (idx + p^(radii + D) Z_p^n) / p^D, for both classes."""
 
-    _FIELDS = ("n", "prime", "denom", "radii", "idx", "coeffs")
-    __slots__ = _FIELDS + ("_lookup",)
+    __slots__ = _FIELDS = ("n", "prime", "denom", "radii", "idx", "coeffs")
 
     def _set(self, n, prime, denom, radii, idx, coeffs) -> None:
         idx, self.denom = _lowest(idx, denom, prime, -int(radii.min(initial=0)))
         self.n, self.prime, self.coeffs = n, prime, np.asarray(coeffs, dtype=complex)
         self.radii, self.idx = radii.astype(np.int32), idx.astype(np.int32)
-        self._lookup = None
 
     @classmethod
     def _from_arrays(cls, n: int, prime: int, *arrays):
@@ -154,8 +151,35 @@ class _BallSum:
         return [Ball(p, tuple(PadicRational(p, v * scale) for v in row), e)
                 for row, e in zip(self.idx.tolist(), self.radii.tolist())]
 
+    def _locate(self, rows: np.ndarray, denom: int) -> np.ndarray:
+        """The term whose ball holds each point rows[k] / p^denom (-1: none),
+        denom >= self.denom.  One forest holds the terms' balls and the points
+        as balls of the largest radius r: a point lies in the ball it equals or
+        in the parent of its own, since the terms' balls are pairwise disjoint."""
+        p, m = self.prime, len(self.radii)
+        r = int(self.radii.max(initial=0))
+        modulus = _modulus(p, r + denom, "ball index modulus")
+        radii = np.concatenate([self.radii, np.full(len(rows), r, dtype=np.int32)])
+        idx = np.concatenate([self.idx.astype(np.int64) * p ** (denom - self.denom),
+                              rows % modulus])
+        balls, ball_of, parent = _forest(p, denom, radii, idx)
+        term = np.full(len(balls) + 1, -1)  # the last entry answers parent -1
+        term[ball_of[:m]] = np.arange(m)
+        term[:-1] = np.where(term[:-1] >= 0, term[:-1], term[parent])
+        return term[ball_of[m:]]
+
+    def values(self, rows: np.ndarray, denom: int) -> np.ndarray:
+        """The values at the points rows[k] / p^denom, denom >= self.denom."""
+        term = self._locate(rows, denom)
+        found, out = term >= 0, np.zeros(len(rows), dtype=complex)
+        term, rows = term[found], rows[found]
+        r, M = _phase_residues(self.prime, self.mods[term], self.mdenom, rows, denom)
+        out[found] = self.coeffs[term] * _roots(r, M)
+        return out
+
     def value_at(self, point: Sequence[Fraction | int]) -> complex:
-        """Value at an exact point; the lookup {radius: {index row: term}} is built once."""
+        """Value at an exact point: `values` at its one row, reduced mod
+        p^(max(r, Dm) + D) for the largest radius r, as ball and phase read no more."""
         p, D = self.prime, self.denom
         if len(point) != self.n:
             raise DomainError("point has wrong dimension")
@@ -164,17 +188,8 @@ class _BallSum:
             for c in point:
                 split_p_part(c, p)  # DomainError unless a p-power denominator
             return 0j
-        if self._lookup is None:
-            table: dict = {}
-            for i, (e, row) in enumerate(zip(self.radii.tolist(), self.idx.tolist())):
-                table.setdefault(e, {})[tuple(row)] = i
-            self._lookup = table  # shared only once complete
-        x = [c.numerator for c in x]
-        for e, table in self._lookup.items():
-            i = table.get(tuple(v % p ** (e + D) for v in x))
-            if i is not None:
-                return complex(self.coeffs[i]) * self._phase(i, x)
-        return 0j
+        modulus = p ** (max(int(self.radii.max(initial=0)), self.mdenom) + D)
+        return complex(self.values(np.array([[c.numerator % modulus for c in x]]), D)[0])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -186,6 +201,7 @@ class SchwartzBruhatFn(_BallSum):
     """Finite complex combination of pairwise disjoint ball indicators."""
 
     __slots__ = ()
+    mdenom = 0  # every modulation b is 0
 
     def __init__(self, n: int, prime: int, terms: Sequence[tuple[Ball, complex]]):
         self._set_balls(n, prime, [b for b, _ in terms], [c for _, c in terms])
@@ -204,8 +220,9 @@ class SchwartzBruhatFn(_BallSum):
     def terms(self) -> tuple[tuple[Ball, complex], ...]:
         return tuple(zip(self._balls(), self.coeffs.tolist()))
 
-    def _phase(self, i: int, x: list[int]) -> complex:
-        return 1
+    @property
+    def mods(self) -> np.ndarray:
+        return np.zeros_like(self.idx)
 
     def scaled(self, factor: complex) -> "SchwartzBruhatFn":
         arrays = (self.denom, self.radii, self.idx, self.coeffs * factor)
@@ -244,12 +261,6 @@ class ModulatedSBFn(_BallSum):
         p, scale = self.prime, Fraction(1, self.prime**self.mdenom)
         mods = [tuple(PadicRational(p, v * scale) for v in row) for row in self.mods.tolist()]
         return tuple(zip(self._balls(), mods, self.coeffs.tolist()))
-
-    def _phase(self, i: int, x: list[int]) -> complex:
-        """Psi(-[b_i, x / p^D]) for the integer point x."""
-        M = self.prime ** (self.mdenom + self.denom)
-        r = -sum(m * v for m, v in zip(self.mods[i].tolist(), x)) % M
-        return cmath.exp(2j * math.pi * r / M)
 
     @property
     def support_bound(self) -> int:
@@ -356,7 +367,7 @@ def fourier_modulated(G: ModulatedSBFn, sign: int) -> ModulatedSBFn:
 
 
 def embed(g: SchwartzBruhatFn) -> ModulatedSBFn:
-    arrays = (g.denom, g.radii, g.idx, 0, np.zeros_like(g.idx), g.coeffs)
+    arrays = (g.denom, g.radii, g.idx, g.mdenom, g.mods, g.coeffs)
     return ModulatedSBFn._from_arrays(g.n, g.prime, *arrays)
 
 
@@ -404,22 +415,10 @@ l2_norm_modulated = l2_norm
 
 
 def squares_at(G: _BallSum, points: np.ndarray, denom: int) -> float:
-    """sum_k |G(points[k] / p^denom)|^2 for integer rows reduced mod p^(r + denom),
-    with r the largest radius of G and denom >= G.denom.
-
-    One forest holds G's balls and the points as balls of radius r: a point
-    lies in the ball of G it equals or in the parent of its own ball, since
-    the balls of G are pairwise disjoint.  Modulations have modulus 1.
-    """
-    p, r, n = G.prime, int(G.radii.max()), len(G.radii)
-    _modulus(p, r + denom, "ball index modulus")
-    radii = np.concatenate([G.radii, np.full(len(points), r, dtype=np.int32)])
-    idx = np.concatenate([G.idx.astype(np.int64) * p ** (denom - G.denom), points])
-    balls, ball_of, parent = _forest(p, denom, radii, idx)
-    weight = np.zeros(len(balls))
-    weight[ball_of[:n]] = np.abs(G.coeffs) ** 2
-    weight += np.where(parent >= 0, weight[parent], 0.0)
-    return float(np.bincount(ball_of[n:], minlength=len(balls)) @ weight)
+    """sum_k |G(points[k] / p^denom)|^2 for integer rows and denom >= G.denom;
+    modulations have modulus 1."""
+    term = G._locate(points, denom)
+    return float(np.bincount(term + 1, minlength=len(G.coeffs) + 1)[1:] @ np.abs(G.coeffs) ** 2)
 
 
 def sb_allclose(g1: SchwartzBruhatFn, g2: SchwartzBruhatFn, tol: float = 1e-12) -> bool:

@@ -7,9 +7,11 @@ The solution of (Hu)(x,t) = 0, u(x,0) = f0 with symbol |tau - phi(xi)|_K is
 
 a finite sum over frequency cells because F f0 is a finite combination of
 modulated ball indicators.  Cells are integer index vectors k (centers
-k p^-e); every phase is reduced to integer residues r / M of k by the shared
+k p^-e), tiled as one array and valued by one `ModulatedSBFn.values` call;
+every phase is reduced to integer residues r / M of k by the shared
 modular evaluator `polynomials.poly_residues`, and the complex exponentials
-come last.  Truncated L^sigma norms over growing boxes stand in for the full
+come last, summed over values scaled by a power of two so that no sum
+overflows.  Truncated L^sigma norms over growing boxes stand in for the full
 space-time norms; their increments decide convergence.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,14 +97,23 @@ def _freq_cells(
     width = p ** (e + level)
     if width**n > cap:
         raise ResourceCapError(width**n, cap, what="frequency cells")
-    step = Fraction(p) ** -e
-    idx, vals = [], []
-    for k in product(range(width), repeat=n):
-        value = spec.spectrum.value_at(tuple(step * ki for ki in k))
-        if value != 0:
-            idx.append(k)
-            vals.append(value)
-    return np.array(idx, dtype=np.int64).reshape(-1, n), np.array(vals, dtype=complex)
+    idx = np.indices((width,) * n, dtype=np.int64).reshape(n, -1).T  # lexicographic k
+    D = spec.spectrum.denom  # >= e, so k p^-e = k p^(D - e) / p^D
+    vals = spec.spectrum.values(idx * p ** (D - e), D)
+    return idx[vals != 0], vals[vals != 0]
+
+
+def _scaled(vals: np.ndarray, linear):
+    """linear(vals) as linear(vals / 2^k) * 2^k, with k >= 0 the least that brings
+    every real and imaginary part of vals below 2: no sum inside overflows, and
+    powers of two scale exactly, so the bits do not change.  A result past the
+    float range is refused."""
+    k = max(0, math.frexp(float(np.abs(vals.view(float)).max(initial=0)))[1] - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = linear(vals * 2.0**-k) * 2.0**k
+    if not np.isfinite(out).all():
+        raise DomainError("the value leaves the float range")
+    return out
 
 
 def _cell_residues(
@@ -154,8 +164,8 @@ def solve_u(
         unit = tuple(int(j == d) for j in range(spec.n))
         phase[unit] = phase.get(unit, 0) + xd
     r, modulus = _cell_residues(spec, phase, idx)
-    vol = Fraction(1, p ** (spec.n * level))
-    return complex(vals @ np.exp(2j * np.pi * r / modulus)) * float(vol)
+    vol = float(Fraction(1, p ** (spec.n * level)))
+    return _scaled(vals, lambda v: complex(v @ np.exp(2j * np.pi * r / modulus)) * vol)
 
 
 def _box(spec: SolutionSpec, R: int, cap: int) -> tuple:
@@ -204,8 +214,8 @@ def windowed_spectrum(
         if shift.denominator != 1:  # no residue r / modulus can match
             return 0j
         keep &= residues % modulus == shift.numerator % modulus
-    vol = Fraction(1, p ** (spec.n * level))
-    return complex(vals[keep].sum()) * float(vol * p ** (R * (spec.n + 1)))
+    scale = float(Fraction(p ** (R * (spec.n + 1)), p ** (spec.n * level)))
+    return _scaled(vals[keep], lambda v: complex(v.sum()) * scale)
 
 
 # -- truncated Strichartz norms ------------------------------------------------
@@ -249,10 +259,13 @@ def solution_grid(
     if samples > cap:
         raise ResourceCapError(samples, cap, what="grid samples")
     level, idx, vals, r, nt, N = _box(spec, R, cap)
-    bins = np.zeros((nt,) + (N,) * n, dtype=complex)
-    np.add.at(bins, (r, *(idx % N).T), vals)
     vol = float(Fraction(1, p ** (n * level)))
-    values = (np.fft.ifftn(bins) * (bins.size * vol)).reshape(nt, N**n)
+
+    def binned_ifft(v):
+        bins = np.zeros((nt,) + (N,) * n, dtype=complex)
+        np.add.at(bins, (r, *(idx % N).T), v)
+        return np.fft.ifftn(bins) * (bins.size * vol)
+    values = _scaled(vals, binned_ifft).reshape(nt, N**n)
     x_step = Fraction(1, p**R)
     xs = tuple(x_step * j for j in range(N))
     ts = tuple(x_step * j for j in range(nt))
@@ -295,10 +308,11 @@ def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
         return top
     box = float(Fraction(grid.prime) ** R)
     weights = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
-    try:
-        return top * float(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
-    except OverflowError:
-        raise DomainError(f"the norm leaves the float range at sigma = {sigma}") from None
+    with np.errstate(over="ignore"):  # a power or a product past the float range is inf
+        norm = top * np.float64(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
+    if norm == math.inf:
+        raise DomainError(f"the norm leaves the float range at sigma = {sigma}")
+    return float(norm)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,33 @@ def _valuation(q: Fraction, p: int) -> int:
     return v
 
 
+def closed_form_transform(terms, xi, p: int) -> complex:
+    """sum c p^(-n r) Psi(-[a, xi]) 1{||xi|| <= p^r} over the terms (a, r, c)
+    of sum c 1_{a + (p^r Z_p)^n}: its Fourier transform at xi, ball by ball."""
+    total = 0j
+    for a, r, c in terms:
+        if all(x == 0 or _valuation(Fraction(x), p) >= -r for x in xi):
+            dot = sum((ai * Fraction(x) for ai, x in zip(a, xi)), Fraction(0))
+            total += c * Fraction(p) ** (-len(a) * r) * cmath.exp(2j * math.pi * frac_part(-dot))
+    return total
+
+
+def oracle_freq_cells(spec, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells k p^-e, k in [0, p^(e + level))^n in lexicographic order, on
+    which F f0 is not 0, and its values there: one closed-form evaluation of
+    f0's balls per cell, with no spectrum and no ball lookup."""
+    p, n, e = spec.prime, spec.n, spec.freq_bound
+    terms = [(b.center_fractions(), b.radius_exp, c) for b, c in spec.f0.terms]
+    step = Fraction(p) ** -e
+    idx, vals = [], []
+    for k in product(range(p ** (e + level)), repeat=n):
+        value = closed_form_transform(terms, tuple(step * kd for kd in k), p)
+        if value != 0:
+            idx.append(k)
+            vals.append(value)
+    return np.array(idx, dtype=np.int64).reshape(-1, n), np.array(vals, dtype=complex)
+
+
 def oracle_solution(
     f0: SchwartzBruhatFn, phi: SparsePolynomial, x: tuple, t: Fraction
 ) -> complex:

@@ -118,32 +118,37 @@ def test_counts_values_and_equality():
     assert one.counts != expsums.exp_sum(f, Fraction(1, 9), ball).counts
 
 
-def test_value_at_calls_match_the_traced_cell_count(monkeypatch):
-    # bench/test_bench.py asserts that the tracer's `wave.freq_cells` count,
-    # p^(n (e + level)) per `_freq_cells` call, equals the `value_at` calls;
-    # so `_freq_cells` tiles every cell it is asked for, and the repeated
-    # levels below must be served without calling it again
+def test_each_level_is_tiled_once_and_counted_by_its_rows(monkeypatch):
+    # the tracer's `wave.freq_cells` count, p^(n (e + level)) per `_freq_cells`
+    # call, must equal the cells `_freq_cells` examines: the rows it passes to
+    # `ModulatedSBFn.values`; and a repeated (level, cap) of a spec must be
+    # served without tiling again
     tracing = load_tracing()
-    counted, visited = [0], [0]
-    cells, value_at = wave._freq_cells, schwartz.ModulatedSBFn.value_at
+    tiled, counted, rows = [], [0], [0]
+    cells, values = wave._freq_cells, schwartz.ModulatedSBFn.values
 
-    def counting_cells(*args):
-        counted[0] += tracing.freq_cells(*args[:2])
-        return cells(*args)
+    def counting_cells(spec, level, cap):
+        tiled.append((id(spec), level, cap))
+        counted[0] += tracing.freq_cells(spec, level)
+        return cells(spec, level, cap)
 
-    def counting_values(self, point):
-        visited[0] += 1
-        return value_at(self, point)
+    def counting_values(self, points, denom):
+        rows[0] += len(points)
+        return values(self, points, denom)
 
     monkeypatch.setattr(wave, "_freq_cells", counting_cells)
-    monkeypatch.setattr(schwartz.ModulatedSBFn, "value_at", counting_values)
+    monkeypatch.setattr(schwartz.ModulatedSBFn, "values", counting_values)
     f0 = schwartz.SchwartzBruhatFn.of(
         3, [(Ball.of(3, [0], 0), 1 + 0j), (Ball.of(3, [Fraction(1, 3)], 0), 1j)]
     )
-    spec = wave.SolutionSpec.build(f0, parse_polynomial("x^2"))
-    for _ in range(2):
-        wave.solve_u(spec, (Fraction(1, 3),), Fraction(1, 9))
-        wave.solve_u(spec, (0,), Fraction(1, 27))
-        wave.windowed_spectrum(spec, (Fraction(0),), Fraction(1, 3), 1)
-        wave.solution_grid(spec, 2)
-    assert counted[0] == visited[0] > 0
+    g0 = schwartz.SchwartzBruhatFn.of(3, [(Ball.of(3, [0, 0], 1), 1 + 0j)])
+    for spec in (wave.SolutionSpec.build(f0, parse_polynomial("x^2")),
+                 wave.SolutionSpec.build(g0, parse_polynomial("x1^2+x2^2"))):
+        p, zero = spec.prime, (0,) * (spec.n - 1)
+        for _ in range(2):
+            wave.solve_u(spec, (Fraction(1, p),) + zero, Fraction(1, p**2))
+            wave.solve_u(spec, (0,) + zero, Fraction(1, p**3))
+            wave.windowed_spectrum(spec, (0,) + zero, Fraction(1, p), 1)
+            wave.solution_grid(spec, 2)
+    assert len(tiled) == len(set(tiled)) >= 4
+    assert counted[0] == rows[0] > 0

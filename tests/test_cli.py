@@ -231,6 +231,19 @@ class TestSolveCommand:
         # 16 solve_u and 25 windowed_spectrum calls share these levels
         assert len(levels) == len(set(levels)) >= 3
 
+    def test_values_near_the_float_limit_stay_finite(self, tmp_path):
+        # the cell sums of 1e308 overflow unless they are scaled first
+        argv = ["solve", "--prime", "3", "--phi", "x^2", "--f0"]
+        code, out = run_cli(tmp_path, argv + ["1e308 * ball 0 0"])
+        assert code == EXIT_OK
+        assert b"NaN" not in out and b"Infinity" not in out
+        res = json.loads(out)["results"]
+        small = run_cli(tmp_path, argv + ["1e307 * ball 0 0"], "small.bin")[1]
+        small = json.loads(small)["results"]
+        for big, ref in zip(res["u_samples"], small["u_samples"]):
+            assert abs(big["abs"] - 10 * ref["abs"]) <= 1e-12 * 1e308
+        assert all(w["abs"] == 0 for w in res["windowed_spectrum"])
+
 
 class TestStrichartzCommand:
     def test_gauss_series(self, tmp_path):
@@ -301,6 +314,16 @@ class TestStrichartzCommand:
         res = json.loads(out)["results"]
         assert res["increments"] == [0.0, 0.0]
         assert res["converged"] and not res["diverged"]
+
+    def test_a_grid_near_the_float_limit_is_computed_or_refused(self, tmp_path, capsys):
+        # the grid of 1e308 is finite; its L^2 norm over |t|, ||x|| <= 9 is 3e308
+        argv = ["strichartz", "--prime", "3", "--phi", "x^2", "--sigma", "2",
+                "--f0", "1e308 * ball 0 0", "--rmax"]
+        code, out = run_cli(tmp_path, argv + ["1"])
+        assert code == EXIT_OK and b"NaN" not in out and b"Infinity" not in out
+        assert run_cli(tmp_path, argv + ["2"], name="refused.bin") == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert "float range" in err and "Traceback" not in err
 
     def test_a_norm_beyond_the_float_range_is_refused(self, tmp_path, capsys):
         # the power 1 / sigma = 1e300 of a sum above 1 overflows

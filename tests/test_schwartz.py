@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import frac_part, random_sb
+from helpers import closed_form_transform, frac_part, random_sb
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, PadicRational
 from padic_dispersion.polynomials import MODULUS_LIMIT
@@ -201,6 +201,16 @@ class TestValidation:
         assert g.value_at((Fraction(4),)) == -1.0
         assert g.value_at((Fraction(2),)) == 0.0
 
+    def test_value_at_far_and_fine_points(self):
+        # 3^50 is past int64: the point is reduced before it becomes an array row
+        g = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0))
+        for f in (g, fourier_sb(g)):
+            assert [f.value_at((x,)) for x in (3**50, -7, Fraction(1, 3**40))] == [1, 1, 0]
+        terms = [((Fraction(1, 3),), 0, 1 + 0j)]  # F 1_{1/3 + Z_3}: modulated by 1/3
+        G = fourier_sb(SchwartzBruhatFn.of(3, [(Ball.of(3, [Fraction(1, 3)], 0), 1 + 0j)]))
+        for x in (3**50, -7, 3**50 + 1, Fraction(1, 3**40)):
+            assert abs(G.value_at((x,)) - closed_form_transform(terms, (x,), 3)) < 1e-12
+
 
 # -- the exact integer form ------------------------------------------------------
 
@@ -218,16 +228,6 @@ def _val(q: Fraction, p: int) -> float:
 
 def _in_ball(x, a, r: int, p: int) -> bool:
     return all(_val(Fraction(xi) - ai, p) >= r for xi, ai in zip(x, a))
-
-
-def _closed_form_transform(terms, xi, p: int) -> complex:
-    """sum c p^(-n r) Psi(-[a, xi]) 1{||xi|| <= p^r}, ball by ball."""
-    total = 0j
-    for a, r, c in terms:
-        if _in_ball(xi, (0,) * len(a), -r, p):
-            dot = sum((ai * Fraction(x) for ai, x in zip(a, xi)), Fraction(0))
-            total += c * Fraction(p) ** (-len(a) * r) * cmath.exp(2j * math.pi * frac_part(-dot))
-    return total
 
 
 def _disjoint_terms(rng, p: int, n: int, radii: tuple[int, int], den: int):
@@ -267,7 +267,7 @@ class TestIntegerForm:
                 want = sum((c for a, r, c in terms if _in_ball(x, a, r, p)), 0j)
                 assert abs(back.value_at(x) - want) < 1e-9
                 xi = tuple(-y for y in x)
-                assert abs(G.value_at(xi) - _closed_form_transform(terms, xi, p)) < 1e-9
+                assert abs(G.value_at(xi) - closed_form_transform(terms, xi, p)) < 1e-9
 
     def test_equality_is_exact_and_boolean(self):
         g = random_sb(random.Random(3), 3, 2)

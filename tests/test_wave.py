@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    oracle_freq_cells,
     oracle_masked_norm,
     oracle_solution,
     oracle_windowed_spectrum,
@@ -80,6 +81,49 @@ class TestSolutionSpec:
                 SchwartzBruhatFn.indicator(Ball.of(3, [0], 0)),
                 parse_polynomial("x1^2+x2^2"),
             )
+
+
+def seeded_cell_specs(seed: int, radii: tuple[int, int], count: int = 12):
+    """Specs with p in {2, 3, 5}, n in {1, 2}, up to three random balls with
+    radius exponents in `radii` and centers in p^-3 Z^n, and their cell level
+    at t = 0 plus 0 or 1; draws whose tiling exceeds 5^4 cells are skipped to
+    keep the oracle cheap."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        p, n = rng.choice((2, 3, 5)), rng.choice((1, 2))
+        spec = SolutionSpec.build(random_sb(rng, p, n, radius_range=radii, den_exp=3),
+                                  parse_polynomial(BOX_PHIS[n][0]))
+        level = max(0, spec.freq_bound, spec.spectrum.resolution_level) + rng.randint(0, 1)
+        if p ** (n * (spec.freq_bound + level)) <= 5**4:
+            out.append((spec, level))
+    return out
+
+
+class TestFreqCells:
+    """The tiling of the spectrum against one closed-form evaluation per cell."""
+
+    @staticmethod
+    def check(spec, level):
+        idx, vals = spec.cells(level, DEFAULT_ENUMERATION_CAP)
+        want_idx, want_vals = oracle_freq_cells(spec, level)
+        assert idx.dtype == np.int64 and np.array_equal(idx, want_idx)
+        assert np.all(np.abs(vals - want_vals) <= 1e-12 * np.abs(want_vals))
+        step = Fraction(spec.prime) ** -spec.freq_bound
+        for k, v in zip(idx.tolist(), vals.tolist()):
+            assert spec.spectrum.value_at(tuple(step * kd for kd in k)) == v  # bit for bit
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_equal_the_closed_form(self, seed):
+        for spec, level in seeded_cell_specs(seed, (-2, 2)):
+            self.check(spec, level)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_spectra_inside_a_small_ball(self, seed):
+        # balls of radius p^2 and p^1 have spectra inside p Z_p^n: freq_bound < 0
+        specs = seeded_cell_specs(10 + seed, (-2, -1))
+        assert all(spec.freq_bound < 0 for spec, _ in specs)
+        for spec, level in specs:
+            self.check(spec, level)
 
 
 class TestSolveU:
