@@ -10,7 +10,6 @@ caller evaluates once.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,59 +224,63 @@ def restriction_ratio(
 
 
 def zeta_kernel(
-    z: complex, x_n: PadicRational | Fraction | int, e0: int, p: int
-) -> complex:
+    z: complex | np.ndarray, x_n: PadicRational | Fraction | int, e0: int, p: int
+) -> complex | np.ndarray:
     """Closed form of zeta_z(x_n) = gamma(z) int_K Psi(x_n y)|y|^(z-1) eta(y) dy
     with eta the indicator of p^{e0} Z_p and gamma(z) = (1-q^-z)/(1-q^-1):
 
         q^(-e0 z)                                 if |x_n| <= q^e0,
         ((1 - q^(z-1)) / (1 - q^-1)) |x_n|^(-z)   otherwise.
 
-    Entire in z; zeta_0 = 1 identically.
+    Entire in z; zeta_0 = 1 identically.  z may be an array of points, which
+    gives the array of values.
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
     x_n = PadicRational(p, x_n)
+    z = np.asarray(z, dtype=complex)
     logp = math.log(p)
     if x_n.is_zero or -x_n.val <= e0:
-        return cmath.exp(-e0 * z * logp)
-    t = -x_n.val  # |x_n| = p^t > p^e0
-    gamma_num = 1 - cmath.exp((z - 1) * logp)
-    return gamma_num / (1 - 1.0 / p) * cmath.exp(-t * z * logp)
+        out = np.exp(-e0 * z * logp)
+    else:
+        t = -x_n.val  # |x_n| = p^t > p^e0
+        out = (1 - np.exp((z - 1) * logp)) / (1 - 1.0 / p) * np.exp(-t * z * logp)
+    return complex(out) if out.ndim == 0 else out
 
 
 def zeta_kernel_numeric(
-    z: complex,
+    z: complex | np.ndarray,
     x_n: PadicRational | Fraction | int,
     e0: int,
     p: int,
-) -> complex:
+) -> complex | np.ndarray:
     """Shell-sum evaluation of zeta_z for Re(z) > 0.
 
     Sums gamma(z) * p^(-j(z-1)) * shell_j over valuation shells |y| = p^-j,
     j >= e0, where shell_j is the exact two-ball character integral; the
-    geometric tail is truncated below ZETA_TAIL_TOL.
+    geometric tail is truncated below ZETA_TAIL_TOL.  Each term is one
+    exponential, so a small Re(z) does not overflow.  z may be an array of
+    points: the terms form one (point, shell) matrix, each row cut at its
+    own truncation.
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
-    if z.real <= 0:
+    z = np.asarray(z, dtype=complex)
+    if (z.real <= 0).any():
         raise DomainError("numeric mode needs Re(z) > 0")
     x_n = PadicRational(p, x_n)
-    t = None if x_n.is_zero else -x_n.val  # |x_n| = p^t
-    # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
-    # shell |y| = p^-j integrates to (p - 1) / p^(j+1) for t <= j, to
-    # -1 / p^(j+1) for t = j + 1 and to 0 beyond; each a correctly rounded
-    # quotient of integers
+    t = -math.inf if x_n.is_zero else -x_n.val  # |x_n| = p^t
     logp = math.log(p)
-    J = e0 + max(2, math.ceil((-math.log(ZETA_TAIL_TOL) + 4) / (z.real * logp)))
-    total = 0j
-    for j in range(e0, J + 1):
-        if t is None or t <= j:
-            shell = (p - 1) / p ** (j + 1)
-        elif t == j + 1:
-            shell = -1 / p ** (j + 1)
-        else:
-            continue
-        total += cmath.exp(-j * (z - 1) * logp) * shell
-    gamma = (1 - cmath.exp(-z * logp)) / (1 - 1.0 / p)
-    return gamma * total
+    last = e0 + np.maximum(2, np.ceil((-math.log(ZETA_TAIL_TOL) + 4) / (z.real * logp)))
+    j = np.arange(e0, int(last.max(initial=e0)) + 1)
+    # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
+    # shell |y| = p^-j integrates to (p - 1) p^-(j+1) for t <= j, to
+    # -p^-(j+1) for t = j + 1 and to 0 beyond
+    weight = np.where(j >= t, p - 1.0, np.where(j + 1 == t, -1.0, 0.0))
+    kept = j <= last[..., None]  # each point's own truncation
+    arg = -(np.multiply.outer(z, j) + 1) * logp  # p^(-j(z-1)) p^-(j+1) = e^arg
+    terms = np.exp(arg, where=kept, out=np.zeros(kept.shape, complex))
+    total = (terms * weight).sum(axis=-1)
+    gamma = (1 - np.exp(-z * logp)) / (1 - 1.0 / p)
+    out = gamma * total
+    return complex(out) if out.ndim == 0 else out

@@ -7,26 +7,31 @@ The solution of (Hu)(x,t) = 0, u(x,0) = f0 with symbol |tau - phi(xi)|_K is
 
 a finite sum over frequency cells because F f0 is a finite combination of
 modulated ball indicators.  Cells are integer index vectors k (centers
-k p^-e), tiled as one array and valued by one `ModulatedSBFn.values` call;
-every phase is reduced to integer residues r / M of k by the shared
-modular evaluator `polynomials.poly_residues`, and the complex exponentials
-come last, summed over values scaled by a power of two so that no sum
-overflows.  Truncated L^sigma norms over growing boxes stand in for the full
-space-time norms; their increments decide convergence.
+k p^-e), tiled as one array and valued by one `ModulatedSBFn.values` call.
+Every phase is an integer residue r / M of k: a spec keeps one table of
+phi's terms of degree >= 2, Phi(k) mod p^s, per level and denominator
+(evaluated by `polynomials.poly_residues`), which every x and every t of one
+valuation share, and adds the linear terms in integers.  The complex
+exponentials come last, summed over values scaled by a power of two so that
+no sum overflows.  A solution grid is one inverse FFT of the binned cells,
+whose x axes are transformed only on the t rows that hold a cell.  Truncated
+L^sigma norms over growing boxes stand in for the full space-time norms;
+their increments decide convergence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, split_p_part
-from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
+from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, split_p_part
+from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
 from .schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
@@ -43,7 +48,9 @@ class SolutionSpec:
 
     freq_bound e: supp(F f0) lies in ||xi|| <= p^e, so u(., t) is locally
     constant at scale p^-e.  phase_bound e': |phi(xi)| <= p^e' on the
-    spectrum, so u(x, .) is locally constant at scale p^-e'.
+    spectrum, so u(x, .) is locally constant at scale p^-e'.  spectrum holds
+    F(f0 2^-spectrum_exp), spectrum_exp >= 0 the least that keeps it finite,
+    and every cell sum scales back by 2^spectrum_exp.
     """
 
     f0: SchwartzBruhatFn
@@ -51,9 +58,8 @@ class SolutionSpec:
     spectrum: ModulatedSBFn
     freq_bound: int
     phase_bound: int
-    _cells: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    spectrum_exp: int = 0
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, f0: SchwartzBruhatFn, phi: SparsePolynomial) -> "SolutionSpec":
@@ -61,13 +67,13 @@ class SolutionSpec:
             raise DomainError("phi arity must match the spatial dimension")
         if phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
-        spectrum = fourier_sb(f0, -1)
+        spectrum, k = _finite_transform(f0)
         e = spectrum.support_bound
         ep = max(
             -split_p_part(c, f0.prime)[1] + e * sum(exps)
             for exps, c in phi.terms
         )
-        return cls(f0, phi, spectrum, e, ep)
+        return cls(f0, phi, spectrum, e, ep, k)
 
     @property
     def prime(self) -> int:
@@ -77,14 +83,63 @@ class SolutionSpec:
     def n(self) -> int:
         return self.f0.n
 
+    def _cached(self, key: tuple, make):
+        """make(), computed once per key for the life of this spec; the arrays
+        it returns are made read-only."""
+        if key not in self._memo:
+            value = make()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
+
     def cells(self, level: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
         """`_freq_cells` of this spectrum, tiled once per (level, cap)."""
-        if (level, cap) not in self._cells:
-            arrays = _freq_cells(self, level, cap)
-            for a in arrays:
-                a.setflags(write=False)
-            self._cells[level, cap] = arrays
-        return self._cells[level, cap]
+        return self._cached(("cells", level, cap), lambda: _freq_cells(self, level, cap))
+
+    @cached_property
+    def _resolution_level(self) -> int:
+        """spectrum.resolution_level, read by every cell level."""
+        return self.spectrum.resolution_level
+
+    @cached_property
+    def _symbol_form(self) -> tuple[list, int, tuple[int, ...]]:
+        """(Phi, m, lin): phi(k p^-e) = p^m Phi(k) + sum_d lin_d k_d p^-e, with
+        Phi a primitive integer polynomial holding the terms of degree >= 2
+        (empty, m = 0, when there are none) and lin the linear coefficients."""
+        p, n = self.prime, self.n
+        higher = {a: Fraction(c) for a, c in self.phi.terms if sum(a) > 1}
+        terms, K = lattice_form(higher, (0,) * n, Fraction(p) ** -self.freq_bound, p)
+        mu = min((int_valuation(c, p) for c in terms.values()), default=0)
+        lin = tuple(self.phi.coefficient(tuple(int(i == d) for i in range(n))) for d in range(n))
+        return [(a, c // p**mu) for a, c in terms.items()], mu - K, lin
+
+
+def _finite_transform(f0: SchwartzBruhatFn) -> tuple[ModulatedSBFn, int]:
+    """(F(f0 2^-k), k) with k >= 0 the least that keeps every coefficient finite.
+
+    Powers of two scale exactly, so in-range data keep k = 0 and their bits.
+    k is found by doubling and then bisecting, up to k = 1023 (2^1023 is the
+    largest power of two a float holds); data that need more are refused."""
+
+    def transform(k: int) -> ModulatedSBFn | None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = fourier_sb(f0.scaled(2.0**-k) if k else f0, -1)
+        return G if np.isfinite(G.coeffs).all() else None
+
+    lo, hi = -1, 0  # transform(lo) overflows; lo = -1 stands for none tried
+    while (G := transform(hi)) is None:
+        if hi == 1023:
+            raise DomainError("the spectrum of f0 leaves the float range")
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (H := transform(mid)) is None:
+            lo = mid
+        else:
+            hi, G = mid, H
+    return G, hi
 
 
 def _freq_cells(
@@ -103,27 +158,54 @@ def _freq_cells(
     return idx[vals != 0], vals[vals != 0]
 
 
-def _scaled(vals: np.ndarray, linear):
-    """linear(vals) as linear(vals / 2^k) * 2^k, with k >= 0 the least that brings
-    every real and imaginary part of vals below 2: no sum inside overflows, and
-    powers of two scale exactly, so the bits do not change.  A result past the
-    float range is refused."""
+def _scaled(spec: SolutionSpec, vals: np.ndarray, linear):
+    """linear(2^spec_exp vals) as linear(vals / 2^k) * 2^(k + spec_exp), with
+    k >= 0 the least that brings every real and imaginary part of vals below 2:
+    no sum inside overflows, and powers of two scale exactly, so the bits do not
+    change.  A result past the float range is refused."""
     k = max(0, math.frexp(float(np.abs(vals.view(float)).max(initial=0)))[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = linear(vals * 2.0**-k) * 2.0**k
+        out = linear(vals * 2.0**-k if k else vals)
+        for e in (k, spec.spectrum_exp):
+            if e:  # a product with 1.0 changes no bit
+                out *= 2.0**e
     if not np.isfinite(out).all():
         raise DomainError("the value leaves the float range")
     return out
 
 
 def _cell_residues(
-    spec: SolutionSpec, phase: Mapping[Exponents, Fraction], idx: np.ndarray
+    spec: SolutionSpec, level: int, cap: int, t: Fraction, x: Sequence[Fraction]
 ) -> tuple[np.ndarray, int]:
-    """(r, M) with phase(k p^-e) = r / M mod Z_p for every row k of idx."""
+    """(r, M) with t phi(c_k) + [x, c_k] = r / M mod Z_p at the centres
+    c_k = k p^-e of `spec.cells(level, cap)`, M = p^K the least power of p
+    that serves, so r / M is one canonical fraction.
+
+    With t = u p^v and phi(k p^-e) = p^m Phi(k) + linear terms, the terms of
+    degree >= 2 give u Phi(k) / p^s, s = max(0, -(v + m)): one table
+    Phi(k) mod p^s serves every x and every t of one valuation at this level.
+    The linear coefficients t phi_d p^-e + x_d p^-e join in integers.
+    """
     p = spec.prime
-    terms, K = lattice_form(phase, (0,) * spec.n, Fraction(p) ** -spec.freq_bound, p)
-    modulus = checked_modulus(p**K, "phase denominator")
-    return poly_residues(terms.items(), list(idx.T), modulus), modulus
+    idx, _ = spec.cells(level, cap)
+    Phi, m, lin = spec._symbol_form
+    u, v = split_p_part(t, p)
+    s = max(0, -(v + m)) if t and Phi else 0
+    step = Fraction(p) ** -spec.freq_bound
+    coeffs = [(t * c + xd) * step for c, xd in zip(lin, x)]
+    K = max([s] + [-split_p_part(c, p)[1] for c in coeffs if c])
+    M = checked_modulus(p**K, "phase denominator")
+    r = np.zeros(len(idx), dtype=np.int64)
+    if s:
+        table = spec._cached(
+            ("residues", level, cap, s), lambda: poly_residues(Phi, list(idx.T), p**s)
+        )
+        r = table * (u % p**s) % p**s * p ** (K - s)
+    for k, c in zip(idx.T, coeffs):
+        if c:
+            r += k % M * ((c * M).numerator % M)
+            r %= M
+    return r, M
 
 
 def _cell_level(spec: SolutionSpec, space: int, time: int | None) -> int:
@@ -131,7 +213,7 @@ def _cell_level(spec: SolutionSpec, space: int, time: int | None) -> int:
     t phi(xi) + [x, xi] with ||x|| <= p^space and |t| <= p^time (time None:
     t = 0) are constant on each cell k p^-e + (p^level Z_p)^n."""
     e = spec.freq_bound
-    level = max(0, e, spec.spectrum.resolution_level, space)
+    level = max(0, e, spec._resolution_level, space)
     if time is not None:
         level = max(level, time + (spec.phi.total_degree() - 1) * max(e, 0))
     return level
@@ -158,14 +240,10 @@ def solve_u(
     space = max((-split_p_part(xi, p)[1] for xi in x if xi != 0), default=0)
     time = -split_p_part(t, p)[1] if t != 0 else None
     level = _cell_level(spec, space, time) + extra_level
-    idx, vals = spec.cells(level, cap)
-    phase = spec.phi.scale(t)  # t phi(xi) + [x, xi]
-    for d, xd in enumerate(x):
-        unit = tuple(int(j == d) for j in range(spec.n))
-        phase[unit] = phase.get(unit, 0) + xd
-    r, modulus = _cell_residues(spec, phase, idx)
+    _, vals = spec.cells(level, cap)
+    r, modulus = _cell_residues(spec, level, cap, t, x)
     vol = float(Fraction(1, p ** (spec.n * level)))
-    return _scaled(vals, lambda v: complex(v @ np.exp(2j * np.pi * r / modulus)) * vol)
+    return _scaled(spec, vals, lambda v: complex(v @ np.exp(2j * np.pi * r / modulus)) * vol)
 
 
 def _box(spec: SolutionSpec, R: int, cap: int) -> tuple:
@@ -174,12 +252,17 @@ def _box(spec: SolutionSpec, R: int, cap: int) -> tuple:
     idx, vals are the cells at the level of the box, and r / nt the residues
     of p^-R phi at their centers c_k = k p^-e, with nt = p^max(0, R + e').
     With t_j = j p^-R, x_i = i p^-R and N = p^max(0, R + e), the phases are
-    t_j phi(c_k) = j r_k / nt and [x_i, c_k] = (i . k) / N mod Z_p.
+    t_j phi(c_k) = j r_k / nt and [x_i, c_k] = (i . k) / N mod Z_p.  Kept
+    on the spec per (R, cap).
     """
-    level = _cell_level(spec, R, R)
-    idx, vals = spec.cells(level, cap)
-    r, nt = _cell_residues(spec, spec.phi.scale(Fraction(1, spec.prime**R)), idx)
-    return level, idx, vals, r, nt, spec.prime ** max(0, R + spec.freq_bound)
+
+    def make():
+        level = _cell_level(spec, R, R)
+        idx, vals = spec.cells(level, cap)
+        r, nt = _cell_residues(spec, level, cap, Fraction(1, spec.prime**R), (0,) * spec.n)
+        return level, idx, vals, r, nt, spec.prime ** max(0, R + spec.freq_bound)
+
+    return spec._cached(("box", R, cap), make)
 
 
 def windowed_spectrum(
@@ -215,7 +298,7 @@ def windowed_spectrum(
             return 0j
         keep &= residues % modulus == shift.numerator % modulus
     scale = float(Fraction(p ** (R * (spec.n + 1)), p ** (spec.n * level)))
-    return _scaled(vals[keep], lambda v: complex(v.sum()) * scale)
+    return _scaled(spec, vals[keep], lambda v: complex(v.sum()) * scale)
 
 
 # -- truncated Strichartz norms ------------------------------------------------
@@ -226,17 +309,30 @@ class SolutionGrid:
     """u sampled on the local-constancy grid of a box ||x||, |t| <= p^R.
 
     x points run over the n-fold product of x_axis in lexicographic order;
-    values has shape (len(t_reps), len(x_axis)**n).
+    values has shape (len(t_reps), len(x_axis)**n).  Both axes are the points
+    j p^-R, built on first read.
     """
 
     R: int
     n: int
     prime: int
-    x_axis: tuple[Fraction, ...]
-    t_reps: tuple[Fraction, ...]
     values: np.ndarray
     x_cell_vol: float  # volume of one full n-dimensional x cell
     t_cell_vol: float
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(len(t_reps), len(x_axis), ..., len(x_axis)): values by t and x_1..x_n."""
+        nt, nx = self.values.shape
+        return (nt,) + (round(nx ** (1 / self.n)),) * self.n
+
+    @cached_property
+    def x_axis(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(j, self.prime**self.R) for j in range(self.shape[1]))
+
+    @cached_property
+    def t_reps(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(j, self.prime**self.R) for j in range(self.shape[0]))
 
 
 def solution_grid(
@@ -260,18 +356,21 @@ def solution_grid(
         raise ResourceCapError(samples, cap, what="grid samples")
     level, idx, vals, r, nt, N = _box(spec, R, cap)
     vol = float(Fraction(1, p ** (n * level)))
+    rows = np.unique(r)  # the t rows that hold a cell
 
     def binned_ifft(v):
         bins = np.zeros((nt,) + (N,) * n, dtype=complex)
         np.add.at(bins, (r, *(idx % N).T), v)
-        return np.fft.ifftn(bins) * (bins.size * vol)
-    values = _scaled(vals, binned_ifft).reshape(nt, N**n)
-    x_step = Fraction(1, p**R)
-    xs = tuple(x_step * j for j in range(N))
-    ts = tuple(x_step * j for j in range(nt))
+        # np.fft.ifftn(bins) in its own axis order, the x axes last to first and
+        # then t, in place; a row that holds no cell stays 0 under the x axes
+        bins[rows] = np.fft.ifftn(bins[rows], axes=range(1, n + 1))
+        np.fft.ifft(bins, axis=0, out=bins)
+        bins *= bins.size * vol
+        return bins
+    values = _scaled(spec, vals, binned_ifft).reshape(nt, N**n)
     axis_vol = float(Fraction(p) ** R) / N
     t_vol = float(Fraction(p) ** R) / nt
-    return SolutionGrid(R, n, p, xs, ts, values, axis_vol**n, t_vol)
+    return SolutionGrid(R, n, p, values, axis_vol**n, t_vol)
 
 
 def strichartz_truncated(
@@ -300,9 +399,8 @@ def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
     steps = grid.R - R
     if steps < 0:
         raise DomainError("R exceeds the grid box")
-    shape = (len(grid.t_reps),) + (len(grid.x_axis),) * grid.n
-    stride = (slice(None, None, grid.prime**steps),) * len(shape)
-    sub = np.abs(grid.values.reshape(shape)[stride])
+    stride = (slice(None, None, grid.prime**steps),) * (grid.n + 1)
+    sub = np.abs(grid.values.reshape(grid.shape)[stride])
     top = float(sub.max())
     if sigma == math.inf or top == 0:
         return top

@@ -245,7 +245,36 @@ class TestSolveCommand:
         assert all(w["abs"] == 0 for w in res["windowed_spectrum"])
 
 
+    def test_a_spectrum_past_the_float_range_is_computed(self):
+        # F f0 = 3e308 on 3Z_3: the spectrum is taken of f0 / 2 and scaled back,
+        # with no warning on stderr
+        src = str(Path(padic_dispersion.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "padic_dispersion.cli", "solve", "--prime", "3",
+             "--phi", "x^2", "--f0", "1e308 * ball 0 -1", "--m", "1..2"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        samples = json.loads(done.stdout)["results"]["u_samples"]
+        assert all(s["value"] == [1e308, 0.0] for s in samples if s["t"] == "0")
+        assert all(math.isfinite(s["abs"]) for s in samples)
+
+
 class TestStrichartzCommand:
+    def test_a_norm_past_the_float_range_is_refused_alone(self):
+        # the spectrum is scaled into range, and the norm over |x|, |t| <= 9
+        # is not in it: exit 2 with the one error line
+        src = str(Path(padic_dispersion.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "padic_dispersion.cli", "strichartz", "--prime", "3",
+             "--phi", "x^2", "--sigma", "6", "--rmax", "2", "--f0", "1e308 * ball 0 -3"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (EXIT_VALIDATION, b"")
+        assert done.stderr.decode().splitlines() == [
+            "error: the norm leaves the float range at sigma = 6.0"
+        ]
+
     def test_gauss_series(self, tmp_path):
         code, out = run_cli(
             tmp_path,
@@ -450,11 +479,17 @@ class TestDeterminism:
         assert a == b
 
     def test_byte_identical_across_processes_threads_and_blas_threads(self):
-        # sums are evaluated by einsum and plain sums, never through BLAS, so
-        # neither --threads nor the BLAS thread count reaches the output
+        # exp sums, the zeta check and the grid are evaluated by einsum, plain
+        # sums and FFTs, never through BLAS, and phase residues are integers, so
+        # neither --threads nor the BLAS thread count reaches the output.
+        # solve_u sums its cells with a 1-D `@`: a BLAS dot, which OpenBLAS
+        # keeps on one thread for the few cells of this solve job
         jobs = [
             ["expsum", "--prime", "3", "--poly", "x1^2+x1*x2+x2^3", "--m", "1..8"],
             ["surface", "--prime", "3", "--phi", "x1^2+2*x2^2", "--k", "1..6"],
+            ["solve", "--prime", "3", "--phi", "x^2", "--f0", "1+2j * ball 0 1; ball 1/3 0"],
+            ["strichartz", "--prime", "3", "--phi", "x1^2+x2^2", "--sigma", "6", "--rmax", "2",
+             "--f0", "ball 0 0 0"],
         ]
         src = str(Path(padic_dispersion.__file__).resolve().parents[1])
         for job in jobs:

@@ -185,11 +185,12 @@ class TestModulusLimit:
         spec = wave.SolutionSpec.build(
             SchwartzBruhatFn.indicator(Ball.of(2, [0], 0)), parse_polynomial("x^2")
         )
-        idx = np.zeros((1, 1), dtype=np.int64)
-        assert wave._cell_residues(spec, {(1,): Fraction(1, 2**30)}, idx)[1] == 2**30
-        with pytest.raises(ResourceCapError) as err:
-            wave._cell_residues(spec, {(1,): Fraction(1, 2**31)}, idx)
-        assert err.value.cap == MODULUS_LIMIT
+        # one cell at level 0; the denominator comes from x, or from t phi
+        for t, x in ((Fraction(0), Fraction(1, 2**30)), (Fraction(1, 2**30), Fraction(0))):
+            assert wave._cell_residues(spec, 0, 1, t, (x,))[1] == 2**30
+            with pytest.raises(ResourceCapError) as err:
+                wave._cell_residues(spec, 0, 1, t / 2, (x / 2,))
+            assert err.value.cap == MODULUS_LIMIT
 
     def test_only_polynomials_writes_the_limit(self):
         package = Path(padic_dispersion.__file__).parent

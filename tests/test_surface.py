@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -281,6 +282,26 @@ class TestZetaKernel:
                 b = zeta_kernel_numeric(z, xn, 1, p)
                 worst = max(worst, abs(a - b))
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("z", [0.01, 0.03])
+    def test_small_real_part(self, p, z):
+        # thousands of shells: p^(-j(z-1)) alone passes the float range
+        for xn in (Fraction(1, p**2), Fraction(1), Fraction(p)):
+            assert abs(zeta_kernel_numeric(z, xn, 1, p) - zeta_kernel(z, xn, 1, p)) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_an_array_of_points_gives_each_value(self, p):
+        z = np.array([complex(0.1 * i, 0.3 * math.sin(i)) for i in range(1, 21)])
+        for xn in (Fraction(1, p**2), Fraction(1, p), Fraction(1), Fraction(p)):
+            closed, shells = zeta_kernel(z, xn, 1, p), zeta_kernel_numeric(z, xn, 1, p)
+            assert closed.shape == shells.shape == z.shape
+            for zi, a, b in zip(z, closed, shells):
+                assert abs(a - zeta_kernel(complex(zi), xn, 1, p)) < 1e-15
+                assert abs(b - zeta_kernel_numeric(complex(zi), xn, 1, p)) < 1e-15
+                assert abs(a - b) < 1e-13
+        with pytest.raises(DomainError):  # one point with Re(z) <= 0 refuses all
+            zeta_kernel_numeric(np.append(z, -1), 1, 1, p)
 
     def test_validation(self):
         with pytest.raises(DomainError):

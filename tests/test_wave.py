@@ -15,7 +15,12 @@ from helpers import (
 from padic_dispersion import wave
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import DEFAULT_ENUMERATION_CAP, Ball, split_p_part
-from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.polynomials import (
+    checked_modulus,
+    lattice_form,
+    parse_polynomial,
+    poly_residues,
+)
 from padic_dispersion.schwartz import SchwartzBruhatFn, l2_norm, l2_norm_modulated
 from padic_dispersion.wave import (
     SolutionSpec,
@@ -185,6 +190,72 @@ class TestSolveU:
         assert abs(abs(u) - 1 / 3) < 1e-9  # product of two Gauss factors
 
 
+    @pytest.mark.parametrize("phi", ["x^2", "2*x^3", "x1^2-x2^2", "x1*x2"])
+    def test_the_residue_table_equals_the_oracle(self, phi):
+        # x of negative valuation; t = 0, a unit, p^-1..p^-4 and p times a unit
+        phi = parse_polynomial(phi)
+        rng = random.Random(str(phi))
+        for p in (2, 3) if phi.nvars == 1 else (2,):
+            f0 = random_sb(rng, p, phi.nvars, max_balls=2, radius_range=(0, 1))
+            spec = SolutionSpec.build(f0, phi)
+            unit = rng.choice([u for u in range(1, 2 * p) if u % p])
+            ts = [Fraction(0), Fraction(unit)] + [Fraction(1, p**m) for m in range(1, 5)]
+            for t in ts + [Fraction(p * unit)]:
+                units = [u for u in range(1, p * p) if u % p]
+                x = tuple(Fraction(rng.choice(units), p ** rng.randint(1, 2)) for _ in range(f0.n))
+                want = oracle_solution(f0, phi, x, t)
+                assert abs(solve_u(spec, x, t) - want) <= 1e-9 * max(1.0, abs(want)), (p, x, t)
+
+    def test_residues_equal_the_composed_phase_and_refuse_where_it_does(self):
+        # the least modulus of t phi(k p^-e) + [x, k p^-e] composed as one
+        # polynomial: equal (r, M), and a refusal exactly where M passes
+        # MODULUS_LIMIT, also when x cancels the linear term of phi
+        rng = random.Random(31)
+        outcomes = {"equal": 0, "refused": 0, "equal after a cancellation": 0}
+        for _ in range(400):
+            p = rng.choice((2, 3, 5))
+            phi = parse_polynomial(rng.choice(("x^2", "9*x^2", "3*x^2+x", "x^3-x", "x1*x2+2*x2")))
+            f0 = random_sb(rng, p, phi.nvars, max_balls=2, radius_range=(-1, 1))
+            spec = SolutionSpec.build(f0, phi)
+            level = max(0, -spec.freq_bound) + rng.randint(0, 1)
+            t = Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 40))
+            x = [Fraction(rng.randint(-p * p, p * p), p ** rng.randint(0, 40))
+                 for _ in range(phi.nvars)]
+            d = rng.randrange(phi.nvars)
+            linear = phi.coefficient(tuple(int(i == d) for i in range(phi.nvars)))
+            cancelled = linear and t and rng.random() < 0.5
+            if cancelled:  # x_d + t phi_d is coarser than either
+                x[d] = -t * linear + Fraction(rng.randint(-p, p), p ** rng.randint(0, 3))
+            idx, _ = spec.cells(level, DEFAULT_ENUMERATION_CAP)
+            phase = spec.phi.scale(t)
+            for d, xd in enumerate(x):
+                unit = tuple(int(i == d) for i in range(phi.nvars))
+                phase[unit] = phase.get(unit, 0) + xd
+            terms, K = lattice_form(phase, (0,) * phi.nvars, Fraction(p) ** -spec.freq_bound, p)
+            try:
+                M = checked_modulus(p**K, "phase denominator")
+            except ResourceCapError as err:
+                with pytest.raises(ResourceCapError) as got:
+                    wave._cell_residues(spec, level, DEFAULT_ENUMERATION_CAP, t, x)
+                assert got.value.required == err.required
+                outcomes["refused"] += 1
+                continue
+            r, modulus = wave._cell_residues(spec, level, DEFAULT_ENUMERATION_CAP, t, x)
+            assert modulus == M and np.array_equal(r, poly_residues(terms.items(), list(idx.T), M))
+            outcomes["equal after a cancellation" if cancelled else "equal"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_a_spectrum_past_the_float_range_is_scaled(self):
+        # F f0 = 3e308 on 3Z_3: the spectrum is kept as F(f0 / 2^k)
+        f0 = SchwartzBruhatFn.of(3, [(Ball.of(3, [0], -1), 1e308)])
+        spec = SolutionSpec.build(f0, parse_polynomial("x^2"))
+        assert spec.spectrum_exp == 1 and np.isfinite(spec.spectrum.coeffs).all()
+        assert solve_u(spec, (0,), 0) == 1e308
+        assert SolutionSpec.build(f0.scaled(0.1), parse_polynomial("x^2")).spectrum_exp == 0
+        with pytest.raises(DomainError):  # p^(R (n+1)) times a cell sum of about 1e308
+            windowed_spectrum(spec, (0,), 0, 2)
+
+
 class TestWindowedSpectrum:
     def test_off_surface_vanishes(self):
         assert windowed_spectrum(GAUSS, (0,), Fraction(1, 3), 1) == 0j
@@ -201,6 +272,20 @@ class TestWindowedSpectrum:
             for xi in (0, 1, 2, Fraction(1, 3), Fraction(2, 3)):
                 W = windowed_spectrum(GAUSS, (Fraction(xi),), Fraction(j, 3), 1)
                 assert abs(W) < 1e-12
+
+    def test_one_residue_pass_serves_25_windows(self, monkeypatch):
+        calls = {"poly_residues": 0, "_cell_residues": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(wave, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(wave, name, counting)
+        spec = SolutionSpec.build(SchwartzBruhatFn.indicator(Ball.of(3, [0], 0)), GAUSS.phi)
+        for xi in range(5):
+            for tau in range(5):
+                windowed_spectrum(spec, (Fraction(xi, 3),), Fraction(tau + 1, 3), 1)
+        assert calls == {"poly_residues": 1, "_cell_residues": 1}  # one box per (R, cap)
 
     def test_window_growth_keeps_support(self):
         # tau = phi(xi) on the parabola: stays nonzero as R grows
@@ -355,6 +440,31 @@ class TestSolutionGrid:
             x = (grid.x_axis[i1], grid.x_axis[i2])
             want = oracle_solution(f0, phi, x, grid.t_reps[j])
             assert abs(grid.values[j, i1 * n_x + i2] - want) < 1e-12
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_values_equal_ifftn_of_the_bins(self, n):
+        rng = random.Random(40 + n)
+        grids = 0
+        for _ in range(12):
+            p = rng.choice((2, 3))
+            phi = parse_polynomial(rng.choice(BOX_PHIS[n]))
+            spec = SolutionSpec.build(random_sb(rng, p, n, max_balls=2), phi)
+            R = rng.randint(0, 3)
+            try:
+                grid = solution_grid(spec, R, cap=30000)
+            except ResourceCapError:
+                continue
+            level, idx, vals, r, nt, N = wave._box(spec, R, 30000)
+            bins = np.zeros((nt,) + (N,) * n, dtype=complex)
+            np.add.at(bins, (r, *(idx % N).T), vals)
+            want = np.fft.ifftn(bins) * (bins.size * float(Fraction(1, p ** (n * level))))
+            assert np.array_equal(grid.values, want.reshape(nt, N**n))
+            assert grid.x_axis == tuple(Fraction(j, p**R) for j in range(N))
+            assert grid.t_reps == tuple(Fraction(j, p**R) for j in range(nt))
+            assert grid.shape == (nt,) + (N,) * n
+            grids += 1
+        assert grids >= 6
 
 
 class TestStrichartz:
