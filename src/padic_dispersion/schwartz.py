@@ -75,8 +75,11 @@ def _roots(r: np.ndarray, M: int) -> np.ndarray:
 
 
 def _volumes(p: int, n: int, radii: np.ndarray) -> list[float]:
-    """float(p^(-n e)) per term, each correctly rounded."""
-    table = {e: float(Fraction(p) ** (-n * e)) for e in set(radii.tolist())}
+    """float(p^(-n e)) per term, each correctly rounded; refused past the float range."""
+    try:
+        table = {e: float(Fraction(p) ** (-n * e)) for e in set(radii.tolist())}
+    except OverflowError as ex:
+        raise DomainError("a ball volume leaves the float range") from ex
     return [table[e] for e in radii.tolist()]
 
 
@@ -283,10 +286,10 @@ def _term_transform(G: ModulatedSBFn, sign: int) -> tuple:
         raise DomainError("sign must be -1 (forward) or +1 (inverse)")
     p, n = G.prime, G.n
     e, idx, mods = (a.astype(np.int64) for a in (G.radii, G.idx, G.mods))
-    r, M = _phase_residues(p, mods, G.mdenom, idx, G.denom)
-    coeffs = G.coeffs * _roots(r, M) * np.array(_volumes(p, n, e))
     denom = max(0, G.mdenom, int(e.max(initial=0)))
     _modulus(p, denom - int(e.min(initial=0)), "ball index modulus")
+    r, M = _phase_residues(p, mods, G.mdenom, idx, G.denom)
+    coeffs = G.coeffs * _roots(r, M) * np.array(_volumes(p, n, e))
     # the center sign * b reduced mod p^(-e), then written over p^denom
     center = (sign * mods) % (p ** np.maximum(G.mdenom - e, 0))[:, None]
     return denom, -e, center * p ** (denom - G.mdenom), G.denom, -sign * idx, coeffs
@@ -418,7 +421,8 @@ def squares_at(G: _BallSum, points: np.ndarray, denom: int) -> float:
     """sum_k |G(points[k] / p^denom)|^2 for integer rows and denom >= G.denom;
     modulations have modulus 1."""
     term = G._locate(points, denom)
-    return float(np.bincount(term + 1, minlength=len(G.coeffs) + 1)[1:] @ np.abs(G.coeffs) ** 2)
+    counts = np.bincount(term + 1, minlength=len(G.coeffs) + 1)[1:]
+    return float(np.sum(counts * np.abs(G.coeffs) ** 2))
 
 
 def sb_allclose(g1: SchwartzBruhatFn, g2: SchwartzBruhatFn, tol: float = 1e-12) -> bool:

@@ -11,12 +11,13 @@ k p^-e), tiled as one array and valued by one `ModulatedSBFn.values` call.
 Every phase is an integer residue r / M of k: a spec keeps one table of
 phi's terms of degree >= 2, Phi(k) mod p^s, per level and denominator
 (evaluated by `polynomials.poly_residues`), which every x and every t of one
-valuation share, and adds the linear terms in integers.  The complex
-exponentials come last, summed over values scaled by a power of two so that
-no sum overflows.  A solution grid is one inverse FFT of the binned cells,
-whose x axes are transformed only on the t rows that hold a cell.  Truncated
-L^sigma norms over growing boxes stand in for the full space-time norms;
-their increments decide convergence.
+valuation share, and adds the linear terms in integers.  The spectrum is
+F(f0 / 2^k), k from an exact bound on ||f0||_1.  The complex exponentials
+come last, in fixed-order sums (never BLAS) over values scaled by a power of
+two so that no sum overflows.  A solution grid is one inverse FFT of the
+binned cells, whose x axes are transformed only on the t rows that hold a
+cell.  Truncated L^sigma norms over growing boxes stand in for the full
+space-time norms; their increments decide convergence.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SolutionSpec:
     freq_bound e: supp(F f0) lies in ||xi|| <= p^e, so u(., t) is locally
     constant at scale p^-e.  phase_bound e': |phi(xi)| <= p^e' on the
     spectrum, so u(x, .) is locally constant at scale p^-e'.  spectrum holds
-    F(f0 2^-spectrum_exp), spectrum_exp >= 0 the least that keeps it finite,
-    and every cell sum scales back by 2^spectrum_exp.
+    F(f0 2^-spectrum_exp), spectrum_exp >= 0 taken from an exact bound on
+    ||f0||_1, and every cell sum scales back by 2^spectrum_exp.
     """
 
     f0: SchwartzBruhatFn
@@ -67,7 +68,8 @@ class SolutionSpec:
             raise DomainError("phi arity must match the spatial dimension")
         if phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
-        spectrum, k = _finite_transform(f0)
+        k = _spectrum_exp(f0)
+        spectrum = fourier_sb(f0.scaled(2.0**-k) if k else f0, -1)
         e = spectrum.support_bound
         ep = max(
             -split_p_part(c, f0.prime)[1] + e * sum(exps)
@@ -116,30 +118,19 @@ class SolutionSpec:
         return [(a, c // p**mu) for a, c in terms.items()], mu - K, lin
 
 
-def _finite_transform(f0: SchwartzBruhatFn) -> tuple[ModulatedSBFn, int]:
-    """(F(f0 2^-k), k) with k >= 0 the least that keeps every coefficient finite.
-
-    Powers of two scale exactly, so in-range data keep k = 0 and their bits.
-    k is found by doubling and then bisecting, up to k = 1023 (2^1023 is the
-    largest power of two a float holds); data that need more are refused."""
-
-    def transform(k: int) -> ModulatedSBFn | None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = fourier_sb(f0.scaled(2.0**-k) if k else f0, -1)
-        return G if np.isfinite(G.coeffs).all() else None
-
-    lo, hi = -1, 0  # transform(lo) overflows; lo = -1 stands for none tried
-    while (G := transform(hi)) is None:
-        if hi == 1023:
-            raise DomainError("the spectrum of f0 leaves the float range")
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (H := transform(mid)) is None:
-            lo = mid
-        else:
-            hi, G = mid, H
-    return G, hi
+def _spectrum_exp(f0: SchwartzBruhatFn) -> int:
+    """The least k >= 0 with B (1 + 2^-30) 2^-k < 2^1024, where the exact
+    B = sum_i (|Re c_i| + |Im c_i|) vol(B_i) >= ||f0||_1 bounds every real and
+    imaginary part of F f0 and the margin covers the float rounding of the
+    transform.  k > 1023 (2^1023 is the largest power of two a float holds)
+    is refused."""
+    if np.isfinite(f0.coeffs).all():
+        B = sum((Fraction(abs(c.real)) + Fraction(abs(c.imag))) * ball.volume
+                for ball, c in f0.terms)
+        k = int(B * (1 + Fraction(1, 2**30)) / 2**1024).bit_length()
+        if k <= 1023:
+            return k
+    raise DomainError("the spectrum of f0 leaves the float range")
 
 
 def _freq_cells(
@@ -243,7 +234,8 @@ def solve_u(
     _, vals = spec.cells(level, cap)
     r, modulus = _cell_residues(spec, level, cap, t, x)
     vol = float(Fraction(1, p ** (spec.n * level)))
-    return _scaled(spec, vals, lambda v: complex(v @ np.exp(2j * np.pi * r / modulus)) * vol)
+    roots = np.exp(2j * np.pi * r / modulus)
+    return _scaled(spec, vals, lambda v: complex(np.sum(v * roots)) * vol)
 
 
 def _box(spec: SolutionSpec, R: int, cap: int) -> tuple:

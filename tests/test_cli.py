@@ -259,6 +259,15 @@ class TestSolveCommand:
         assert all(s["value"] == [1e308, 0.0] for s in samples if s["t"] == "0")
         assert all(math.isfinite(s["abs"]) for s in samples)
 
+    def test_a_ball_past_the_modulus_limit_is_refused_before_its_volume(self, tmp_path, capsys):
+        # 3^700 is past both the float range and the modulus limit 2^31
+        code, out = run_cli(
+            tmp_path, ["solve", "--prime", "3", "--phi", "x^2", "--f0", "1 * ball 0 -700"]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert (code, out, len(err)) == (EXIT_RESOURCE, b"", 1)
+        assert err[0].startswith("resource cap: ") and "ball index modulus" in err[0]
+
 
 class TestStrichartzCommand:
     def test_a_norm_past_the_float_range_is_refused_alone(self):
@@ -479,15 +488,17 @@ class TestDeterminism:
         assert a == b
 
     def test_byte_identical_across_processes_threads_and_blas_threads(self):
-        # exp sums, the zeta check and the grid are evaluated by einsum, plain
-        # sums and FFTs, never through BLAS, and phase residues are integers, so
-        # neither --threads nor the BLAS thread count reaches the output.
-        # solve_u sums its cells with a 1-D `@`: a BLAS dot, which OpenBLAS
-        # keeps on one thread for the few cells of this solve job
+        # exp sums, the zeta check, the cell sums of solve_u and the grid are
+        # evaluated by einsum, fixed-order numpy sums and FFTs, never through
+        # BLAS, and phase residues are integers, so neither --threads nor the
+        # BLAS thread count reaches the output.  The second solve job sums
+        # 5^8 cells, long enough for OpenBLAS to split a dot across threads
         jobs = [
             ["expsum", "--prime", "3", "--poly", "x1^2+x1*x2+x2^3", "--m", "1..8"],
             ["surface", "--prime", "3", "--phi", "x1^2+2*x2^2", "--k", "1..6"],
             ["solve", "--prime", "3", "--phi", "x^2", "--f0", "1+2j * ball 0 1; ball 1/3 0"],
+            ["solve", "--prime", "5", "--phi", "x1^2+x2^2", "--f0", "(0.3+0.7j) * ball 0 0 1",
+             "--m", "1..2"],
             ["strichartz", "--prime", "3", "--phi", "x1^2+x2^2", "--sigma", "6", "--rmax", "2",
              "--f0", "ball 0 0 0"],
         ]

@@ -5,6 +5,10 @@ it, or reads it as `module._name`, gives that decision a second home; the
 public name it should use instead says which module owns it.  The same holds
 for the private attributes of objects: `x._name` on anything but `self`,
 `cls` or `super()` must name an attribute the reading module defines.
+
+No module hands a product to BLAS either: OpenBLAS splits a long dot across
+its threads, so the summation order, and with it the output bits, would
+follow the BLAS thread count.
 """
 
 import ast
@@ -95,6 +99,26 @@ def foreign_attribute_reads(source: str) -> list[str]:
     ]
 
 
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def blas_products(source: str) -> list[str]:
+    """The products in `source` that numpy may hand to BLAS: `@`, the dot
+    family by attribute or import, and einsum with `optimize`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name in BLAS_NAMES]
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "einsum"
+              and any(k.arg in ("optimize", None) for k in node.keywords)):
+            found.append(ast.unparse(node))
+    return found
+
+
 def test_the_package_has_modules():
     assert len(SOURCES) >= 8
 
@@ -159,3 +183,38 @@ def test_the_check_allows_attributes_the_module_defines():
         "    return a._val, a._FIELDS, A._cache, b._seen, a._set(), a.__class__, a.unit"
     )
     assert foreign_attribute_reads(source) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_product_goes_through_blas(path):
+    assert blas_products(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "v @ w",
+        "v @= w",
+        "np.dot(v, w)",
+        "v.dot(w)",
+        "np.matmul(v, w)",
+        "np.inner(v, w)",
+        "np.vdot(v, w)",
+        "np.tensordot(v, w, 1)",
+        "from numpy import dot",
+        "f = np.dot\nf(v, w)",
+        "np.einsum('i,i', v, w, optimize=True)",
+        "np.einsum('i,i', v, w, **opts)",
+    ],
+)
+def test_the_check_sees_a_blas_product(source):
+    assert blas_products(source)
+
+
+def test_the_check_allows_fixed_order_sums():
+    source = (
+        "inner = np.exp(x)\n"
+        "np.sum(v * w), (v * w).sum(axis=1), np.einsum('ba,a->b', m, inner)\n"
+        "@dataclass\nclass A:\n    pass"
+    )
+    assert blas_products(source) == []

@@ -166,6 +166,11 @@ class TestNorms:
         with pytest.raises(DomainError):
             lp_norm(SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), 2.0), math.nan)
 
+    def test_a_volume_past_the_float_range_is_refused(self):
+        g = SchwartzBruhatFn.indicator(Ball.of(3, [0], -700))  # volume 3^700
+        with pytest.raises(DomainError, match="float range"):
+            lp_norm(g, 2)
+
     def test_large_rho_neither_underflows_nor_overflows(self):
         unit = Ball.of(3, [0], 0)
         assert abs(lp_norm(SchwartzBruhatFn.indicator(unit, 0.1), 400) - 0.1) < 1e-15

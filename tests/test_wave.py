@@ -21,7 +21,12 @@ from padic_dispersion.polynomials import (
     parse_polynomial,
     poly_residues,
 )
-from padic_dispersion.schwartz import SchwartzBruhatFn, l2_norm, l2_norm_modulated
+from padic_dispersion.schwartz import (
+    SchwartzBruhatFn,
+    fourier_sb,
+    l2_norm,
+    l2_norm_modulated,
+)
 from padic_dispersion.wave import (
     SolutionSpec,
     solution_grid,
@@ -254,6 +259,53 @@ class TestSolveU:
         assert SolutionSpec.build(f0.scaled(0.1), parse_polynomial("x^2")).spectrum_exp == 0
         with pytest.raises(DomainError):  # p^(R (n+1)) times a cell sum of about 1e308
             windowed_spectrum(spec, (0,), 0, 2)
+
+    # past the float range: real, complex, a wide ball, two balls, and a
+    # subnormal term beside a huge one
+    PAST_RANGE = [
+        [(Ball.of(3, [0], -1), 1e308)],
+        [(Ball.of(3, [0], 0), -1.2e308 + 1.2e308j)],
+        [(Ball.of(3, [0], -2), 1.7e308 + 1e300j)],
+        [(Ball.of(3, [0], -1), 1.7e308), (Ball.of(3, [Fraction(1, 9)], -1), 1.7e308)],
+        [(Ball.of(3, [0], -1), 1e308), (Ball.of(3, [Fraction(1, 9)], 0), 5e-324)],
+        [(Ball.of(3, [0, 0], -1), 1e308j), (Ball.of(3, [1, Fraction(1, 9)], 0), 1e-320)],
+    ]
+
+    def test_a_spec_transforms_f0_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wave, "fourier_sb", lambda *a: calls.append(a) or fourier_sb(*a))
+        rng = random.Random(7)
+        for terms in self.PAST_RANGE + [[(Ball.of(3, [0], 0), 1.0)]]:
+            f0 = SchwartzBruhatFn.of(3, terms)
+            SolutionSpec.build(f0, parse_polynomial("x1^2+x2^2" if f0.n == 2 else "x^2"))
+            g = random_sb(rng, 5, f0.n)
+            SolutionSpec.build(g, parse_polynomial("x1*x2" if f0.n == 2 else "x^3"))
+        assert len(calls) == 2 * (len(self.PAST_RANGE) + 1)
+
+    def test_in_range_data_keep_their_spectrum(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            p, n = rng.choice([2, 3, 5]), rng.randint(1, 2)
+            f0 = random_sb(rng, p, n, max_balls=4, radius_range=(-2, 2), den_exp=2)
+            f0 = f0.scaled(10.0 ** rng.choice([-300, -5, 0, 5, 300]))
+            spec = SolutionSpec.build(f0, parse_polynomial("x1^2+x2^2" if n == 2 else "x^2"))
+            assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0, -1)
+
+    @pytest.mark.parametrize("terms", PAST_RANGE, ids=range(len(PAST_RANGE)))
+    def test_one_more_halving_keeps_the_bits(self, terms):
+        # the exponent comes from a bound and may exceed the least that keeps
+        # F f0 finite, so one more power of two must not change what is read
+        f0 = SchwartzBruhatFn.of(3, terms)
+        phi = parse_polynomial("x1^2+x2^2" if f0.n == 2 else "x^2")
+        spec = SolutionSpec.build(f0, phi)
+        k = spec.spectrum_exp + 1
+        assert spec.spectrum_exp >= 1
+        halved = SolutionSpec(f0, phi, fourier_sb(f0.scaled(2.0**-k), -1),
+                              spec.freq_bound, spec.phase_bound, k)
+        for x in (0, 1, Fraction(1, 3), Fraction(1, 9), Fraction(2, 27)):
+            for t in (0, 1, Fraction(1, 3), Fraction(2, 9), 3):
+                point = (x,) + (0,) * (f0.n - 1)  # repr keeps every bit and the sign of 0
+                assert repr(solve_u(spec, point, t)) == repr(solve_u(halved, point, t))
 
 
 class TestWindowedSpectrum:
