@@ -191,7 +191,7 @@ def _run_newton(cfg: JobConfig) -> dict:
     P = newton_facets(f)
     beta, t0 = beta_and_t0(P)
     witness = quasi_homogeneous_detect(f)
-    verdict = nondegeneracy_mod_p(f, cfg.prime, cap=min(cfg.cap, 10**7))
+    verdict = nondegeneracy_mod_p(f, P, cfg.prime, cap=min(cfg.cap, 10**7))
     return {
         "polynomial": str(f),
         "facets": [

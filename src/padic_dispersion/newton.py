@@ -13,6 +13,7 @@ and T0 = (1/beta_f, ..., 1/beta_f) is where the boundary meets the diagonal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -40,9 +41,6 @@ class NewtonPolyhedron:
     dim: int
     facets: tuple[Facet, ...]
     support: frozenset[Exponents]
-
-    def compact_facets(self) -> tuple[Facet, ...]:
-        return tuple(f for f in self.facets if all(a > 0 for a in f.normal))
 
 
 @dataclass(frozen=True)
@@ -73,45 +71,44 @@ def _require_vanishing(f: SparsePolynomial) -> None:
         raise DomainError("polynomial must satisfy f(0) = 0")
 
 
-# -- exact linear algebra over Q ---------------------------------------------
+# -- exact integer linear algebra --------------------------------------------
 
 
-def _rref(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q: the nonzero reduced rows and their
-    pivot columns, so the rank is len(pivots)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
+def _reduce(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination: the nonzero rows of
+    d times the reduced row echelon form, d the last pivot, and their pivot
+    columns.  Every entry is a minor of the input, so each division is exact."""
+    a, prev, pivots = [list(r) for r in rows], 1, []
     for col in range(m):
         top = len(pivots)
-        hit = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        hit = next((i for i in range(top, len(a)) if a[i][col]), None)
         if hit is None:
             continue
-        mat[top], mat[hit] = mat[hit], mat[top]
-        lead = mat[top][col]
-        mat[top] = [a / lead for a in mat[top]]
-        for r in range(len(mat)):
-            if r != top and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[top])]
+        a[top], a[hit] = a[hit], a[top]
+        piv = a[top]
+        for i in range(len(a)):
+            if i != top:
+                a[i] = [(piv[col] * x - a[i][col] * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[col]
         pivots.append(col)
-    return mat[: len(pivots)], pivots
+    return a[: len(pivots)], pivots
 
 
-def _nullspace_vector(rows: Sequence[Sequence[int]], m: int) -> tuple[int, ...] | None:
-    """The primitive integer basis vector of the nullspace if it is
-    one-dimensional, else None."""
-    reduced, pivots = _rref(rows, m)
-    if m - len(pivots) != 1:
+def _normal(rows: Sequence[Sequence[int]], m: int) -> tuple[int, ...] | None:
+    """The primitive integer generator of the nullspace when it is a line,
+    non-negative if it can be, else None.  By Cramer's rule it is d at the
+    free column and minus each reduced row's free entry at its pivot, over
+    their gcd: for m - 1 independent rows, their cofactor vector up to sign."""
+    reduced, pivots = _reduce(rows, m)
+    if len(pivots) != m - 1:
         return None
-    free_col = next(c for c in range(m) if c not in pivots)
-    vec = [Fraction(0)] * m
-    vec[free_col] = Fraction(1)
+    free = next(c for c in range(m) if c not in pivots)
+    vec = [0] * m
+    vec[free] = reduced[-1][pivots[-1]] if reduced else 1
     for row, col in zip(reduced, pivots):
-        vec[col] = -row[free_col]
-    lcm = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * lcm) for x in vec]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+        vec[col] = -row[free]
+    g = math.gcd(*vec) * (-1 if all(x <= 0 for x in vec) else 1)
+    return tuple(x // g for x in vec)
 
 
 def _span_rows(points: Sequence[Exponents], rays: Sequence[int], m: int) -> list[list[int]]:
@@ -124,48 +121,39 @@ def _span_rows(points: Sequence[Exponents], rays: Sequence[int], m: int) -> list
 
 def _face_dim(points: Sequence[Exponents], rays: Sequence[int], m: int) -> int:
     """Dimension of conv(points) + cone{e_i : i in rays}."""
-    return len(_rref(_span_rows(points, rays, m), m)[1])
+    return len(_reduce(_span_rows(points, rays, m), m)[1])
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     """Complete facet list of the Newton polyhedron of f.
 
-    Candidate perpendiculars are read off exact nullspaces of systems built
-    from subsets of support points together with coordinate rays, then each
-    candidate is kept iff its face has dimension m - 1 (the H-description
-    criterion).  Coordinate facets (possibly with m(a) = 0) are included.
+    Every facet is spanned by k coordinate rays and m - k support points on
+    it, and each such subset gives a candidate: the primitive perpendicular
+    of its m - 1 spanning rows.  A non-negative candidate is a facet normal
+    iff the subset's own points attain min <a, l> over the support.
+    Coordinate facets (possibly with m(a) = 0) are included.
     """
     _require_vanishing(f)
     m = f.nvars
     if m > MAX_NEWTON_VARS:
         raise DomainError(f"facet enumeration capped at {MAX_NEWTON_VARS} variables")
     supp = sorted(f.support())
-    seen: set[tuple[int, ...]] = set()
-    facets: list[Facet] = []
+    facets: dict[tuple[int, ...], Facet] = {}
     for k in range(m):
         for rays in combinations(range(m), k):
             for pts in combinations(supp, m - k):
-                rows = _span_rows(pts, rays, m)
-                normal = _nullspace_vector(rows, m) if rows else (1,) * m
-                if normal is None:
+                normal = _normal(_span_rows(pts, rays, m), m)
+                if normal is None or any(a < 0 for a in normal) or normal in facets:
                     continue
-                if all(a <= 0 for a in normal):
-                    normal = tuple(-a for a in normal)
-                if any(a < 0 for a in normal) or normal in seen:
-                    continue
-                seen.add(normal)
-                values = [_dot(normal, pt) for pt in supp]
-                mval = min(values)
-                on = tuple(pt for pt, v in zip(supp, values) if v == mval)
-                zero = [i for i, a in enumerate(normal) if a == 0]
-                if _face_dim(on, zero, m) == m - 1:
-                    facets.append(Facet(normal, mval, sum(normal), on))
-    facets.sort(key=lambda fc: fc.normal)
-    return NewtonPolyhedron(m, tuple(facets), frozenset(supp))
+                mval = _dot(normal, pts[0])
+                if all(_dot(normal, pt) >= mval for pt in supp):
+                    on = tuple(pt for pt in supp if _dot(normal, pt) == mval)
+                    facets[normal] = Facet(normal, mval, sum(normal), on)
+    return NewtonPolyhedron(m, tuple(facets[a] for a in sorted(facets)), frozenset(supp))
 
 
 def beta_and_t0(P: NewtonPolyhedron) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -199,9 +187,7 @@ def quasi_homogeneous_detect(
     if nulldim == 0:
         return None
     if nulldim == 1:
-        gen = _nullspace_vector(_span_rows(supp, (), m), m)
-        if all(a < 0 for a in gen):
-            gen = tuple(-a for a in gen)
+        gen = _normal(_span_rows(supp, (), m), m)
         if any(a <= 0 for a in gen):
             return None
         return QuasiHomogeneityWitness(gen, _dot(gen, supp[0]))
@@ -279,15 +265,17 @@ Verdict = Literal["certified", "degenerate-mod-p", "indeterminate"]
 
 
 def nondegeneracy_mod_p(
-    f: SparsePolynomial, p: int, cap: int = DEFAULT_FACE_SCAN_CAP
+    f: SparsePolynomial, P: NewtonPolyhedron, p: int, cap: int = DEFAULT_FACE_SCAN_CAP
 ) -> Verdict:
-    """Sufficient mod-p certificate of non-degeneracy w.r.t. the polyhedron.
+    """Sufficient mod-p certificate of non-degeneracy w.r.t. the polyhedron
+    P of f.
 
     "certified" requires (i) the reduced gradient to have no nonzero common
     zero in F_p^m and (ii) no face polynomial to share a zero with its
-    gradient inside the torus (F_p^*)^m.  When the reduction collapses
-    (f or its gradient vanishes identically mod p) the verdict is
-    "indeterminate"; a failure is only ever reported mod p.
+    gradient inside the torus (F_p^*)^m; a face c x^l, p not dividing c, has
+    none.  When the reduction collapses (f or its gradient vanishes
+    identically mod p) the verdict is "indeterminate"; a failure is only
+    ever reported mod p.
     """
     _require_vanishing(f)
     m = f.nvars
@@ -298,31 +286,43 @@ def nondegeneracy_mod_p(
         return "indeterminate"
     if has_nonzero_common_zero(grad, p):
         return "degenerate-mod-p"
-    for _, fg in face_polynomials(f, newton_facets(f)):
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    for face, fg in face_polynomials(f, P):
         if _is_zero_mod(fg, p):
             return "indeterminate"
-        if _common_zero([fg, *fg.gradient()], p, 1):
+        if len(face.support_points) > 1 and _common_zero([fg, *fg.gradient()], p, 1, powers):
             return "degenerate-mod-p"
     return "certified"
 
 
 def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
     """Whether the polynomials share a zero in F_p^m other than the origin."""
-    return _common_zero(polys, p, 0)
+    return _common_zero(polys, p, 0, {})
 
 
-def _common_zero(polys: Sequence[SparsePolynomial], p: int, lo: int) -> bool:
+def _common_zero(polys: Sequence[SparsePolynomial], p: int, lo: int, powers: dict) -> bool:
     """Whether the polynomials all vanish mod p at some point of [lo, p)^m
     other than the origin.  Each polynomial is evaluated on the mesh axes of
-    the variables it uses only, and the scan stops once no point is left."""
+    the variables it uses only, and the scan stops once no point is left.
+    `powers` keeps x_j^e mod p on axis j for the scans of one mesh; since
+    x^p = x on F_p, x^a = x^e with e = 1 + (a - 1) mod (p - 1)."""
     m = polys[0].nvars
     mesh = np.ix_(*[np.arange(lo, p, dtype=np.int64)] * m)
     common = np.ones((p - lo,) * m, dtype=bool)
     if lo == 0:
         common[(0,) * m] = False
     for g in polys:
-        used = {j for exps, _ in g.terms for j, a in enumerate(exps) if a}
-        common &= poly_residues(g.terms, [mesh[j] if j in used else 0 for j in range(m)], p) == 0
+        total = 0
+        for exps, c in g.terms:
+            term = c % p
+            for j, a in enumerate(exps):
+                if a:
+                    key = (j, 1 + (a - 1) % (p - 1))
+                    if key not in powers:
+                        powers[key] = poly_residues([(key[1:], 1)], [mesh[j]], p)
+                    term = term * powers[key] % p
+            total = (total + term) % p
+        common &= total == 0
         if not common.any():
             return False
     return True

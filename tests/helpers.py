@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from padic_dispersion.expsums import exp_sum
-from padic_dispersion.newton import NewtonPolyhedron
+from padic_dispersion.newton import Facet, NewtonPolyhedron, face_polynomials
 from padic_dispersion.padic import Ball, split_p_part
 from padic_dispersion.polynomials import (
     SparsePolynomial,
@@ -250,6 +250,54 @@ def oracle_compact_facets(
 
 
 
+def compact_facets(P: NewtonPolyhedron) -> tuple[Facet, ...]:
+    """The facets whose normals are positive in every coordinate."""
+    return tuple(fc for fc in P.facets if all(a > 0 for a in fc.normal))
+
+
+def oracle_facets(f: SparsePolynomial) -> set[tuple[tuple[int, ...], int, tuple]]:
+    """Every facet, coordinate and m(a) = 0 ones included, as (normal, m(a),
+    vertices) by scanning every primitive non-negative normal in a box.
+
+    A normal's face is the support points where <a, l> is least plus the
+    rays e_i with a_i = 0; the normal is a facet's when that face has
+    dimension m - 1.  A facet normal is the primitive perpendicular of m - 1
+    independent rows among the support differences and the unit rays, so
+    each entry is at most an (m - 1)-minor of them, and Hadamard's bound
+    (the product of the m - 1 longest such rows) sizes the box.  A normal
+    whose face holds fewer than m - #zeros(a) support points is dropped
+    before its rank is taken, and each face's rank is taken once.
+    """
+    supp = sorted(f.support())
+    m = f.nvars
+    squares = sorted(
+        [sum((x - y) ** 2 for x, y in zip(a, b)) for i, a in enumerate(supp) for b in supp[i + 1 :]]
+        + [1] * m,
+        reverse=True,
+    )
+    side = math.isqrt(math.prod(squares[: m - 1])) + 1
+    points = np.array(supp, dtype=np.int64)
+    tail = np.indices((side,) * (m - 1)).reshape(m - 1, side ** (m - 1)).T
+    found, rank = set(), {}
+    for lead in range(side):
+        normals = np.column_stack([np.full(len(tail), lead), tail]).astype(np.int64)
+        values = (normals[:, None, :] * points[None, :, :]).sum(axis=2)
+        least = values.min(axis=1)
+        on_count = (values == least[:, None]).sum(axis=1)
+        keep = on_count >= m - (normals == 0).sum(axis=1)
+        keep[keep] = np.gcd.reduce(normals[keep], axis=1) == 1
+        for a, mval in zip(normals[keep].tolist(), least[keep].tolist()):
+            on = tuple(pt for pt in supp if sum(x * y for x, y in zip(a, pt)) == mval)
+            zero = tuple(i for i, ai in enumerate(a) if ai == 0)
+            if (on, zero) not in rank:
+                rows = [[x - y for x, y in zip(pt, on[0])] for pt in on[1:]]
+                rows += [[int(j == i) for j in range(m)] for i in zero]
+                rank[on, zero] = echelon_rank(rows)
+            if rank[on, zero] == m - 1:
+                found.add((tuple(a), mval, on))
+    return found
+
+
 def oracle_faces(P: NewtonPolyhedron) -> set[tuple[tuple, tuple[int, ...], int]]:
     """Every proper face as (support points, coordinate rays, dimension):
     the nonempty intersections over all subsets of facets.
@@ -391,6 +439,29 @@ def oracle_common_zero(polys, p: int, points) -> bool:
     """Whether the polynomials all vanish mod p at some point of `points`,
     one exact evaluation per point and polynomial."""
     return any(all(int(g.evaluate(pt)) % p == 0 for g in polys) for pt in points)
+
+
+def oracle_verdict(f: SparsePolynomial, P: NewtonPolyhedron, p: int) -> str:
+    """The mod-p non-degeneracy verdict point by point: the reduced gradient
+    at every nonzero point of F_p^m, then each face polynomial of
+    `face_polynomials`, in its order, with its gradient at every point of
+    the torus (F_p^*)^m."""
+    def vanishes(g):
+        return all(c % p == 0 for _, c in g.terms)
+
+    grad = f.gradient()
+    if vanishes(f) or all(vanishes(g) for g in grad):
+        return "indeterminate"
+    nonzero = [pt for pt in product(range(p), repeat=f.nvars) if any(pt)]
+    if oracle_common_zero(grad, p, nonzero):
+        return "degenerate-mod-p"
+    torus = list(product(range(1, p), repeat=f.nvars))
+    for _, fg in face_polynomials(f, P):
+        if vanishes(fg):
+            return "indeterminate"
+        if oracle_common_zero([fg, *fg.gradient()], p, torus):
+            return "degenerate-mod-p"
+    return "certified"
 
 
 # -- the wave box one condition and one mask at a time ---------------------------

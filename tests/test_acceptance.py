@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import expsum_values, oracle_compact_facets, random_sb, ray_values
+from helpers import compact_facets, expsum_values, oracle_compact_facets, random_sb, ray_values
 from padic_dispersion.cli import main as cli_main
 from padic_dispersion.errors import CertificateUnavailableError
 from padic_dispersion.expsums import decay_fit, exp_sum, stationary_certificate
@@ -74,7 +74,7 @@ def test_criterion_02_newton_exponents():
         # brute-force H-description oracle, literal degree bound
         deg = f.total_degree()
         ok &= {
-            (fc.normal, fc.support_value) for fc in P.compact_facets()
+            (fc.normal, fc.support_value) for fc in compact_facets(P)
         } == oracle_compact_facets(f, bound=deg)
         witness = quasi_homogeneous_detect(f)
         if witness is not None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from padic_dispersion import cli, expsums, schwartz, wave
+from padic_dispersion import cli, expsums, newton, schwartz, wave
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import parse_polynomial
 
@@ -152,3 +152,27 @@ def test_each_level_is_tiled_once_and_counted_by_its_rows(monkeypatch):
             wave.solution_grid(spec, 2)
     assert len(tiled) == len(set(tiled)) >= 4
     assert counted[0] == rows[0] > 0
+
+
+def test_a_newton_run_reaches_every_traced_newton_name():
+    # the tracer wraps newton_facets, nondegeneracy_mod_p and face_polynomials
+    # where callers look them up and counts len() of face_polynomials' result;
+    # a certified run walks the faces, so it must reach all three
+    tracing = load_tracing()
+    names = [name for module, _, name in tracing.SPANS if module == "newton"]
+    assert names == ["newton.newton_facets", "newton.nondegeneracy_mod_p", "newton.face_polynomials"]
+    parsed = cli.build_parser().parse_args(["newton", "--prime", "5", "--poly", "x1^2+x2^3"])
+    cfg, _ = cli.config_from_args(parsed)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        _, status = cli.run(cfg, 1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert status == cli.EXIT_OK
+    assert {name: tracer.calls[name] for name in names} == dict.fromkeys(names, 1)
+    f = parse_polynomial("x1^2+x2^3")
+    faces = newton.face_polynomials(f, newton.newton_facets(f))
+    assert isinstance(faces, list) and tracer.counts["newton.faces"] == len(faces) == 5

@@ -1,20 +1,24 @@
 import json
 import math
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import cycle, product
+from itertools import cycle
 
 import pytest
 
 from helpers import (
-    oracle_common_zero,
+    compact_facets,
     oracle_compact_facets,
     oracle_faces,
+    oracle_facets,
     oracle_quasi_homogeneous,
+    oracle_verdict,
 )
 from padic_dispersion import newton
-from padic_dispersion.cli import main
+from padic_dispersion.cli import EXIT_CERTIFICATE, EXIT_OK, main
 from padic_dispersion.errors import DomainError
 from padic_dispersion.newton import (
     beta_and_t0,
@@ -28,7 +32,11 @@ from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
 
 
 def compact(P):
-    return {(f.normal, f.support_value) for f in P.compact_facets()}
+    return {(f.normal, f.support_value) for f in compact_facets(P)}
+
+
+def verdict(f, p):
+    return nondegeneracy_mod_p(f, newton_facets(f), p)
 
 
 class TestSupport:
@@ -53,7 +61,7 @@ class TestFacets:
 
     def test_mixed(self):
         P = newton_facets(parse_polynomial("x1^2+x2^3"))
-        facet = next(f for f in P.compact_facets())
+        facet = next(f for f in compact_facets(P))
         assert (facet.normal, facet.support_value, facet.weight) == ((3, 2), 6, 5)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -89,6 +97,22 @@ class TestFacets:
     def test_variable_cap(self):
         with pytest.raises(DomainError):
             newton_facets(parse_polynomial("x1+x2+x3+x4+x5"))
+
+    def test_every_facet_matches_the_box_scan(self):
+        # exponents shrink as variables are added, so the oracle's box stays small
+        kinds = Counter()
+        for f in random_vanishing_polynomials(31, 300, degrees=(4, 4, 3, 2)):
+            P = newton_facets(f)
+            got = [(fc.normal, fc.support_value, fc.vertices) for fc in P.facets]
+            assert len(set(got)) == len(got) and set(got) == oracle_facets(f), f
+            assert [fc.normal for fc in P.facets] == sorted(fc.normal for fc in P.facets)
+            assert all(fc.weight == sum(fc.normal) for fc in P.facets)
+            kinds[f.nvars] += 1
+            kinds["coordinate"] += any(a.count(0) == f.nvars - 1 for a, _, _ in got)
+            kinds["m(a) = 0"] += any(mval == 0 for _, mval, _ in got)
+            kinds["several vertices"] += any(len(on) > 1 for _, _, on in got)
+        assert min(kinds[m] for m in (1, 2, 3, 4)) >= 60
+        assert min(kinds[k] for k in ("coordinate", "m(a) = 0", "several vertices")) >= 100
 
 
 class TestBetaT0:
@@ -185,13 +209,15 @@ class TestFacePolynomials:
         assert all(face.dim <= P.dim - 1 for face, _ in faces)
 
 
-def random_vanishing_polynomials(seed: int, count: int):
+def random_vanishing_polynomials(seed: int, count: int, degrees=(4, 4, 3, 3)):
+    """Seeded polynomials in 1-4 variables with 1-6 terms; each exponent of a
+    polynomial in m variables is at most degrees[m - 1]."""
     rng = random.Random(seed)
     while count:
         m = rng.randint(1, 4)
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            exps = tuple(rng.randint(0, 4 if m <= 2 else 3) for _ in range(m))
+            exps = tuple(rng.randint(0, degrees[m - 1]) for _ in range(m))
             if sum(exps):
                 terms[exps] = rng.randint(1, 6)
         if terms:
@@ -300,43 +326,86 @@ class TestWitnessSearch:
         assert elapsed < 0.1, elapsed
 
 
+class TestOnePolyhedronPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # certified: the verdict walks the faces
+            ["newton", "--prime", "3", "--poly", "x1^2+x2^2"],
+            ["newton", "--prime", "5", "--poly", "x1^2+x2^3"],
+            ["newton", "--prime", "7", "--poly", "x1^2+x2^2+x3^3"],
+            # degenerate at the gradient: no face is walked
+            ["newton", "--prime", "5", "--poly", "x1^4 + x1*x2 + x2^4"],
+            ["expsum", "--prime", "3", "--poly", "x1^2+x2^3", "--m", "1..4"],
+            ["expsum", "--prime", "5", "--poly", "x^3", "--m", "1..3"],
+        ],
+    )
+    def test_each_command_builds_one_polyhedron(self, tmp_path, monkeypatch, argv):
+        # patch every module namespace that holds newton_facets, as the bench tracer does
+        original, built = newton.newton_facets, []
+
+        def counting(f):
+            built.append(f)
+            return original(f)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "padic_dispersion":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        # an expsum whose certificate is unavailable still writes its table
+        assert main([*argv, "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_CERTIFICATE)
+        assert json.loads((tmp_path / "o").read_bytes())["results"]
+        assert len(built) == 1
+
+
 class TestNondegeneracy:
     def test_certified(self):
-        assert nondegeneracy_mod_p(parse_polynomial("x1^2+x2^2"), 3) == "certified"
+        assert verdict(parse_polynomial("x1^2+x2^2"), 3) == "certified"
 
     def test_degenerate_square_of_line(self):
         f = parse_polynomial("x1^2 + 2*x1*x2 + x2^2")
-        assert nondegeneracy_mod_p(f, 3) == "degenerate-mod-p"
+        assert verdict(f, 3) == "degenerate-mod-p"
 
     def test_indeterminate_char_2(self):
-        assert nondegeneracy_mod_p(parse_polynomial("x^2"), 2) == "indeterminate"
+        assert verdict(parse_polynomial("x^2"), 2) == "indeterminate"
 
     def test_monomial_odd_p(self):
-        assert nondegeneracy_mod_p(parse_polynomial("x^2"), 3) == "certified"
+        assert verdict(parse_polynomial("x^2"), 3) == "certified"
 
-    def test_verdicts_match_the_point_scan(self, monkeypatch):
+    def test_verdicts_match_the_point_scan(self):
         cases = list(zip(random_vanishing_polynomials(21, 120), cycle((2, 3, 5))))
-        got = [nondegeneracy_mod_p(f, p) for f, p in cases]
-
-        def scan(polys, p, lo):
-            points = product(range(lo, p), repeat=polys[0].nvars)
-            return oracle_common_zero(polys, p, (pt for pt in points if any(pt)))
-
-        monkeypatch.setattr(newton, "_common_zero", scan)
-        assert [nondegeneracy_mod_p(f, p) for f, p in cases] == got
+        # seeded draws never fail at a face, so add phases that pass the gradient
+        # scan and fail at a face of two or three support points
+        cases += [
+            (parse_polynomial(text), p)
+            for text, p in [
+                ("x1^2 - 2*x1*x2 + x2^2 + x1^3", 5),
+                ("x1^2 - 2*x1*x2 + x2^2 + x1^3 + x3^3", 7),
+                ("x1^4*x2 + x1*x2^4 + x1^6 + x2^7", 3),
+                ("x1^3 + x2^5 + x1*x2^2", 2),
+                ("x1^3*x3 + x2^3*x3 + x1^5 + x2^5 + x3^4", 3),
+            ]
+        ]
+        got, want = [], []
+        for f, p in cases:
+            P = newton_facets(f)
+            got.append(nondegeneracy_mod_p(f, P, p))
+            want.append(oracle_verdict(f, P, p))
+        assert got == want
         assert set(got) == {"certified", "degenerate-mod-p", "indeterminate"}
 
     def test_large_prime_scan_is_quick(self):
         start = time.perf_counter()
-        verdict = nondegeneracy_mod_p(parse_polynomial("x1^2+x2^2+x3^3"), 101)
+        got = verdict(parse_polynomial("x1^2+x2^2+x3^3"), 101)
         elapsed = time.perf_counter() - start
-        assert verdict == "certified"
+        assert got == "certified"
         assert elapsed < 2.0, elapsed
 
     def test_four_variable_scan_at_53_is_quick(self):
         # each gradient entry and face polynomial uses few of the four variables
         start = time.perf_counter()
-        verdict = nondegeneracy_mod_p(parse_polynomial("x1^2+x2^2+x3^2+x4^3"), 53)
+        got = verdict(parse_polynomial("x1^2+x2^2+x3^2+x4^3"), 53)
         elapsed = time.perf_counter() - start
-        assert verdict == "certified"
+        assert got == "certified"
         assert elapsed < 2.0, elapsed
