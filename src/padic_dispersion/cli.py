@@ -51,6 +51,7 @@ from .expsums import (
 )
 from .newton import (
     beta_and_t0,
+    check_facet_vars,
     newton_facets,
     nondegeneracy_mod_p,
     quasi_homogeneous_detect,
@@ -233,6 +234,8 @@ def _run_expsum(cfg: JobConfig) -> dict:
     lo, hi = cfg.m_range
     ball = _default_ball(cfg, f.nvars)
     p = cfg.prime
+    if not f.is_constant():  # decay_fit builds f's Newton polyhedron: refuse before any sum
+        check_facet_vars(f.nvars)
     values = {
         m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap).value
         for m in range(lo, hi + 1)

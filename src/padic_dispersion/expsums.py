@@ -1,25 +1,22 @@
 """Exact evaluation of the oscillatory integrals E_A(z, f) = int_A Psi(z f) dx.
 
 The integrand is constant on fine enough cosets, so every integral here is a
-finite sum of roots of unity.  The engine keeps everything as integer
-histograms: counts N_r of residues r with z*f(x) = r / p^L (mod 1), plus an
-exact rational volume scale.  A single complex evaluation, fixed-order numpy
-sums, turns the histograms into a number; everything before that step is
-exact and order-independent.
+finite sum of roots of unity: after x = center + p^e y the phase is
+(const + step h(y)) / p^level over y in [0, p^W)^n, h integral and read mod
+p^L = p^level / step <= p^W.  h splits over blocks of coupled variables, so a
+sum is the product of its block sums; blocks with equal terms are scanned
+once, on the half-level grid a in [0, p^k)^|b|, k = ceil(L/2), in numpy slabs
+of at most _CHUNK points evaluated by `polynomials.poly_residues`, the one
+modular polynomial evaluator the package shares.
 
-One dense engine builds every histogram: the common p-power of the
-non-constant coefficients is factored out, so the counting modulus p^L never
-exceeds the grid side p^W.  Each block of coupled variables is counted from
-its half-level grid: only a in [0, p^ceil(L/2)) per variable is evaluated, in
-numpy slabs of at most _CHUNK points, by `polynomials.poly_residues`, the one
-modular polynomial evaluator the package shares, and one Hensel step spreads
-the rest of each point's coset over the residues it reaches (`_block_counts`).
-Blocks are independent, so a sum is kept as its factors: one narrow count
-column per distinct block histogram, with the number of blocks that share it,
-and its value is the product of the block sums, each evaluated from two root
-vectors of length about p^(L/2).  The histogram of the whole phase is built
-only when `counts` or `residue_histogram` asks for it, by exact FFT
-convolution in integer limbs, and is kept nowhere.
+value = sum over stationary half-grid points: by one Hensel step h(a + p^k b)
+= h(a) + p^k grad h(a).b mod p^L, and the b sum of e(grad h(a).b / p^(L-k))
+is a full period of roots of unity, so 0, unless grad h(a) = 0 mod p^(L-k).
+Those a are tallied exactly and evaluated once, in a fixed order; no vector
+of length p^L is built.  Counts are built on demand: `dense`, `counts` and
+`residue_histogram` spread every grid point's coset over the residues it
+reaches (`_block_counts`) and combine the block columns by exact FFT
+convolution in integer limbs (`_combine`).
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once, level by level.
@@ -32,6 +29,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import ItemsView, Iterator, Mapping, Sequence, ValuesView
@@ -63,47 +61,77 @@ EPS_MARGIN = 0.1
 
 @dataclass
 class ExpSumResult:
-    """Exact root-of-unity histogram of an oscillatory ball integral, kept as
-    a product of block histograms.
+    """An oscillatory ball integral kept as its integer terms and box:
+    value = volume * e(const / p^level) * prod_b (S_b / T_b)^k_b over the
+    `blocks` (h_b, k_b): the distinct parts h_b of h in their own variables,
+    each shared by k_b blocks, S_b the sum of e(h_b(y) / p^L) over the box
+    [0, p^box_level)^|b|, T_b its point count and p^L = p^level / step.
 
-    Column j of `dense` counts, for one block of coupled variables, the points
-    whose part of the phase is step * r mod p^level, r < len(dense); the
-    phase sums `powers[j]` blocks with that column, and each point stands for
-    `multiplicity` points of the variables the phase does not use (an exact
-    Python int).  value = volume * e(const / p^level) * prod_j (S_j / T_j) **
-    powers[j], where S_j = sum_r dense[r, j] e(r / len(dense)) and T_j is the
-    column's total.  With len(dense) = p^L, r = b p^L1 + a and L1 = ceil(L/2),
-    e(r / p^L) = e(b / p^(L-L1)) e(a / p^L), so S_j = sum_b e(b / p^(L-L1))
-    sum_a dense[b p^L1 + a, j] e(a / p^L) needs p^L1 + p^(L-L1) exponentials:
-    the inner sums are one einsum, the outer one a numpy sum, and neither
-    goes through BLAS, whose thread count could change the bits.  The product
-    runs in column order, so the same columns always give the same bits.  It
-    is exactly 0j when the sum vanishes: a product vanishes iff a factor
-    does, and for len(dense) = p^L > 1 a factor vanishes iff every column of
-    dense[:, j].reshape(p, -1) is constant, as Phi_{p^L}(x) =
-    Phi_p(x^(p^(L-1))) (Lam & Leung, J. Algebra 224, 2000).  A nonzero value
-    below the smallest float rounds to 0j.
+    A grid point a of Hensel class j, p^j = gcd(p^(L-k), grad h(a)), adds to
+    the residues h(a) + p^(k+j) t for all t: for j < L - k a full period of
+    a p^(L-k-j)-th root of unity, which sums to 0, so `value` keeps the
+    stationary class j = L - k alone (`_block_sum`).  The other classes tile
+    a count column with periods dividing p^(L-1), so the column is invariant
+    under r -> r + p^(L-1), which is when its sum vanishes (Phi_{p^L}(x) =
+    Phi_p(x^(p^(L-1))), Lam & Leung, J. Algebra 224, 2000), iff the multiset
+    of stationary residues is: `value` is exactly 0j when the sum vanishes
+    (and a nonzero value below the smallest float rounds to 0j).
+
+    `dense`, `powers` and `counts` build the histogram on first read: column
+    j of `dense` counts, for one block, the points whose part of the phase is
+    step * r mod p^level; the phase sums `powers[j]` blocks with that column,
+    and each point stands for `multiplicity` points of the unused variables.
     """
 
     prime: int
     level: int
-    dense: np.ndarray
-    powers: tuple[int, ...]
+    terms: dict[Exponents, int]
+    dim: int
+    box_level: int
+    blocks: tuple[tuple[tuple, int], ...]
     const: int
     step: int
-    multiplicity: int
     scale: Fraction
+    cap: int
     _value: complex | None = field(default=None, repr=False)
+
+    @property
+    def dense(self) -> np.ndarray:
+        return self._factors[0]
+
+    @property
+    def powers(self) -> tuple[int, ...]:
+        return self._factors[1]
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The block columns, equal columns once in the order they first
+        occur, and the number of blocks that share each."""
+        columns = _mod_histogram(
+            self.terms, self.dim, self.prime, self.box_level,
+            self.prime**self.level // self.step, self.cap,
+        )
+        shared: dict[bytes, list[int]] = {}
+        for j, column in enumerate(columns.T):
+            shared.setdefault(column.tobytes(), []).append(j)
+        if len(shared) < columns.shape[1]:
+            columns = columns[:, [js[0] for js in shared.values()]]
+        return columns, tuple(len(js) for js in shared.values())
 
     @property
     def counts(self) -> ResidueCounts:
         """{residue mod p^level: count} over the residues that occur."""
+        self._factors  # built here, so a refusal comes from this read
         return ResidueCounts(self)
 
     @property
+    def multiplicity(self) -> int:
+        used = sum(len(local[0][0]) * k for local, k in self.blocks)
+        return self.prime ** (self.box_level * (self.dim - used))
+
+    @property
     def total_count(self) -> int:
-        totals = self.dense.sum(axis=0, dtype=np.int64).tolist()
-        return math.prod(t**k for t, k in zip(totals, self.powers)) * self.multiplicity
+        return self.prime ** (self.dim * self.box_level)
 
     @property
     def volume(self) -> Fraction:
@@ -111,25 +139,16 @@ class ExpSumResult:
 
     @property
     def value(self) -> complex:
-        if self._value is None and len(self.dense) > 1:
-            for column in self.dense.T:
-                rows = column.reshape(self.prime, -1)
-                if (rows == rows[0]).all():
-                    self._value = 0j
-                    break
         if self._value is None:
-            size = len(self.dense)
-            split = 1  # r = b * split + a, split = p^ceil(L/2)
-            while split * split < size:
-                split *= self.prime
-            inner = np.exp(2j * np.pi / size * np.arange(split))  # e(a / p^L)
-            outer = np.exp(2j * np.pi / (size // split) * np.arange(size // split))
+            width, modulus = self.prime**self.box_level, self.prime**self.level // self.step
             shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
             value = float(self.volume) * shift
-            for column, k in zip(self.dense.T, self.powers):
-                rows = np.einsum("ba,a->b", column.reshape(-1, split), inner)
-                total = (rows * outer).sum()
-                value *= (complex(total) / int(column.sum(dtype=np.int64))) ** k
+            for local, k in self.blocks:
+                factor = _block_sum(local, width, modulus)
+                if factor == 0:
+                    value = 0j
+                    break
+                value *= factor**k
             self._value = value
         return self._value
 
@@ -197,72 +216,63 @@ class ResidueCounts(Mapping[int, int]):
         return dict(zip(keys.tolist(), [c * mult for c in counts[support].tolist()]))
 
 
-# -- modular histogram core --------------------------------------------------
+# -- block scans ----------------------------------------------------------------
 
 
-def _variable_blocks(terms: Mapping[Exponents, int], n: int) -> list[tuple[int, ...]]:
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    used = set()
-    for exps in terms:
-        vs = [j for j, a in enumerate(exps) if a > 0]
-        used.update(vs)
-        for a, b in zip(vs, vs[1:]):
-            parent[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for j in sorted(used):
-        groups.setdefault(find(j), []).append(j)
-    return [tuple(g) for g in groups.values()]
-
-
-def _block_counts(
-    block: tuple[int, ...],
-    terms: Mapping[Exponents, int],
-    width: int,
-    modulus: int,
-) -> np.ndarray:
-    """Counts of the block's part h of the polynomial mod `modulus` over
-    [0, width)^len(block), from the half-level grid.
-
-    Let width = p^W and modulus = p^L.  When W >= L, h mod p^L depends on y
-    mod p^L only, and y = a + p^k b with k = ceil(L/2), a in [0, p^k)^|b|:
-    h(y) = sum_alpha h^(alpha)(a)/alpha! p^(k|alpha|) b^alpha, each
-    h^(alpha)/alpha! has integer coefficients and p^(2k) = 0 mod p^L, so
-    h(y) = h(a) + p^k grad h(a).b mod p^L (one Hensel step).  With p^j the
-    gcd of p^(L-k) and the entries of grad h(a), the map b -> p^k grad
-    h(a).b mod p^L reaches the p^(L-k-j) residues p^(k+j) t equally often.
-    So only the grid points a are evaluated (with the gradient), and a adds
-    (p^(W-k))^|b| / p^(L-k-j) to each residue h(a) + p^(k+j) t: class j of
-    the grid is a bincount mod p^(k+j) tiled across the count vector, or,
-    when it holds few points, scattered into every tile by np.add.at.  When
-    W < L (only a direct call), the grid is the whole box and no b is split
-    off: plain enumeration through the same loop.
-
-    The fewest leading grid variables that leave at most _CHUNK points are
-    fixed: all but the last of them are scalars, the last is walked in rows,
-    and the rest are broadcast, so a slab never exceeds _CHUNK points.
-    """
-    local = [
+def _local_terms(block: tuple[int, ...], terms: Mapping[Exponents, int]) -> list:
+    """The block's part of the polynomial, in the block's own variables."""
+    return [
         (tuple(exps[j] for j in block), coeff)
         for exps, coeff in terms.items()
         if any(exps[j] > 0 for j in block)
     ]
-    d = len(block)
-    # modulus = p^level; only level >= 2 needs p, and then p <= sqrt(modulus)
+
+
+def _distinct_blocks(terms: Mapping[Exponents, int]) -> dict[tuple, list[tuple[int, ...]]]:
+    """The connected blocks of variables that share a monomial, in order,
+    grouped by their part of the polynomial (its terms in the block's own
+    variables, sorted) in the order each part first occurs."""
+    groups: list[set[int]] = []
+    for exps in terms:
+        block = {j for j, a in enumerate(exps) if a > 0}
+        for other in [g for g in groups if g & block]:
+            block |= other
+            groups.remove(other)
+        groups.append(block)
+    kinds: dict[tuple, list[tuple[int, ...]]] = {}
+    for block in sorted(tuple(sorted(g)) for g in groups if g):
+        kinds.setdefault(tuple(sorted(_local_terms(block, terms))), []).append(block)
+    return kinds
+
+
+def _grid(width: int, modulus: int) -> tuple[int, int, int]:
+    """(p, fine, side) of a block read mod modulus = p^L over [0, width)^d,
+    width = p^W: when W >= L, y = a + p^k b with a on the grid [0, side =
+    p^k)^d and b mod p^fine, fine = L - k; when W < L (only a direct call)
+    the grid is the whole box and fine = 0."""
+    # only L >= 2 needs p, and then p <= sqrt(modulus)
     p = next((q for q in range(2, math.isqrt(modulus) + 1) if modulus % q == 0), modulus)
     level = 0
     while p**level < modulus:
         level += 1
-    fine = level // 2 if width >= modulus else 0  # b runs over [0, p^fine), fine = L - k
-    coarse = modulus // p**fine
-    side = min(width, coarse)  # the grid side: p^k, or the whole box when W < L
-    spread = (width // side) ** d  # points of the box per grid point
+    fine = level // 2 if width >= modulus else 0
+    return p, fine, min(width, modulus // p**fine)
+
+
+def _slabs(local: Sequence, width: int, modulus: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """h(a) mod modulus and p^j = gcd(p^fine, grad h(a)) on the grid of
+    `_grid`, slab by slab, h = `local` a block's part of the polynomial in
+    its own variables.
+
+    h(a + p^k b) = sum_alpha h^(alpha)(a)/alpha! p^(k|alpha|) b^alpha, each
+    h^(alpha)/alpha! has integer coefficients and p^(2k) = 0 mod p^L, so
+    h(a + p^k b) = h(a) + p^k grad h(a).b mod p^L.  The fewest leading grid
+    variables that leave at most _CHUNK points are fixed: all but the last
+    of them are scalars, the last is walked in rows, and the rest are
+    broadcast, so a slab never exceeds _CHUNK points.
+    """
+    d = len(local[0][0])
+    p, fine, side = _grid(width, modulus)
     grads = [
         [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in local if e[i]]
         for i in range(d)
@@ -272,30 +282,88 @@ def _block_counts(
         free -= 1
     rows = _CHUNK // side**free
     broadcast = [np.arange(side, dtype=np.int64)] * free
-    counts = np.zeros(modulus, dtype=np.int64)
     for prefix in product(range(side), repeat=d - free - 1):
         for lo in range(0, side, rows):
             axes = np.ix_(np.arange(lo, min(lo + rows, side), dtype=np.int64), *broadcast)
             coords = [*prefix, *axes]
             vals = poly_residues(local, coords, modulus).ravel()
-            steps = np.full(len(vals), p**fine, dtype=np.int64)  # p^j of each grid point
+            steps = np.full(len(vals), p**fine, dtype=np.int64)
             for grad in grads:
                 np.gcd(steps, poly_residues(grad, coords, p**fine).ravel(), out=steps)
-            for j in range(fine + 1):
-                # class j: each point a adds spread p^(j-fine) to h(a) + size t, all t
-                size = coarse * p**j
-                picked = vals[steps == p**j]
-                picked %= size
-                weight = spread * p**j // p**fine
-                tiles = counts.reshape(-1, size)
-                if len(picked) * _SCATTER_COST < size:
-                    np.add.at(tiles, (slice(None), picked), weight)
-                else:
-                    bins = np.bincount(picked, minlength=size)
-                    bins *= weight
-                    tiles += bins
+            yield vals, steps
             del vals, steps  # freed before the next slab is evaluated
+
+
+def _block_counts(
+    block: tuple[int, ...],
+    terms: Mapping[Exponents, int],
+    width: int,
+    modulus: int,
+) -> np.ndarray:
+    """Counts of the block's part h of the polynomial mod `modulus` over
+    [0, width)^len(block), from the slabs of `_slabs`.
+
+    b -> p^k grad h(a).b mod p^L reaches the p^(fine-j) residues p^(k+j) t
+    equally often, so a grid point of class j adds (width / side)^|b| /
+    p^(fine-j) to each residue h(a) + p^(k+j) t: class j is a bincount mod
+    p^(k+j) tiled across the count vector, or, when it holds few points,
+    scattered into every tile by np.add.at.
+    """
+    p, fine, side = _grid(width, modulus)
+    coarse = modulus // p**fine
+    spread = (width // side) ** len(block)  # points of the box per grid point
+    counts = np.zeros(modulus, dtype=np.int64)
+    for vals, steps in _slabs(_local_terms(block, terms), width, modulus):
+        for j in range(fine + 1):
+            size = coarse * p**j
+            picked = vals[steps == p**j]
+            picked %= size
+            weight = spread * p**j // p**fine
+            tiles = counts.reshape(-1, size)
+            if len(picked) * _SCATTER_COST < size:
+                np.add.at(tiles, (slice(None), picked), weight)
+            else:
+                bins = np.bincount(picked, minlength=size)
+                bins *= weight
+                tiles += bins
+        del vals, steps
     return counts
+
+
+def _block_sum(local: Sequence, width: int, modulus: int) -> complex:
+    """The mean of e(h(y) / modulus) over y in [0, width)^d, h = `local` a
+    block's part of the polynomial in its d variables: side^-d times the sum
+    of e(h(a) / modulus) over the stationary grid points a, the class j =
+    fine of `_slabs` (every grid point when fine = 0).
+
+    Their residues are tallied exactly, so the bits do not depend on the
+    slabs; the mean is exactly 0j when the tally is invariant under r -> r +
+    modulus / p, and is otherwise one fixed-order numpy sum, with r = q
+    p^ceil(L/2) + a and e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
+    """
+    p, fine, side = _grid(width, modulus)
+    keys = tally = np.zeros(0, dtype=np.int64)
+    for vals, steps in _slabs(local, width, modulus):
+        picked = np.concatenate([keys, vals[steps == p**fine]])
+        merged, counts = np.unique(picked, return_counts=True)
+        counts[np.searchsorted(merged, keys)] += tally - 1  # each old key is once in picked
+        keys, tally = merged, counts
+        del vals, steps
+    if modulus > 1:
+        shifted = (keys + modulus // p) % modulus
+        order = np.argsort(shifted)
+        if np.array_equal(shifted[order], keys) and np.array_equal(tally[order], tally):
+            return 0j
+    split = 1
+    while split * split < modulus:
+        split *= p
+    high, low = np.divmod(keys, split)
+    roots = tally * np.exp(2j * np.pi / (modulus // split) * high)
+    roots *= np.exp(2j * np.pi / modulus * low)
+    return complex(roots.sum()) / side ** len(local[0][0])
+
+
+# -- histograms -----------------------------------------------------------------
 
 
 def _limbs(rows: np.ndarray, bits: int) -> np.ndarray:
@@ -359,65 +427,57 @@ def _mod_histogram(
     mod modulus} over the variables y_b of block b in [0, p^level).
 
     `terms` has no constant term; h splits over connected variable blocks,
-    h = sum_b h_b, and variables h does not use are not enumerated.  The
-    array has the narrowest unsigned dtype that holds its largest count; h = 0
+    h = sum_b h_b, and variables h does not use are not enumerated.  Blocks
+    with the same terms are counted once, and the cap counts the work done:
+    the grid points scanned and the count vector built for each.  The array
+    has the narrowest unsigned dtype that holds its largest count; h = 0
     gives one column [1].
     """
     width = p**level
-    blocks = _variable_blocks(terms, n)
-    # The cap counts the points of the block boxes: blocks decouple, so the
-    # conceptual p^(n*level) points cost only the sum of block boxes, and
-    # `_block_counts` evaluates far fewer of them (its half-level grids).
-    work = sum(width ** len(b) for b in blocks) if blocks else 1
+    kinds = _distinct_blocks(terms)
+    side = _grid(width, modulus)[2]
+    work = sum(side ** len(blocks[0]) + modulus for blocks in kinds.values())
     if work > cap:
-        raise ResourceCapError(work, cap)
-    if work >= 1 << 63:  # every count of a column, and its total, is one int64
-        raise ResourceCapError(work, (1 << 63) - 1, what="points counted in int64")
-    checked_modulus(modulus, "residue classes")
-    if not blocks:
+        raise ResourceCapError(work, cap, what="grid points and count entries")
+    if not kinds:
         return np.ones((1, 1), dtype=np.uint8)
-    # each column is narrowed as it is counted; stacking promotes to the widest
-    columns = []
-    for block in blocks:
-        counts = _block_counts(block, terms, width, modulus)
-        columns.append(counts.astype(np.min_scalar_type(int(counts.max()))))
-    return np.stack(columns, axis=1)
+    columns = {}
+    for blocks in kinds.values():
+        counts = _block_counts(blocks[0], terms, width, modulus)
+        columns.update(dict.fromkeys(blocks, counts.astype(np.min_scalar_type(int(counts.max())))))
+    # stacking promotes every column to the widest
+    return np.stack([columns[block] for block in sorted(columns)], axis=1)
 
 
-def _histogram(
+def _result(
     terms: Mapping[Exponents, int], n: int, p: int, level: int, key_level: int, cap: int,
     scale: Fraction = Fraction(1),
 ) -> ExpSumResult:
-    """The histogram of H(y) mod p^key_level over y in [0, p^level)^n.
+    """The sum of e(H(y) / p^key_level) over y in [0, p^level)^n, as its terms.
 
     The non-constant part is step * h with step = gcd(modulus, coefficients),
-    so it is counted as h mod modulus // step, a modulus never above the grid
-    side p^level for the integrands built here.  Equal block columns are kept
-    once, with the number of blocks that share them.
+    so it is read as h mod modulus // step, a modulus never above the grid
+    side p^level for the integrands built here.  The cap counts the grid
+    points `value` scans, a box of 2^63 points or more is refused since each
+    count of a histogram is one int64, and so is a modulus past
+    MODULUS_LIMIT; all before any point is evaluated.
     """
     modulus = p**key_level
-    if modulus > 8 * cap:
-        raise ResourceCapError(modulus, cap)
     const = terms.get((0,) * n, 0) % modulus
     nonconst = {e: c for e, c in terms.items() if sum(e) > 0}
     step = math.gcd(modulus, *nonconst.values())
     h = {e: c // step for e, c in nonconst.items()}
-    columns = _mod_histogram(h, n, p, level, modulus // step, cap)
-    keep: list[int] = []
-    powers: list[int] = []
-    for j, column in enumerate(columns.T):
-        for i, kept in enumerate(keep):
-            if np.array_equal(columns[:, kept], column):
-                powers[i] += 1
-                break
-        else:
-            keep.append(j)
-            powers.append(1)
-    dense = columns if len(keep) == columns.shape[1] else columns[:, keep]
-    unused = n - len({j for e in h for j, a in enumerate(e) if a > 0})
-    return ExpSumResult(
-        p, key_level, dense, tuple(powers), const, step, p ** (level * unused), scale
-    )
+    width, kinds = p**level, _distinct_blocks(h)
+    side = _grid(width, modulus // step)[2]
+    work = sum(side ** len(blocks[0]) for blocks in kinds.values())
+    if work > cap:
+        raise ResourceCapError(work, cap, what="grid points")
+    box = sum(width ** len(block) for blocks in kinds.values() for block in blocks)
+    if box >= 1 << 63:
+        raise ResourceCapError(box, (1 << 63) - 1, what="points counted in int64")
+    checked_modulus(modulus // step, "residue classes")
+    blocks = tuple((local, len(found)) for local, found in kinds.items())
+    return ExpSumResult(p, key_level, h, n, level, blocks, const, step, scale, cap)
 
 
 # -- the ball character-sum engine -------------------------------------------
@@ -445,7 +505,7 @@ def character_sum(
     w = min([key_level] + [int_valuation(c, p) for exps, c in terms.items() if any(exps)])
     level = key_level - w + extra_level
     scale = Fraction(p) ** (-n * (e + level))
-    return _histogram(terms, n, p, level, key_level, cap, scale)
+    return _result(terms, n, p, level, key_level, cap, scale)
 
 
 def exp_sum(
@@ -489,7 +549,7 @@ def residue_histogram(
         raise DomainError("residue histograms need a ball inside Z_p^n")
     p, n, e = ball.prime, ball.dim, ball.radius_exp
     terms, _ = lattice_form(f.scale(1), ball.center_fractions(), p**e, p)  # K = 0: integral
-    return _histogram(terms, n, p, max(0, m - e), m, cap).counts
+    return _result(terms, n, p, max(0, m - e), m, cap).counts
 
 
 # -- stationary phase ---------------------------------------------------------

@@ -128,6 +128,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
+def check_facet_vars(nvars: int) -> None:
+    """Refuse a polyhedron in more than MAX_NEWTON_VARS variables."""
+    if nvars > MAX_NEWTON_VARS:
+        raise DomainError(f"facet enumeration capped at {MAX_NEWTON_VARS} variables")
+
+
 def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     """Complete facet list of the Newton polyhedron of f.
 
@@ -139,8 +145,7 @@ def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     """
     _require_vanishing(f)
     m = f.nvars
-    if m > MAX_NEWTON_VARS:
-        raise DomainError(f"facet enumeration capped at {MAX_NEWTON_VARS} variables")
+    check_facet_vars(m)
     supp = sorted(f.support())
     facets: dict[tuple[int, ...], Facet] = {}
     for k in range(m):

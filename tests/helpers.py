@@ -435,6 +435,41 @@ def oracle_vanishes(counts: dict[int, int], p: int, level: int) -> bool:
     return not any(poly[:deg])
 
 
+def column_mean(column, p: int) -> complex:
+    """sum_r column[r] e(r / N) / sum_r column[r], N = len(column) = p^L, split
+    as r = b p^ceil(L/2) + a: the evaluation of one count column by the
+    histogram engine, kept as the reference of the stationary-point sums."""
+    column = np.asarray(column, dtype=np.int64)
+    size, split = len(column), 1
+    while split * split < size:
+        split *= p
+    inner = np.exp(2j * np.pi / size * np.arange(split))
+    outer = np.exp(2j * np.pi / (size // split) * np.arange(size // split))
+    rows = np.einsum("ba,a->b", column.reshape(-1, split), inner)
+    return complex((rows * outer).sum()) / int(column.sum())
+
+
+def column_vanishes(column, p: int) -> bool:
+    """The cyclotomic column test: column[r] = column[r + N/p] for every r."""
+    if len(column) == 1:
+        return False
+    rows = np.asarray(column).reshape(p, -1)
+    return bool((rows == rows[0]).all())
+
+
+def dense_column_value(res) -> complex:
+    """An ExpSumResult's value evaluated from its count columns `res.dense`:
+    exactly 0j when a column passes the cyclotomic test, else volume *
+    e(const / p^level) * prod_j column_mean(dense[:, j]) ** powers[j]."""
+    p = res.prime
+    if any(column_vanishes(column, p) for column in res.dense.T):
+        return 0j
+    value = float(res.volume) * cmath.exp(2j * math.pi * (res.const / p**res.level))
+    for column, k in zip(res.dense.T, res.powers):
+        value *= column_mean(column, p) ** k
+    return value
+
+
 def oracle_common_zero(polys, p: int, points) -> bool:
     """Whether the polynomials all vanish mod p at some point of `points`,
     one exact evaluation per point and polynomial."""

@@ -109,6 +109,32 @@ class TestExpsumCommand:
         assert doc["results"]["histogram"] == {"0": 3, "1": 2, "4": 2, "7": 2}
 
 
+    @pytest.mark.parametrize(
+        "argv, levels",
+        [(["--prime", "3", "--poly", "x1*x2", "--m", "9..9"], [9]),
+         (["--prime", "7", "--poly", "x^3", "--m", "1..10"], range(1, 11))],
+        ids=["x1*x2-p3-m9", "x^3-p7-m1..10"],
+    )
+    def test_the_cap_counts_the_grid_scanned(self, tmp_path, argv, levels):
+        # both once passed the default cap by their box points alone
+        code, out = run_cli(tmp_path, ["expsum", *argv])
+        assert code in (EXIT_OK, EXIT_CERTIFICATE)
+        table = json.loads(out)["results"]["table"]
+        assert [row["m"] for row in table] == list(levels)
+        if argv[3] == "x1*x2":  # E(3^-9) = 3^-9: the y sum vanishes unless x = 0 mod 3^9
+            assert abs(complex(*table[0]["value"]) - 3**-9) <= 1e-15
+
+    def test_five_variables_are_refused_before_any_sum(self, tmp_path, capsys, monkeypatch):
+        def scanned(*args):
+            raise AssertionError("a block was scanned")
+
+        monkeypatch.setattr(expsums, "_slabs", scanned)
+        five = ["expsum", "--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2", "--m", "1..2"]
+        code, _ = run_cli(tmp_path, five)
+        assert code == EXIT_VALIDATION
+        assert "facet enumeration capped at 4 variables" in capsys.readouterr().err
+
+
 class TestSurfaceCommand:
     def test_csv_schema(self, tmp_path):
         code, out = run_cli(
@@ -489,12 +515,14 @@ class TestDeterminism:
 
     def test_byte_identical_across_processes_threads_and_blas_threads(self):
         # exp sums, the zeta check, the cell sums of solve_u and the grid are
-        # evaluated by einsum, fixed-order numpy sums and FFTs, never through
-        # BLAS, and phase residues are integers, so neither --threads nor the
+        # evaluated by fixed-order numpy sums and FFTs, never through BLAS,
+        # and phase residues are integers, so neither --threads nor the
         # BLAS thread count reaches the output.  The second solve job sums
         # 5^8 cells, long enough for OpenBLAS to split a dot across threads
         jobs = [
             ["expsum", "--prime", "3", "--poly", "x1^2+x1*x2+x2^3", "--m", "1..8"],
+            # the stationary-point sums of a level the box count once refused
+            ["expsum", "--prime", "7", "--poly", "x^3", "--m", "1..10"],
             ["surface", "--prime", "3", "--phi", "x1^2+2*x2^2", "--k", "1..6"],
             ["solve", "--prime", "3", "--phi", "x^2", "--f0", "1+2j * ball 0 1; ball 1/3 0"],
             ["solve", "--prime", "5", "--phi", "x1^2+x2^2", "--f0", "(0.3+0.7j) * ball 0 0 1",

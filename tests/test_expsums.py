@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    column_mean,
+    column_vanishes,
+    dense_column_value,
     expsum_values,
     oracle_block_counts,
     oracle_cyclic_convolution,
@@ -260,6 +263,157 @@ class TestHalfLevelGrid:
             assert sum(points) <= bound, (terms, sum(points), bound)
 
 
+def seeded_phase(rng, p: int, n: int) -> SparsePolynomial:
+    """Two to five monomials in n variables, coupled or not, with
+    coefficients that p often divides."""
+    terms = {}
+    while len(terms) < 2:
+        for _ in range(rng.randint(2, 5)):
+            exps = tuple(rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in range(n))
+            if any(exps):
+                terms[exps] = rng.choice([-1, 1]) * rng.randint(1, 9) * p ** rng.choice([0, 0, 1])
+    return SparsePolynomial.from_terms(n, terms)
+
+
+class TestStationarySum:
+    """`value` sums each block over its stationary half-level grid points;
+    it equals the evaluation of the count columns and is exactly 0j when
+    their cyclotomic column test passes."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_block_sums_match_the_counts(self, p):
+        # W < L (the direct path), W = L and W > L, in 1-3 variable blocks
+        rng = random.Random(f"stationary:{p}")
+        seen = set()
+        for d in (1, 2, 3):
+            block = tuple(range(1, d + 1))
+            for level in range(6):
+                for width_level in (level - 1, level, level + 1):
+                    if width_level < 0 or p ** (width_level * d) > 2500:
+                        continue
+                    for draw in range(3):
+                        terms = seeded_block_terms(rng, p, d + 1, block)
+                        width, modulus = p**width_level, p**level
+                        counts = oracle_block_counts(terms, block, width, modulus)
+                        got = expsums._block_sum(expsums._local_terms(block, terms), width, modulus)
+                        zero = column_vanishes(counts, p)
+                        if zero:
+                            assert got == 0j, (terms, width, modulus)
+                        else:
+                            assert got != 0j and abs(got - column_mean(counts, p)) <= 1e-15
+                        seen.add((zero, (width_level > level) - (width_level < level)))
+        assert seen >= {(True, 0), (False, -1), (False, 0), (False, 1)}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_values_match_the_dense_column_evaluation(self, p):
+        rng = random.Random(f"dense:{p}")
+        cases = [
+            # certified balls: the gradient is a unit, so high levels vanish
+            (parse_polynomial("x^2+x+1"), Ball.of(p, [0], 1)),
+            (parse_polynomial("x1^2+x1+x2^3+x2"), Ball.of(p, [0, 0], 1)),
+        ]
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            center = [rng.randint(0, p) for _ in range(n)]
+            cases.append((seeded_phase(rng, p, n), Ball.of(p, center, rng.randint(0, 1))))
+        zeros = set()
+        for f, ball in cases:
+            for m in range(1, 9):
+                if p**m > 3**9 or p ** ((m + 1) // 2 * f.nvars) > 10**5:
+                    continue
+                res = exp_sum(f, Fraction(rng.randint(1, p - 1), p**m), ball)
+                value, want = res.value, dense_column_value(res)
+                assert (value == 0j) == (want == 0j), (f, ball, m)
+                assert abs(value - want) <= 1e-15, (f, ball, m, value, want)
+                zeros.add(value == 0j)
+        assert zeros == {True, False}
+
+    def test_shrunk_slabs_give_identical_bits(self, monkeypatch):
+        cases = [
+            (parse_polynomial("x1^2 + x1*x2 + x2^3"), Ball.of(3, [0, 0], 0), 8),
+            (parse_polynomial("x1*x2 + x2*x3^2 + x3"), Ball.of(2, [0, 0, 0], 0), 6),
+            (parse_polynomial("x^3"), Ball.of(5, [2], 1), 5),  # an exact zero
+            (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
+            # many stationary points, on residues that recur from slab to slab
+            (parse_polynomial("x1^2*x2^2 + x2^3"), Ball.of(3, [0, 0], 0), 6),
+        ]
+        whole = [exp_sum(f, Fraction(1, ball.prime**m), ball).value for f, ball, m in cases]
+        monkeypatch.setattr(expsums, "_CHUNK", 10)
+        sliced = [exp_sum(f, Fraction(1, ball.prime**m), ball).value for f, ball, m in cases]
+        assert sliced == whole and 0j in whole
+        bits = [(v.real.hex(), v.imag.hex()) for v in whole]
+        assert [(v.real.hex(), v.imag.hex()) for v in sliced] == bits
+
+    def test_value_builds_no_count_vector(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a count vector was built")
+
+        monkeypatch.setattr(expsums, "_block_counts", refuse)
+        monkeypatch.setattr(expsums, "_mod_histogram", refuse)
+        cube, z7 = parse_polynomial("x^3"), Ball.of(7, [0], 0)
+        # x = 7y: the units are stationary-free, so E(7^-m) = E(7^-(m-3)) / 7 for m >= 4
+        value = exp_sum(cube, Fraction(1, 7**10), z7).value
+        assert abs(value - exp_sum(cube, Fraction(1, 7**7), z7).value / 7) <= 1e-15
+        assert abs(value - exp_sum(cube, Fraction(1, 7**4), z7).value / 7**2) <= 1e-15
+        assert abs(value - oracle_exp_sum(cube, Fraction(1, 7), z7, 1) / 7**3) <= 1e-15
+
+    def test_value_allocates_no_count_vector(self):
+        cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
+        exp_sum(cube, Fraction(1, 5**3), z5).value  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            exp_sum(cube, Fraction(1, 5**10), z5).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the count vector alone would be 5^10 int64, 74.5 MiB
+        assert peak < 2**20, peak
+
+
+class TestWorkCap:
+    """The cap counts the grid points scanned, and for a histogram the count
+    vectors built too."""
+
+    def test_levels_the_box_count_refused_now_answer(self):
+        # x1 x2 over Z_3^2: the y sum vanishes unless x = 0 mod p^m, so E = p^-m
+        f, ball = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0)
+        assert abs(exp_sum(f, Fraction(1, 3**9), ball).value - 3**-9) <= 1e-15
+        for m in range(1, 5):
+            got = exp_sum(f, Fraction(2, 3**m), ball).value
+            assert abs(got - oracle_exp_sum(f, Fraction(2, 3**m), ball, m)) < 1e-12
+        cube, z7 = parse_polynomial("x^3"), Ball.of(7, [0], 0)
+        for m in range(1, 5):
+            got = exp_sum(cube, Fraction(1, 7**m), z7).value
+            assert abs(got - oracle_exp_sum(cube, Fraction(1, 7**m), z7, m)) < 1e-12
+
+    def test_a_grid_past_the_cap_is_refused(self):
+        # the grid of x1 x2 at level 9 is [0, 3^5)^2
+        f, ball, z = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0), Fraction(1, 3**9)
+        exp_sum(f, z, ball, cap=3**10)
+        with pytest.raises(ResourceCapError, match=f"enumeration of {3**10} grid points") as err:
+            exp_sum(f, z, ball, cap=3**10 - 1)
+        assert err.value.required == 3**10 and err.value.cap == 3**10 - 1
+
+    def test_a_histogram_also_counts_its_count_vector(self):
+        f, ball = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0)
+        need = 3**10 + 3**9  # the grid, and one count per residue mod 3^9
+        assert sum(residue_histogram(f, 9, ball, cap=need).values()) == 3**18
+        res = exp_sum(f, Fraction(1, 3**9), ball, cap=need - 1)
+        assert abs(res.value - 3**-9) <= 1e-15
+        with pytest.raises(ResourceCapError, match="grid points and count entries") as err:
+            res.counts
+        assert err.value.required == need
+
+    def test_blocks_with_the_same_terms_are_scanned_once(self, monkeypatch):
+        scans = []
+        slabs = expsums._slabs
+        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
+        res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
+        assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27
+        assert scans == [(((2,), 1),)]  # x^2, once for the six blocks
+        assert res.powers == (6,) and len(scans) == 2
+
+
 class TestExpSumResult:
     @pytest.mark.parametrize(
         "text, nvars, p, m",
@@ -318,11 +472,11 @@ class TestExpSumResult:
         monkeypatch.setattr(expsums, "_CHUNK", expsums._CHUNK // 5)
         tracemalloc.start()
         try:
-            res = exp_sum(cube, Fraction(1, 5**9), z5)
+            dense = exp_sum(cube, Fraction(1, 5**9), z5).dense
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(res.dense, whole)
+        assert np.array_equal(dense, whole)
         assert peak <= 250 * 2**20 / 5, peak
 
 
