@@ -8,7 +8,8 @@ Commands
     strichartz  truncated L^sigma norm / ratio series
 
 expsum and surface evaluate each level's sum once; the table, the decay fit
-and the certificate all read that one table of values.
+and the certificate all read that one table of values, and expsum evaluates
+its levels together, scanning each distinct block once.
 
 Exact rationals are serialised as "num/den" strings, complex values as
 [re, im] doubles.  Output bytes are identical across runs.  --threads (or
@@ -45,6 +46,7 @@ from .errors import (
 from .expsums import (
     DEFAULT_ENUMERATION_CAP,
     decay_fit,
+    evaluate,
     exp_sum,
     residue_histogram,
     stationary_certificate,
@@ -236,10 +238,9 @@ def _run_expsum(cfg: JobConfig) -> dict:
     p = cfg.prime
     if not f.is_constant():  # decay_fit builds f's Newton polyhedron: refuse before any sum
         check_facet_vars(f.nvars)
-    values = {
-        m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap).value
-        for m in range(lo, hi + 1)
-    }
+    sums = {m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap) for m in range(lo, hi + 1)}
+    evaluate(sums.values())  # one scan per distinct block serves every level
+    values = {m: res.value for m, res in sums.items()}
     table = [{"m": m, "value": _cx(v), "abs": abs(v)} for m, v in values.items()]
     fit = decay_fit(f, ball, {m: v for m, v in values.items() if m >= 2})
     hist_level = lo

@@ -13,26 +13,30 @@ value = sum over stationary half-grid points: by one Hensel step h(a + p^k b)
 = h(a) + p^k grad h(a).b mod p^L, and the b sum of e(grad h(a).b / p^(L-k))
 is a full period of roots of unity, so 0, unless grad h(a) = 0 mod p^(L-k).
 Those a are tallied exactly and evaluated once, in a fixed order; no vector
-of length p^L is built.  Counts are built on demand: `dense`, `counts` and
-`residue_histogram` spread every grid point's coset over the residues it
-reaches (`_block_counts`) and combine the block columns by exact FFT
-convolution in integer limbs (`_combine`).
+of length p^L is built.  `evaluate` values a whole level table at once: the
+grids of its levels are sub-boxes of the top level's, so each distinct block
+is scanned once, its gradient read mod the top p^(L-k) and h only at points
+some level keeps; `value` is the call for one result.  Counts are built on
+demand: `dense`, `counts` and `residue_histogram` spread every grid point's
+coset over the residues it reaches (`_block_counts`) and combine the block
+columns by exact FFT convolution in integer limbs (`_combine`).
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
-{m: E_A(p^-m, f)} that the caller evaluates once, level by level.
+{m: E_A(p^-m, f)} that the caller evaluates once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import product
-from typing import ItemsView, Iterator, Mapping, Sequence, ValuesView
+from typing import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -70,7 +74,7 @@ class ExpSumResult:
     A grid point a of Hensel class j, p^j = gcd(p^(L-k), grad h(a)), adds to
     the residues h(a) + p^(k+j) t for all t: for j < L - k a full period of
     a p^(L-k-j)-th root of unity, which sums to 0, so `value` keeps the
-    stationary class j = L - k alone (`_block_sum`).  The other classes tile
+    stationary class j = L - k alone (`_block_sums`).  The other classes tile
     a count column with periods dividing p^(L-1), so the column is invariant
     under r -> r + p^(L-1), which is when its sum vanishes (Phi_{p^L}(x) =
     Phi_p(x^(p^(L-1))), Lam & Leung, J. Algebra 224, 2000), iff the multiset
@@ -108,8 +112,7 @@ class ExpSumResult:
         """The block columns, equal columns once in the order they first
         occur, and the number of blocks that share each."""
         columns = _mod_histogram(
-            self.terms, self.dim, self.prime, self.box_level,
-            self.prime**self.level // self.step, self.cap,
+            self.terms, self.dim, self.prime, self.box_level, self._box[1], self.cap
         )
         shared: dict[bytes, list[int]] = {}
         for j, column in enumerate(columns.T):
@@ -140,17 +143,36 @@ class ExpSumResult:
     @property
     def value(self) -> complex:
         if self._value is None:
-            width, modulus = self.prime**self.box_level, self.prime**self.level // self.step
-            shift = cmath.exp(2j * math.pi * (self.const / self.prime**self.level))
-            value = float(self.volume) * shift
-            for local, k in self.blocks:
-                factor = _block_sum(local, width, modulus)
-                if factor == 0:
-                    value = 0j
-                    break
-                value *= factor**k
-            self._value = value
+            evaluate([self])
         return self._value
+
+    @property
+    def _box(self) -> tuple[int, int]:
+        """(width, modulus): the box side p^box_level and p^L."""
+        return self.prime**self.box_level, self.prime**self.level // self.step
+
+
+def evaluate(results: Iterable[ExpSumResult]) -> None:
+    """Evaluate every result not yet evaluated, with one `_block_sums` scan
+    per distinct block (prime and terms) for all the boxes it is read over:
+    a table of levels of one phase scans each block once."""
+    pending = [res for res in results if res._value is None]
+    sums: dict[tuple, dict[tuple[int, int], complex]] = {}
+    for res in pending:
+        for local, _ in res.blocks:
+            sums.setdefault((res.prime, local), {})[res._box] = 0j
+    for (p, local), boxes in sums.items():
+        boxes.update(zip(boxes, _block_sums(local, p, list(boxes))))
+    for res in pending:
+        shift = cmath.exp(2j * math.pi * (res.const / res.prime**res.level))
+        value = float(res.volume) * shift
+        for local, k in res.blocks:
+            factor = sums[res.prime, local][res._box]
+            if factor == 0:
+                value = 0j
+                break
+            value *= factor**k
+        res._value = value
 
 
 class ResidueCounts(Mapping[int, int]):
@@ -259,20 +281,20 @@ def _grid(width: int, modulus: int) -> tuple[int, int, int]:
     return p, fine, min(width, modulus // p**fine)
 
 
-def _slabs(local: Sequence, width: int, modulus: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """h(a) mod modulus and p^j = gcd(p^fine, grad h(a)) on the grid of
-    `_grid`, slab by slab, h = `local` a block's part of the polynomial in
-    its own variables.
+def _slabs(local: Sequence, p: int, side: int, fine: int) -> Iterator[tuple[list, np.ndarray]]:
+    """The grid [0, side)^d slab by slab, as broadcast coordinates and p^j =
+    gcd(p^fine, grad h(a)) over the slab, h = `local` a block's part of the
+    polynomial in its own d variables.
 
     h(a + p^k b) = sum_alpha h^(alpha)(a)/alpha! p^(k|alpha|) b^alpha, each
     h^(alpha)/alpha! has integer coefficients and p^(2k) = 0 mod p^L, so
-    h(a + p^k b) = h(a) + p^k grad h(a).b mod p^L.  The fewest leading grid
-    variables that leave at most _CHUNK points are fixed: all but the last
-    of them are scalars, the last is walked in rows, and the rest are
-    broadcast, so a slab never exceeds _CHUNK points.
+    h(a + p^k b) = h(a) + p^k grad h(a).b mod p^L, fine = L - k: the caller
+    evaluates h where it reads it.  The fewest leading grid variables that
+    leave at most _CHUNK points are fixed: all but the last of them are
+    scalars, the last is walked in rows, and the rest are broadcast, so a
+    slab never exceeds _CHUNK points.
     """
     d = len(local[0][0])
-    p, fine, side = _grid(width, modulus)
     grads = [
         [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in local if e[i]]
         for i in range(d)
@@ -286,12 +308,11 @@ def _slabs(local: Sequence, width: int, modulus: int) -> Iterator[tuple[np.ndarr
         for lo in range(0, side, rows):
             axes = np.ix_(np.arange(lo, min(lo + rows, side), dtype=np.int64), *broadcast)
             coords = [*prefix, *axes]
-            vals = poly_residues(local, coords, modulus).ravel()
-            steps = np.full(len(vals), p**fine, dtype=np.int64)
+            steps = np.full((len(axes[0]),) + (side,) * free, p**fine, dtype=np.int64)
             for grad in grads:
-                np.gcd(steps, poly_residues(grad, coords, p**fine).ravel(), out=steps)
-            yield vals, steps
-            del vals, steps  # freed before the next slab is evaluated
+                np.gcd(steps, poly_residues(grad, coords, p**fine), out=steps)
+            yield coords, steps
+            del steps  # freed before the next slab is evaluated
 
 
 def _block_counts(
@@ -301,7 +322,7 @@ def _block_counts(
     modulus: int,
 ) -> np.ndarray:
     """Counts of the block's part h of the polynomial mod `modulus` over
-    [0, width)^len(block), from the slabs of `_slabs`.
+    [0, width)^len(block), from h(a) and the classes of `_slabs`.
 
     b -> p^k grad h(a).b mod p^L reaches the p^(fine-j) residues p^(k+j) t
     equally often, so a grid point of class j adds (width / side)^|b| /
@@ -312,8 +333,10 @@ def _block_counts(
     p, fine, side = _grid(width, modulus)
     coarse = modulus // p**fine
     spread = (width // side) ** len(block)  # points of the box per grid point
+    local = _local_terms(block, terms)
     counts = np.zeros(modulus, dtype=np.int64)
-    for vals, steps in _slabs(_local_terms(block, terms), width, modulus):
+    for coords, steps in _slabs(local, p, side, fine):
+        vals, steps = poly_residues(local, coords, modulus).ravel(), steps.ravel()
         for j in range(fine + 1):
             size = coarse * p**j
             picked = vals[steps == p**j]
@@ -330,25 +353,68 @@ def _block_counts(
     return counts
 
 
-def _block_sum(local: Sequence, width: int, modulus: int) -> complex:
-    """The mean of e(h(y) / modulus) over y in [0, width)^d, h = `local` a
-    block's part of the polynomial in its d variables: side^-d times the sum
-    of e(h(a) / modulus) over the stationary grid points a, the class j =
-    fine of `_slabs` (every grid point when fine = 0).
+def _block_sums(local: Sequence, p: int, boxes: Sequence[tuple[int, int]]) -> list[complex]:
+    """The mean of e(h(y) / modulus) over y in [0, width)^d for every (width,
+    modulus) of `boxes`, h = `local` a block's part of the polynomial in its
+    d variables: side^-d times the sum of e(h(a) / modulus) over the
+    stationary grid points a, grad h(a) = 0 mod p^fine, of that box's grid
+    (`_grid`; every grid point when fine = 0).
 
-    Their residues are tallied exactly, so the bits do not depend on the
-    slabs; the mean is exactly 0j when the tally is invariant under r -> r +
-    modulus / p, and is otherwise one fixed-order numpy sum, with r = q
-    p^ceil(L/2) + a and e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
+    One scan serves every box: the grids are the sub-boxes [0, side)^d of
+    the widest, and grad h mod the largest p^fine decides each box's
+    stationary points, so h is evaluated once, mod the largest modulus and
+    only at points some box keeps.  Each box's residues are tallied exactly,
+    so the bits depend neither on the slabs nor on the other boxes; its mean
+    is exactly 0j when the tally is invariant under r -> r + modulus / p,
+    and is otherwise one fixed-order numpy sum, with r = q p^ceil(L/2) + a
+    and e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
     """
-    p, fine, side = _grid(width, modulus)
-    keys = tally = np.zeros(0, dtype=np.int64)
-    for vals, steps in _slabs(local, width, modulus):
-        picked = np.concatenate([keys, vals[steps == p**fine]])
-        merged, counts = np.unique(picked, return_counts=True)
-        counts[np.searchsorted(merged, keys)] += tally - 1  # each old key is once in picked
-        keys, tally = merged, counts
-        del vals, steps
+    grids = [_grid(width, modulus)[1:] for width, modulus in boxes]
+    top, side = max(modulus for _, modulus in boxes), max(s for _, s in grids)
+    narrow = any(s < side for _, s in grids)
+    tallies = [(np.zeros(0, dtype=np.int64),) * 2] * len(boxes)
+    for coords, steps in _slabs(local, p, side, max(fine for fine, _ in grids)):
+        reach = None  # the largest coordinate of each point, when a grid is narrower
+        if narrow:
+            reach = np.zeros_like(steps)
+            for x in coords:
+                np.maximum(reach, x, out=reach)
+        kept = reduce(operator.or_, _stationary(grids, side, p, reach, steps))
+        if not kept.any():
+            continue
+        # the kept points' coordinates: the scalars, then each axis at their indices
+        at = np.nonzero(kept)
+        scalars = len(coords) - len(at)
+        axes = [x.ravel()[i] for x, i in zip(coords[scalars:], at)]
+        vals = poly_residues(local, [*coords[:scalars], *axes], top)
+        reach = None if reach is None else reach[kept]
+        for i, mask in enumerate(_stationary(grids, side, p, reach, steps[kept])):
+            keys, tally = tallies[i]
+            picked = np.concatenate([keys, vals[mask] % boxes[i][1]])
+            merged, counts = np.unique(picked, return_counts=True)
+            counts[np.searchsorted(merged, keys)] += tally - 1  # each old key is once in picked
+            tallies[i] = merged, counts
+        del reach, steps, kept, vals
+    return [
+        _stationary_mean(keys, tally, p, modulus, s ** len(local[0][0]))
+        for (keys, tally), (_, modulus), (_, s) in zip(tallies, boxes, grids)
+    ]
+
+
+def _stationary(
+    grids: Sequence[tuple[int, int]], side: int, p: int, reach: np.ndarray | None, steps: np.ndarray
+) -> Iterator[np.ndarray]:
+    """For each (fine, side) grid, which points lie on it and have grad h = 0
+    mod p^fine, from their largest coordinate and p^j = gcd(p^fine, grad h)."""
+    for fine, s in grids:
+        yield (steps >= p**fine) & (reach < s) if s < side else steps >= p**fine
+
+
+def _stationary_mean(
+    keys: np.ndarray, tally: np.ndarray, p: int, modulus: int, points: int
+) -> complex:
+    """The sum of tally * e(keys / modulus) over `points`, the grid's point
+    count, or exactly 0j when the tally is invariant under r -> r + modulus / p."""
     if modulus > 1:
         shifted = (keys + modulus // p) % modulus
         order = np.argsort(shifted)
@@ -360,7 +426,7 @@ def _block_sum(local: Sequence, width: int, modulus: int) -> complex:
     high, low = np.divmod(keys, split)
     roots = tally * np.exp(2j * np.pi / (modulus // split) * high)
     roots *= np.exp(2j * np.pi / modulus * low)
-    return complex(roots.sum()) / side ** len(local[0][0])
+    return complex(roots.sum()) / points
 
 
 # -- histograms -----------------------------------------------------------------

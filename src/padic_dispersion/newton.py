@@ -182,8 +182,9 @@ def quasi_homogeneous_detect(
 
     Witnesses are normalised to gcd(alpha, d) = 1.  When the solution space
     of <alpha, l_i - l_0> = 0 is a line, its primitive positive generator is
-    the unique normalised witness; otherwise the search walks d upward over
-    the alpha in [1, bound]^m of degree d and stops at the first gcd-1 one.
+    the unique normalised witness; otherwise, when some alpha in [1, bound]^m
+    meets the support constraints at all, the search walks d upward over the
+    alpha of degree d and stops at the first gcd-1 one.
     """
     _require_vanishing(f)
     supp = sorted(f.support())
@@ -196,25 +197,29 @@ def quasi_homogeneous_detect(
         if any(a <= 0 for a in gen):
             return None
         return QuasiHomogeneityWitness(gen, _dot(gen, supp[0]))
+    if next(_weights(supp, bound), None) is None:  # no weights of any degree
+        return None
     for d in range(sum(supp[0]), bound * sum(supp[0]) + 1):
-        for alpha in _weights_of_degree(supp, d, bound):
+        for alpha in _weights(supp, bound, d):
             if math.gcd(d, *alpha) == 1:
                 return QuasiHomogeneityWitness(alpha, d)
     return None
 
 
-def _weights_of_degree(
-    supp: Sequence[Exponents], d: int, bound: int
+def _weights(
+    supp: Sequence[Exponents], bound: int, d: int | None = None
 ) -> Iterable[tuple[int, ...]]:
-    """Every alpha in [1, bound]^m with <alpha, l_0> = d and <alpha, l - l_0> = 0
-    on the support, in lexicographic order.
+    """Every alpha in [1, bound]^m with <alpha, l - l_0> = 0 on the support,
+    and <alpha, l_0> = d when d is given, in lexicographic order.
 
     Coordinates are fixed one at a time; a prefix is dropped as soon as some
     constraint is out of reach of every completion in [1, bound].
     """
     m = len(supp[0])
-    rows = [supp[0]] + [tuple(a - b for a, b in zip(pt, supp[0])) for pt in supp[1:]]
-    targets = [d] + [0] * (len(rows) - 1)
+    rows = [tuple(a - b for a, b in zip(pt, supp[0])) for pt in supp[1:]]
+    targets = [0] * len(rows)
+    if d is not None:
+        rows, targets = [supp[0], *rows], [d, *targets]
     reach = [
         [(sum(min(v, bound * v) for v in row[j:]), sum(max(v, bound * v) for v in row[j:]))
          for row in rows]

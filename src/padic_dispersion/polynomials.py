@@ -140,26 +140,35 @@ def compose_affine(
     center: Sequence[Fraction | int],
     step: Fraction,
 ) -> dict[Exponents, Fraction]:
-    """Expand sum_a c_a * prod_i (center_i + step*y_i)^(a_i) in y."""
+    """Expand sum_a c_a * prod_i (center_i + step*y_i)^(a_i) in y.
+
+    With center_i = n_i/d_i and step = s/t, the y^k term of a monomial is c_a
+    prod_i C(a_i, k_i) n_i^(a_i-k_i) s^k_i / (d_i^(a_i-k_i) t^k_i): its
+    numerator and denominator are multiplied out in integers, and each
+    becomes one Fraction."""
+    step = Fraction(step)
+    center = [Fraction(c) for c in center]
     out: dict[Exponents, Fraction] = {}
     for exps, coeff in coeffs.items():
-        partial: dict[Exponents, Fraction] = {(): Fraction(coeff)}
+        coeff = Fraction(coeff)
+        if not coeff:
+            continue
+        terms = [((), coeff.numerator, coeff.denominator)]
         for ci, ai in zip(center, exps, strict=True):
-            ci = Fraction(ci)
             powers = [
-                math.comb(ai, k) * ci ** (ai - k) * step**k for k in range(ai + 1)
+                (k, math.comb(ai, k) * ci.numerator ** (ai - k) * step.numerator**k,
+                 ci.denominator ** (ai - k) * step.denominator**k)
+                for k in range(ai + 1)
             ]
-            nxt: dict[Exponents, Fraction] = {}
-            for stem, c in partial.items():
-                for k, w in enumerate(powers):
-                    if w == 0 and not (ai == 0 and k == 0):
-                        continue
-                    key = stem + (k,)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * w
-            partial = nxt
-        for key, c in partial.items():
-            if c != 0:
-                out[key] = out.get(key, Fraction(0)) + c
+            terms = [
+                (stem + (k,), num * a, den * b)
+                for stem, num, den in terms
+                for k, a, b in powers
+                if a
+            ]
+        for key, num, den in terms:
+            term = Fraction(num, den)
+            out[key] = out[key] + term if key in out else term
     return {e: c for e, c in out.items() if c != 0}
 
 

@@ -341,6 +341,32 @@ def oracle_quasi_homogeneous(
     return best
 
 
+def oracle_compose_affine(
+    coeffs: dict, center, step: Fraction
+) -> dict[tuple[int, ...], Fraction]:
+    """sum_a c_a * prod_i (center_i + step*y_i)^(a_i) expanded in y, one
+    binomial factor at a time in Fractions, each key inserted where it first
+    gets a nonzero term."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in coeffs.items():
+        partial: dict[tuple[int, ...], Fraction] = {(): Fraction(coeff)}
+        for ci, ai in zip(center, exps, strict=True):
+            ci = Fraction(ci)
+            powers = [math.comb(ai, k) * ci ** (ai - k) * step**k for k in range(ai + 1)]
+            nxt: dict[tuple[int, ...], Fraction] = {}
+            for stem, c in partial.items():
+                for k, w in enumerate(powers):
+                    if w == 0 and not (ai == 0 and k == 0):
+                        continue
+                    key = stem + (k,)
+                    nxt[key] = nxt.get(key, Fraction(0)) + c * w
+            partial = nxt
+        for key, c in partial.items():
+            if c != 0:
+                out[key] = out.get(key, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
 def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int:
     """A coset scale of S' on which x' -> Fg(x', phi(x')) is constant, term by
     term over Fg.terms as exact p-adic numbers: the ball radii and the

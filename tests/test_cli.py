@@ -227,6 +227,17 @@ class TestEachSumEvaluatedOnce:
         assert cert["status"] == "ok" and cert["verified_levels"] == [4, 5, 6]
 
 
+    def test_a_table_scans_each_distinct_block_once(self, tmp_path, monkeypatch):
+        scans = []
+        slabs = expsums._slabs
+        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
+        argv = ["expsum", "--prime", "5", "--poly", "x1^2+4*x2^3", "--m", "1..8"]
+        assert run_cli(tmp_path, argv)[0] == EXIT_CERTIFICATE
+        # the eight levels read one scan of each block, and the histogram at
+        # m = 1 one more of each
+        assert [tuple(local) for local in scans] == [(((2,), 1),), (((3,), 4),)] * 2
+
+
 class TestSolveCommand:
     def test_solve_fields(self, tmp_path):
         code, out = run_cli(
@@ -523,6 +534,9 @@ class TestDeterminism:
             ["expsum", "--prime", "3", "--poly", "x1^2+x1*x2+x2^3", "--m", "1..8"],
             # the stationary-point sums of a level the box count once refused
             ["expsum", "--prime", "7", "--poly", "x^3", "--m", "1..10"],
+            # two distinct blocks on a ball off the origin, evaluated in one joint scan
+            ["expsum", "--prime", "5", "--poly", "x1^2+4*x2^3", "--ball", "ball 1 1 1",
+             "--m", "1..8"],
             ["surface", "--prime", "3", "--phi", "x1^2+2*x2^2", "--k", "1..6"],
             ["solve", "--prime", "3", "--phi", "x^2", "--f0", "1+2j * ball 0 1; ball 1/3 0"],
             ["solve", "--prime", "5", "--phi", "x1^2+x2^2", "--f0", "(0.3+0.7j) * ball 0 0 1",

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -295,7 +296,8 @@ class TestStationarySum:
                         terms = seeded_block_terms(rng, p, d + 1, block)
                         width, modulus = p**width_level, p**level
                         counts = oracle_block_counts(terms, block, width, modulus)
-                        got = expsums._block_sum(expsums._local_terms(block, terms), width, modulus)
+                        local = expsums._local_terms(block, terms)
+                        (got,) = expsums._block_sums(local, p, [(width, modulus)])
                         zero = column_vanishes(counts, p)
                         if zero:
                             assert got == 0j, (terms, width, modulus)
@@ -368,6 +370,78 @@ class TestStationarySum:
             tracemalloc.stop()
         # the count vector alone would be 5^10 int64, 74.5 MiB
         assert peak < 2**20, peak
+
+
+def seeded_tables(rng, p: int) -> list[list]:
+    """Level tables E(u p^-m, f), m = 1..7, of seeded phases on three kinds of
+    ball: Z_p^n, unit centres at radius 1, and centre 1/p at radius -1; each
+    table stops at its first level whose grid passes a small cap."""
+    tables = []
+    for kind in range(3):
+        for _ in range(4):
+            n = rng.randint(1, 2)
+            center, radius = [
+                ([0] * n, 0),
+                ([rng.randint(1, p - 1) for _ in range(n)], 1),
+                ([Fraction(1, p)] * n, -1),
+            ][kind]
+            f, ball = seeded_phase(rng, p, n), Ball.of(p, center, radius)
+            table = []
+            for m in range(1, 8):
+                try:
+                    table.append(exp_sum(f, Fraction(rng.randint(1, p - 1), p**m), ball, cap=5000))
+                except ResourceCapError:
+                    break
+            tables.append(table)
+    return tables
+
+
+class TestJointScan:
+    """`evaluate` scans each distinct block once for every level of every
+    result it is given; each value is the bits `value` gives on its own."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_joint_values_are_the_single_values(self, p, monkeypatch):
+        tables = seeded_tables(random.Random(f"joint:{p}"), p)
+        results = [res for table in tables for res in table]
+        single = [repr(dataclasses.replace(res).value) for res in results]
+        expsums.evaluate(results)
+        assert [repr(res.value) for res in results] == single
+        assert len(results) >= 40 and "0j" in single
+        # slabs of 10 points: the top grid of most tables spans several
+        monkeypatch.setattr(expsums, "_CHUNK", 10)
+        sliced = [dataclasses.replace(res, _value=None) for res in results]
+        expsums.evaluate(sliced)
+        assert [repr(res.value) for res in sliced] == single
+
+    def test_a_table_scans_each_block_once(self, monkeypatch):
+        scans = []
+        slabs = expsums._slabs
+        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[:1]) or slabs(*args))
+        ball = Ball.of(5, [0, 0], 0)
+        f = parse_polynomial("x1^2+4*x2^3")
+        table = [exp_sum(f, Fraction(1, 5**m), ball) for m in range(1, 9)]
+        expsums.evaluate(table)
+        assert scans == [((((2,), 1),),), ((((3,), 4),),)]
+        assert all(res._value is not None for res in table)
+        expsums.evaluate(table)  # evaluated results are not scanned again
+        assert len(scans) == 2
+
+    def test_the_phase_is_evaluated_at_stationary_points_only(self, monkeypatch):
+        points = []
+        evaluate = expsums.poly_residues
+
+        def counting(terms, coords, modulus):
+            out = evaluate(terms, coords, modulus)
+            if modulus == 3**9:  # the phase; its gradient is read mod 3^4
+                points.append(out.size)
+            return out
+
+        monkeypatch.setattr(expsums, "poly_residues", counting)
+        # x1 x2 at level 9: the grid [0, 3^5)^2 holds 9 points with grad = 0 mod 3^4
+        value = exp_sum(parse_polynomial("x1*x2"), Fraction(1, 3**9), Ball.of(3, [0, 0], 0)).value
+        assert abs(value - 3**-9) <= 1e-15
+        assert sum(points) <= 9, points
 
 
 class TestWorkCap:

@@ -316,6 +316,14 @@ class TestWitnessSearch:
         assert quasi_homogeneous_detect(f) is None
         assert time.perf_counter() - start < 0.5
 
+    def test_no_weights_of_any_degree_are_refused_before_the_degree_walk(self):
+        # a weight space of dimension 2 with no positive point: the degree
+        # walk alone once took 82 s to answer None
+        f = parse_polynomial("3*x3^3*x4^3 + 2*x1*x3^2 + 3*x1^2*x2*x3^2*x4")
+        start = time.perf_counter()
+        assert quasi_homogeneous_detect(f) is None
+        assert time.perf_counter() - start < 2.0
+
     def test_four_variable_monomial_answers_at_once(self, tmp_path):
         start = time.perf_counter()
         code = main(["newton", "--prime", "3", "--poly", "x1*x2*x3*x4", "--out", str(tmp_path / "o")])

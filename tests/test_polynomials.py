@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import padic_dispersion
+from helpers import oracle_compose_affine
 from padic_dispersion import expsums, wave
 from padic_dispersion.errors import DomainError, PolynomialSyntaxError, ResourceCapError
 from padic_dispersion.padic import Ball
@@ -130,6 +131,27 @@ class TestEvaluation:
                 c * y[0] ** e[0] * y[1] ** e[1] for e, c in g.items()
             )
             assert composed == direct
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_compose_affine_matches_the_fraction_expansion(self, p):
+        # equal dicts, key order included: the integer expansion inserts each
+        # key where the one-Fraction-per-factor expansion first meets it
+        rng = random.Random(f"compose:{p}")
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            coeffs = {}
+            for _ in range(rng.randint(1, 5)):
+                exps = tuple(rng.randint(0, 4) for _ in range(n))
+                num = rng.choice([-1, 1]) * rng.randint(1, 30)
+                coeffs[exps] = Fraction(num, p ** rng.randint(0, 3))
+            center = [
+                Fraction(rng.randint(-40, 40), p ** rng.randint(0, 3)) if rng.random() < 0.7 else 0
+                for _ in range(n)
+            ]
+            step = Fraction(p) ** rng.randint(-2, 2)
+            got = compose_affine(coeffs, center, step)
+            want = oracle_compose_affine(coeffs, center, step)
+            assert list(got.items()) == list(want.items()), (coeffs, center, step)
 
     def test_from_terms_validation(self):
         with pytest.raises(DomainError):
