@@ -104,14 +104,6 @@ class JobConfig:
                 d[key] = list(d[key])
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobConfig":
-        d = dict(d)
-        for key in ("m_range", "k_range"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
 
 def frac_str(x: Fraction | int, always_den: bool = False) -> str:
     x = Fraction(x)

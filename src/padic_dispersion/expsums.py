@@ -2,9 +2,10 @@
 
 The integrand is constant on fine enough cosets, so every integral here is a
 finite sum of roots of unity: after x = center + p^e y the phase is
-(const + step h(y)) / p^level over y in [0, p^W)^n, h integral and read mod
-p^L = p^level / step <= p^W.  h splits over blocks of coupled variables, so a
-sum is the product of its block sums; blocks with equal terms are scanned
+(const + step h(y)) / p^level over y in [0, p^L)^n, h integral and read mod
+p^L = p^level / step (a histogram may count a wider box [0, p^W)^n, W > L,
+with the same block means).  h splits over blocks of coupled variables, so
+a sum is the product of its block sums; blocks with equal terms are scanned
 once, on the half-level grid a in [0, p^k)^|b|, k = ceil(L/2), in numpy slabs
 of at most _CHUNK points evaluated by `polynomials.poly_residues`, the one
 modular polynomial evaluator the package shares.
@@ -81,10 +82,11 @@ class ExpSumResult:
     of stationary residues is: `value` is exactly 0j when the sum vanishes
     (and a nonzero value below the smallest float rounds to 0j).
 
-    `dense`, `powers` and `counts` build the histogram on first read: column
-    j of `dense` counts, for one block, the points whose part of the phase is
-    step * r mod p^level; the phase sums `powers[j]` blocks with that column,
-    and each point stands for `multiplicity` points of the unused variables.
+    `dense` and `counts` build the histogram on first read: column j of
+    `dense` counts the points of the j-th distinct block whose part of the
+    phase is step * r mod p^level, the phase sums `powers[j]` = k_j blocks
+    with that column, and each point stands for `multiplicity` points of the
+    unused variables.
     """
 
     prime: int
@@ -99,32 +101,20 @@ class ExpSumResult:
     cap: int
     _value: complex | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def dense(self) -> np.ndarray:
-        return self._factors[0]
+        return _mod_histogram(
+            self.terms, self.dim, self.prime, self.box_level, self._box, self.cap
+        )
 
     @property
     def powers(self) -> tuple[int, ...]:
-        return self._factors[1]
-
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The block columns, equal columns once in the order they first
-        occur, and the number of blocks that share each."""
-        columns = _mod_histogram(
-            self.terms, self.dim, self.prime, self.box_level, self._box[1], self.cap
-        )
-        shared: dict[bytes, list[int]] = {}
-        for j, column in enumerate(columns.T):
-            shared.setdefault(column.tobytes(), []).append(j)
-        if len(shared) < columns.shape[1]:
-            columns = columns[:, [js[0] for js in shared.values()]]
-        return columns, tuple(len(js) for js in shared.values())
+        return tuple(k for _, k in self.blocks) or (1,)  # h = 0: the column [1]
 
     @property
     def counts(self) -> ResidueCounts:
         """{residue mod p^level: count} over the residues that occur."""
-        self._factors  # built here, so a refusal comes from this read
+        self.dense  # built here, so a refusal comes from this read
         return ResidueCounts(self)
 
     @property
@@ -147,22 +137,22 @@ class ExpSumResult:
         return self._value
 
     @property
-    def _box(self) -> tuple[int, int]:
-        """(width, modulus): the box side p^box_level and p^L."""
-        return self.prime**self.box_level, self.prime**self.level // self.step
+    def _box(self) -> int:
+        """L: the blocks are read mod p^L = p^level / step."""
+        return self.level - int_valuation(self.step, self.prime)
 
 
 def evaluate(results: Iterable[ExpSumResult]) -> None:
     """Evaluate every result not yet evaluated, with one `_block_sums` scan
-    per distinct block (prime and terms) for all the boxes it is read over:
+    per distinct block (prime and terms) for all the levels L it is read at:
     a table of levels of one phase scans each block once."""
     pending = [res for res in results if res._value is None]
-    sums: dict[tuple, dict[tuple[int, int], complex]] = {}
+    sums: dict[tuple, dict[int, complex]] = {}
     for res in pending:
         for local, _ in res.blocks:
             sums.setdefault((res.prime, local), {})[res._box] = 0j
-    for (p, local), boxes in sums.items():
-        boxes.update(zip(boxes, _block_sums(local, p, list(boxes))))
+    for (p, local), levels in sums.items():
+        levels.update(zip(levels, _block_sums(local, p, list(levels))))
     for res in pending:
         shift = cmath.exp(2j * math.pi * (res.const / res.prime**res.level))
         value = float(res.volume) * shift
@@ -267,18 +257,11 @@ def _distinct_blocks(terms: Mapping[Exponents, int]) -> dict[tuple, list[tuple[i
     return kinds
 
 
-def _grid(width: int, modulus: int) -> tuple[int, int, int]:
-    """(p, fine, side) of a block read mod modulus = p^L over [0, width)^d,
-    width = p^W: when W >= L, y = a + p^k b with a on the grid [0, side =
-    p^k)^d and b mod p^fine, fine = L - k; when W < L (only a direct call)
-    the grid is the whole box and fine = 0."""
-    # only L >= 2 needs p, and then p <= sqrt(modulus)
-    p = next((q for q in range(2, math.isqrt(modulus) + 1) if modulus % q == 0), modulus)
-    level = 0
-    while p**level < modulus:
-        level += 1
-    fine = level // 2 if width >= modulus else 0
-    return p, fine, min(width, modulus // p**fine)
+def _grid(p: int, level: int) -> tuple[int, int]:
+    """(fine, side) of a block read mod p^L, L = level: y = a + p^k b with a
+    on the grid [0, side = p^k)^d, k = ceil(L/2), and b mod p^fine, fine =
+    L - k."""
+    return level // 2, p ** (level - level // 2)
 
 
 def _slabs(local: Sequence, p: int, side: int, fine: int) -> Iterator[tuple[list, np.ndarray]]:
@@ -321,8 +304,10 @@ def _block_counts(
     width: int,
     modulus: int,
 ) -> np.ndarray:
-    """Counts of the block's part h of the polynomial mod `modulus` over
-    [0, width)^len(block), from h(a) and the classes of `_slabs`.
+    """Counts of the block's part h of the polynomial mod `modulus` = p^L
+    over [0, width)^len(block), width = p^W, from h(a) and the classes of
+    `_slabs` on the grid of `_grid` (when W < L, only a direct call, the
+    grid is the whole box and fine = 0).
 
     b -> p^k grad h(a).b mod p^L reaches the p^(fine-j) residues p^(k+j) t
     equally often, so a grid point of class j adds (width / side)^|b| /
@@ -330,7 +315,12 @@ def _block_counts(
     p^(k+j) tiled across the count vector, or, when it holds few points,
     scattered into every tile by np.add.at.
     """
-    p, fine, side = _grid(width, modulus)
+    # only L >= 2 needs p, and then p <= sqrt(modulus)
+    p = next((q for q in range(2, math.isqrt(modulus) + 1) if modulus % q == 0), modulus)
+    level = 0
+    while p**level < modulus:
+        level += 1
+    fine, side = _grid(p, level) if width >= modulus else (0, width)
     coarse = modulus // p**fine
     spread = (width // side) ** len(block)  # points of the box per grid point
     local = _local_terms(block, terms)
@@ -353,27 +343,27 @@ def _block_counts(
     return counts
 
 
-def _block_sums(local: Sequence, p: int, boxes: Sequence[tuple[int, int]]) -> list[complex]:
-    """The mean of e(h(y) / modulus) over y in [0, width)^d for every (width,
-    modulus) of `boxes`, h = `local` a block's part of the polynomial in its
-    d variables: side^-d times the sum of e(h(a) / modulus) over the
-    stationary grid points a, grad h(a) = 0 mod p^fine, of that box's grid
-    (`_grid`; every grid point when fine = 0).
+def _block_sums(local: Sequence, p: int, levels: Sequence[int]) -> list[complex]:
+    """The mean of e(h(y) / p^L) over y in [0, p^L)^d for every L of
+    `levels`, h = `local` a block's part of the polynomial in its d
+    variables: side^-d times the sum of e(h(a) / p^L) over the stationary
+    points a, grad h(a) = 0 mod p^fine, of that level's grid (`_grid`).
 
-    One scan serves every box: the grids are the sub-boxes [0, side)^d of
-    the widest, and grad h mod the largest p^fine decides each box's
-    stationary points, so h is evaluated once, mod the largest modulus and
-    only at points some box keeps.  Each box's residues are tallied exactly,
-    so the bits depend neither on the slabs nor on the other boxes; its mean
-    is exactly 0j when the tally is invariant under r -> r + modulus / p,
-    and is otherwise one fixed-order numpy sum, with r = q p^ceil(L/2) + a
-    and e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
+    One scan serves every level: the grids are the sub-boxes [0, side)^d of
+    the top level's, and grad h mod its p^fine decides each level's
+    stationary points, so h is evaluated once, mod the top p^L and only at
+    points some level keeps.  Each level's residues are tallied exactly, so
+    the bits depend neither on the slabs nor on the other levels; its mean
+    is exactly 0j when the tally is invariant under r -> r + p^(L-1), and is
+    otherwise one fixed-order numpy sum, with r = q p^ceil(L/2) + a and
+    e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
     """
-    grids = [_grid(width, modulus)[1:] for width, modulus in boxes]
-    top, side = max(modulus for _, modulus in boxes), max(s for _, s in grids)
+    grids = [_grid(p, level) for level in levels]
+    top = max(levels)
+    fine, side = _grid(p, top)
     narrow = any(s < side for _, s in grids)
-    tallies = [(np.zeros(0, dtype=np.int64),) * 2] * len(boxes)
-    for coords, steps in _slabs(local, p, side, max(fine for fine, _ in grids)):
+    tallies = [(np.zeros(0, dtype=np.int64),) * 2] * len(levels)
+    for coords, steps in _slabs(local, p, side, fine):
         reach = None  # the largest coordinate of each point, when a grid is narrower
         if narrow:
             reach = np.zeros_like(steps)
@@ -386,18 +376,18 @@ def _block_sums(local: Sequence, p: int, boxes: Sequence[tuple[int, int]]) -> li
         at = np.nonzero(kept)
         scalars = len(coords) - len(at)
         axes = [x.ravel()[i] for x, i in zip(coords[scalars:], at)]
-        vals = poly_residues(local, [*coords[:scalars], *axes], top)
+        vals = poly_residues(local, [*coords[:scalars], *axes], p**top)
         reach = None if reach is None else reach[kept]
         for i, mask in enumerate(_stationary(grids, side, p, reach, steps[kept])):
             keys, tally = tallies[i]
-            picked = np.concatenate([keys, vals[mask] % boxes[i][1]])
+            picked = np.concatenate([keys, vals[mask] % p ** levels[i]])
             merged, counts = np.unique(picked, return_counts=True)
             counts[np.searchsorted(merged, keys)] += tally - 1  # each old key is once in picked
             tallies[i] = merged, counts
         del reach, steps, kept, vals
     return [
-        _stationary_mean(keys, tally, p, modulus, s ** len(local[0][0]))
-        for (keys, tally), (_, modulus), (_, s) in zip(tallies, boxes, grids)
+        _stationary_mean(keys, tally, p, p**level, s ** len(local[0][0]))
+        for (keys, tally), level, (_, s) in zip(tallies, levels, grids)
     ]
 
 
@@ -487,62 +477,65 @@ def _combine(dense: np.ndarray, powers: Sequence[int]) -> np.ndarray:
 
 
 def _mod_histogram(
-    terms: Mapping[Exponents, int], n: int, p: int, level: int, modulus: int, cap: int
+    terms: Mapping[Exponents, int], n: int, p: int, level: int, mod_level: int, cap: int
 ) -> np.ndarray:
-    """A (modulus, blocks) array: column b counts N_r = #{y_b : h_b(y_b) = r
-    mod modulus} over the variables y_b of block b in [0, p^level).
+    """A (p^mod_level, distinct blocks) array: column j counts N_r = #{y :
+    h_j(y) = r mod p^mod_level} over y in [0, p^level)^d, level >= mod_level,
+    for the j-th distinct part h_j of h (`_distinct_blocks`), d its variables.
 
     `terms` has no constant term; h splits over connected variable blocks,
-    h = sum_b h_b, and variables h does not use are not enumerated.  Blocks
-    with the same terms are counted once, and the cap counts the work done:
-    the grid points scanned and the count vector built for each.  The array
-    has the narrowest unsigned dtype that holds its largest count; h = 0
-    gives one column [1].
+    h = sum_b h_b, and variables h does not use are not enumerated.  The cap
+    counts the work done: the grid points scanned and the count vector built
+    for each distinct part.  The array has the narrowest unsigned dtype that
+    holds its largest count; h = 0 gives one column [1].
     """
-    width = p**level
+    width, modulus = p**level, p**mod_level
     kinds = _distinct_blocks(terms)
-    side = _grid(width, modulus)[2]
+    side = _grid(p, mod_level)[1]
     work = sum(side ** len(blocks[0]) + modulus for blocks in kinds.values())
     if work > cap:
         raise ResourceCapError(work, cap, what="grid points and count entries")
     if not kinds:
         return np.ones((1, 1), dtype=np.uint8)
-    columns = {}
+    columns = []
     for blocks in kinds.values():
         counts = _block_counts(blocks[0], terms, width, modulus)
-        columns.update(dict.fromkeys(blocks, counts.astype(np.min_scalar_type(int(counts.max())))))
+        columns.append(counts.astype(np.min_scalar_type(int(counts.max()))))
     # stacking promotes every column to the widest
-    return np.stack([columns[block] for block in sorted(columns)], axis=1)
+    return np.stack(columns, axis=1)
 
 
 def _result(
-    terms: Mapping[Exponents, int], n: int, p: int, level: int, key_level: int, cap: int,
-    scale: Fraction = Fraction(1),
+    terms: Mapping[Exponents, int], n: int, p: int, key_level: int, radius: int, cap: int,
+    level: int | None = None,
 ) -> ExpSumResult:
-    """The sum of e(H(y) / p^key_level) over y in [0, p^level)^n, as its terms.
+    """The sum of e(H(y) / p^key_level) over y in [0, p^level)^n, as its
+    terms, each point of volume p^-n(radius + level).
 
-    The non-constant part is step * h with step = gcd(modulus, coefficients),
-    so it is read as h mod modulus // step, a modulus never above the grid
-    side p^level for the integrands built here.  The cap counts the grid
+    The non-constant terms share p^w, w <= key_level, so they are step * h,
+    step = p^w, read as h mod p^L, L = key_level - w; the box side p^level
+    is p^L unless a histogram asks for a wider one (never a narrower one:
+    an integral f has w >= min(radius, key_level)).  The cap counts the grid
     points `value` scans, a box of 2^63 points or more is refused since each
     count of a histogram is one int64, and so is a modulus past
     MODULUS_LIMIT; all before any point is evaluated.
     """
-    modulus = p**key_level
-    const = terms.get((0,) * n, 0) % modulus
-    nonconst = {e: c for e, c in terms.items() if sum(e) > 0}
-    step = math.gcd(modulus, *nonconst.values())
+    const = terms.get((0,) * n, 0) % p**key_level
+    nonconst = {e: c for e, c in terms.items() if any(e)}
+    w = min([key_level] + [int_valuation(c, p) for c in nonconst.values()])
+    step, mod_level = p**w, key_level - w
+    level = mod_level if level is None else level
     h = {e: c // step for e, c in nonconst.items()}
-    width, kinds = p**level, _distinct_blocks(h)
-    side = _grid(width, modulus // step)[2]
+    kinds, side = _distinct_blocks(h), _grid(p, mod_level)[1]
     work = sum(side ** len(blocks[0]) for blocks in kinds.values())
     if work > cap:
         raise ResourceCapError(work, cap, what="grid points")
-    box = sum(width ** len(block) for blocks in kinds.values() for block in blocks)
+    box = sum(p ** (level * len(block)) for blocks in kinds.values() for block in blocks)
     if box >= 1 << 63:
         raise ResourceCapError(box, (1 << 63) - 1, what="points counted in int64")
-    checked_modulus(modulus // step, "residue classes")
+    checked_modulus(p**mod_level, "residue classes")
     blocks = tuple((local, len(found)) for local, found in kinds.items())
+    scale = Fraction(p) ** (-n * (radius + level))
     return ExpSumResult(p, key_level, h, n, level, blocks, const, step, scale, cap)
 
 
@@ -554,24 +547,18 @@ def character_sum(
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    extra_level: int = 0,
 ) -> ExpSumResult:
     """int_ball Psi(phase(x)) dx as an exact histogram.
 
     `phase` is a polynomial with coefficients in Z[1/p].  The substitution
     x = center + p^e y makes the integrand a function of y in Z_p^n that is
-    constant on cosets mod p^M, with M read off the coefficient valuations;
-    `extra_level` forces a finer (but equivalent) enumeration.
+    constant on cosets mod p^L, with L read off the coefficient valuations.
     """
     if isinstance(phase, SparsePolynomial):
         phase = phase.scale(1)
-    p, n, e = ball.prime, ball.dim, ball.radius_exp
+    p, e = ball.prime, ball.radius_exp
     terms, key_level = lattice_form(phase, ball.center_fractions(), Fraction(p) ** e, p)
-    # the non-constant terms share p^w, so over p^key_level they vary mod p^(key_level - w)
-    w = min([key_level] + [int_valuation(c, p) for exps, c in terms.items() if any(exps)])
-    level = key_level - w + extra_level
-    scale = Fraction(p) ** (-n * (e + level))
-    return _result(terms, n, p, level, key_level, cap, scale)
+    return _result(terms, ball.dim, p, key_level, e, cap)
 
 
 def exp_sum(
@@ -581,7 +568,6 @@ def exp_sum(
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
     threads: int = 1,
-    extra_level: int = 0,
 ) -> ExpSumResult:
     """E_A(z, f) = int_A Psi(z f(x)) |dx| over the ball A.
 
@@ -593,9 +579,7 @@ def exp_sum(
         raise DomainError("z = 0 rejected: E_A(0, f) = vol(A)")
     if f.nvars != ball.dim:
         raise DomainError("polynomial arity does not match the ball dimension")
-    return character_sum(
-        f.scale(z.as_fraction()), ball, cap=cap, extra_level=extra_level
-    )
+    return character_sum(f.scale(z.as_fraction()), ball, cap=cap)
 
 
 def residue_histogram(
@@ -615,7 +599,7 @@ def residue_histogram(
         raise DomainError("residue histograms need a ball inside Z_p^n")
     p, n, e = ball.prime, ball.dim, ball.radius_exp
     terms, _ = lattice_form(f.scale(1), ball.center_fractions(), p**e, p)  # K = 0: integral
-    return _result(terms, n, p, max(0, m - e), m, cap).counts
+    return _result(terms, n, p, m, e, cap, max(0, m - e)).counts
 
 
 # -- stationary phase ---------------------------------------------------------

@@ -216,7 +216,8 @@ def _weights(
     constraint is out of reach of every completion in [1, bound].
     """
     m = len(supp[0])
-    rows = [tuple(a - b for a, b in zip(pt, supp[0])) for pt in supp[1:]]
+    # the reduced rows span the same constraints and prune them jointly
+    rows = _reduce([[a - b for a, b in zip(pt, supp[0])] for pt in supp[1:]], m)[0]
     targets = [0] * len(rows)
     if d is not None:
         rows, targets = [supp[0], *rows], [d, *targets]

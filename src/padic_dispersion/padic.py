@@ -9,7 +9,6 @@ is finally evaluated.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,12 +130,6 @@ class RootOfUnity:
         self.prime = prime
         self.numerator = r
         self.level = level
-
-    @property
-    def complex_value(self) -> complex:
-        if self.level == 0:
-            return 1.0 + 0.0j
-        return cmath.exp(2j * math.pi * (self.numerator / self.prime**self.level))
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         if not isinstance(other, RootOfUnity):

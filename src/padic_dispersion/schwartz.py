@@ -231,13 +231,6 @@ class SchwartzBruhatFn(_BallSum):
         arrays = (self.denom, self.radii, self.idx, self.coeffs * factor)
         return self._from_arrays(self.n, self.prime, *arrays)
 
-    def translated(self, shift: Sequence) -> "SchwartzBruhatFn":
-        """g(x - shift): every ball center moves by shift."""
-        terms = [(Ball.of(self.prime, [x + s for x, s in zip(b.center_fractions(), shift)],
-                          b.radius_exp), c)
-                 for b, c in self.terms]
-        return SchwartzBruhatFn(self.n, self.prime, terms)
-
 
 class ModulatedSBFn(_BallSum):
     """Finite sum of terms coeff * Psi(-[b, xi]) * 1_Ball(xi), disjoint balls;
@@ -374,12 +367,6 @@ def embed(g: SchwartzBruhatFn) -> ModulatedSBFn:
     return ModulatedSBFn._from_arrays(g.n, g.prime, *arrays)
 
 
-def to_schwartz(G: ModulatedSBFn) -> SchwartzBruhatFn:
-    """Fold modulations into locally constant coefficients."""
-    raw = (G.denom, G.radii, G.idx, G.mdenom, G.mods, G.coeffs)
-    return _disjointify(G.prime, G.n, raw, plain=True)
-
-
 def fourier_sb(g: SchwartzBruhatFn, sign: int = -1) -> ModulatedSBFn:
     """Exact Fourier transform of a Schwartz-Bruhat function.
 
@@ -389,7 +376,8 @@ def fourier_sb(g: SchwartzBruhatFn, sign: int = -1) -> ModulatedSBFn:
 
 
 def inverse_fourier_sb(G: ModulatedSBFn, sign: int = 1) -> SchwartzBruhatFn:
-    """to_schwartz(fourier_modulated(G, sign)) in one canonicalisation."""
+    """fourier_modulated(G, sign) with its modulations folded into locally
+    constant coefficients, in one canonicalisation."""
     return _disjointify(G.prime, G.n, _term_transform(G, sign), plain=True)
 
 
@@ -412,9 +400,6 @@ def lp_norm(g: SchwartzBruhatFn, rho: float) -> float:
 
 def l2_norm(g: SchwartzBruhatFn) -> float:
     return lp_norm(g, 2)
-
-
-l2_norm_modulated = l2_norm
 
 
 def squares_at(G: _BallSum, points: np.ndarray, denom: int) -> float:

@@ -167,7 +167,6 @@ def restriction_ratio(
     *,
     beta_phi: Fraction | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    extra_level: int = 0,
 ) -> float:
     """(int_Y |Fg|^2 dmu_{Y,S})^(1/2) / ||g||_rho.
 
@@ -175,10 +174,9 @@ def restriction_ratio(
     |Fg|^2 = sum_i |c_i|^2 1_{B_i} and the integral is sum_i |c_i|^2 times
     the volume of {x' in S' : (x', phi(x')) in B_i}.  That volume is counted
     exactly over the cells x' = c' + p^e0 y, y mod p^(L - e0), on which ball
-    membership is constant; `extra_level` refines the cells further.  When
-    beta_phi is supplied, rho must not exceed the admissible endpoint
-    2(1+beta)/(2+beta); the endpoint itself is allowed (the ratio is still
-    finite at desk scale).
+    membership is constant.  When beta_phi is supplied, rho must not exceed
+    the admissible endpoint 2(1+beta)/(2+beta); the endpoint itself is
+    allowed (the ratio is still finite at desk scale).
     """
     if not rho >= 1:  # refuses nan
         raise DomainError("rho must be >= 1")
@@ -188,8 +186,6 @@ def restriction_ratio(
         raise DomainError(
             f"rho={rho} outside the admissible range for beta_phi={beta_phi}"
         )
-    if extra_level < 0:
-        raise DomainError("extra_level must be >= 0")
     denom = lp_norm(g, rho)
     if denom == 0:
         raise DomainError("||g|| = 0 rejected")
@@ -203,7 +199,7 @@ def restriction_ratio(
     w_phi = min(int_valuation(c, p) for e, c in phi_terms.items() if any(e)) - phi_K
     # a change of y by p^(L - e0) moves x' by p^L and phi by p^(L - e0 + w_phi)
     r = int(Fg.radii.max())
-    level = max(e0, r, r + e0 - w_phi) + extra_level
+    level = max(e0, r, r + e0 - w_phi)
     width = p ** (level - e0)
     cells = width**m
     if cells > cap:

@@ -216,7 +216,6 @@ def solve_u(
     t,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    extra_level: int = 0,
 ) -> complex:
     """u(x, t) as the exact finite sum over frequency cells.
 
@@ -230,7 +229,7 @@ def solve_u(
     t = PadicRational(p, t).as_fraction()
     space = max((-split_p_part(xi, p)[1] for xi in x if xi != 0), default=0)
     time = -split_p_part(t, p)[1] if t != 0 else None
-    level = _cell_level(spec, space, time) + extra_level
+    level = _cell_level(spec, space, time)
     _, vals = spec.cells(level, cap)
     r, modulus = _cell_residues(spec, level, cap, t, x)
     vol = float(Fraction(1, p ** (spec.n * level)))

@@ -15,9 +15,10 @@ from itertools import product
 
 import numpy as np
 
+from padic_dispersion.cli import JobConfig
 from padic_dispersion.expsums import exp_sum
 from padic_dispersion.newton import Facet, NewtonPolyhedron, face_polynomials
-from padic_dispersion.padic import Ball, split_p_part
+from padic_dispersion.padic import Ball, RootOfUnity, split_p_part
 from padic_dispersion.polynomials import (
     SparsePolynomial,
     checked_modulus,
@@ -25,7 +26,13 @@ from padic_dispersion.polynomials import (
     lattice_form,
     poly_residues,
 )
-from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn, fourier_sb, lp_norm
+from padic_dispersion.schwartz import (
+    ModulatedSBFn,
+    SchwartzBruhatFn,
+    _disjointify,
+    fourier_sb,
+    lp_norm,
+)
 from padic_dispersion.surface import GraphHypersurface, surface_ft
 
 
@@ -390,16 +397,14 @@ def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int
     return e0 + rel
 
 
-def oracle_restriction_ratio(
-    g: SchwartzBruhatFn, Y: GraphHypersurface, rho: float, extra_level: int = 0
-) -> float:
+def oracle_restriction_ratio(g: SchwartzBruhatFn, Y: GraphHypersurface, rho: float) -> float:
     """(int_Y |Fg|^2 dmu_{Y,S})^(1/2) / ||g||_rho, point by point: Fg is
     evaluated with `value_at` at one exact graph point per coset of S' at the
     constancy scale of `oracle_graph_constancy_level`, modulations included."""
     p = Y.prime
     base = Y.base_window
     Fg = fourier_sb(g, -1)
-    level = oracle_graph_constancy_level(Y, Fg) + extra_level
+    level = oracle_graph_constancy_level(Y, Fg)
     m, e0, center = base.dim, base.radius_exp, base.center_fractions()
     step = Fraction(p) ** e0
     cell_vol = float(Fraction(p) ** (-m * level))
@@ -408,6 +413,40 @@ def oracle_restriction_ratio(
         x = tuple(c + step * ti for c, ti in zip(center, t))
         total += abs(Fg.value_at(x + (Fraction(Y.phi.evaluate(x)),))) ** 2 * cell_vol
     return math.sqrt(total) / lp_norm(g, rho)
+
+
+# -- conversions only the tests read ---------------------------------------------
+
+
+def config_from_dict(d: dict) -> JobConfig:
+    """The JobConfig that `JobConfig.to_dict` wrote, ranges as tuples again."""
+    d = dict(d)
+    for key in ("m_range", "k_range"):
+        if d.get(key) is not None:
+            d[key] = tuple(d[key])
+    return JobConfig(**d)
+
+
+def complex_value(root: RootOfUnity) -> complex:
+    """exp(2 pi i r / p^m) as a complex number."""
+    if root.level == 0:
+        return 1.0 + 0.0j
+    return cmath.exp(2j * math.pi * (root.numerator / root.prime**root.level))
+
+
+def translated(g: SchwartzBruhatFn, shift) -> SchwartzBruhatFn:
+    """g(x - shift): every ball center moves by shift."""
+    terms = [
+        (Ball.of(g.prime, [x + s for x, s in zip(b.center_fractions(), shift)], b.radius_exp), c)
+        for b, c in g.terms
+    ]
+    return SchwartzBruhatFn(g.n, g.prime, terms)
+
+
+def to_schwartz(G: ModulatedSBFn) -> SchwartzBruhatFn:
+    """G with its modulations folded into locally constant coefficients."""
+    raw = (G.denom, G.radii, G.idx, G.mdenom, G.mods, G.coeffs)
+    return _disjointify(G.prime, G.n, raw, plain=True)
 
 
 # -- seeded Schwartz-Bruhat test data -------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import config_from_dict
 import padic_dispersion
 from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
@@ -576,11 +577,11 @@ class TestConfigRoundTrip:
             ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..3", "--seed", "5"],
         )
         doc = json.loads(out)
-        cfg = JobConfig.from_dict(doc["config"])
+        cfg = config_from_dict(doc["config"])
         assert cfg.command == "expsum"
         assert cfg.prime == 3
         assert cfg.m_range == (1, 3)
-        assert JobConfig.from_dict(cfg.to_dict()) == cfg
+        assert config_from_dict(cfg.to_dict()) == cfg
 
     @given(
         st.sampled_from(["newton", "expsum", "surface", "solve", "strichartz"]),
@@ -600,7 +601,7 @@ class TestConfigRoundTrip:
             sigma=sigma,
             cap=cap,
         )
-        assert JobConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestHelpers:

@@ -97,13 +97,6 @@ class TestExpSum:
             assert res.scale * res.total_count == ball.volume
             assert abs(res.value) <= float(ball.volume) + 1e-12
 
-    def test_level_refinement_stable(self):
-        for extra in (1, 2):
-            a = exp_sum(SQUARE, Fraction(2, 9), Z3)
-            b = exp_sum(SQUARE, Fraction(2, 9), Z3, extra_level=extra)
-            assert abs(a.value - b.value) < 1e-12
-            assert b.total_count == a.total_count * 3**extra
-
     def test_separated_variables_multiplicative(self):
         f = parse_polynomial("x1^2 + x2^3")
         ball2 = Ball.of(3, [0, 0], 0)
@@ -232,11 +225,11 @@ class TestHalfLevelGrid:
         assert seen == {True, False}
 
     def test_a_box_beyond_int64_is_refused(self):
-        # 8 grid points at level 1 would be cheap, but 2^69 points do not fit
-        # the int64 counts, whatever the cap
+        # the grid of 2^36 points is under the cap, but the box of 2^69
+        # points does not fit the int64 counts, whatever the cap
         with pytest.raises(ResourceCapError) as err:
-            exp_sum(parse_polynomial("x1*x2*x3"), Fraction(1, 2), Ball.of(2, [0] * 3, 0),
-                    cap=10**30, extra_level=22)
+            exp_sum(parse_polynomial("x1*x2*x3"), Fraction(1, 2**23), Ball.of(2, [0] * 3, 0),
+                    cap=10**30)
         assert err.value.required == 2**69 and err.value.cap == 2**63 - 1
 
     def test_points_evaluated_are_bounded_by_the_half_level_grid(self, monkeypatch):
@@ -283,28 +276,41 @@ class TestStationarySum:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_block_sums_match_the_counts(self, p):
-        # W < L (the direct path), W = L and W > L, in 1-3 variable blocks
+        # the box [0, p^L)^d of each level L, in 1-3 variable blocks
         rng = random.Random(f"stationary:{p}")
         seen = set()
         for d in (1, 2, 3):
             block = tuple(range(1, d + 1))
             for level in range(6):
-                for width_level in (level - 1, level, level + 1):
-                    if width_level < 0 or p ** (width_level * d) > 2500:
-                        continue
-                    for draw in range(3):
-                        terms = seeded_block_terms(rng, p, d + 1, block)
-                        width, modulus = p**width_level, p**level
-                        counts = oracle_block_counts(terms, block, width, modulus)
-                        local = expsums._local_terms(block, terms)
-                        (got,) = expsums._block_sums(local, p, [(width, modulus)])
-                        zero = column_vanishes(counts, p)
-                        if zero:
-                            assert got == 0j, (terms, width, modulus)
-                        else:
-                            assert got != 0j and abs(got - column_mean(counts, p)) <= 1e-15
-                        seen.add((zero, (width_level > level) - (width_level < level)))
-        assert seen >= {(True, 0), (False, -1), (False, 0), (False, 1)}
+                if p ** (level * d) > 2500:
+                    continue
+                for draw in range(3):
+                    terms = seeded_block_terms(rng, p, d + 1, block)
+                    counts = oracle_block_counts(terms, block, p**level, p**level)
+                    local = expsums._local_terms(block, terms)
+                    (got,) = expsums._block_sums(local, p, [level])
+                    zero = column_vanishes(counts, p)
+                    if zero:
+                        assert got == 0j, (terms, level)
+                    else:
+                        assert got != 0j and abs(got - column_mean(counts, p)) <= 1e-15
+                    seen.add(zero)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_one_scan_of_many_levels_gives_the_one_level_bits(self, p):
+        rng = random.Random(f"levels:{p}")
+        levels = list(range(8))
+        for d in (1, 2):
+            if p ** (4 * d) > 10**5:  # the level-7 grid
+                continue
+            block = tuple(range(1, d + 1))
+            for draw in range(3):
+                local = expsums._local_terms(block, seeded_block_terms(rng, p, d + 1, block))
+                joint = expsums._block_sums(local, p, levels)
+                single = [expsums._block_sums(local, p, [level])[0] for level in levels]
+                assert [repr(v) for v in joint] == [repr(v) for v in single], local
+                assert joint[0] == 1  # level 0: one grid point, e(0) = 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_values_match_the_dense_column_evaluation(self, p):
@@ -485,7 +491,7 @@ class TestWorkCap:
         res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
         assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27
         assert scans == [(((2,), 1),)]  # x^2, once for the six blocks
-        assert res.powers == (6,) and len(scans) == 2
+        assert res.dense.shape[1] == 1 and res.powers == (6,) and len(scans) == 2
 
 
 class TestExpSumResult:

@@ -9,9 +9,13 @@ for the private attributes of objects: `x._name` on anything but `self`,
 No module hands a product to BLAS either: OpenBLAS splits a long dot across
 its threads, so the summation order, and with it the output bits, would
 follow the BLAS thread count.
+
+The parameter names of everything the package exports are pinned in one
+table, so a keyword added or removed shows as a one-line diff.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -218,3 +222,84 @@ def test_the_check_allows_fixed_order_sums():
         "@dataclass\nclass A:\n    pass"
     )
     assert blas_products(source) == []
+
+
+# None: an exception class that keeps Exception's own (*args)
+EXPORTED_PARAMETERS = {
+    "Ball": ("prime", "center", "radius_exp"),
+    "CertificateIndeterminate": None,
+    "CertificateUnavailableError": ("residue_class", "message"),
+    "DecayFit": (
+        "samples", "slope", "intercept", "residual", "status", "beta", "quasi_homogeneous",
+        "consistent",
+    ),
+    "DegenerateInputError": None,
+    "DomainError": None,
+    "ExpSumResult": (
+        "prime", "level", "terms", "dim", "box_level", "blocks", "const", "step", "scale", "cap",
+        "_value",
+    ),
+    "Facet": ("normal", "support_value", "weight", "vertices"),
+    "GraphHypersurface": ("phi", "window"),
+    "ModulatedSBFn": ("n", "prime", "terms"),
+    "NewtonPolyhedron": ("dim", "facets", "support"),
+    "PadicRational": ("prime", "value"),
+    "PolynomialSyntaxError": ("message", "position"),
+    "QuasiHomogeneityWitness": ("alpha", "degree"),
+    "ResourceCapError": ("required", "cap", "what"),
+    "RootOfUnity": ("prime", "numerator", "level"),
+    "SchwartzBruhatFn": ("n", "prime", "terms"),
+    "SolutionSpec": ("f0", "phi", "spectrum", "freq_bound", "phase_bound", "spectrum_exp"),
+    "SparsePolynomial": ("nvars", "terms"),
+    "StationaryCertificate": ("bound_exponent", "threshold", "verified_levels", "max_abs"),
+    "StrichartzReport": ("sigma", "rows", "increments", "converged", "diverged", "constant"),
+    "SurfaceDecayTable": (
+        "rows", "slope", "expected", "degree_bound", "reciprocal_bound", "consistent",
+    ),
+    "beta_and_t0": ("P",),
+    "character": ("x", "p"),
+    "character_sum": ("phase", "ball", "cap"),
+    "decay_fit": ("f", "ball", "values"),
+    "decay_table": ("Y", "values"),
+    "exp_sum": ("f", "z", "ball", "cap", "threads"),
+    "face_polynomials": ("f", "P"),
+    "fourier_sb": ("g", "sign"),
+    "inverse_fourier_sb": ("G", "sign"),
+    "l2_norm": ("g",),
+    "lp_norm": ("g", "rho"),
+    "newton_facets": ("f",),
+    "nondegeneracy_mod_p": ("f", "P", "p", "cap"),
+    "parse_polynomial": ("text", "nvars"),
+    "quasi_homogeneous_detect": ("f", "bound"),
+    "residue_histogram": ("f", "m", "ball", "cap"),
+    "restriction_ratio": ("g", "Y", "rho", "beta_phi", "cap"),
+    "sb_allclose": ("g1", "g2", "tol"),
+    "solution_grid": ("spec", "R", "cap"),
+    "solve_u": ("spec", "x", "t", "cap"),
+    "stationary_certificate": ("f", "ball", "values", "depth_cap"),
+    "strichartz_report": ("spec", "sigma", "R_max", "cap"),
+    "strichartz_truncated": ("spec", "sigma", "R", "cap"),
+    "support": ("f",),
+    "surface_ft": ("Y", "xi", "cap"),
+    "windowed_spectrum": ("spec", "xi", "tau", "R", "cap"),
+    "zeta_kernel": ("z", "x_n", "e0", "p"),
+    "zeta_kernel_numeric": ("z", "x_n", "e0", "p"),
+}
+
+
+def exported_parameters() -> dict[str, tuple[str, ...] | None]:
+    """The parameter names of every function and class the package exports."""
+    found = {}
+    for name in dir(padic_dispersion):
+        obj = getattr(padic_dispersion, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            found[name] = tuple(inspect.signature(obj).parameters)
+        except ValueError:
+            found[name] = None
+    return found
+
+
+def test_exported_parameters_are_pinned():
+    assert exported_parameters() == EXPORTED_PARAMETERS

@@ -322,7 +322,7 @@ class TestWitnessSearch:
         f = parse_polynomial("3*x3^3*x4^3 + 2*x1*x3^2 + 3*x1^2*x2*x3^2*x4")
         start = time.perf_counter()
         assert quasi_homogeneous_detect(f) is None
-        assert time.perf_counter() - start < 2.0
+        assert time.perf_counter() - start < 0.1
 
     def test_four_variable_monomial_answers_at_once(self, tmp_path):
         start = time.perf_counter()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import closed_form_transform, frac_part, random_sb
+from helpers import closed_form_transform, frac_part, random_sb, to_schwartz, translated
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, PadicRational
 from padic_dispersion.polynomials import MODULUS_LIMIT
@@ -24,11 +24,9 @@ from padic_dispersion.schwartz import (
     fourier_sb,
     inverse_fourier_sb,
     l2_norm,
-    l2_norm_modulated,
     lp_norm,
     sb_allclose,
     squares_at,
-    to_schwartz,
 )
 
 
@@ -108,7 +106,7 @@ class TestRoundTripAndParseval:
         rng = random.Random(200 + p)
         for _ in range(8):
             g = random_sb(rng, p, rng.choice([1, 2]))
-            assert abs(l2_norm(g) - l2_norm_modulated(fourier_sb(g))) < 1e-12
+            assert abs(l2_norm(g) - l2_norm(fourier_sb(g))) < 1e-12
 
     def test_modulated_closure_both_signs(self):
         g = random_sb(random.Random(5), 3, 1, max_balls=3)
@@ -120,7 +118,7 @@ class TestRoundTripAndParseval:
 
     def test_modulus_invariant_under_translation(self):
         g = random_sb(random.Random(8), 3, 1)
-        shifted = g.translated((Fraction(2, 3),))
+        shifted = translated(g, (Fraction(2, 3),))
         F1, F2 = fourier_sb(g), fourier_sb(shifted)
         for x in (Fraction(0), Fraction(1, 3), Fraction(2), Fraction(4, 9)):
             assert abs(abs(F1.value_at((x,))) - abs(F2.value_at((x,)))) < 1e-12

@@ -11,6 +11,7 @@ from helpers import (
     oracle_surface_ft,
     random_sb,
     ray_values,
+    translated,
 )
 from padic_dispersion import schwartz
 from padic_dispersion.cli import _random_sb
@@ -136,12 +137,6 @@ class TestRestriction:
             worst = max(worst, r)
         assert worst > 0
 
-    def test_refinement_stable(self):
-        g = random_sb(random.Random(9), 3, 2, max_balls=2, radius_range=(0, 1))
-        a = restriction_ratio(g, PARABOLA, 1.1)
-        b = restriction_ratio(g, PARABOLA, 1.1, extra_level=1)
-        assert abs(a - b) < 1e-12
-
     def test_numerator_matches_direct_oracle(self):
         # recompute (int_Y |Fg|^2 dmu)^(1/2) with the Riemann-sum transform
         # oracle from the schwartz tests, on a fine fixed grid
@@ -241,7 +236,7 @@ class TestRestriction:
             g = random_sb(rng, 3, 3, max_balls=3, radius_range=(-1, 1))
             base = restriction_ratio(g, Y, 1.5)
             shift = [Fraction(rng.randint(-9, 9), 3 ** rng.randint(0, 2)) for _ in range(3)]
-            assert abs(restriction_ratio(g.translated(shift), Y, 1.5) - base) <= 1e-12 * base
+            assert abs(restriction_ratio(translated(g, shift), Y, 1.5) - base) <= 1e-12 * base
 
     def test_no_point_of_fg_is_evaluated(self, monkeypatch):
         def refuse(self, point):
@@ -252,12 +247,10 @@ class TestRestriction:
         assert restriction_ratio(g, PARABOLA, 1.2) > 0
 
     def test_cells_are_counted_against_the_cap_first(self):
-        g = SchwartzBruhatFn.indicator(Ball.of(3, [0, 0], 4))  # Fg lives on balls of radius -4
+        g = SchwartzBruhatFn.indicator(Ball.of(3, [0, 0], -2))  # Fg lives on balls of radius 2
         with pytest.raises(ResourceCapError) as info:
-            restriction_ratio(g, PARABOLA, 1.2, cap=10, extra_level=3)
-        assert info.value.required == 3**3 and info.value.cap == 10
-        with pytest.raises(DomainError):
-            restriction_ratio(g, PARABOLA, 1.2, extra_level=-1)
+            restriction_ratio(g, PARABOLA, 1.2, cap=8)
+        assert info.value.required == 3**2 and info.value.cap == 8
 
 
 class TestZetaKernel:
