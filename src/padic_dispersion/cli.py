@@ -9,7 +9,7 @@ Commands
 
 expsum and surface evaluate each level's sum once; the table, the decay fit
 and the certificate all read that one table of values, and expsum evaluates
-its levels together, scanning each distinct block once.
+its levels together, expanding each node of the stationary-phase recursion once.
 
 Exact rationals are serialised as "num/den" strings, complex values as
 [re, im] doubles.  Output bytes are identical across runs.  --threads (or
@@ -231,7 +231,7 @@ def _run_expsum(cfg: JobConfig) -> dict:
     if not f.is_constant():  # decay_fit builds f's Newton polyhedron: refuse before any sum
         check_facet_vars(f.nvars)
     sums = {m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap) for m in range(lo, hi + 1)}
-    evaluate(sums.values())  # one scan per distinct block serves every level
+    evaluate(sums.values())  # one recursion memo serves every level
     values = {m: res.value for m, res in sums.items()}
     table = [{"m": m, "value": _cx(v), "abs": abs(v)} for m, v in values.items()]
     fit = decay_fit(f, ball, {m: v for m, v in values.items() if m >= 2})

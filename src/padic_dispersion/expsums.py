@@ -3,24 +3,24 @@
 The integrand is constant on fine enough cosets, so every integral here is a
 finite sum of roots of unity: after x = center + p^e y the phase is
 (const + step h(y)) / p^level over y in [0, p^L)^n, h integral and read mod
-p^L = p^level / step (a histogram may count a wider box [0, p^W)^n, W > L,
-with the same block means).  h splits over blocks of coupled variables, so
-a sum is the product of its block sums; blocks with equal terms are scanned
-once, on the half-level grid a in [0, p^k)^|b|, k = ceil(L/2), in numpy slabs
-of at most _CHUNK points evaluated by `polynomials.poly_residues`, the one
-modular polynomial evaluator the package shares.
+p^L = p^level / step (a histogram may count a wider box).  h splits over
+blocks of coupled variables, so a sum is a product of block means, one per
+distinct block.
 
-value = sum over stationary half-grid points: by one Hensel step h(a + p^k b)
-= h(a) + p^k grad h(a).b mod p^L, and the b sum of e(grad h(a).b / p^(L-k))
-is a full period of roots of unity, so 0, unless grad h(a) = 0 mod p^(L-k).
-Those a are tallied exactly and evaluated once, in a fixed order; no vector
-of length p^L is built.  `evaluate` values a whole level table at once: the
-grids of its levels are sub-boxes of the top level's, so each distinct block
-is scanned once, its gradient read mod the top p^(L-k) and h only at points
-some level keeps; `value` is the call for one result.  Counts are built on
-demand: `dense`, `counts` and `residue_histogram` spread every grid point's
-coset over the residues it reaches (`_block_counts`) and combine the block
-columns by exact FFT convolution in integer limbs (`_combine`).
+Values come from the stationary-phase recursion alone (Igusa, An introduction
+to the theory of local zeta functions, 2000, ch. 10; Denef, Sem. Bourbaki 741,
+1991): E_L(h) keeps the classes a mod p with grad h(a) = 0 mod p, each through
+h(a + p y) - h(a) = p^c h_a(y), down to E_1, one mesh over F_p^d (`_tally`).
+Its tallies are exact Python ints, so a value evaluates nothing mod more than
+p and needs no MODULUS_LIMIT; a zero is decided exactly and every other mean
+is one fixed-order sum.  `evaluate` values a level table with one memo, and
+`value` is its one-result call; the cap counts the work as it is done.
+
+Counts are built on demand, and only they are bound by MODULUS_LIMIT and
+int64: `dense`, `counts` and `residue_histogram` scan each distinct block's
+half-level grid in slabs of at most _CHUNK points (`_block_counts`) and
+combine the columns by exact FFT convolution in integer limbs (`_combine`).
+`polynomials.poly_residues` evaluates both kinds of mesh.
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once.
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
@@ -49,12 +48,19 @@ from .errors import (
 )
 from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, split_p_part
-from .polynomials import Exponents, SparsePolynomial, checked_modulus, lattice_form, poly_residues
+from .polynomials import Exponents, SparsePolynomial, checked_modulus, compose_affine
+from .polynomials import lattice_form, poly_residues
 
 _CHUNK = 1 << 22
 # np.add.at costs about as much per entry it updates as this many entries of a
 # broadcast add, so a class of grid points is scattered only when it is sparse
 _SCATTER_COST = 32
+# a value's work is counted in mesh points (`_edges`, `_tally`), with a node, a
+# term it evaluates over its mesh or a stationary class at _NODE_COST, and a
+# term compose_affine forms or a tally entry merged at _TERM_COST: on a 2-core
+# host no phase tried took over 77 ns a unit, 7.7 s at the default cap
+_NODE_COST = 1200
+_TERM_COST = 30
 # every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
 # inside the 2^53 that float64 holds exactly, so it rounds to the exact integers
 _FFT_BITS = 42
@@ -72,15 +78,9 @@ class ExpSumResult:
     each shared by k_b blocks, S_b the sum of e(h_b(y) / p^L) over the box
     [0, p^box_level)^|b|, T_b its point count and p^L = p^level / step.
 
-    A grid point a of Hensel class j, p^j = gcd(p^(L-k), grad h(a)), adds to
-    the residues h(a) + p^(k+j) t for all t: for j < L - k a full period of
-    a p^(L-k-j)-th root of unity, which sums to 0, so `value` keeps the
-    stationary class j = L - k alone (`_block_sums`).  The other classes tile
-    a count column with periods dividing p^(L-1), so the column is invariant
-    under r -> r + p^(L-1), which is when its sum vanishes (Phi_{p^L}(x) =
-    Phi_p(x^(p^(L-1))), Lam & Leung, J. Algebra 224, 2000), iff the multiset
-    of stationary residues is: `value` is exactly 0j when the sum vanishes
-    (and a nonzero value below the smallest float rounds to 0j).
+    `value` takes each S_b / T_b from the stationary-phase recursion and builds
+    no count (`_block_mean`): it is exactly 0j iff a block's sum vanishes, or
+    when a nonzero value is below the smallest float.
 
     `dense` and `counts` build the histogram on first read: column j of
     `dense` counts the points of the j-th distinct block whose part of the
@@ -143,21 +143,14 @@ class ExpSumResult:
 
 
 def evaluate(results: Iterable[ExpSumResult]) -> None:
-    """Evaluate every result not yet evaluated, with one `_block_sums` scan
-    per distinct block (prime and terms) for all the levels L it is read at:
-    a table of levels of one phase scans each block once."""
-    pending = [res for res in results if res._value is None]
-    sums: dict[tuple, dict[int, complex]] = {}
-    for res in pending:
-        for local, _ in res.blocks:
-            sums.setdefault((res.prime, local), {})[res._box] = 0j
-    for (p, local), levels in sums.items():
-        levels.update(zip(levels, _block_sums(local, p, list(levels))))
-    for res in pending:
-        shift = cmath.exp(2j * math.pi * (res.const / res.prime**res.level))
-        value = float(res.volume) * shift
+    """Evaluate every result not yet evaluated, in order, from one recursion
+    memo, so each node of every block and level is expanded once; the work of
+    the whole call is counted against the cap of the result being evaluated."""
+    memo, work = {}, [0]
+    for res in [res for res in results if res._value is None]:
+        value = float(res.volume) * cmath.exp(2j * math.pi * (res.const / res.prime**res.level))
         for local, k in res.blocks:
-            factor = sums[res.prime, local][res._box]
+            factor = _block_mean(res.prime, local, res._box, memo, work, res.cap)
             if factor == 0:
                 value = 0j
                 break
@@ -264,47 +257,44 @@ def _grid(p: int, level: int) -> tuple[int, int]:
     return level // 2, p ** (level - level // 2)
 
 
-def _slabs(local: Sequence, p: int, side: int, fine: int) -> Iterator[tuple[list, np.ndarray]]:
-    """The grid [0, side)^d slab by slab, as broadcast coordinates and p^j =
-    gcd(p^fine, grad h(a)) over the slab, h = `local` a block's part of the
-    polynomial in its own d variables.
-
-    h(a + p^k b) = sum_alpha h^(alpha)(a)/alpha! p^(k|alpha|) b^alpha, each
-    h^(alpha)/alpha! has integer coefficients and p^(2k) = 0 mod p^L, so
-    h(a + p^k b) = h(a) + p^k grad h(a).b mod p^L, fine = L - k: the caller
-    evaluates h where it reads it.  The fewest leading grid variables that
-    leave at most _CHUNK points are fixed: all but the last of them are
-    scalars, the last is walked in rows, and the rest are broadcast, so a
-    slab never exceeds _CHUNK points.
-    """
-    d = len(local[0][0])
-    grads = [
-        [(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in local if e[i]]
-        for i in range(d)
-    ] if fine else []
+def _mesh(d: int, side: int) -> Iterator[list]:
+    """[0, side)^d in slabs of at most _CHUNK points, as broadcast coordinates:
+    the fewest leading variables that leave at most _CHUNK points are fixed,
+    all but the last as scalars and the last in rows; the rest broadcast."""
     free = d - 1
     while free and side**free > _CHUNK:
         free -= 1
     rows = _CHUNK // side**free
-    broadcast = [np.arange(side, dtype=np.int64)] * free
+    rest = [np.arange(side, dtype=np.int64)] * free
     for prefix in product(range(side), repeat=d - free - 1):
         for lo in range(0, side, rows):
-            axes = np.ix_(np.arange(lo, min(lo + rows, side), dtype=np.int64), *broadcast)
-            coords = [*prefix, *axes]
-            steps = np.full((len(axes[0]),) + (side,) * free, p**fine, dtype=np.int64)
-            for grad in grads:
-                np.gcd(steps, poly_residues(grad, coords, p**fine), out=steps)
-            yield coords, steps
-            del steps  # freed before the next slab is evaluated
+            yield [*prefix, *np.ix_(np.arange(lo, min(lo + rows, side), dtype=np.int64), *rest)]
+
+
+def _gradient(h: Sequence) -> list[list]:
+    """The partial derivatives of (exponents, coeff) terms h, one list each."""
+    d = len(h[0][0])
+    return [[(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in h if e[i]] for i in range(d)]
+
+
+def _slabs(local: Sequence, p: int, side: int, fine: int) -> Iterator[tuple[list, np.ndarray]]:
+    """The `_mesh` slabs of [0, side)^d with p^j = gcd(p^fine, grad h(a)) over
+    each, h = `local` in its d variables: h(a + p^k b) = h(a) + p^k grad
+    h(a).b mod p^L, fine = L - k, as each h^(alpha)/alpha! is integral and
+    p^(2k) = 0 mod p^L.  The caller evaluates h where it reads it."""
+    grads = _gradient(local) if fine else []
+    for coords in _mesh(len(local[0][0]), side):
+        steps = np.full(np.broadcast_shapes(*map(np.shape, coords)), p**fine, dtype=np.int64)
+        for grad in grads:
+            np.gcd(steps, poly_residues(grad, coords, p**fine), out=steps)
+        yield coords, steps
+        del steps  # freed before the next slab is evaluated
 
 
 def _block_counts(
-    block: tuple[int, ...],
-    terms: Mapping[Exponents, int],
-    width: int,
-    modulus: int,
+    block: tuple[int, ...], terms: Mapping[Exponents, int], width: int, p: int, level: int
 ) -> np.ndarray:
-    """Counts of the block's part h of the polynomial mod `modulus` = p^L
+    """Counts of the block's part h of the polynomial mod p^L, L = level,
     over [0, width)^len(block), width = p^W, from h(a) and the classes of
     `_slabs` on the grid of `_grid` (when W < L, only a direct call, the
     grid is the whole box and fine = 0).
@@ -315,11 +305,7 @@ def _block_counts(
     p^(k+j) tiled across the count vector, or, when it holds few points,
     scattered into every tile by np.add.at.
     """
-    # only L >= 2 needs p, and then p <= sqrt(modulus)
-    p = next((q for q in range(2, math.isqrt(modulus) + 1) if modulus % q == 0), modulus)
-    level = 0
-    while p**level < modulus:
-        level += 1
+    modulus = p**level
     fine, side = _grid(p, level) if width >= modulus else (0, width)
     coarse = modulus // p**fine
     spread = (width // side) ** len(block)  # points of the box per grid point
@@ -343,80 +329,98 @@ def _block_counts(
     return counts
 
 
-def _block_sums(local: Sequence, p: int, levels: Sequence[int]) -> list[complex]:
-    """The mean of e(h(y) / p^L) over y in [0, p^L)^d for every L of
-    `levels`, h = `local` a block's part of the polynomial in its d
-    variables: side^-d times the sum of e(h(a) / p^L) over the stationary
-    points a, grad h(a) = 0 mod p^fine, of that level's grid (`_grid`).
+# -- the stationary-phase recursion ----------------------------------------------
 
-    One scan serves every level: the grids are the sub-boxes [0, side)^d of
-    the top level's, and grad h mod its p^fine decides each level's
-    stationary points, so h is evaluated once, mod the top p^L and only at
-    points some level keeps.  Each level's residues are tallied exactly, so
-    the bits depend neither on the slabs nor on the other levels; its mean
-    is exactly 0j when the tally is invariant under r -> r + p^(L-1), and is
-    otherwise one fixed-order numpy sum, with r = q p^ceil(L/2) + a and
-    e(r / p^L) = e(q / p^floor(L/2)) e(a / p^L).
+
+def _block_mean(p: int, local: Sequence, level: int, memo: dict, work: list, cap: int) -> complex:
+    """The mean of e(h(y) / p^L) over [0, p^L)^d, h = `local` a block's part of
+    the polynomial in its d variables, L = level: with h = p^v g, g primitive,
+    E_k(g), k = L - v (1 when k <= 0).  It is exactly 0j when the `_tally` of g
+    is empty, else one sum over its sorted residues, each weight T[r] / p^(dk)
+    and angle r / p^k (centred) rounded once from the exact fraction."""
+    v = min(int_valuation(c, p) for _, c in local)
+    k = level - v
+    if k <= 0:
+        return 1 + 0j
+    modulus, scale = p**k, p ** (len(local[0][0]) * k)
+    g = tuple((e, c // p**v % modulus) for e, c in local if c // p**v % modulus)
+    return sum(
+        t / scale * cmath.exp(2j * math.pi * ((r if 2 * r < modulus else r - modulus) / modulus))
+        for r, t in sorted(_tally(p, g, k, memo, work, cap).items())
+    ) + 0j
+
+
+def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[int, int]:
+    """{r: T[r]} with E_k(h) = p^(-dk) sum_r T[r] e(r / p^k), E_k(h) the mean of
+    e(h(y) / p^k) over [0, p^k)^d, h primitive with terms mod p^k.
+
+    E_1 is one mesh over F_p^d.  For k >= 2 a class a mod p with grad h(a) != 0
+    mod p sums to 0 (y -> y + p^(k-2) z is a full period in z); the others have
+    h(a + p y) = h(a) + p^c h_a(y), c >= 2, so E_k(h) = p^-d sum_a e(h(a) / p^k)
+    E_(k-c)(h_a), E_j = 1 for j <= 0: h_a's tally moves to h(a) + p^c r mod p^k,
+    its weights times p^(d(c-1)).  A stack walks the tree, each node once per
+    `memo` {(p, h, k): tally}; merging costs _TERM_COST an entry.  A tally sums
+    to 0 iff it is invariant under r -> r + p^(k-1) (Phi_{p^k}(x) =
+    Phi_p(x^(p^(k-1))), Lam & Leung, J. Algebra 224, 2000): it is stored empty.
     """
-    grids = [_grid(p, level) for level in levels]
-    top = max(levels)
-    fine, side = _grid(p, top)
-    narrow = any(s < side for _, s in grids)
-    tallies = [(np.zeros(0, dtype=np.int64),) * 2] * len(levels)
-    for coords, steps in _slabs(local, p, side, fine):
-        reach = None  # the largest coordinate of each point, when a grid is narrower
-        if narrow:
-            reach = np.zeros_like(steps)
-            for x in coords:
-                np.maximum(reach, x, out=reach)
-        kept = reduce(operator.or_, _stationary(grids, side, p, reach, steps))
-        if not kept.any():
-            continue
-        # the kept points' coordinates: the scalars, then each axis at their indices
+    stack, edges = [(p, h, k)], {}
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+        elif node not in edges:
+            edges[node] = _edges(*node, work, cap)
+            stack += [child for _, _, child in edges[node] if child and child not in memo]
+        else:
+            modulus, moved, tally = p ** node[2], edges.pop(node), {}
+            _charge(work, _TERM_COST * sum(len(memo[c]) if c else 1 for _, _, c in moved), cap)
+            for r, weight, child in moved:  # a leaf adds weight at r, a child at r + p^c s
+                step = p ** (node[2] - child[2]) if child else 0
+                for s, t in memo[child].items() if child else [(0, 1)]:
+                    s = (r + step * s) % modulus
+                    tally[s] = tally.get(s, 0) + weight * t
+            shift = modulus // p
+            invariant = all(tally.get((r + shift) % modulus) == t for r, t in tally.items())
+            memo[stack.pop()] = {} if invariant else tally
+    return memo[p, h, k]
+
+
+def _charge(work: list, units: int, cap: int) -> None:
+    """Add `units` to the work done, work[0]; refuse once it passes `cap`."""
+    work[0] += units
+    if work[0] > cap:
+        raise ResourceCapError(work[0], cap, what="mesh points and node charges")
+
+
+def _edges(p: int, h: tuple, k: int, work: list, cap: int) -> list[tuple]:
+    """The node (p, h, k) of `_tally` as (r, weight, child) edges, a leaf when
+    child is None.  Charged first: the mesh F_p^d, and _NODE_COST for the node
+    and each term it evaluates there (h, or grad h for k >= 2, mod p); then
+    for each stationary class, _NODE_COST and _TERM_COST a term formed."""
+    d = len(h[0][0])
+    rows = [[(e, c) for e, c in row if c % p] for row in ([h] if k == 1 else _gradient(h))]
+    _charge(work, p**d + _NODE_COST * (1 + sum(map(len, rows))), cap)
+    if k == 1:
+        meshes = (poly_residues(rows[0], x, p).ravel() for x in _mesh(d, p))
+        counts = sum(np.bincount(mesh, minlength=p) for mesh in meshes)
+        return [(r, n, None) for r, n in enumerate(counts.tolist()) if n]
+    terms, modulus, edges = dict(h), p**k, []
+    expansion = _NODE_COST + _TERM_COST * sum(math.prod(a + 1 for a in e) for e in terms)
+    for coords in _mesh(d, p):
+        kept = np.ones(np.broadcast_shapes(*map(np.shape, coords)), dtype=bool)
+        for row in rows:
+            kept &= poly_residues(row, coords, p) == 0
         at = np.nonzero(kept)
-        scalars = len(coords) - len(at)
-        axes = [x.ravel()[i] for x, i in zip(coords[scalars:], at)]
-        vals = poly_residues(local, [*coords[:scalars], *axes], p**top)
-        reach = None if reach is None else reach[kept]
-        for i, mask in enumerate(_stationary(grids, side, p, reach, steps[kept])):
-            keys, tally = tallies[i]
-            picked = np.concatenate([keys, vals[mask] % p ** levels[i]])
-            merged, counts = np.unique(picked, return_counts=True)
-            counts[np.searchsorted(merged, keys)] += tally - 1  # each old key is once in picked
-            tallies[i] = merged, counts
-        del reach, steps, kept, vals
-    return [
-        _stationary_mean(keys, tally, p, p**level, s ** len(local[0][0]))
-        for (keys, tally), level, (_, s) in zip(tallies, levels, grids)
-    ]
-
-
-def _stationary(
-    grids: Sequence[tuple[int, int]], side: int, p: int, reach: np.ndarray | None, steps: np.ndarray
-) -> Iterator[np.ndarray]:
-    """For each (fine, side) grid, which points lie on it and have grad h = 0
-    mod p^fine, from their largest coordinate and p^j = gcd(p^fine, grad h)."""
-    for fine, s in grids:
-        yield (steps >= p**fine) & (reach < s) if s < side else steps >= p**fine
-
-
-def _stationary_mean(
-    keys: np.ndarray, tally: np.ndarray, p: int, modulus: int, points: int
-) -> complex:
-    """The sum of tally * e(keys / modulus) over `points`, the grid's point
-    count, or exactly 0j when the tally is invariant under r -> r + modulus / p."""
-    if modulus > 1:
-        shifted = (keys + modulus // p) % modulus
-        order = np.argsort(shifted)
-        if np.array_equal(shifted[order], keys) and np.array_equal(tally[order], tally):
-            return 0j
-    split = 1
-    while split * split < modulus:
-        split *= p
-    high, low = np.divmod(keys, split)
-    roots = tally * np.exp(2j * np.pi / (modulus // split) * high)
-    roots *= np.exp(2j * np.pi / modulus * low)
-    return complex(roots.sum()) / points
+        prefix = tuple(coords[: d - len(at)])  # the scalars, then each axis at the kept indices
+        for point in zip(*(x.ravel()[i].tolist() for x, i in zip(coords[len(prefix) :], at))):
+            _charge(work, expansion, cap)
+            shifted = compose_affine(terms, prefix + point, p)
+            r = int(shifted.pop((0,) * d, 0)) % modulus
+            rest = {e: int(a) % modulus for e, a in shifted.items() if int(a) % modulus}
+            c = min((int_valuation(a, p) for a in rest.values()), default=k)
+            child = (p, tuple(sorted((e, a // p**c) for e, a in rest.items())), k - c)
+            edges.append((r, p ** (d * (min(c, k) - 1)), child if c < k else None))
+    return edges
 
 
 # -- histograms -----------------------------------------------------------------
@@ -484,13 +488,17 @@ def _mod_histogram(
     for the j-th distinct part h_j of h (`_distinct_blocks`), d its variables.
 
     `terms` has no constant term; h splits over connected variable blocks,
-    h = sum_b h_b, and variables h does not use are not enumerated.  The cap
-    counts the work done: the grid points scanned and the count vector built
-    for each distinct part.  The array has the narrowest unsigned dtype that
-    holds its largest count; h = 0 gives one column [1].
+    h = sum_b h_b, and variables h does not use are not enumerated.  Refused
+    before any point is evaluated: a modulus past MODULUS_LIMIT, a box of 2^63
+    points or more (each count is an int64) and work past the cap, the grid
+    points scanned and count vectors built for each distinct part.  The array has the
+    narrowest unsigned dtype that holds its largest count; h = 0 gives [[1]].
     """
-    width, modulus = p**level, p**mod_level
+    width, modulus = p**level, checked_modulus(p**mod_level, "residue classes")
     kinds = _distinct_blocks(terms)
+    box = sum(width ** len(block) for blocks in kinds.values() for block in blocks)
+    if box >= 1 << 63:
+        raise ResourceCapError(box, (1 << 63) - 1, what="points counted in int64")
     side = _grid(p, mod_level)[1]
     work = sum(side ** len(blocks[0]) + modulus for blocks in kinds.values())
     if work > cap:
@@ -499,7 +507,7 @@ def _mod_histogram(
         return np.ones((1, 1), dtype=np.uint8)
     columns = []
     for blocks in kinds.values():
-        counts = _block_counts(blocks[0], terms, width, modulus)
+        counts = _block_counts(blocks[0], terms, width, p, mod_level)
         columns.append(counts.astype(np.min_scalar_type(int(counts.max()))))
     # stacking promotes every column to the widest
     return np.stack(columns, axis=1)
@@ -515,26 +523,17 @@ def _result(
     The non-constant terms share p^w, w <= key_level, so they are step * h,
     step = p^w, read as h mod p^L, L = key_level - w; the box side p^level
     is p^L unless a histogram asks for a wider one (never a narrower one:
-    an integral f has w >= min(radius, key_level)).  The cap counts the grid
-    points `value` scans, a box of 2^63 points or more is refused since each
-    count of a histogram is one int64, and so is a modulus past
-    MODULUS_LIMIT; all before any point is evaluated.
-    """
+    an integral f has w >= min(radius, key_level)).  Nothing is refused
+    here: `value` counts its work against `cap` as it is done, and a read of
+    the counts refuses what `_mod_histogram` refuses, before any point is
+    evaluated."""
     const = terms.get((0,) * n, 0) % p**key_level
     nonconst = {e: c for e, c in terms.items() if any(e)}
     w = min([key_level] + [int_valuation(c, p) for c in nonconst.values()])
     step, mod_level = p**w, key_level - w
     level = mod_level if level is None else level
     h = {e: c // step for e, c in nonconst.items()}
-    kinds, side = _distinct_blocks(h), _grid(p, mod_level)[1]
-    work = sum(side ** len(blocks[0]) for blocks in kinds.values())
-    if work > cap:
-        raise ResourceCapError(work, cap, what="grid points")
-    box = sum(p ** (level * len(block)) for blocks in kinds.values() for block in blocks)
-    if box >= 1 << 63:
-        raise ResourceCapError(box, (1 << 63) - 1, what="points counted in int64")
-    checked_modulus(p**mod_level, "residue classes")
-    blocks = tuple((local, len(found)) for local, found in kinds.items())
+    blocks = tuple((local, len(found)) for local, found in _distinct_blocks(h).items())
     scale = Fraction(p) ** (-n * (radius + level))
     return ExpSumResult(p, key_level, h, n, level, blocks, const, step, scale, cap)
 
@@ -686,7 +685,8 @@ class DecayFit:
     slope: float | None
     intercept: float | None
     residual: float | None
-    status: str  # "ok" | "superpolynomial"
+    status: str  # "ok", or with < 2 nonzero samples "superpolynomial" (some
+    # sample is an exact zero) or "too_few_samples" (none is)
     beta: Fraction | None
     quasi_homogeneous: bool
     consistent: bool | None
@@ -714,28 +714,26 @@ def decay_fit(
     the Newton-polyhedron exponent beta_f.
 
     `values` maps each level m >= 1 to E_A(p^-m, f); the ball only supplies p.
-    Exact zeros are left out of the fit; with fewer than two other samples
-    the decay is reported as super-polynomial (stationary-phase regime).
-    The consistency flag applies SHARP_TOLERANCE for quasi-homogeneous
+    Exact zeros are left out of the fit.  With fewer than two other samples
+    there is no slope: the status is "superpolynomial" (stationary-phase
+    regime) when some sample is an exact zero and "too_few_samples" when none
+    is.  The consistency flag applies SHARP_TOLERANCE for quasi-homogeneous
     phases and EPS_MARGIN otherwise.
     """
     p = ball.prime
     if any(m < 1 for m in values):
         raise DomainError("m range must be >= 1")
     samples = [(m, abs(values[m])) for m in sorted(values)]
-    beta = None
-    witness = None
-    reduced = SparsePolynomial.from_terms(
-        f.nvars, {e: c for e, c in f.terms if sum(e) > 0}
-    )
+    beta = witness = None
+    reduced = SparsePolynomial.from_terms(f.nvars, {e: c for e, c in f.terms if sum(e) > 0})
     if not reduced.is_constant():
         beta, _ = beta_and_t0(newton_facets(reduced))
         witness = quasi_homogeneous_detect(reduced)
     usable = [(m, -math.log(a, p)) for m, a in samples if a != 0]
     if len(usable) < 2:
+        status = "superpolynomial" if len(usable) < len(samples) else "too_few_samples"
         return DecayFit(
-            tuple(samples), None, None, None, "superpolynomial", beta,
-            witness is not None, None,
+            tuple(samples), None, None, None, status, beta, witness is not None, None
         )
     slope, intercept, residual = fit_line(usable)
     consistent = None

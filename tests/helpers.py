@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from padic_dispersion.cli import JobConfig
-from padic_dispersion.expsums import exp_sum
+from padic_dispersion.expsums import _NODE_COST, _TERM_COST, exp_sum
 from padic_dispersion.newton import Facet, NewtonPolyhedron, face_polynomials
 from padic_dispersion.padic import Ball, RootOfUnity, split_p_part
 from padic_dispersion.polynomials import (
@@ -632,3 +632,15 @@ def ray_values(Y: GraphHypersurface, direction, levels) -> dict[int, complex]:
     """{k: hat(d mu_Y)(p^-k * direction)} for k in levels."""
     p = Y.prime
     return {k: surface_ft(Y, [Fraction(c, p**k) for c in direction]) for k in levels}
+
+
+def x1_x2_work(m: int) -> int:
+    """The work of E(3^-m, x1 x2), m odd: h(3y) = 9 y1 y2 is x1 x2 again, so
+    the nodes are the levels m, m - 2, ..., 1.  Each has 3^2 mesh points;
+    one charge for the node and one per term it evaluates there (grad h =
+    (x2, x1) above level 1, h at level 1); one charge and four formed terms
+    for its stationary class (0, 0) above level 1; and three tally entries
+    merged at each, the mesh residues {0, 1, 2} of level 1."""
+    node, term, above = _NODE_COST, _TERM_COST, (m - 1) // 2
+    level_one = 9 + 2 * node + 3 * term
+    return level_one + above * (9 + 3 * node + node + 4 * term + 3 * term)

@@ -76,8 +76,8 @@ def test_benchmark_calls_bind(monkeypatch):
 def test_block_counts_signature_and_total():
     # bench/test_bench.py wraps `_block_counts(*args)` and sums its result
     params = list(inspect.signature(expsums._block_counts).parameters)
-    assert params == ["block", "terms", "width", "modulus"]
-    counts = expsums._block_counts((0, 1), {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 1): 1}, 3, 9)
+    assert params == ["block", "terms", "width", "p", "level"]
+    counts = expsums._block_counts((0, 1), {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 1): 1}, 3, 3, 2)
     assert isinstance(counts, np.ndarray) and len(counts) == 9
     assert int(counts.sum()) == 3**2
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import config_from_dict
+from helpers import config_from_dict, x1_x2_work
 import padic_dispersion
 from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
@@ -116,7 +116,7 @@ class TestExpsumCommand:
          (["--prime", "7", "--poly", "x^3", "--m", "1..10"], range(1, 11))],
         ids=["x1*x2-p3-m9", "x^3-p7-m1..10"],
     )
-    def test_the_cap_counts_the_grid_scanned(self, tmp_path, argv, levels):
+    def test_the_cap_counts_the_grid_scanned(self, tmp_path, capsys, argv, levels):
         # both once passed the default cap by their box points alone
         code, out = run_cli(tmp_path, ["expsum", *argv])
         assert code in (EXIT_OK, EXIT_CERTIFICATE)
@@ -124,12 +124,39 @@ class TestExpsumCommand:
         assert [row["m"] for row in table] == list(levels)
         if argv[3] == "x1*x2":  # E(3^-9) = 3^-9: the y sum vanishes unless x = 0 mod 3^9
             assert abs(complex(*table[0]["value"]) - 3**-9) <= 1e-15
+            # at the value's work the value answers and the histogram's grid of
+            # 3^10 points is refused
+            need = x1_x2_work(9)
+            for cap, what in ((need - 1, "mesh points and node charges"),
+                              (need, "grid points and count entries")):
+                capsys.readouterr()
+                assert run_cli(tmp_path, ["expsum", *argv, "--cap", str(cap)])[0] == EXIT_RESOURCE
+                assert what in capsys.readouterr().err
+
+    def test_a_deep_level_ends_in_an_exit_code(self, tmp_path, capsys):
+        # a thousand nodes deep and residues of 4755 bits: the value is computed
+        # (it underflows to 0j), and only the histogram at m = 3000 is refused
+        argv = ["expsum", "--prime", "3", "--poly", "x^3", "--m", "3000..3000"]
+        code, _ = run_cli(tmp_path, argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_RESOURCE) and "Traceback" not in err
+        assert code == EXIT_OK or "residue classes exceeds the cap of 2147483647" in err
+
+    def test_one_nonzero_sample_is_too_few_for_a_fit(self, tmp_path):
+        # x1^2*x2^2 at m = 16 is checked on the library's decay_fit: its
+        # histogram at 3^16 takes a minute
+        code, out = run_cli(tmp_path, ["expsum", "--prime", "3", "--poly", "x^2", "--m", "5..5"])
+        assert code == EXIT_CERTIFICATE
+        fit = json.loads(out)["results"]["decay_fit"]
+        assert fit["status"] == "too_few_samples" and fit["slope"] is None
+        assert math.isclose(fit["samples"][0][1], 3**-2.5, rel_tol=1e-12)
 
     def test_five_variables_are_refused_before_any_sum(self, tmp_path, capsys, monkeypatch):
         def scanned(*args):
             raise AssertionError("a block was scanned")
 
         monkeypatch.setattr(expsums, "_slabs", scanned)
+        monkeypatch.setattr(expsums, "_edges", scanned)
         five = ["expsum", "--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2", "--m", "1..2"]
         code, _ = run_cli(tmp_path, five)
         assert code == EXIT_VALIDATION
@@ -229,14 +256,17 @@ class TestEachSumEvaluatedOnce:
 
 
     def test_a_table_scans_each_distinct_block_once(self, tmp_path, monkeypatch):
-        scans = []
-        slabs = expsums._slabs
+        scans, nodes = [], []
+        slabs, edges = expsums._slabs, expsums._edges
         monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
         argv = ["expsum", "--prime", "5", "--poly", "x1^2+4*x2^3", "--m", "1..8"]
         assert run_cli(tmp_path, argv)[0] == EXIT_CERTIFICATE
-        # the eight levels read one scan of each block, and the histogram at
-        # m = 1 one more of each
-        assert [tuple(local) for local in scans] == [(((2,), 1),), (((3,), 4),)] * 2
+        # the eight levels of both blocks are nodes of one walk, each expanded
+        # once, and the histogram at m = 1 scans each block once
+        assert len(nodes) == len(set(nodes))
+        assert {(5, local, m) for local in ((((2,), 1),), (((3,), 4),)) for m in range(1, 9)} <= set(nodes)
+        assert [tuple(local) for local in scans] == [(((2,), 1),), (((3,), 4),)]
 
 
 class TestSolveCommand:

@@ -13,6 +13,7 @@ from helpers import (
     column_vanishes,
     dense_column_value,
     expsum_values,
+    x1_x2_work,
     oracle_block_counts,
     oracle_cyclic_convolution,
     oracle_exp_sum,
@@ -130,7 +131,8 @@ class TestExpSum:
         assert abs(whole - parts) < 1e-12
 
     def test_slab_splitting_matches_the_oracles(self, monkeypatch):
-        # slabs of 10 points: the coarse grid of every case spans several
+        # slabs of 10 points: the histogram grid of every case spans several,
+        # and so does the value mesh F_2^4 of the third
         monkeypatch.setattr(expsums, "_CHUNK", 10)
         calls = []
         evaluate = expsums.poly_residues
@@ -154,10 +156,13 @@ class TestExpSum:
             z = Fraction(1, ball.prime**m)
             calls.clear()
             assert abs(exp_sum(f, z, ball).value - oracle_exp_sum(f, z, ball, m)) < 1e-9
+            assert {modulus for modulus, _ in calls} == {ball.prime}  # meshes of F_p^n
+            assert max(size for _, size in calls) <= 10
+            calls.clear()
+            assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
             top = max(modulus for modulus, _ in calls)  # the phase's calls, not its gradient's
             slabs = [size for modulus, size in calls if modulus == top]
             assert len(slabs) > 1 and max(slabs) <= 10, slabs
-            assert residue_histogram(f, m, ball) == oracle_residue_counts(f, m, ball)
 
 
 def seeded_block_terms(rng, p: int, n: int, block: tuple[int, ...]) -> dict:
@@ -192,7 +197,7 @@ class TestHalfLevelGrid:
                     if draw == 2:  # the block's whole part divisible by p
                         terms = {e: c * (p if e[0] == 0 else 1) for e, c in terms.items()}
                     width, modulus = p**width_level, p**level
-                    got = expsums._block_counts(block, terms, width, modulus)
+                    got = expsums._block_counts(block, terms, width, p, level)
                     assert got.tolist() == oracle_block_counts(terms, block, width, modulus), (
                         terms, width, modulus,
                     )
@@ -226,10 +231,17 @@ class TestHalfLevelGrid:
 
     def test_a_box_beyond_int64_is_refused(self):
         # the grid of 2^36 points is under the cap, but the box of 2^69
-        # points does not fit the int64 counts, whatever the cap
+        # points does not fit the int64 counts, whatever the cap; the value
+        # counts nothing and answers
+        m = 23
+        res = exp_sum(parse_polynomial("x1*x2*x3"), Fraction(1, 2**m), Ball.of(2, [0] * 3, 0),
+                      cap=10**30)
+        # E = #{(x1, x2) mod 2^m : x1 x2 = 0 mod 2^m} / 4^m, by valuations i, j
+        units = [2 ** (m - i - 1) for i in range(m)] + [1]
+        pairs = sum(a * b for i, a in enumerate(units) for j, b in enumerate(units) if i + j >= m)
+        assert abs(res.value - pairs / 4**m) <= 1e-15
         with pytest.raises(ResourceCapError) as err:
-            exp_sum(parse_polynomial("x1*x2*x3"), Fraction(1, 2**23), Ball.of(2, [0] * 3, 0),
-                    cap=10**30)
+            res.counts
         assert err.value.required == 2**69 and err.value.cap == 2**63 - 1
 
     def test_points_evaluated_are_bounded_by_the_half_level_grid(self, monkeypatch):
@@ -251,7 +263,7 @@ class TestHalfLevelGrid:
         ]
         for terms, block, p, level, width_level in cases:
             points.clear()
-            counts = expsums._block_counts(block, terms, p**width_level, p**level)
+            counts = expsums._block_counts(block, terms, p**width_level, p, level)
             assert int(counts.sum()) == p ** (width_level * len(block))
             bound = (len(block) + 1) * p ** ((level + 1) // 2 * len(block))
             assert sum(points) <= bound, (terms, sum(points), bound)
@@ -269,10 +281,15 @@ def seeded_phase(rng, p: int, n: int) -> SparsePolynomial:
     return SparsePolynomial.from_terms(n, terms)
 
 
+def block_mean(p: int, local, level: int, memo=None) -> complex:
+    """One block mean of the stationary-phase recursion, at the default cap."""
+    return expsums._block_mean(p, local, level, {} if memo is None else memo, [0], 10**8)
+
+
 class TestStationarySum:
-    """`value` sums each block over its stationary half-level grid points;
-    it equals the evaluation of the count columns and is exactly 0j when
-    their cyclotomic column test passes."""
+    """`value` takes each block mean from the stationary-phase recursion; it
+    equals the evaluation of the count columns and is exactly 0j when their
+    cyclotomic column test passes."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_block_sums_match_the_counts(self, p):
@@ -287,8 +304,7 @@ class TestStationarySum:
                 for draw in range(3):
                     terms = seeded_block_terms(rng, p, d + 1, block)
                     counts = oracle_block_counts(terms, block, p**level, p**level)
-                    local = expsums._local_terms(block, terms)
-                    (got,) = expsums._block_sums(local, p, [level])
+                    got = block_mean(p, expsums._local_terms(block, terms), level)
                     zero = column_vanishes(counts, p)
                     if zero:
                         assert got == 0j, (terms, level)
@@ -299,18 +315,18 @@ class TestStationarySum:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_one_scan_of_many_levels_gives_the_one_level_bits(self, p):
+        # one memo shared by every level gives the bits of a fresh memo per level
         rng = random.Random(f"levels:{p}")
         levels = list(range(8))
         for d in (1, 2):
-            if p ** (4 * d) > 10**5:  # the level-7 grid
-                continue
             block = tuple(range(1, d + 1))
             for draw in range(3):
                 local = expsums._local_terms(block, seeded_block_terms(rng, p, d + 1, block))
-                joint = expsums._block_sums(local, p, levels)
-                single = [expsums._block_sums(local, p, [level])[0] for level in levels]
+                memo = {}
+                joint = [block_mean(p, local, level, memo) for level in levels]
+                single = [block_mean(p, local, level) for level in levels]
                 assert [repr(v) for v in joint] == [repr(v) for v in single], local
-                assert joint[0] == 1  # level 0: one grid point, e(0) = 1
+                assert joint[0] == 1  # level 0: one point, e(0) = 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_values_match_the_dense_column_evaluation(self, p):
@@ -344,6 +360,8 @@ class TestStationarySum:
             (parse_polynomial("x^3 - 2*x"), Ball.of(7, [0], 0), 4),
             # many stationary points, on residues that recur from slab to slab
             (parse_polynomial("x1^2*x2^2 + x2^3"), Ball.of(3, [0, 0], 0), 6),
+            # a mesh of 3^4 points in slabs of 9: x1 a scalar, x2 walked in rows of one
+            (parse_polynomial("x1*x2 + x2*x3^2 + x3*x4 + x4^3"), Ball.of(3, [0] * 4, 0), 5),
         ]
         whole = [exp_sum(f, Fraction(1, ball.prime**m), ball).value for f, ball, m in cases]
         monkeypatch.setattr(expsums, "_CHUNK", 10)
@@ -353,17 +371,35 @@ class TestStationarySum:
         assert [(v.real.hex(), v.imag.hex()) for v in sliced] == bits
 
     def test_value_builds_no_count_vector(self, monkeypatch):
+        # the one value path: no histogram machinery, and every polynomial
+        # evaluation is a mesh mod p, so no value needs MODULUS_LIMIT
         def refuse(*args):
             raise AssertionError("a count vector was built")
 
-        monkeypatch.setattr(expsums, "_block_counts", refuse)
-        monkeypatch.setattr(expsums, "_mod_histogram", refuse)
+        moduli = []
+        evaluate = expsums.poly_residues
+
+        def recording(terms, coords, modulus):
+            moduli.append(modulus)
+            return evaluate(terms, coords, modulus)
+
+        for name in ("_slabs", "_block_counts", "_mod_histogram"):
+            monkeypatch.setattr(expsums, name, refuse)
+        monkeypatch.setattr(expsums, "poly_residues", recording)
         cube, z7 = parse_polynomial("x^3"), Ball.of(7, [0], 0)
         # x = 7y: the units are stationary-free, so E(7^-m) = E(7^-(m-3)) / 7 for m >= 4
         value = exp_sum(cube, Fraction(1, 7**10), z7).value
         assert abs(value - exp_sum(cube, Fraction(1, 7**7), z7).value / 7) <= 1e-15
         assert abs(value - exp_sum(cube, Fraction(1, 7**4), z7).value / 7**2) <= 1e-15
         assert abs(value - oracle_exp_sum(cube, Fraction(1, 7), z7, 1) / 7**3) <= 1e-15
+        # 7^40 is far past MODULUS_LIMIT
+        assert abs(exp_sum(cube, Fraction(1, 7**40), z7).value - value / 7**10) <= 1e-15
+        assert set(moduli) == {7}
+        moduli.clear()
+        f = parse_polynomial("x1^2 + x1*x2 + x2^3 + 3*x3^4")
+        for ball in (Ball.of(3, [0, 0, 0], 0), Ball.of(3, [1, 2, 0], 1), Ball.of(3, [Fraction(1, 3)] * 3, -1)):
+            exp_sum(f, Fraction(2, 3**30), ball).value
+        assert set(moduli) == {3}
 
     def test_value_allocates_no_count_vector(self):
         cube, z5 = parse_polynomial("x^3"), Ball.of(5, [0], 0)
@@ -380,8 +416,7 @@ class TestStationarySum:
 
 def seeded_tables(rng, p: int) -> list[list]:
     """Level tables E(u p^-m, f), m = 1..7, of seeded phases on three kinds of
-    ball: Z_p^n, unit centres at radius 1, and centre 1/p at radius -1; each
-    table stops at its first level whose grid passes a small cap."""
+    ball: Z_p^n, unit centres at radius 1, and centre 1/p at radius -1."""
     tables = []
     for kind in range(3):
         for _ in range(4):
@@ -392,19 +427,14 @@ def seeded_tables(rng, p: int) -> list[list]:
                 ([Fraction(1, p)] * n, -1),
             ][kind]
             f, ball = seeded_phase(rng, p, n), Ball.of(p, center, radius)
-            table = []
-            for m in range(1, 8):
-                try:
-                    table.append(exp_sum(f, Fraction(rng.randint(1, p - 1), p**m), ball, cap=5000))
-                except ResourceCapError:
-                    break
-            tables.append(table)
+            tables.append([exp_sum(f, Fraction(rng.randint(1, p - 1), p**m), ball) for m in range(1, 8)])
     return tables
 
 
 class TestJointScan:
-    """`evaluate` scans each distinct block once for every level of every
-    result it is given; each value is the bits `value` gives on its own."""
+    """`evaluate` expands each node of the stationary-phase recursion once
+    for every level and block of every result it is given; each value is
+    the bits `value` gives on its own."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_joint_values_are_the_single_values(self, p, monkeypatch):
@@ -414,45 +444,56 @@ class TestJointScan:
         expsums.evaluate(results)
         assert [repr(res.value) for res in results] == single
         assert len(results) >= 40 and "0j" in single
-        # slabs of 10 points: the top grid of most tables spans several
+        # slabs of 10 points: the mesh F_p^2 of p >= 5 spans several
         monkeypatch.setattr(expsums, "_CHUNK", 10)
         sliced = [dataclasses.replace(res, _value=None) for res in results]
         expsums.evaluate(sliced)
         assert [repr(res.value) for res in sliced] == single
 
     def test_a_table_scans_each_block_once(self, monkeypatch):
-        scans = []
-        slabs = expsums._slabs
-        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[:1]) or slabs(*args))
+        nodes = []
+        edges = expsums._edges
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
         ball = Ball.of(5, [0, 0], 0)
         f = parse_polynomial("x1^2+4*x2^3")
         table = [exp_sum(f, Fraction(1, 5**m), ball) for m in range(1, 9)]
         expsums.evaluate(table)
-        assert scans == [((((2,), 1),),), ((((3,), 4),),)]
+        # each node once; every level of both blocks is a node of the one walk
+        assert len(nodes) == len(set(nodes))
+        assert {(5, (((2,), 1),), m) for m in range(1, 9)} <= set(nodes)
+        assert {(5, (((3,), 4),), m) for m in range(1, 9)} <= set(nodes)
         assert all(res._value is not None for res in table)
-        expsums.evaluate(table)  # evaluated results are not scanned again
-        assert len(scans) == 2
+        count = len(nodes)
+        expsums.evaluate(table)  # evaluated results are not expanded again
+        assert len(nodes) == count
 
     def test_the_phase_is_evaluated_at_stationary_points_only(self, monkeypatch):
-        points = []
-        evaluate = expsums.poly_residues
+        points, meshes = [], []
+        compose, evaluate = expsums.compose_affine, expsums.poly_residues
+
+        def expanding(terms, center, step):
+            points.append(center)
+            return compose(terms, center, step)
 
         def counting(terms, coords, modulus):
             out = evaluate(terms, coords, modulus)
-            if modulus == 3**9:  # the phase; its gradient is read mod 3^4
-                points.append(out.size)
+            meshes.append((modulus, out.size))
             return out
 
+        monkeypatch.setattr(expsums, "compose_affine", expanding)
         monkeypatch.setattr(expsums, "poly_residues", counting)
-        # x1 x2 at level 9: the grid [0, 3^5)^2 holds 9 points with grad = 0 mod 3^4
+        # x1 x2 at level 9: the class (0, 0) alone is stationary, at levels 9, 7, 5 and 3,
+        # and h(3y) = 9 y1 y2 is x1 x2 again; level 1 is one mesh of F_3^2
         value = exp_sum(parse_polynomial("x1*x2"), Fraction(1, 3**9), Ball.of(3, [0, 0], 0)).value
         assert abs(value - 3**-9) <= 1e-15
-        assert sum(points) <= 9, points
+        assert points == [(0, 0)] * 4
+        assert meshes == [(3, 9)] * 9  # two gradient rows at each of four levels, then h
 
 
 class TestWorkCap:
-    """The cap counts the grid points scanned, and for a histogram the count
-    vectors built too."""
+    """A value counts the mesh points of the recursion's nodes and
+    _NODE_COST per node and per stationary class expanded; a histogram
+    counts the grid points scanned and the count vectors built."""
 
     def test_levels_the_box_count_refused_now_answer(self):
         # x1 x2 over Z_3^2: the y sum vanishes unless x = 0 mod p^m, so E = p^-m
@@ -466,13 +507,22 @@ class TestWorkCap:
             got = exp_sum(cube, Fraction(1, 7**m), z7).value
             assert abs(got - oracle_exp_sum(cube, Fraction(1, 7**m), z7, m)) < 1e-12
 
-    def test_a_grid_past_the_cap_is_refused(self):
-        # the grid of x1 x2 at level 9 is [0, 3^5)^2
+    def test_a_grid_past_the_cap_is_refused(self, monkeypatch):
         f, ball, z = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0), Fraction(1, 3**9)
-        exp_sum(f, z, ball, cap=3**10)
-        with pytest.raises(ResourceCapError, match=f"enumeration of {3**10} grid points") as err:
-            exp_sum(f, z, ball, cap=3**10 - 1)
-        assert err.value.required == 3**10 and err.value.cap == 3**10 - 1
+        need = x1_x2_work(9)
+        assert abs(exp_sum(f, z, ball, cap=need).value - 3**-9) <= 1e-15
+        res = exp_sum(f, z, ball, cap=need - 1)  # building the result counts nothing
+        with pytest.raises(ResourceCapError, match=f"enumeration of {need} mesh points") as err:
+            res.value
+        assert err.value.required == need and err.value.cap == need - 1
+        # short of the level-1 node's charge, nothing of that node is scanned
+        meshes = []
+        mesh = expsums._mesh
+        monkeypatch.setattr(expsums, "_mesh", lambda *args: meshes.append(args) or mesh(*args))
+        before = need - 5 * 3 * expsums._TERM_COST
+        with pytest.raises(ResourceCapError) as err:
+            exp_sum(f, z, ball, cap=before - 1).value
+        assert err.value.required == before and len(meshes) == 4
 
     def test_a_histogram_also_counts_its_count_vector(self):
         f, ball = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0)
@@ -485,13 +535,53 @@ class TestWorkCap:
         assert err.value.required == need
 
     def test_blocks_with_the_same_terms_are_scanned_once(self, monkeypatch):
-        scans = []
-        slabs = expsums._slabs
+        nodes, scans = [], []
+        edges, slabs = expsums._edges, expsums._slabs
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
         monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
         res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
         assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27
-        assert scans == [(((2,), 1),)]  # x^2, once for the six blocks
-        assert res.dense.shape[1] == 1 and res.powers == (6,) and len(scans) == 2
+        # x^2, once for the six blocks: h(3y) = 9 y^2 steps down two levels at a time
+        assert nodes == [(3, (((2,), 1),), level) for level in (9, 7, 5, 3, 1)]
+        assert scans == []
+        assert res.dense.shape[1] == 1 and res.powers == (6,)
+        assert [tuple(local) for local in scans] == [(((2,), 1),)]
+
+
+class TestDeepLevels:
+    """Levels far past MODULUS_LIMIT, in one table each, against closed forms."""
+
+    @staticmethod
+    def table(text: str, ball: Ball, levels) -> dict[int, complex]:
+        f = parse_polynomial(text)
+        sums = {m: exp_sum(f, Fraction(1, ball.prime**m), ball) for m in levels}
+        expsums.evaluate(sums.values())
+        return {m: res.value for m, res in sums.items()}
+
+    def test_a_product_of_two_variables(self):
+        # the x2 sum vanishes unless x1 = 0 mod 3^m: E = 3^-m
+        values = self.table("x1*x2", Ball.of(3, [0, 0], 0), range(1, 41))
+        for m, value in values.items():
+            assert abs(value - 3.0**-m) <= 1e-15 * 3.0**-m, m
+
+    def test_a_cube_at_its_own_prime(self):
+        # x = 3y: the units add p^-1 e(...) E_(m-2) of a linear phase, which is 0
+        values = self.table("x^3", Ball.of(3, [0], 0), range(1, 41))
+        for m in range(4, 41):
+            assert abs(values[m] - values[m - 3] / 3) <= 1e-15 * abs(values[m - 3]), m
+        assert values[1] == 0j and {values[m] == 0j for m in range(1, 41)} == {True, False}
+
+    def test_four_squares(self):
+        # four Gauss sums of modulus 3^(-m/2) each
+        values = self.table("x1^2+x2^2+x3^2+x4^2", Ball.of(3, [0] * 4, 0), range(1, 31))
+        for m, value in values.items():
+            assert abs(abs(value) - 3.0 ** (-2 * m)) <= 1e-12 * 3.0 ** (-2 * m), m
+
+    def test_a_cube_off_its_critical_point_vanishes(self):
+        # 3 x^2 is a unit on 2 + 5 Z_5: E = 0 exactly from m = 2 on
+        values = self.table("x^3", Ball.of(5, [2], 1), range(1, 41))
+        assert values[1] != 0j
+        assert all(values[m] == 0j for m in range(2, 41))
 
 
 class TestExpSumResult:
@@ -864,6 +954,17 @@ class TestDecayFit:
     def test_levels_below_one_rejected(self):
         with pytest.raises(DomainError):
             decay_fit(SQUARE, Z3, {0: 1.0, 1: 3**-0.5})
+
+    @pytest.mark.parametrize("text, nvars, m", [("x^2", 1, 5), ("x1^2*x2^2", 2, 16)])
+    def test_one_nonzero_sample_is_too_few(self, text, nvars, m):
+        f, ball = parse_polynomial(text), Ball.of(3, [0] * nvars, 0)
+        fit = decay_fit(f, ball, expsum_values(f, ball, [m]))
+        assert fit.status == "too_few_samples" and fit.slope is None
+        assert fit.samples[0][1] > 0.0009
+
+    def test_an_exact_zero_keeps_the_superpolynomial_status(self):
+        fit = decay_fit(SQUARE, Z3, {2: 1e-3, 3: 0j})
+        assert fit.status == "superpolynomial" and fit.slope is None
 
     def test_tiny_samples_are_kept(self):
         fit = decay_fit(SQUARE, Z3, {2: 1e-10, 3: 1e-13, 4: 0j})
