@@ -23,12 +23,13 @@ class PolynomialSyntaxError(ValueError):
 
 class ResourceCapError(RuntimeError):
     """An enumeration would exceed the configured cap; `required` names the
-    number of points the request would have needed."""
+    number of points the request would have needed.  The message writes a
+    count of 2^100 or more by its power of two, since deep levels need counts
+    past the digits Python converts to text."""
 
     def __init__(self, required: int, cap: int, what: str = "residue points"):
-        super().__init__(
-            f"enumeration of {required} {what} exceeds the cap of {cap}"
-        )
+        count = required if required < 1 << 100 else f"more than 2^{required.bit_length() - 1}"
+        super().__init__(f"enumeration of {count} {what} exceeds the cap of {cap}")
         self.required = required
         self.cap = cap
 

@@ -55,10 +55,9 @@ _CHUNK = 1 << 22
 # np.add.at costs about as much per entry it updates as this many entries of a
 # broadcast add, so a class of grid points is scattered only when it is sparse
 _SCATTER_COST = 32
-# a value's work is counted in mesh points (`_edges`, `_tally`), with a node, a
-# term it evaluates over its mesh or a stationary class at _NODE_COST, and a
-# term compose_affine forms or a tally entry merged at _TERM_COST: on a 2-core
-# host no phase tried took over 77 ns a unit, 7.7 s at the default cap
+# a value's work in mesh points (`_edges`, `_tally`, `_charge`): a node, a term it evaluates on
+# its mesh or a stationary class costs _NODE_COST, a term formed or tally entry merged _TERM_COST;
+# of the phases tried on a 2-core host, none took over 77 ns a unit (7.7 s at the default cap)
 _NODE_COST = 1200
 _TERM_COST = 30
 # every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
@@ -359,21 +358,23 @@ def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[i
     h(a + p y) = h(a) + p^c h_a(y), c >= 2, so E_k(h) = p^-d sum_a e(h(a) / p^k)
     E_(k-c)(h_a), E_j = 1 for j <= 0: h_a's tally moves to h(a) + p^c r mod p^k,
     its weights times p^(d(c-1)).  A stack walks the tree, each node once per
-    `memo` {(p, h, k): tally}; merging costs _TERM_COST an entry.  A tally sums
-    to 0 iff it is invariant under r -> r + p^(k-1) (Phi_{p^k}(x) =
-    Phi_p(x^(p^(k-1))), Lam & Leung, J. Algebra 224, 2000): it is stored empty.
+    `memo` {(p, h, k): tally}.  A tally sums to 0 iff it is invariant under
+    r -> r + p^(k-1) (Phi_{p^k}(x) = Phi_p(x^(p^(k-1))), Lam & Leung, J.
+    Algebra 224, 2000): it is stored empty.  Merging costs _TERM_COST an entry.
     """
-    stack, edges = [(p, h, k)], {}
+    stack, edges = [((p, h, k), p**k)], {}  # each node with its modulus p^k
     while stack:
-        node = stack[-1]
+        node, modulus = stack[-1]
         if node in memo:
             stack.pop()
         elif node not in edges:
-            edges[node] = _edges(*node, work, cap)
-            stack += [child for _, _, child in edges[node] if child and child not in memo]
+            edges[node] = _edges(*node, modulus, work, cap)
+            stack += [(c, modulus // p ** (node[2] - c[2])) for _, _, c in edges[node]
+                      if c and c not in memo]  # a child's modulus raises no power of p again
         else:
-            modulus, moved, tally = p ** node[2], edges.pop(node), {}
-            _charge(work, _TERM_COST * sum(len(memo[c]) if c else 1 for _, _, c in moved), cap)
+            moved, tally = edges.pop(node), {}
+            entries = sum(len(memo[c]) if c else 1 for _, _, c in moved)
+            _charge(work, _TERM_COST * entries, cap, modulus)
             for r, weight, child in moved:  # a leaf adds weight at r, a child at r + p^c s
                 step = p ** (node[2] - child[2]) if child else 0
                 for s, t in memo[child].items() if child else [(0, 1)]:
@@ -381,30 +382,31 @@ def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[i
                     tally[s] = tally.get(s, 0) + weight * t
             shift = modulus // p
             invariant = all(tally.get((r + shift) % modulus) == t for r, t in tally.items())
-            memo[stack.pop()] = {} if invariant else tally
+            memo[stack.pop()[0]] = {} if invariant else tally
     return memo[p, h, k]
 
 
-def _charge(work: list, units: int, cap: int) -> None:
-    """Add `units` to the work done, work[0]; refuse once it passes `cap`."""
-    work[0] += units
+def _charge(work: list, units: int, cap: int, modulus: int) -> None:
+    """Add `units` to the work done, work[0], times one more per 2^17 bits of the
+    node's modulus p^k, whose Python ints slow its steps; refuse past `cap`."""
+    work[0] += units * (1 + (modulus.bit_length() >> 17))
     if work[0] > cap:
         raise ResourceCapError(work[0], cap, what="mesh points and node charges")
 
 
-def _edges(p: int, h: tuple, k: int, work: list, cap: int) -> list[tuple]:
+def _edges(p: int, h: tuple, k: int, modulus: int, work: list, cap: int) -> list[tuple]:
     """The node (p, h, k) of `_tally` as (r, weight, child) edges, a leaf when
     child is None.  Charged first: the mesh F_p^d, and _NODE_COST for the node
     and each term it evaluates there (h, or grad h for k >= 2, mod p); then
     for each stationary class, _NODE_COST and _TERM_COST a term formed."""
     d = len(h[0][0])
     rows = [[(e, c) for e, c in row if c % p] for row in ([h] if k == 1 else _gradient(h))]
-    _charge(work, p**d + _NODE_COST * (1 + sum(map(len, rows))), cap)
+    _charge(work, p**d + _NODE_COST * (1 + sum(map(len, rows))), cap, modulus)
     if k == 1:
         meshes = (poly_residues(rows[0], x, p).ravel() for x in _mesh(d, p))
         counts = sum(np.bincount(mesh, minlength=p) for mesh in meshes)
         return [(r, n, None) for r, n in enumerate(counts.tolist()) if n]
-    terms, modulus, edges = dict(h), p**k, []
+    terms, edges = dict(h), []
     expansion = _NODE_COST + _TERM_COST * sum(math.prod(a + 1 for a in e) for e in terms)
     for coords in _mesh(d, p):
         kept = np.ones(np.broadcast_shapes(*map(np.shape, coords)), dtype=bool)
@@ -413,7 +415,7 @@ def _edges(p: int, h: tuple, k: int, work: list, cap: int) -> list[tuple]:
         at = np.nonzero(kept)
         prefix = tuple(coords[: d - len(at)])  # the scalars, then each axis at the kept indices
         for point in zip(*(x.ravel()[i].tolist() for x, i in zip(coords[len(prefix) :], at))):
-            _charge(work, expansion, cap)
+            _charge(work, expansion, cap, modulus)
             shifted = compose_affine(terms, prefix + point, p)
             r = int(shifted.pop((0,) * d, 0)) % modulus
             rest = {e: int(a) % modulus for e, a in shifted.items() if int(a) % modulus}
@@ -732,9 +734,7 @@ def decay_fit(
     usable = [(m, -math.log(a, p)) for m, a in samples if a != 0]
     if len(usable) < 2:
         status = "superpolynomial" if len(usable) < len(samples) else "too_few_samples"
-        return DecayFit(
-            tuple(samples), None, None, None, status, beta, witness is not None, None
-        )
+        return DecayFit(tuple(samples), None, None, None, status, beta, witness is not None, None)
     slope, intercept, residual = fit_line(usable)
     consistent = None
     if beta is not None:

@@ -133,14 +133,20 @@ class TestExpsumCommand:
                 assert run_cli(tmp_path, ["expsum", *argv, "--cap", str(cap)])[0] == EXIT_RESOURCE
                 assert what in capsys.readouterr().err
 
-    def test_a_deep_level_ends_in_an_exit_code(self, tmp_path, capsys):
-        # a thousand nodes deep and residues of 4755 bits: the value is computed
-        # (it underflows to 0j), and only the histogram at m = 3000 is refused
-        argv = ["expsum", "--prime", "3", "--poly", "x^3", "--m", "3000..3000"]
+    @pytest.mark.parametrize("m", [3000, 10000])
+    def test_a_deep_level_ends_in_an_exit_code(self, tmp_path, capsys, m):
+        # thousands of nodes deep, with residues of 4755 and 15850 bits: the value
+        # is computed (it underflows to 0j), and only the histogram at 3^m is
+        # refused, its modulus written by its power of two (3^10000 has more
+        # digits than Python converts to text)
+        argv = ["expsum", "--prime", "3", "--poly", "x^3", "--m", f"{m}..{m}"]
         code, _ = run_cli(tmp_path, argv)
         err = capsys.readouterr().err
         assert code in (EXIT_OK, EXIT_RESOURCE) and "Traceback" not in err
-        assert code == EXIT_OK or "residue classes exceeds the cap of 2147483647" in err
+        bits = (3**m).bit_length() - 1
+        assert code == EXIT_OK or (
+            f"more than 2^{bits} residue classes exceeds the cap of 2147483647" in err
+        )
 
     def test_one_nonzero_sample_is_too_few_for_a_fit(self, tmp_path):
         # x1^2*x2^2 at m = 16 is checked on the library's decay_fit: its
