@@ -57,7 +57,7 @@ _CHUNK = 1 << 22
 _SCATTER_COST = 32
 # a value's work in mesh points (`_edges`, `_tally`, `_charge`): a node, a term it evaluates on
 # its mesh or a stationary class costs _NODE_COST, a term formed or tally entry merged _TERM_COST;
-# of the phases tried on a 2-core host, none took over 77 ns a unit (7.7 s at the default cap)
+# of the phases tried on a 2-core host, none took over about 80 ns a unit (8 s at the default cap)
 _NODE_COST = 1200
 _TERM_COST = 30
 # every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
