@@ -26,15 +26,30 @@ def _check_prime(p: int) -> None:
         raise DomainError(f"prime must be >= 2, got {p}")
 
 
+def _remove_p(n: int, p: int) -> tuple[int, int]:
+    """(k, n / p^k) for the largest k with p^k | n, n != 0, in O(log k) divisions:
+    divide by p, p^2, p^4, ... while they divide, then by the same powers
+    from the top down, each where it still divides."""
+    if n % p:
+        return 0, n
+    powers = []
+    while not (qr := divmod(n, p))[1]:
+        n = qr[0]
+        powers.append(p)
+        p *= p
+    k = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n, k = q, k + (1 << i)
+    return k, n
+
+
 def int_valuation(n: int, p: int) -> int:
     """Largest k with p^k | n, for n != 0."""
     if n == 0:
         raise DomainError("valuation of 0 is +infinity; handle separately")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return _remove_p(n, p)[0]
 
 
 def split_p_part(x: Rational, p: int) -> tuple[int, int]:
@@ -46,17 +61,13 @@ def split_p_part(x: Rational, p: int) -> tuple[int, int]:
     x = Fraction(x)
     if x == 0:
         return 0, 0
-    num, den = x.numerator, x.denominator
-    dv = 0
-    while den % p == 0:
-        den //= p
-        dv += 1
+    dv, den = _remove_p(x.denominator, p)
     if den != 1:
         raise DomainError(
             f"denominator of {x} is not a power of p={p}"
         )
-    nv = int_valuation(num, p)
-    return num // p**nv, nv - dv
+    nv, unit = _remove_p(x.numerator, p)
+    return unit, nv - dv
 
 
 class PadicRational:

@@ -15,7 +15,8 @@ Storage is exact and integer: ball i is (idx[i] + p^(e[i] + D) Z_p^n) / p^D
 for a common denominator p^D and an index row reduced modulo p^(e[i] + D),
 and modulations b are numerators over their own p^Dm.  Moduli stay below
 2^31, so the arrays are int32, products of two residues fit in int64, and
-every character value Psi(-[b, x]) is a residue r / M, exponentiated last.
+every character value Psi(-[b, x]) is a residue r / M, exponentiated last:
+each call evaluates the roots of its modulus M once, in `_roots`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .padic import Ball, PadicRational, split_p_part
+from .padic import Ball, PadicRational, int_valuation, split_p_part
 from .polynomials import checked_modulus
 
 _COSET_CAP = 10**6
@@ -41,19 +42,24 @@ def _modulus(p: int, k: int, what: str) -> int:
 
 
 def _den_exps(nums: np.ndarray, denom: int, p: int) -> np.ndarray:
-    """Per row of nums / p^denom, the least k with the row in p^-k Z^n (~ -2^20 if 0)."""
+    """Per row of nums / p^denom, the least k with the row in p^-k Z^n (~ -2^20 if 0).
+    A row's gcd g < 2^63 has p^v(g) = gcd(g, p^K) for the largest p^K < 2^63,
+    read off exactly among p^0..p^K."""
+    K = int(math.log(1 << 63, p)) + 1  # the float log errs by less than 1
+    while p**K >= 1 << 63:
+        K -= 1
+    powers = p ** np.arange(K + 1, dtype=np.int64)
     g = np.gcd.reduce(nums, axis=-1)
-    v, g = np.where(g == 0, 1 << 20, 0), np.where(g == 0, 1, g)
-    while (div := g % p == 0).any():
-        v, g = v + div, np.where(div, g // p, g)
-    return denom - v
+    v = np.searchsorted(powers, np.gcd(g, powers[-1]))
+    return denom - np.where(g == 0, 1 << 20, v)
 
 
 def _lowest(nums: np.ndarray, denom: int, p: int, floor: int = 0) -> tuple[np.ndarray, int]:
     """(nums' as int64, k) with nums / p^denom = nums' / p^k, k >= floor minimal."""
-    k = max(floor, int(_den_exps(nums.reshape(1, -1), denom, p)[0]))
+    g = int(np.gcd.reduce(nums, axis=None))
+    k = max(floor, denom - int_valuation(g, p)) if g else floor
     nums = nums.astype(np.int64)
-    return (nums // p ** (denom - k) if nums.any() else nums), k
+    return (nums // p ** (denom - k) if g else nums), k
 
 
 def _phase_residues(p: int, mods: np.ndarray, mdenom: int, points: np.ndarray, denom: int):
@@ -70,7 +76,11 @@ def _phase_residues(p: int, mods: np.ndarray, mdenom: int, points: np.ndarray, d
 
 
 def _roots(r: np.ndarray, M: int) -> np.ndarray:
-    """exp(2 pi i r / M) via the correctly rounded r / M: equal fractions, equal values."""
+    """exp(2 pi i r / M) via the correctly rounded r / M: equal fractions, equal values.
+    For residues 0 <= r < M in more than M entries, the M roots are evaluated
+    once, by the same expression, and gathered by r."""
+    if M < r.size:
+        return np.exp(2j * np.pi * (np.arange(M) / M))[r]
     return np.exp(2j * np.pi * (r / M))
 
 
@@ -423,9 +433,11 @@ def sb_allclose(g1: SchwartzBruhatFn, g2: SchwartzBruhatFn, tol: float = 1e-12) 
     values = np.zeros(len(balls), dtype=complex)
     np.add.at(values, ball_of, np.concatenate([g1.coeffs, -g2.coeffs]))
     values, rad = values.tolist(), balls[:, 0].tolist()
-    covered = [Fraction(0)] * len(rad)  # share of each ball's volume its children take
+    top = max(rad, default=0)
+    volume = [p ** (n * (top - e)) for e in rad]  # in units of the smallest ball's
+    covered = [0] * len(rad)  # the volume of each ball its children take
     for b, a in enumerate(parent.tolist()):
         if a >= 0:  # parents precede their children
             values[b] += values[a]
-            covered[a] += Fraction(1, p ** (n * (rad[b] - rad[a])))
-    return all(abs(v) <= tol for v, c in zip(values, covered) if c != 1)
+            covered[a] += volume[b]
+    return all(abs(v) <= tol for v, c, w in zip(values, covered, volume) if c != w)

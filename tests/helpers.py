@@ -449,6 +449,16 @@ def to_schwartz(G: ModulatedSBFn) -> SchwartzBruhatFn:
     return _disjointify(G.prime, G.n, raw, plain=True)
 
 
+def oracle_den_exps(nums: np.ndarray, denom: int, p: int) -> np.ndarray:
+    """`schwartz._den_exps` by one division per power of p: per row of
+    nums / p^denom, the least k with the row in p^-k Z^n (denom - 2^20 for 0)."""
+    g = np.gcd.reduce(nums, axis=-1)
+    v, g = np.where(g == 0, 1 << 20, 0), np.where(g == 0, 1, g)
+    while (div := g % p == 0).any():
+        v, g = v + div, np.where(div, g // p, g)
+    return denom - v
+
+
 # -- seeded Schwartz-Bruhat test data -------------------------------------------
 
 

@@ -8,7 +8,8 @@ for the private attributes of objects: `x._name` on anything but `self`,
 
 No module hands a product to BLAS either: OpenBLAS splits a long dot across
 its threads, so the summation order, and with it the output bits, would
-follow the BLAS thread count.
+follow the BLAS thread count.  And `schwartz` exponentiates in `_roots`
+only, which evaluates each modulus's roots once per call.
 
 The parameter names of everything the package exports are pinned in one
 table, so a keyword added or removed shows as a one-line diff.
@@ -222,6 +223,53 @@ def test_the_check_allows_fixed_order_sums():
         "@dataclass\nclass A:\n    pass"
     )
     assert blas_products(source) == []
+
+
+def exp_uses_outside(source: str, allowed: str) -> list[str]:
+    """The uses of numpy's `exp` in `source` outside the function named `allowed`."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "exp"
+                and ast.unparse(node.value) in ("np", "numpy")):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [alias.name for alias in node.names if alias.name == "exp"]
+    return found
+
+
+def test_schwartz_exponentiates_in_roots_only():
+    source = next(path for path in SOURCES if path.name == "schwartz.py").read_text()
+    assert exp_uses_outside(source, "_roots") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def f(r, M):\n    return np.exp(r / M)",
+        "values = numpy.exp(x)",
+        "f = np.exp\nf(x)",
+        "from numpy import exp",
+        "def _roots(r, M):\n    return r\n\ndef g(x):\n    return np.exp(x)",
+    ],
+)
+def test_the_check_sees_an_exp_outside_roots(source):
+    assert exp_uses_outside(source, "_roots")
+
+
+def test_the_check_allows_exp_inside_roots():
+    source = (
+        "import cmath\n"
+        "def _roots(r, M):\n"
+        "    if M < r.size:\n        return np.exp(np.arange(M) / M)[r]\n"
+        "    return np.exp(r / M)\n"
+        "z = cmath.exp(1j)"
+    )
+    assert exp_uses_outside(source, "_roots") == []
 
 
 # None: an exception class that keeps Exception's own (*args)

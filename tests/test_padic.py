@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,8 @@ class TestPadicMeta:
             PadicRational(3, Fraction(1, 6))
         with pytest.raises(DomainError):
             split_p_part(Fraction(1, 6), 3)
+        with pytest.raises(DomainError):
+            split_p_part(Fraction(1, 2 * 3**1000), 3)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_multiplicativity(self, p):
@@ -65,6 +68,22 @@ class TestPadicMeta:
             assert (ax, vx) == meta_oracle(x, p)
             assert vxy == vx + vy
             assert axy % p**8 == ax * ay % p**8
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 65521])
+    def test_deep_valuations_match_the_oracle(self, p):
+        rng = random.Random(p)
+        for _ in range(100):
+            unit = rng.choice([-1, 1]) * rng.randrange(1, 10**30)
+            x = Fraction(unit * p ** rng.randrange(300), p ** rng.randrange(300))
+            assert meta(x, p) == meta_oracle(x, p)
+
+    def test_a_deep_denominator_takes_logarithmically_many_divisions(self):
+        # one division per power of 3 took 4.4 s; dividing by 3, 3^2, 3^4, ...
+        # takes 0.02 s (2-core x86 host)
+        x = Fraction(2, 3**100000)
+        start = time.perf_counter()
+        assert split_p_part(x, 3) == (2, -100000)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestPadicRational:

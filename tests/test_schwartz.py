@@ -11,14 +11,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import closed_form_transform, frac_part, random_sb, to_schwartz, translated
+from helpers import (
+    closed_form_transform,
+    frac_part,
+    oracle_den_exps,
+    random_sb,
+    to_schwartz,
+    translated,
+)
+from padic_dispersion import schwartz
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball, PadicRational
 from padic_dispersion.polynomials import MODULUS_LIMIT
 from padic_dispersion.schwartz import (
     ModulatedSBFn,
     SchwartzBruhatFn,
+    _den_exps,
     _group_rows,
+    _roots,
     embed,
     fourier_modulated,
     fourier_sb,
@@ -379,3 +389,77 @@ class TestCaps:
         assert sb_allclose(split, unit) is True
         assert sb_allclose(unit, SchwartzBruhatFn.of(3, shells)) is False
         assert time.perf_counter() - start < 1.0
+
+
+class TestKernel:
+    @pytest.mark.parametrize("shape", [(7,), (400,), (6, 9), (20, 50)])
+    @pytest.mark.parametrize("M", [1, 2, 5, 125, 3**7, 2**30])
+    def test_the_root_table_gives_the_direct_bits(self, shape, M):
+        r = np.random.default_rng(M).integers(0, M, size=shape)
+        got = _roots(r, M)
+        assert got.shape == shape
+        assert got.tobytes() == np.exp(2j * np.pi * (r / M)).tobytes()
+
+    def test_every_small_modulus_gives_the_direct_bits(self):
+        rng = np.random.default_rng(5)
+        for M in range(1, 400):
+            r = rng.integers(0, M, size=(3, M // 2 + 1))
+            assert _roots(r, M).tobytes() == np.exp(2j * np.pi * (r / M)).tobytes(), M
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65521, 2**31 - 1])
+    def test_valuations_match_the_loop(self, p):
+        rng = random.Random(p)
+        top = max(k for k in range(64) if p**k < 2**63)
+        rows = [[0, 0], [0, 1], [0, -p], [p**top, 0], [-(p**top), p**top]]
+        for k in range(top + 1):
+            big = (2**63 - 1) // p**k  # |u p^k| <= big p^k stays in int64
+            for _ in range(3):
+                u = rng.randrange(1, big + 1)
+                while u % p == 0:
+                    u = rng.randrange(1, big + 1)
+                rows.append([rng.choice([-1, 1]) * u * p**k, -rng.randrange(big + 1) * p**k])
+        nums = np.array(rows, dtype=np.int64)
+        for denom in (0, 7):
+            assert np.array_equal(_den_exps(nums, denom, p), oracle_den_exps(nums, denom, p))
+        assert _den_exps(nums[:5], 7, p).tolist() == [7 - 2**20, 7, 6, 7 - top, 7 - top]
+        small = nums[np.abs(nums).max(axis=1) < 2**31].astype(np.int32)
+        assert np.array_equal(_den_exps(small, 0, p), oracle_den_exps(small, 0, p))
+
+    def test_the_int64_edge_at_p_2(self):
+        nums = np.array([[2**62, 0], [-(2**62), 2**62], [2**62 + 2**61, 0], [2**63 - 1, 0]])
+        assert _den_exps(nums, 0, 2).tolist() == [-62, -62, -61, 0]
+
+    def test_allclose_counts_coverage_exactly_thirty_levels_down(self):
+        # Z_2^2 as three of its four children per level down to 2^30 Z_2^2,
+        # whose four children at radius 30 fill it exactly
+        p = 2
+        unit = SchwartzBruhatFn.indicator(Ball.of(p, [0, 0], 0))
+        shells = [(Ball.of(p, [a * p ** (k - 1), b * p ** (k - 1)], k), 1.0)
+                  for k in range(1, 31) for a, b in ((0, 1), (1, 0), (1, 1))]
+        last = (Ball.of(p, [0, 0], 30), 1.0)
+        assert sb_allclose(unit, SchwartzBruhatFn.of(p, shells + [last])) is True
+        assert sb_allclose(SchwartzBruhatFn.of(p, shells + [last]), unit) is True
+        assert sb_allclose(unit, SchwartzBruhatFn.of(p, shells)) is False
+        assert sb_allclose(SchwartzBruhatFn.of(p, shells), unit) is False
+
+    def test_a_round_trip_evaluates_each_root_once_per_call(self, monkeypatch):
+        # the benchmark's shape p = 5, n = 1, radii (1, 2)
+        g = SchwartzBruhatFn.of(5, [(Ball.of(5, [Fraction(7, 5)], 1), 1 - 2j),
+                                    (Ball.of(5, [Fraction(-3, 25)], 2), 0.5 + 1j)])
+        calls, exp, roots = [], np.exp, schwartz._roots
+
+        def counting_exp(x, *args, **kwargs):
+            calls[-1][2] += np.size(x)
+            return exp(x, *args, **kwargs)
+
+        def counting_roots(r, M):
+            calls.append([M, np.size(r), 0])
+            return roots(r, M)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        monkeypatch.setattr(schwartz, "_roots", counting_roots)
+        back = inverse_fourier_sb(fourier_sb(g))
+        monkeypatch.undo()
+        assert sb_allclose(g, back)
+        assert all(evaluated <= min(M, entries) for M, entries, evaluated in calls), calls
+        assert any(M < entries for M, entries, _ in calls)  # the table is used
