@@ -55,6 +55,7 @@ from .surface import (
     GraphHypersurface,
     SurfaceDecayTable,
     decay_table,
+    ray_values,
     restriction_ratio,
     surface_ft,
     zeta_kernel,

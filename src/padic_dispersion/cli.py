@@ -8,8 +8,8 @@ Commands
     strichartz  truncated L^sigma norm / ratio series
 
 expsum and surface evaluate each level's sum once; the table, the decay fit
-and the certificate all read that one table of values, and expsum evaluates
-its levels together, expanding each node of the stationary-phase recursion once.
+and the certificate all read that one table of values, and both evaluate
+their levels together, expanding each node of the stationary-phase recursion once.
 
 Exact rationals are serialised as "num/den" strings, complex values as
 [re, im] doubles.  Output bytes are identical across runs.  --threads (or
@@ -64,8 +64,8 @@ from .schwartz import SchwartzBruhatFn, l2_norm
 from .surface import (
     GraphHypersurface,
     decay_table,
+    ray_values,
     restriction_ratio,
-    surface_ft,
     zeta_kernel,
     zeta_kernel_numeric,
 )
@@ -292,10 +292,7 @@ def _run_surface(cfg: JobConfig) -> dict:
     Y = GraphHypersurface(phi, window)
     lo, hi = cfg.k_range if cfg.k_range else (1, 6)
     direction = (0,) * (n - 1) + (1,)
-    values = {}
-    for k in range(lo, hi + 1):
-        xi = (Fraction(0),) * (n - 1) + (Fraction(1, cfg.prime**k),)
-        values[k] = surface_ft(Y, xi, cap=cfg.cap)
+    values = ray_values(Y, direction, range(lo, hi + 1), cap=cfg.cap)
     dt = decay_table(Y, values)
     out = {
         "phi": str(phi),
@@ -331,10 +328,9 @@ def _run_surface(cfg: JobConfig) -> dict:
 
 def _zeta_check(p: int, e0: int = 1) -> dict:
     z = np.array([complex(0.1 * i, 0.3 * math.sin(i)) for i in range(1, 21)])
-    worst = 0.0
-    for xn in (Fraction(1, p), Fraction(1), Fraction(p), Fraction(p * p)):
-        diff = zeta_kernel(z, xn, e0, p) - zeta_kernel_numeric(z, xn, e0, p)
-        worst = max(worst, float(np.abs(diff).max()))
+    xs = [Fraction(1, p), Fraction(1), Fraction(p), Fraction(p * p)]
+    closed = np.array([zeta_kernel(z, xn, e0, p) for xn in xs])
+    worst = float(np.abs(closed - zeta_kernel_numeric(z, xs, e0, p)).max())
     return {"e0": e0, "grid_points": len(z), "max_diff": worst}
 
 

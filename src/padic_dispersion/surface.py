@@ -3,9 +3,9 @@ decay tables, L^rho restriction ratios, and the zeta_z interpolation kernel.
 
 A window S (a ball in K^n) induces the measure |dx_1|...|dx_{n-1}| on the
 graph over the projected window S'; every integral reduces to an oscillatory
-ball integral handled by the exp-sums engine.  `decay_table` evaluates no
-transform: it reads a table {k: hat(d mu_Y)(p^-k * direction)} that the
-caller evaluates once.
+ball integral handled by the exp-sums engine.  `ray_values` evaluates a
+table {k: hat(d mu_Y)(p^-k * direction)} in one `expsums.evaluate` call,
+and `decay_table` evaluates no transform: it reads that table.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .expsums import character_sum, fit_line
+from .expsums import ExpSumResult, character_sum, evaluate, fit_line
 from .newton import has_nonzero_common_zero
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
 from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
@@ -82,16 +82,8 @@ def _critical_status(phi: SparsePolynomial, p: int) -> str:
     return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
 
-def surface_ft(
-    Y: GraphHypersurface,
-    xi: Sequence,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> complex:
-    """hat(d mu_Y)(xi) = int_{S'} Psi(-xi_n phi(x') - [x', xi']) dx'.
-
-    At xi = 0 this returns the measure of the windowed graph, vol(S').
-    """
+def _transform(Y: GraphHypersurface, xi: Sequence, cap: int) -> ExpSumResult:
+    """hat(d mu_Y)(xi) as its unevaluated ball integral."""
     p = Y.prime
     comps = [PadicRational(p, x).as_fraction() for x in xi]
     if len(comps) != Y.ambient_dim:
@@ -102,7 +94,38 @@ def surface_ft(
         if c:
             key = tuple(1 if j == i else 0 for j in range(m))
             phase[key] = phase.get(key, Fraction(0)) - c
-    return character_sum(phase, Y.base_window, cap=cap).value
+    return character_sum(phase, Y.base_window, cap=cap)
+
+
+def surface_ft(
+    Y: GraphHypersurface,
+    xi: Sequence,
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> complex:
+    """hat(d mu_Y)(xi) = int_{S'} Psi(-xi_n phi(x') - [x', xi']) dx'.
+
+    At xi = 0 this returns the measure of the windowed graph, vol(S').
+    """
+    return _transform(Y, xi, cap).value
+
+
+def ray_values(
+    Y: GraphHypersurface,
+    direction: Sequence,
+    levels: Iterable[int],
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> dict[int, complex]:
+    """{k: hat(d mu_Y)(p^-k * direction)} for k in levels, the table that
+    `decay_table` reads.  The levels are evaluated together from one
+    recursion memo, so a node that several levels reach is expanded once,
+    and their work is counted together against `cap`."""
+    p = Y.prime
+    comps = [PadicRational(p, c).as_fraction() for c in direction]
+    sums = {k: _transform(Y, [c / p**k for c in comps], cap) for k in levels}
+    evaluate(sums.values())
+    return {k: res.value for k, res in sums.items()}
 
 
 def remark_family_exponent(phi: SparsePolynomial) -> Fraction | None:
@@ -246,7 +269,7 @@ def zeta_kernel(
 
 def zeta_kernel_numeric(
     z: complex | np.ndarray,
-    x_n: PadicRational | Fraction | int,
+    x_n: PadicRational | Fraction | int | Sequence,
     e0: int,
     p: int,
 ) -> complex | np.ndarray:
@@ -257,21 +280,25 @@ def zeta_kernel_numeric(
     geometric tail is truncated below ZETA_TAIL_TOL.  Each term is one
     exponential, so a small Re(z) does not overflow.  z may be an array of
     points: the terms form one (point, shell) matrix, each row cut at its
-    own truncation.
+    own truncation.  x_n may be a sequence of points too: the matrix does
+    not depend on x_n, so it is built once, and the values have shape
+    (x_n points, z points), each row that of the one-point call.
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
     z = np.asarray(z, dtype=complex)
     if (z.real <= 0).any():
         raise DomainError("numeric mode needs Re(z) > 0")
-    x_n = PadicRational(p, x_n)
-    t = -math.inf if x_n.is_zero else -x_n.val  # |x_n| = p^t
+    xs = np.asarray(x_n, dtype=object)
+    points = [PadicRational(p, x) for x in xs.flat]
+    t = np.array([-math.inf if x.is_zero else -x.val for x in points])  # |x_n| = p^t
     logp = math.log(p)
     last = e0 + np.maximum(2, np.ceil((-math.log(ZETA_TAIL_TOL) + 4) / (z.real * logp)))
     j = np.arange(e0, int(last.max(initial=e0)) + 1)
     # int_{|y| <= p^-j} Psi(x_n y) dy = p^-j if |x_n| <= p^j else 0, so the
     # shell |y| = p^-j integrates to (p - 1) p^-(j+1) for t <= j, to
     # -p^-(j+1) for t = j + 1 and to 0 beyond
+    t = t.reshape(xs.shape + (1,) * (z.ndim + 1))
     weight = np.where(j >= t, p - 1.0, np.where(j + 1 == t, -1.0, 0.0))
     kept = j <= last[..., None]  # each point's own truncation
     arg = -(np.multiply.outer(z, j) + 1) * logp  # p^(-j(z-1)) p^-(j+1) = e^arg

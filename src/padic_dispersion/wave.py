@@ -14,14 +14,16 @@ phi's terms of degree >= 2, Phi(k) mod p^s, per level and denominator
 valuation share, and adds the linear terms in integers.  The spectrum is
 F(f0 / 2^k), k from an exact bound on ||f0||_1.  The complex exponentials
 come last, in fixed-order sums (never BLAS) over values scaled by a power of
-two so that no sum overflows.  A solution grid is one inverse FFT of the
-binned cells, whose x axes are transformed only on the t rows that hold a
-cell.  Truncated L^sigma norms over growing boxes stand in for the full
-space-time norms; their increments decide convergence.
+two so that no sum overflows or loses bits below the normal range.  A
+solution grid is one inverse FFT of the binned cells, whose x axes are
+transformed only on the t rows that hold a cell.  Truncated L^sigma norms
+over growing boxes stand in for the full space-time norms; their increments
+decide convergence.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,8 +52,9 @@ class SolutionSpec:
     freq_bound e: supp(F f0) lies in ||xi|| <= p^e, so u(., t) is locally
     constant at scale p^-e.  phase_bound e': |phi(xi)| <= p^e' on the
     spectrum, so u(x, .) is locally constant at scale p^-e'.  spectrum holds
-    F(f0 2^-spectrum_exp), spectrum_exp >= 0 taken from an exact bound on
-    ||f0||_1, and every cell sum scales back by 2^spectrum_exp.
+    F(f0 2^-spectrum_exp), spectrum_exp taken from an exact bound on
+    ||f0||_1 (negative only when that bound is below the normal float range),
+    and every cell sum scales back by 2^spectrum_exp.
     """
 
     f0: SchwartzBruhatFn
@@ -69,7 +72,7 @@ class SolutionSpec:
         if phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
         k = _spectrum_exp(f0)
-        spectrum = fourier_sb(f0.scaled(2.0**-k) if k else f0, -1)
+        spectrum = fourier_sb(_halved(f0, k), -1)
         e = spectrum.support_bound
         ep = max(
             -split_p_part(c, f0.prime)[1] + e * sum(exps)
@@ -123,14 +126,28 @@ def _spectrum_exp(f0: SchwartzBruhatFn) -> int:
     B = sum_i (|Re c_i| + |Im c_i|) vol(B_i) >= ||f0||_1 bounds every real and
     imaginary part of F f0 and the margin covers the float rounding of the
     transform.  k > 1023 (2^1023 is the largest power of two a float holds)
-    is refused."""
+    is refused.  A B below the normal range, 0 < B < 2^-1022, gives
+    k = floor(log2 B) < 0 instead, so that B / 2^k lies in [1, 2) and no
+    value of F(f0 / 2^k) is subnormal; k stops at -1074, the least power of
+    two a float holds."""
     if np.isfinite(f0.coeffs).all():
         B = sum((Fraction(abs(c.real)) + Fraction(abs(c.imag))) * ball.volume
                 for ball, c in f0.terms)
+        if 0 < B < Fraction(1, 2**1022):
+            k = B.numerator.bit_length() - B.denominator.bit_length()
+            return max(-1074, k if Fraction(2) ** k <= B else k - 1)
         k = int(B * (1 + Fraction(1, 2**30)) / 2**1024).bit_length()
         if k <= 1023:
             return k
     raise DomainError("the spectrum of f0 leaves the float range")
+
+
+def _halved(f0: SchwartzBruhatFn, k: int) -> SchwartzBruhatFn:
+    """f0 / 2^k.  For k < 0 the factor 2^-k, up to 2^1074, is applied in two
+    float halves; each product is exact, as f0's bound is then subnormal."""
+    if k >= 0:
+        return f0.scaled(2.0**-k) if k else f0
+    return f0.scaled(2.0 ** (-k // 2)).scaled(2.0 ** (-k - -k // 2))
 
 
 def _freq_cells(
@@ -153,7 +170,8 @@ def _scaled(spec: SolutionSpec, vals: np.ndarray, linear):
     """linear(2^spec_exp vals) as linear(vals / 2^k) * 2^(k + spec_exp), with
     k >= 0 the least that brings every real and imaginary part of vals below 2:
     no sum inside overflows, and powers of two scale exactly, so the bits do not
-    change.  A result past the float range is refused."""
+    change (a spec_exp < 0 rounds the result once, into the subnormal range).
+    A result past the float range is refused."""
     k = max(0, math.frexp(float(np.abs(vals.view(float)).max(initial=0)))[1] - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = linear(vals * 2.0**-k if k else vals)
@@ -307,7 +325,7 @@ class SolutionGrid:
     R: int
     n: int
     prime: int
-    values: np.ndarray
+    values: np.ndarray  # read-only
     x_cell_vol: float  # volume of one full n-dimensional x cell
     t_cell_vol: float
 
@@ -359,6 +377,7 @@ def solution_grid(
         bins *= bins.size * vol
         return bins
     values = _scaled(spec, vals, binned_ifft).reshape(nt, N**n)
+    values.setflags(write=False)
     axis_vol = float(Fraction(p) ** R) / N
     t_vol = float(Fraction(p) ** R) / nt
     return SolutionGrid(R, n, p, values, axis_vol**n, t_vol)
@@ -383,7 +402,8 @@ def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
     each axis; u is refinement-stable, so the restriction is exact.  A cell
     wider than the sub-box holds it whole, so it counts with the sub-box's
     width.  The powers are taken of |u| / max |u|, so no sigma overflows or
-    underflows them all.
+    underflows them all; they are taken in place on the one full-size
+    temporary, the |u| of the sub-box, and the grid is never written.
     """
     if not sigma > 0:  # refuses nan; inf is the L^inf norm
         raise DomainError("sigma must be > 0")
@@ -397,8 +417,10 @@ def _masked_norm(grid: SolutionGrid, sigma: float, R: int) -> float:
         return top
     box = float(Fraction(grid.prime) ** R)
     weights = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
+    sub /= top
     with np.errstate(over="ignore"):  # a power or a product past the float range is inf
-        norm = top * np.float64(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma)
+        sub **= sigma
+        norm = top * np.float64(np.sum(sub) * weights) ** (1.0 / sigma)
     if norm == math.inf:
         raise DomainError(f"the norm leaves the float range at sigma = {sigma}")
     return float(norm)
@@ -424,7 +446,10 @@ def strichartz_report(
     """Truncated-norm series R = 0..R_max with a convergence diagnosis.
 
     The increments are ratio(R)^sigma - ratio(R-1)^sigma with
-    ratio = norm / ||f0||_2, so they do not change when f0 is scaled; for
+    ratio = norm / ||f0||_2, so they do not change when f0 is scaled: the
+    norms are taken of u / 2^spectrum_exp, the solution for f0 / 2^spectrum_exp,
+    whose grid neither overflows nor loses bits below the normal range, and
+    each ratio is read before its norm is scaled back.  For
     sigma = inf they are ratio(R) - ratio(R-1), and a power beyond the float
     range is refused.  Converging means they are non-increasing; the divergence
     flag fires when they fail to shrink below SHRINK_THRESHOLD times the step
@@ -432,10 +457,15 @@ def strichartz_report(
     """
     if R_max < 1:
         raise DomainError("R_max must be >= 1")
+    k = spec.spectrum_exp
+    if k:
+        spec = dataclasses.replace(spec, f0=_halved(spec.f0, k), spectrum_exp=0)
     grid = solution_grid(spec, R_max, cap=cap)
     base = l2_norm(spec.f0)
     norms = [_masked_norm(grid, sigma, R) for R in range(R_max + 1)]
-    rows = tuple((R, norm, norm / base) for R, norm in enumerate(norms))
+    rows = tuple((R, norm * 2.0**k, norm / base) for R, norm in enumerate(norms))
+    if any(norm == math.inf for _, norm, _ in rows):
+        raise DomainError(f"the norm leaves the float range at sigma = {sigma}")
     power = 1.0 if sigma == math.inf else sigma  # ratio^inf is 0, 1 or inf
     try:
         powers = [ratio**power for _, _, ratio in rows]

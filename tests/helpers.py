@@ -33,7 +33,7 @@ from padic_dispersion.schwartz import (
     fourier_sb,
     lp_norm,
 )
-from padic_dispersion.surface import GraphHypersurface, surface_ft
+from padic_dispersion.surface import GraphHypersurface, ray_values  # noqa: F401 (re-exported)
 
 
 def frac_part(q: Fraction) -> Fraction:
@@ -627,9 +627,24 @@ def oracle_masked_norm(grid, sigma: float, R: int) -> float:
     return total ** (1.0 / sigma)
 
 
+def out_of_place_masked_norm(grid, sigma: float, R: int) -> float:
+    """`wave._masked_norm` as it was before its passes went in place: the
+    quotient |u| / max |u| and its power are each a fresh array."""
+    stride = (slice(None, None, grid.prime ** (grid.R - R)),) * (grid.n + 1)
+    sub = np.abs(grid.values.reshape(grid.shape)[stride])
+    top = float(sub.max())
+    if sigma == math.inf or top == 0:
+        return top
+    box = float(Fraction(grid.prime) ** R)
+    weights = min(grid.x_cell_vol, box**grid.n) * min(grid.t_cell_vol, box)
+    with np.errstate(over="ignore"):
+        return float(top * np.float64(np.sum((sub / top) ** sigma) * weights) ** (1.0 / sigma))
+
+
 # -- value tables read by the analysis functions --------------------------------
 # These call the library's evaluators (they are inputs, not oracles): the fits,
 # certificates and decay tables take such a table instead of evaluating sums.
+# `ray_values` is the library's own table of surface transforms, imported above.
 
 
 def expsum_values(f: SparsePolynomial, ball: Ball, levels) -> dict[int, complex]:
@@ -637,11 +652,6 @@ def expsum_values(f: SparsePolynomial, ball: Ball, levels) -> dict[int, complex]
     p = ball.prime
     return {m: exp_sum(f, Fraction(1, p**m), ball).value for m in levels}
 
-
-def ray_values(Y: GraphHypersurface, direction, levels) -> dict[int, complex]:
-    """{k: hat(d mu_Y)(p^-k * direction)} for k in levels."""
-    p = Y.prime
-    return {k: surface_ft(Y, [Fraction(c, p**k) for c in direction]) for k in levels}
 
 
 def x1_x2_work(m: int) -> int:

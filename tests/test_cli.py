@@ -26,6 +26,8 @@ from padic_dispersion.cli import (
     main,
     parse_ball_list,
 )
+from padic_dispersion.padic import Ball
+from padic_dispersion.polynomials import parse_polynomial
 
 
 def run_cli(tmp_path, argv, name="out.bin"):
@@ -274,6 +276,34 @@ class TestEachSumEvaluatedOnce:
         assert {(5, local, m) for local in ((((2,), 1),), (((3,), 4),)) for m in range(1, 9)} <= set(nodes)
         assert [tuple(local) for local in scans] == [(((2,), 1),), (((3,), 4),)]
 
+    SURFACE = ["surface", "--prime", "7", "--phi", "x^3", "--k", "1..7"]
+
+    def test_a_surface_table_expands_each_node_once(self, tmp_path, monkeypatch):
+        nodes, edges = [], expsums._edges
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
+        assert run_cli(tmp_path, self.SURFACE)[0] == EXIT_OK
+        # level k reaches level k - 3 through its stationary class 0: the
+        # seven levels are seven nodes of one walk
+        assert len(nodes) == len(set(nodes)) == 7
+
+    def test_a_surface_table_counts_its_work_against_one_cap(self, tmp_path, monkeypatch):
+        totals, charge = [], expsums._charge
+
+        def recording(work, *args):
+            charge(work, *args)
+            totals.append(work[0])
+
+        monkeypatch.setattr(expsums, "_charge", recording)
+        assert run_cli(tmp_path, self.SURFACE)[0] == EXIT_OK
+        monkeypatch.undo()
+        work = totals[-1]
+        assert run_cli(tmp_path, self.SURFACE + ["--cap", str(work - 1)], "low.bin")[0] == EXIT_RESOURCE
+        assert run_cli(tmp_path, self.SURFACE + ["--cap", str(work)], "at.bin")[0] == EXIT_OK
+        # each level alone fits below the table's work: the cap counts them together
+        Y = surface.GraphHypersurface(parse_polynomial("x^3"), Ball.of(7, [0, 0], 0))
+        for k in range(1, 8):
+            surface.surface_ft(Y, (0, Fraction(1, 7**k)), cap=work - 1)
+
 
 class TestSolveCommand:
     def test_solve_fields(self, tmp_path):
@@ -416,6 +446,17 @@ class TestStrichartzCommand:
     def test_two_dimensional_grid_over_the_cap(self, tmp_path):
         code, _ = run_cli(tmp_path, self.TWO_D + ["--cap", "10000"])
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("coeff", ["1e-310", "1e-320"])
+    def test_subnormal_coefficients_keep_the_unit_ratios(self, tmp_path, coeff):
+        argv = ["strichartz", "--prime", "3", "--phi", "x^2", "--sigma", "6", "--rmax", "2",
+                "--f0"]
+        unit = json.loads(run_cli(tmp_path, argv + ["1 * ball 0 0"])[1])["results"]
+        code, out = run_cli(tmp_path, argv + [f"{coeff} * ball 0 0"], "tiny.bin")
+        assert code == EXIT_OK
+        rows = json.loads(out)["results"]["rows"]
+        assert rows[0]["ratio"] == 1.0
+        assert all(abs(r["ratio"] - u["ratio"]) <= 1e-12 for r, u in zip(rows, unit["rows"]))
 
     UNIT = ["strichartz", "--prime", "3", "--phi", "x^2", "--rmax", "2", "--f0", "ball 0 0"]
 

@@ -319,6 +319,7 @@ EXPORTED_PARAMETERS = {
     "nondegeneracy_mod_p": ("f", "P", "p", "cap"),
     "parse_polynomial": ("text", "nvars"),
     "quasi_homogeneous_detect": ("f", "bound"),
+    "ray_values": ("Y", "direction", "levels", "cap"),
     "residue_histogram": ("f", "m", "ball", "cap"),
     "restriction_ratio": ("g", "Y", "rho", "beta_phi", "cap"),
     "sb_allclose": ("g1", "g2", "tol"),

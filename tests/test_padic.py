@@ -13,7 +13,13 @@ from padic_dispersion.expsums import exp_sum
 from padic_dispersion.padic import Ball, PadicRational, RootOfUnity, character, split_p_part
 from padic_dispersion.polynomials import parse_polynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn
-from padic_dispersion.surface import GraphHypersurface, surface_ft, zeta_kernel, zeta_kernel_numeric
+from padic_dispersion.surface import (
+    GraphHypersurface,
+    ray_values,
+    surface_ft,
+    zeta_kernel,
+    zeta_kernel_numeric,
+)
 from padic_dispersion.wave import SolutionSpec, solve_u, windowed_spectrum
 
 
@@ -183,6 +189,7 @@ PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
         lambda a: character(a, 3),
         lambda a: exp_sum(parse_polynomial("x^2"), a, Ball.of(3, [0], 0)),
         lambda a: surface_ft(PARABOLA3, (0, a)),
+        lambda a: ray_values(PARABOLA3, (0, a), [1]),
         lambda a: solve_u(SPEC3, (a,), 0),
         lambda a: solve_u(SPEC3, (0,), a),
         lambda a: windowed_spectrum(SPEC3, (a,), 0, 1),
@@ -190,7 +197,7 @@ PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
         lambda a: zeta_kernel(0.5, a, 1, 3),
         lambda a: zeta_kernel_numeric(0.5, a, 1, 3),
     ],
-    ids=["character", "exp_sum-z", "surface_ft-xi", "solve_u-x", "solve_u-t",
+    ids=["character", "exp_sum-z", "surface_ft-xi", "ray_values-direction", "solve_u-x", "solve_u-t",
          "windowed_spectrum-xi", "windowed_spectrum-tau", "zeta_kernel", "zeta_kernel_numeric"],
 )
 def test_scalar_of_another_prime_is_refused_at_p_3(call, a):

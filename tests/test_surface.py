@@ -10,11 +10,10 @@ from helpers import (
     oracle_restriction_ratio,
     oracle_surface_ft,
     random_sb,
-    ray_values,
     translated,
 )
 from padic_dispersion import schwartz
-from padic_dispersion.cli import _random_sb
+from padic_dispersion.cli import _random_sb, _zeta_check
 from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
@@ -22,6 +21,7 @@ from padic_dispersion.schwartz import SchwartzBruhatFn, fourier_sb
 from padic_dispersion.surface import (
     GraphHypersurface,
     decay_table,
+    ray_values,
     remark_family_exponent,
     restriction_ratio,
     restriction_rho_bound,
@@ -110,6 +110,30 @@ class TestDecayTables:
         assert dt.degree_bound == 3
         assert dt.reciprocal_bound == Fraction(1, 3)
         assert dt.expected is None and dt.consistent is None
+
+
+class TestRayValues:
+    CASES = [
+        ("x^2", Ball.of(3, [0, 0], 0), (0, 1)),
+        ("x^3", Ball.of(7, [0, 0], 0), (0, 1)),
+        ("x^3", Ball.of(2, [0, 0], 0), (1, 3)),
+        ("x1^2+2*x2^3", Ball.of(5, [0, 0, 0], 0), (0, 0, 1)),
+        ("x1*x2+x2^2", Ball.of(3, [1, Fraction(1, 3), 0], 1), (Fraction(1, 3), 0, 2)),
+        ("x^4", Ball.of(3, [Fraction(1, 3), 0], -1), (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("phi, window, direction", CASES)
+    def test_a_table_gives_each_level_the_bits_of_its_own_transform(self, phi, window, direction):
+        Y = GraphHypersurface(parse_polynomial(phi), window)
+        p = Y.prime
+        table = ray_values(Y, direction, range(0, 10))
+        assert list(table) == list(range(0, 10))
+        for k, value in table.items():
+            assert repr(value) == repr(surface_ft(Y, [Fraction(c) / p**k for c in direction]))
+
+    def test_the_direction_is_checked(self):
+        with pytest.raises(DomainError):
+            ray_values(PARABOLA, (0, 0, 1), range(1, 3))
 
 
 class TestRestriction:
@@ -295,6 +319,21 @@ class TestZetaKernel:
                 assert abs(a - b) < 1e-13
         with pytest.raises(DomainError):  # one point with Re(z) <= 0 refuses all
             zeta_kernel_numeric(np.append(z, -1), 1, 1, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_a_sequence_of_x_n_gives_each_one_point_row(self, p):
+        z = np.array([complex(0.1 * i, 0.3 * math.sin(i)) for i in range(1, 21)])
+        xs = [Fraction(1, p), Fraction(1), Fraction(p), Fraction(p * p)]
+        rows = zeta_kernel_numeric(z, xs, 1, p)
+        assert rows.shape == (len(xs), len(z))
+        for row, xn in zip(rows, xs):
+            assert row.tobytes() == zeta_kernel_numeric(z, xn, 1, p).tobytes()
+        # the CLI self-check reads the maximum of one call per x_n
+        worst = max(
+            float(np.abs(zeta_kernel(z, xn, 1, p) - zeta_kernel_numeric(z, xn, 1, p)).max())
+            for xn in xs
+        )
+        assert repr(_zeta_check(p)["max_diff"]) == repr(worst)
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ from helpers import (
     oracle_masked_norm,
     oracle_solution,
     oracle_windowed_spectrum,
+    out_of_place_masked_norm,
     random_sb,
 )
 from padic_dispersion import wave
@@ -270,6 +271,23 @@ class TestSolveU:
             SolutionSpec.build(g, parse_polynomial("x1*x2" if f0.n == 2 else "x^3"))
         assert len(calls) == 2 * (len(self.PAST_RANGE) + 1)
 
+    @pytest.mark.parametrize("c", [2.0**-1022 / 3, 1e-310, 1e-320, 5e-324])
+    def test_a_subnormal_bound_scales_the_spectrum_up(self, c):
+        # B = |c| vol < 2^-1022: F(f0 / 2^k) with B / 2^k in [1, 2) keeps every bit
+        for radius in (0, 1):
+            f0 = SchwartzBruhatFn.indicator(Ball.of(3, [0], radius), c)
+            spec = SolutionSpec.build(f0, parse_polynomial("x^2"))
+            bound, k = Fraction(c) * Fraction(1, 3**radius), spec.spectrum_exp
+            two = Fraction(2)
+            assert two**k <= bound < two ** (k + 1) or k == -1074 and bound < two**k
+            assert 2.0**-1022 <= np.abs(spec.spectrum.coeffs).max() < 2.0
+            assert solve_u(spec, (0,), 0) == c  # u(x, 0) = f0(x) exactly
+
+    def test_a_bound_at_the_normal_range_keeps_its_spectrum(self):
+        f0 = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), 2.0**-1022)
+        spec = SolutionSpec.build(f0, parse_polynomial("x^2"))
+        assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0, -1)
+
     def test_in_range_data_keep_their_spectrum(self):
         rng = random.Random(11)
         for _ in range(40):
@@ -414,6 +432,44 @@ class TestBox:
     def test_sub_box_beyond_the_grid_is_refused(self):
         with pytest.raises(DomainError):
             wave._masked_norm(solution_grid(GAUSS, 1), 2.0, 2)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 6.0, math.inf])
+    def test_in_place_passes_give_the_out_of_place_bits(self, sigma):
+        rng = random.Random(93)
+        norms = 0
+        for _ in range(30):
+            spec, _ = seeded_box_spec(rng)
+            try:
+                grid = solution_grid(spec, rng.randint(1, 3), cap=20000)
+            except ResourceCapError:
+                continue
+            for R in range(grid.R + 1):
+                got = wave._masked_norm(grid, sigma, R)
+                assert repr(got) == repr(out_of_place_masked_norm(grid, sigma, R))
+                norms += 1
+        assert norms >= 40
+
+    def test_the_grid_is_read_only(self):
+        grid = solution_grid(GAUSS, 2)
+        with pytest.raises(ValueError):
+            grid.values[0, 0] = 0
+        with pytest.raises(ValueError):
+            grid.values.reshape(grid.shape)[0] /= 2
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 6.0, math.inf])
+    def test_a_report_leaves_its_grid_unchanged(self, monkeypatch, sigma):
+        grids, original = [], wave.solution_grid
+
+        def recording(*args, **kwargs):
+            grid = original(*args, **kwargs)
+            grids.append((grid, grid.values.tobytes()))
+            return grid
+
+        monkeypatch.setattr(wave, "solution_grid", recording)
+        strichartz_report(GAUSS, sigma, 3)
+        assert len(grids) == 1
+        grid, before = grids[0]
+        assert grid.values.tobytes() == before
 
 
 class TestSolutionGrid:
@@ -566,6 +622,19 @@ class TestStrichartz:
             assert abs(norm - c * want) <= 1e-12 * c * want
         for got, want in zip(rep.increments, unit.increments):
             assert abs(got - want) <= 1e-12 * abs(want)
+        assert (rep.converged, rep.diverged) == (unit.converged, unit.diverged)
+
+    @pytest.mark.parametrize("c", [1e-310, 1e-320])
+    def test_subnormal_data_keep_the_unit_ratios(self, c):
+        # the norms are taken before they are scaled back into the subnormal range
+        f0 = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), c)
+        rep = strichartz_report(SolutionSpec.build(f0, parse_polynomial("x^2")), 6.0, 2)
+        unit = strichartz_report(GAUSS, 6.0, 2)
+        assert rep.rows[0][2] == 1.0
+        for (_, _, ratio), (_, _, want) in zip(rep.rows, unit.rows):
+            assert abs(ratio - want) <= 1e-12
+        for got, want in zip(rep.increments, unit.increments):
+            assert abs(got - want) <= 1e-12
         assert (rep.converged, rep.diverged) == (unit.converged, unit.diverged)
 
     @pytest.mark.parametrize("radius", [-2, -1, 0, 1])
