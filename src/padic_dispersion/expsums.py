@@ -16,11 +16,11 @@ p and needs no MODULUS_LIMIT; a zero is decided exactly and every other mean
 is one fixed-order sum.  `evaluate` values a level table with one memo, and
 `value` is its one-result call; the cap counts the work as it is done.
 
-Counts are built on demand, and only they are bound by MODULUS_LIMIT and
-int64: `dense`, `counts` and `residue_histogram` scan each distinct block's
-half-level grid in slabs of at most _CHUNK points (`_block_counts`) and
-combine the columns by exact FFT convolution in integer limbs (`_combine`).
-`polynomials.poly_residues` evaluates both kinds of mesh.
+Counts are built on demand from the same nodes (`_counts`; `_edges` is the
+one Hensel split), and only they are bound by MODULUS_LIMIT and int64:
+`dense`, `counts` and `residue_histogram` read one column per distinct block
+and combine the columns by exact FFT convolution in integer limbs
+(`_combine`).
 
 `decay_fit` and `stationary_certificate` evaluate no sum: they read a table
 {m: E_A(p^-m, f)} that the caller evaluates once.
@@ -52,12 +52,10 @@ from .polynomials import Exponents, SparsePolynomial, checked_modulus, compose_a
 from .polynomials import lattice_form, poly_residues
 
 _CHUNK = 1 << 22
-# np.add.at costs about as much per entry it updates as this many entries of a
-# broadcast add, so a class of grid points is scattered only when it is sparse
-_SCATTER_COST = 32
-# a value's work in mesh points (`_edges`, `_tally`, `_charge`): a node, a term it evaluates on
-# its mesh or a stationary class costs _NODE_COST, a term formed or tally entry merged _TERM_COST;
-# of the phases tried on a 2-core host, none took over about 80 ns a unit (8 s at the default cap)
+# work in mesh points (`_edges`, `_tally`, `_counts`, `_charge`): a node, a term it evaluates on
+# its mesh or a stationary class costs _NODE_COST, a term formed or tally entry merged _TERM_COST,
+# a count entry 1; of the values tried on a 2-core host, none took over about 80 ns a unit (8 s
+# at the default cap)
 _NODE_COST = 1200
 _TERM_COST = 30
 # every FFT product of a count limb with a column stays below 2^_FFT_BITS, far
@@ -249,13 +247,6 @@ def _distinct_blocks(terms: Mapping[Exponents, int]) -> dict[tuple, list[tuple[i
     return kinds
 
 
-def _grid(p: int, level: int) -> tuple[int, int]:
-    """(fine, side) of a block read mod p^L, L = level: y = a + p^k b with a
-    on the grid [0, side = p^k)^d, k = ceil(L/2), and b mod p^fine, fine =
-    L - k."""
-    return level // 2, p ** (level - level // 2)
-
-
 def _mesh(d: int, side: int) -> Iterator[list]:
     """[0, side)^d in slabs of at most _CHUNK points, as broadcast coordinates:
     the fewest leading variables that leave at most _CHUNK points are fixed,
@@ -276,55 +267,26 @@ def _gradient(h: Sequence) -> list[list]:
     return [[(e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in h if e[i]] for i in range(d)]
 
 
-def _slabs(local: Sequence, p: int, side: int, fine: int) -> Iterator[tuple[list, np.ndarray]]:
-    """The `_mesh` slabs of [0, side)^d with p^j = gcd(p^fine, grad h(a)) over
-    each, h = `local` in its d variables: h(a + p^k b) = h(a) + p^k grad
-    h(a).b mod p^L, fine = L - k, as each h^(alpha)/alpha! is integral and
-    p^(2k) = 0 mod p^L.  The caller evaluates h where it reads it."""
-    grads = _gradient(local) if fine else []
-    for coords in _mesh(len(local[0][0]), side):
-        steps = np.full(np.broadcast_shapes(*map(np.shape, coords)), p**fine, dtype=np.int64)
-        for grad in grads:
-            np.gcd(steps, poly_residues(grad, coords, p**fine), out=steps)
-        yield coords, steps
-        del steps  # freed before the next slab is evaluated
-
-
 def _block_counts(
-    block: tuple[int, ...], terms: Mapping[Exponents, int], width: int, p: int, level: int
+    block: tuple[int, ...], terms: Mapping[Exponents, int], width: int, p: int, level: int,
+    work: list | None = None, cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Counts of the block's part h of the polynomial mod p^L, L = level,
-    over [0, width)^len(block), width = p^W, from h(a) and the classes of
-    `_slabs` on the grid of `_grid` (when W < L, only a direct call, the
-    grid is the whole box and fine = 0).
-
-    b -> p^k grad h(a).b mod p^L reaches the p^(fine-j) residues p^(k+j) t
-    equally often, so a grid point of class j adds (width / side)^|b| /
-    p^(fine-j) to each residue h(a) + p^(k+j) t: class j is a bincount mod
-    p^(k+j) tiled across the count vector, or, when it holds few points,
-    scattered into every tile by np.add.at.
-    """
-    modulus = p**level
-    fine, side = _grid(p, level) if width >= modulus else (0, width)
-    coarse = modulus // p**fine
-    spread = (width // side) ** len(block)  # points of the box per grid point
+    """Counts of the block's part h of the polynomial mod p^L, L = level, over
+    [0, width)^d, d = len(block), width = p^W with W >= L: with h = p^v g, g
+    primitive, residue p^v s counts p^(d(v+W-L)) N_(L-v)(g)[s] (`_counts`), and
+    h = 0 mod p^L when v >= L.  The work is charged to `work` against `cap`."""
     local = _local_terms(block, terms)
-    counts = np.zeros(modulus, dtype=np.int64)
-    for coords, steps in _slabs(local, p, side, fine):
-        vals, steps = poly_residues(local, coords, modulus).ravel(), steps.ravel()
-        for j in range(fine + 1):
-            size = coarse * p**j
-            picked = vals[steps == p**j]
-            picked %= size
-            weight = spread * p**j // p**fine
-            tiles = counts.reshape(-1, size)
-            if len(picked) * _SCATTER_COST < size:
-                np.add.at(tiles, (slice(None), picked), weight)
-            else:
-                bins = np.bincount(picked, minlength=size)
-                bins *= weight
-                tiles += bins
-        del vals, steps
+    v = min(level, *(int_valuation(c, p) for _, c in local))
+    k = level - v
+    g = tuple((e, c // p**v % p**k) for e, c in local if c // p**v % p**k)
+    column = _counts(p, g, k, {}, [0] if work is None else work, cap) if k else np.ones(1, np.int64)
+    scale = (width // p**k) ** len(block)
+    if scale > 1:
+        column *= scale  # in place: the memo that held it is gone
+    if not v:
+        return column
+    counts = np.zeros(p**level, dtype=np.int64)
+    counts[:: p**v] = column
     return counts
 
 
@@ -386,6 +348,38 @@ def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[i
     return memo[p, h, k]
 
 
+def _counts(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> np.ndarray:
+    """N_k(h)[r] = #{y mod p^k : h(y) = r mod p^k} from the nodes of `_tally`.
+
+    A class a mod p with grad h(a) != 0 mod p spreads p^((d-1)(k-1)) points
+    onto every r = h(a) mod p (Hensel): those classes are the level-1 counts
+    less one per stationary edge.  A stationary edge (r, weight, child) adds
+    weight N_(k-c)(h_a)[s] at r + p^c s, a leaf its weight at r.  Each node is
+    built once per `memo` and charged its p^k entries before they exist; p^k
+    is under MODULUS_LIMIT, so k <= 31 and plain recursion is enough."""
+    if (p, h, k) in memo:
+        return memo[p, h, k]
+    modulus = p**k
+    edges = _edges(p, h, k, modulus, work, cap)
+    _charge(work, modulus, cap, modulus)
+    if k == 1:  # every edge is a leaf: the mesh's count at r
+        counts = np.zeros(p, dtype=np.int64)
+    else:
+        spread = _counts(p, tuple((e, c % p) for e, c in h if c % p), 1, memo, work, cap).copy()
+        for r, _, _ in edges:
+            spread[r % p] -= 1
+        counts = np.tile(spread * p ** ((len(h[0][0]) - 1) * (k - 1)), modulus // p)
+    for r, weight, child in edges:
+        if child is None:
+            counts[r] += weight
+        else:
+            low = p ** (k - child[2])  # p^c: the residues r + p^c s share r mod p^c
+            column = counts.reshape(-1, low)[:, r % low]
+            column += weight * np.roll(_counts(*child, memo, work, cap), r // low)
+    memo[p, h, k] = counts
+    return counts
+
+
 def _charge(work: list, units: int, cap: int, modulus: int) -> None:
     """Add `units` to the work done, work[0], times one more per 2^17 bits of the
     node's modulus p^k, whose Python ints slow its steps; refuse past `cap`."""
@@ -395,10 +389,11 @@ def _charge(work: list, units: int, cap: int, modulus: int) -> None:
 
 
 def _edges(p: int, h: tuple, k: int, modulus: int, work: list, cap: int) -> list[tuple]:
-    """The node (p, h, k) of `_tally` as (r, weight, child) edges, a leaf when
-    child is None.  Charged first: the mesh F_p^d, and _NODE_COST for the node
-    and each term it evaluates there (h, or grad h for k >= 2, mod p); then
-    for each stationary class, _NODE_COST and _TERM_COST a term formed."""
+    """The node (p, h, k) of `_tally` and `_counts` as (r, weight, child)
+    edges, a leaf when child is None.  Charged first: the mesh F_p^d, and
+    _NODE_COST for the node and each term it evaluates there (h, or grad h for
+    k >= 2, mod p); then for each stationary class, _NODE_COST and _TERM_COST
+    a term formed."""
     d = len(h[0][0])
     rows = [[(e, c) for e, c in row if c % p] for row in ([h] if k == 1 else _gradient(h))]
     _charge(work, p**d + _NODE_COST * (1 + sum(map(len, rows))), cap, modulus)
@@ -492,27 +487,26 @@ def _mod_histogram(
     `terms` has no constant term; h splits over connected variable blocks,
     h = sum_b h_b, and variables h does not use are not enumerated.  Refused
     before any point is evaluated: a modulus past MODULUS_LIMIT, a box of 2^63
-    points or more (each count is an int64) and work past the cap, the grid
-    points scanned and count vectors built for each distinct part.  The array has the
-    narrowest unsigned dtype that holds its largest count; h = 0 gives [[1]].
+    points or more (each count is an int64) and columns of more entries than
+    the cap; the nodes of `_counts` are then charged to one work count as they
+    are built.  The array has the narrowest unsigned dtype that holds its
+    largest count; h = 0 gives [[1]].
     """
     width, modulus = p**level, checked_modulus(p**mod_level, "residue classes")
     kinds = _distinct_blocks(terms)
     box = sum(width ** len(block) for blocks in kinds.values() for block in blocks)
     if box >= 1 << 63:
         raise ResourceCapError(box, (1 << 63) - 1, what="points counted in int64")
-    side = _grid(p, mod_level)[1]
-    work = sum(side ** len(blocks[0]) + modulus for blocks in kinds.values())
-    if work > cap:
-        raise ResourceCapError(work, cap, what="grid points and count entries")
+    if len(kinds) * modulus > cap:
+        raise ResourceCapError(len(kinds) * modulus, cap, what="count entries")
     if not kinds:
         return np.ones((1, 1), dtype=np.uint8)
-    columns = []
+    columns, work = [], [0]
     for blocks in kinds.values():
-        counts = _block_counts(blocks[0], terms, width, p, mod_level)
+        counts = _block_counts(blocks[0], terms, width, p, mod_level, work, cap)
         columns.append(counts.astype(np.min_scalar_type(int(counts.max()))))
-    # stacking promotes every column to the widest
-    return np.stack(columns, axis=1)
+    # stacking promotes every column to the widest; one column is read in place
+    return np.stack(columns, axis=1) if len(columns) > 1 else columns[0][:, None]
 
 
 def _result(

@@ -664,3 +664,13 @@ def x1_x2_work(m: int) -> int:
     node, term, above = _NODE_COST, _TERM_COST, (m - 1) // 2
     level_one = 9 + 2 * node + 3 * term
     return level_one + above * (9 + 3 * node + node + 4 * term + 3 * term)
+
+
+def x1_x2_count_work(m: int) -> int:
+    """The work of the counts of x1 x2 mod 3^m: the nodes of `x1_x2_work` at
+    the levels m, m - 2, ... above 1, each with its 3^k entries and without
+    the tally entries it would merge; and the level-1 node, read by each for
+    its classes with a unit gradient: its mesh, node and term, and 3 entries."""
+    node, term = _NODE_COST, _TERM_COST
+    above = sum(9 + 3 * node + node + 4 * term + 3**k for k in range(m, 1, -2))
+    return above + 9 + 2 * node + 3

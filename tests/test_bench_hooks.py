@@ -74,12 +74,14 @@ def test_benchmark_calls_bind(monkeypatch):
 
 
 def test_block_counts_signature_and_total():
-    # bench/test_bench.py wraps `_block_counts(*args)` and sums its result
-    params = list(inspect.signature(expsums._block_counts).parameters)
-    assert params == ["block", "terms", "width", "p", "level"]
-    counts = expsums._block_counts((0, 1), {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 1): 1}, 3, 3, 2)
+    # bench/test_bench.py wraps `_block_counts(*args)`, passing on the
+    # positional arguments of `_mod_histogram`'s call, and sums its result
+    params = list(inspect.signature(expsums._block_counts).parameters.values())
+    assert [param.name for param in params[:5]] == ["block", "terms", "width", "p", "level"]
+    assert all(param.default is not param.empty for param in params[5:])  # the work and cap
+    counts = expsums._block_counts((0, 1), {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 1): 1}, 27, 3, 2)
     assert isinstance(counts, np.ndarray) and len(counts) == 9
-    assert int(counts.sum()) == 3**2
+    assert int(counts.sum()) == 27**2
 
 
 def test_random_sb_draw():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import config_from_dict, x1_x2_work
+from helpers import config_from_dict, x1_x2_count_work, x1_x2_work
 import padic_dispersion
 from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
@@ -126,14 +126,13 @@ class TestExpsumCommand:
         assert [row["m"] for row in table] == list(levels)
         if argv[3] == "x1*x2":  # E(3^-9) = 3^-9: the y sum vanishes unless x = 0 mod 3^9
             assert abs(complex(*table[0]["value"]) - 3**-9) <= 1e-15
-            # at the value's work the value answers and the histogram's grid of
-            # 3^10 points is refused
-            need = x1_x2_work(9)
-            for cap, what in ((need - 1, "mesh points and node charges"),
-                              (need, "grid points and count entries")):
+            # the value, and then the histogram's count vectors, each refused one
+            # short of its own work
+            for need in (x1_x2_work(9), x1_x2_count_work(9)):
                 capsys.readouterr()
-                assert run_cli(tmp_path, ["expsum", *argv, "--cap", str(cap)])[0] == EXIT_RESOURCE
-                assert what in capsys.readouterr().err
+                assert run_cli(tmp_path, ["expsum", *argv, "--cap", str(need - 1)])[0] == EXIT_RESOURCE
+                assert f"enumeration of {need} mesh points" in capsys.readouterr().err
+            assert run_cli(tmp_path, ["expsum", *argv, "--cap", str(need)])[0] == code
 
     @pytest.mark.parametrize("m", [3000, 10000])
     def test_a_deep_level_ends_in_an_exit_code(self, tmp_path, capsys, m):
@@ -163,7 +162,7 @@ class TestExpsumCommand:
         def scanned(*args):
             raise AssertionError("a block was scanned")
 
-        monkeypatch.setattr(expsums, "_slabs", scanned)
+        monkeypatch.setattr(expsums, "_counts", scanned)
         monkeypatch.setattr(expsums, "_edges", scanned)
         five = ["expsum", "--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2", "--m", "1..2"]
         code, _ = run_cli(tmp_path, five)
@@ -265,16 +264,18 @@ class TestEachSumEvaluatedOnce:
 
     def test_a_table_scans_each_distinct_block_once(self, tmp_path, monkeypatch):
         scans, nodes = [], []
-        slabs, edges = expsums._slabs, expsums._edges
-        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
+        counts, edges = expsums._counts, expsums._edges
+        monkeypatch.setattr(expsums, "_counts", lambda *args: scans.append(args[1]) or counts(*args))
         monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
         argv = ["expsum", "--prime", "5", "--poly", "x1^2+4*x2^3", "--m", "1..8"]
         assert run_cli(tmp_path, argv)[0] == EXIT_CERTIFICATE
         # the eight levels of both blocks are nodes of one walk, each expanded
-        # once, and the histogram at m = 1 scans each block once
-        assert len(nodes) == len(set(nodes))
-        assert {(5, local, m) for local in ((((2,), 1),), (((3,), 4),)) for m in range(1, 9)} <= set(nodes)
-        assert [tuple(local) for local in scans] == [(((2,), 1),), (((3,), 4),)]
+        # once, and the histogram at m = 1 reads each block's level-1 node once more
+        blocks = ((((2,), 1),), (((3,), 4),))
+        assert {(5, local, m) for local in blocks for m in range(1, 9)} <= set(nodes)
+        assert sorted(node for node in set(nodes) if nodes.count(node) > 1) == [(5, local, 1) for local in blocks]
+        assert max(map(nodes.count, nodes)) == 2
+        assert [tuple(local) for local in scans] == list(blocks)
 
     SURFACE = ["surface", "--prime", "7", "--phi", "x^3", "--k", "1..7"]
 

@@ -13,6 +13,7 @@ from helpers import (
     column_vanishes,
     dense_column_value,
     expsum_values,
+    x1_x2_count_work,
     x1_x2_work,
     oracle_block_counts,
     oracle_cyclic_convolution,
@@ -178,8 +179,8 @@ def seeded_block_terms(rng, p: int, n: int, block: tuple[int, ...]) -> dict:
 
 
 class TestHalfLevelGrid:
-    """`_block_counts` evaluates only [0, p^ceil(L/2))^|b| and lifts each
-    grid point's fibre by one Hensel step; the counts, values and exact
+    """`_block_counts` reads each block's counts from the nodes of the
+    stationary-phase recursion (`_counts`); the counts, values and exact
     zeros equal those of plain enumeration."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -189,8 +190,8 @@ class TestHalfLevelGrid:
         block = tuple(range(1, d + 1))
         seen = set()
         for level in range(7):
-            for width_level in (level - 1, level, level + 1):
-                if width_level < 0 or p ** (width_level * d) > 2500:
+            for width_level in (level, level + 1):  # the boxes `_result` builds: W >= L
+                if p ** (width_level * d) > 2500:
                     continue
                 for draw in range(3):
                     terms = seeded_block_terms(rng, p, d + 1, block)
@@ -201,10 +202,10 @@ class TestHalfLevelGrid:
                     assert got.tolist() == oracle_block_counts(terms, block, width, modulus), (
                         terms, width, modulus,
                     )
-                seen.add((min(level, 2), (width_level > level) - (width_level < level)))
-        # levels 0, 1 and above, each with a box narrower than the modulus or not
-        assert seen >= {(0, 0), (0, 1), (1, -1), (1, 0), (2, -1)}
-        if p ** (2 * d) <= 2500:  # a grid that lifts (W >= L >= 2) fits the budget
+                seen.add((min(level, 2), width_level - level))
+        # levels 0, 1 and above, each with a box as wide as the modulus or wider
+        assert seen >= {(0, 0), (0, 1), (1, 0)}
+        if p ** (2 * d) <= 2500:  # a node with stationary edges (L >= 2) fits the budget
             assert (2, 0) in seen
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -244,15 +245,30 @@ class TestHalfLevelGrid:
             res.counts
         assert err.value.required == 2**69 and err.value.cap == 2**63 - 1
 
-    def test_points_evaluated_are_bounded_by_the_half_level_grid(self, monkeypatch):
-        points = []
-        evaluate = expsums.poly_residues
+    def test_a_singular_curve_is_counted_at_3_to_the_14(self):
+        # x1^2 x2^2 is singular on both axes, so its nodes multiply with the
+        # level; its counts at 3^14 once took 0.6 s, and 7.8 s at 3^16
+        f, ball = parse_polynomial("x1^2*x2^2"), Ball.of(3, [0, 0], 0)
+        res = exp_sum(f, Fraction(1, 3**14), ball)
+        column = res.dense[:, 0].astype(np.int64)
+        assert res.powers == (1,) and int(column.sum()) == 3**28
+        coarser = exp_sum(f, Fraction(1, 3**13), ball).dense[:, 0].astype(np.int64)
+        assert (column.reshape(3, -1).sum(axis=0) == 9 * coarser).all()
+        assert abs(column_mean(column, 3) - res.value) <= 1e-15
+
+    def test_the_counts_expand_the_value_nodes_once(self, monkeypatch):
+        # one Hensel tree: the counts expand the nodes of the value's
+        # recursion, each once, and the level-1 node of each for its classes
+        # with grad h(a) != 0 mod p; a node evaluates at most d rows on F_p^d
+        nodes, points = [], []
+        edges, evaluate = expsums._edges, expsums.poly_residues
 
         def counting(terms, coords, modulus):
             out = evaluate(terms, coords, modulus)
             points.append(out.size)
             return out
 
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
         monkeypatch.setattr(expsums, "poly_residues", counting)
         cases = [
             ({(3,): 1, (1,): -2}, (0,), 5, 8, 8),
@@ -260,13 +276,20 @@ class TestHalfLevelGrid:
             ({(1, 1): 1}, (0, 1), 3, 6, 6),
             ({(2, 1): 1, (0, 2): 3}, (0, 1), 2, 7, 9),
             ({(1, 1, 0): 1, (0, 1, 2): 1, (0, 0, 3): 2}, (0, 1, 2), 2, 5, 5),
+            ({(2, 2): 1}, (0, 1), 3, 8, 8),  # a singular locus that is not a point
         ]
         for terms, block, p, level, width_level in cases:
+            nodes.clear()
             points.clear()
             counts = expsums._block_counts(block, terms, p**width_level, p, level)
             assert int(counts.sum()) == p ** (width_level * len(block))
-            bound = (len(block) + 1) * p ** ((level + 1) // 2 * len(block))
-            assert sum(points) <= bound, (terms, sum(points), bound)
+            counted, d = list(nodes), len(block)
+            assert len(counted) == len(set(counted)), terms
+            assert sum(points) <= len(counted) * d * p**d, terms
+            nodes.clear()
+            block_mean(p, expsums._local_terms(block, terms), level)
+            level_one = {(p, tuple((e, c % p) for e, c in h if c % p), 1) for _, h, _ in nodes}
+            assert set(nodes) <= set(counted) <= set(nodes) | level_one, terms
 
 
 def seeded_phase(rng, p: int, n: int) -> SparsePolynomial:
@@ -383,7 +406,7 @@ class TestStationarySum:
             moduli.append(modulus)
             return evaluate(terms, coords, modulus)
 
-        for name in ("_slabs", "_block_counts", "_mod_histogram"):
+        for name in ("_counts", "_block_counts", "_mod_histogram"):
             monkeypatch.setattr(expsums, name, refuse)
         monkeypatch.setattr(expsums, "poly_residues", recording)
         cube, z7 = parse_polynomial("x^3"), Ball.of(7, [0], 0)
@@ -493,7 +516,7 @@ class TestJointScan:
 class TestWorkCap:
     """A value counts the mesh points of the recursion's nodes and
     _NODE_COST per node and per stationary class expanded; a histogram
-    counts the grid points scanned and the count vectors built."""
+    counts its columns, then the same nodes and each node's count vector."""
 
     def test_levels_the_box_count_refused_now_answer(self):
         # x1 x2 over Z_3^2: the y sum vanishes unless x = 0 mod p^m, so E = p^-m
@@ -524,28 +547,36 @@ class TestWorkCap:
             exp_sum(f, z, ball, cap=before - 1).value
         assert err.value.required == before and len(meshes) == 4
 
-    def test_a_histogram_also_counts_its_count_vector(self):
+    def test_a_histogram_also_counts_its_count_vector(self, monkeypatch):
         f, ball = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0)
-        need = 3**10 + 3**9  # the grid, and one count per residue mod 3^9
+        need = x1_x2_count_work(9)  # the column, then each node's mesh and count vector
         assert sum(residue_histogram(f, 9, ball, cap=need).values()) == 3**18
         res = exp_sum(f, Fraction(1, 3**9), ball, cap=need - 1)
         assert abs(res.value - 3**-9) <= 1e-15
-        with pytest.raises(ResourceCapError, match="grid points and count entries") as err:
+        with pytest.raises(ResourceCapError, match=f"enumeration of {need} mesh points") as err:
             res.counts
-        assert err.value.required == need
+        assert err.value.required == need and err.value.cap == need - 1
+        # a column longer than the cap is refused before any node is built
+        monkeypatch.setattr(expsums, "_edges", None)
+        res = exp_sum(f, Fraction(1, 3**9), ball, cap=3**9 - 1)
+        with pytest.raises(ResourceCapError, match="count entries") as err:
+            res.counts
+        assert err.value.required == 3**9
 
     def test_blocks_with_the_same_terms_are_scanned_once(self, monkeypatch):
-        nodes, scans = [], []
-        edges, slabs = expsums._edges, expsums._slabs
+        nodes, counted = [], []
+        edges, counts = expsums._edges, expsums._counts
         monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
-        monkeypatch.setattr(expsums, "_slabs", lambda *args: scans.append(args[0]) or slabs(*args))
+        monkeypatch.setattr(expsums, "_counts", lambda *args: counted.append(args[:3]) or counts(*args))
         res = exp_sum(squares(6), Fraction(1, 3**9), Ball.of(3, [0] * 6, 0))
         assert abs(abs(res.value) - 3**-27) <= 1e-12 * 3**-27
         # x^2, once for the six blocks: h(3y) = 9 y^2 steps down two levels at a time
-        assert nodes == [(3, (((2,), 1),), level) for level in (9, 7, 5, 3, 1)]
-        assert scans == []
+        chain = [(3, (((2,), 1),), level) for level in (9, 7, 5, 3, 1)]
+        assert nodes == chain
+        assert counted == []
         assert res.dense.shape[1] == 1 and res.powers == (6,)
-        assert [tuple(local) for local in scans] == [(((2,), 1),)]
+        # the one column reads the same chain, its top node once
+        assert set(counted) == set(chain) and counted.count(chain[0]) == 1
 
 
 class TestDeepLevels:

@@ -9,7 +9,9 @@ for the private attributes of objects: `x._name` on anything but `self`,
 No module hands a product to BLAS either: OpenBLAS splits a long dot across
 its threads, so the summation order, and with it the output bits, would
 follow the BLAS thread count.  And `schwartz` exponentiates in `_roots`
-only, which evaluates each modulus's roots once per call.
+only, which evaluates each modulus's roots once per call; `expsums` splits
+Z_p^d by Hensel classes in `_edges` only, the one tree that both counts and
+values read.
 
 The parameter names of everything the package exports are pinned in one
 table, so a keyword added or removed shows as a one-line diff.
@@ -270,6 +272,52 @@ def test_the_check_allows_exp_inside_roots():
         "z = cmath.exp(1j)"
     )
     assert exp_uses_outside(source, "_roots") == []
+
+
+def hensel_splits_outside(source: str, allowed: str) -> list[str]:
+    """The uses of `_gradient` or `_mesh` in `source` outside the function
+    named `allowed`, and every use of numpy's `add.at`."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "at"
+                and ast.unparse(node.value) in ("np.add", "numpy.add")):
+            found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Name) and node.id in ("_gradient", "_mesh")
+              and id(node) not in inside):
+            found.append(node.id)
+    return found
+
+
+def test_expsums_splits_by_hensel_class_in_edges_only():
+    # counts and values read one tree of nodes, each split once by `_edges`
+    source = next(path for path in SOURCES if path.name == "expsums.py").read_text()
+    assert hensel_splits_outside(source, "_edges") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _slabs(h):\n    return _gradient(h)",
+        "def _edges(h):\n    return h\n\ndef scan(d, p):\n    return list(_mesh(d, p))",
+        "grads = map(_gradient, rows)",
+        "np.add.at(counts, picked, 1)",
+        "def _edges(counts, picked):\n    numpy.add.at(counts, picked, 1)",
+    ],
+)
+def test_the_check_sees_a_second_hensel_split(source):
+    assert hensel_splits_outside(source, "_edges")
+
+
+def test_the_check_allows_the_split_inside_edges():
+    source = (
+        "def _mesh(d, side):\n    return d\n"
+        "def _edges(h, d, p):\n    rows = _gradient(h)\n    return [_mesh(d, p), rows]\n"
+        "np.add(a, b), np.bincount(x)"
+    )
+    assert hensel_splits_outside(source, "_edges") == []
 
 
 # None: an exception class that keeps Exception's own (*args)
