@@ -52,6 +52,7 @@ from .expsums import (
     stationary_certificate,
 )
 from .newton import (
+    DEFAULT_FACE_SCAN_CAP,
     beta_and_t0,
     check_facet_vars,
     newton_facets,
@@ -185,8 +186,8 @@ def _run_newton(cfg: JobConfig) -> dict:
     f = parse_polynomial(cfg.poly)
     P = newton_facets(f)
     beta, t0 = beta_and_t0(P)
-    witness = quasi_homogeneous_detect(f)
-    verdict = nondegeneracy_mod_p(f, P, cfg.prime, cap=min(cfg.cap, 10**7))
+    witness = quasi_homogeneous_detect(P)
+    verdict = nondegeneracy_mod_p(f, P, cfg.prime, cap=min(cfg.cap, DEFAULT_FACE_SCAN_CAP))
     return {
         "polynomial": str(f),
         "facets": [
@@ -214,7 +215,9 @@ def _default_ball(cfg: JobConfig, dim: int) -> Ball:
         terms = parse_ball_list(cfg.ball, cfg.prime)
         if len(terms) != 1:
             raise DomainError("the integration domain must be a single ball")
-        ball = terms[0][0]
+        ball, coeff = terms[0]
+        if coeff != 1:
+            raise DomainError(f"the integration domain takes no coefficient, got {coeff}")
         if ball.dim != dim:
             raise DomainError(
                 f"ball dimension {ball.dim} does not match the polynomial ({dim})"

@@ -65,6 +65,9 @@ _FFT_BITS = 42
 # consistent, for quasi-homogeneous phases and for all others
 SHARP_TOLERANCE = 0.05
 EPS_MARGIN = 0.1
+# stationary_certificate: how many residue-class refinements below the ball
+# it tries before it calls the gradient valuation unstable
+DEPTH_CAP = 12
 
 
 @dataclass
@@ -614,8 +617,6 @@ def stationary_certificate(
     f: SparsePolynomial,
     ball: Ball,
     values: Mapping[int, complex],
-    *,
-    depth_cap: int = 12,
 ) -> StationaryCertificate:
     """Compute I(f, A) = sup_A min_i v(df/dx_i) by residue-class refinement
     and verify E_A(p^-m, f) = 0 exactly at every given level m with p^m above
@@ -652,9 +653,9 @@ def stationary_certificate(
         if vmin is not None and vmin < k:
             bound = vmin if bound is None else max(bound, vmin)
             continue
-        if k - start_level >= depth_cap:
+        if k - start_level >= DEPTH_CAP:
             raise CertificateIndeterminate(
-                f"gradient valuation did not stabilise within depth {depth_cap}"
+                f"gradient valuation did not stabilise within depth {DEPTH_CAP}"
             )
         stepk = Fraction(p) ** k
         for t in product(range(p), repeat=ball.dim):
@@ -723,8 +724,9 @@ def decay_fit(
     beta = witness = None
     reduced = SparsePolynomial.from_terms(f.nvars, {e: c for e, c in f.terms if sum(e) > 0})
     if not reduced.is_constant():
-        beta, _ = beta_and_t0(newton_facets(reduced))
-        witness = quasi_homogeneous_detect(reduced)
+        P = newton_facets(reduced)
+        beta, _ = beta_and_t0(P)
+        witness = quasi_homogeneous_detect(P)
     usable = [(m, -math.log(a, p)) for m, a in samples if a != 0]
     if len(usable) < 2:
         status = "superpolynomial" if len(usable) < len(samples) else "too_few_samples"

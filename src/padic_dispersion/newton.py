@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -175,68 +175,26 @@ def beta_and_t0(P: NewtonPolyhedron) -> tuple[Fraction, tuple[Fraction, ...]]:
     return beta, t0
 
 
-def quasi_homogeneous_detect(
-    f: SparsePolynomial, bound: int = 32
-) -> QuasiHomogeneityWitness | None:
-    """Smallest (d, alpha) with <alpha, l> = d on the support, or None.
+def quasi_homogeneous_detect(P: NewtonPolyhedron) -> QuasiHomogeneityWitness | None:
+    """A witness (d, alpha) with every alpha_i >= 1 and <alpha, l> = d on
+    the support of P, normalised to gcd(d, alpha) = 1, or None when no
+    positive weights exist.
 
-    Witnesses are normalised to gcd(alpha, d) = 1.  When the solution space
-    of <alpha, l_i - l_0> = 0 is a line, its primitive positive generator is
-    the unique normalised witness; otherwise, when some alpha in [1, bound]^m
-    meets the support constraints at all, the search walks d upward over the
-    alpha of degree d and stops at the first gcd-1 one.
+    A positive alpha that is constant on the support attains its minimum
+    over P on a face holding the whole support, so it lies in that face's
+    normal cone, spanned by the normals of the facets through every support
+    point.  Those normals are non-negative, so some alpha > 0 exists iff
+    their sum is positive, and the sum is the witness.  When the weights
+    form a line (or f is a monomial) this is the least-degree witness; when
+    they do not, the degree is not always the least.
     """
-    _require_vanishing(f)
-    supp = sorted(f.support())
-    m = f.nvars
-    nulldim = m - _face_dim(supp, (), m)
-    if nulldim == 0:
+    through = [fc.normal for fc in P.facets if len(fc.vertices) == len(P.support)]
+    alpha = [sum(col) for col in zip(*through)]
+    if not alpha or min(alpha) <= 0:
         return None
-    if nulldim == 1:
-        gen = _normal(_span_rows(supp, (), m), m)
-        if any(a <= 0 for a in gen):
-            return None
-        return QuasiHomogeneityWitness(gen, _dot(gen, supp[0]))
-    if next(_weights(supp, bound), None) is None:  # no weights of any degree
-        return None
-    for d in range(sum(supp[0]), bound * sum(supp[0]) + 1):
-        for alpha in _weights(supp, bound, d):
-            if math.gcd(d, *alpha) == 1:
-                return QuasiHomogeneityWitness(alpha, d)
-    return None
-
-
-def _weights(
-    supp: Sequence[Exponents], bound: int, d: int | None = None
-) -> Iterable[tuple[int, ...]]:
-    """Every alpha in [1, bound]^m with <alpha, l - l_0> = 0 on the support,
-    and <alpha, l_0> = d when d is given, in lexicographic order.
-
-    Coordinates are fixed one at a time; a prefix is dropped as soon as some
-    constraint is out of reach of every completion in [1, bound].
-    """
-    m = len(supp[0])
-    # the reduced rows span the same constraints and prune them jointly
-    rows = _reduce([[a - b for a, b in zip(pt, supp[0])] for pt in supp[1:]], m)[0]
-    targets = [0] * len(rows)
-    if d is not None:
-        rows, targets = [supp[0], *rows], [d, *targets]
-    reach = [
-        [(sum(min(v, bound * v) for v in row[j:]), sum(max(v, bound * v) for v in row[j:]))
-         for row in rows]
-        for j in range(m + 1)
-    ]
-
-    def walk(j: int, alpha: tuple[int, ...], sums: list[int]):
-        if j == m:
-            yield alpha
-            return
-        for a in range(1, bound + 1):
-            nxt = [s + a * row[j] for s, row in zip(sums, rows)]
-            if all(s + lo <= t <= s + hi for s, (lo, hi), t in zip(nxt, reach[j + 1], targets)):
-                yield from walk(j + 1, alpha + (a,), nxt)
-
-    return walk(0, (), [0] * len(rows))
+    d = _dot(alpha, next(iter(P.support)))
+    g = math.gcd(d, *alpha)
+    return QuasiHomogeneityWitness(tuple(a // g for a in alpha), d // g)
 
 
 def face_polynomials(

@@ -75,7 +75,7 @@ def test_criterion_02_newton_exponents():
         ok &= {
             (fc.normal, fc.support_value) for fc in compact_facets(P)
         } == oracle_compact_facets(f, bound=deg)
-        witness = quasi_homogeneous_detect(f)
+        witness = quasi_homogeneous_detect(P)
         if witness is not None:
             ok &= Fraction(sum(witness.alpha), witness.degree) == beta
     report(2, "beta_and_t0 exact on 1, 1/d, 5/6 with H-oracle and QH consistency", ok)

@@ -103,6 +103,21 @@ class TestExpsumCommand:
         assert cert["status"] == "ok" and cert["I"] == 0 and cert["threshold"] == 3
         assert doc["results"]["decay_fit"]["status"] == "superpolynomial"
 
+    @pytest.mark.parametrize("coeff", ["5", "0.5", "1j", "-1"])
+    def test_a_weighted_ball_is_refused(self, tmp_path, coeff):
+        # the integration domain is a set: a coefficient would be dropped
+        code, out = run_cli(
+            tmp_path,
+            ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..2", "--ball", f"{coeff}*ball 0 0"],
+        )
+        assert (code, out) == (EXIT_VALIDATION, b"")
+
+    def test_a_unit_coefficient_is_the_plain_ball(self, tmp_path):
+        argv = ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..2", "--ball"]
+        runs = [run_cli(tmp_path, argv + [ball]) for ball in ["1 * ball 1 1", "ball 1 1"]]
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+        assert len({json.dumps(json.loads(out)["results"]) for _, out in runs}) == 1
+
     def test_histogram_included(self, tmp_path):
         _, out = run_cli(
             tmp_path, ["expsum", "--prime", "3", "--poly", "x^2", "--m", "2..3"]

@@ -918,7 +918,7 @@ class TestStationaryCertificate:
     def test_irrational_critical_point_indeterminate(self):
         # f' = 2x + 1 vanishes at -1/2, a 3-adic integer no center ever hits
         with pytest.raises(CertificateIndeterminate):
-            stationary_certificate(parse_polynomial("x^2+x"), Z3, {}, depth_cap=5)
+            stationary_certificate(parse_polynomial("x^2+x"), Z3, {})
 
     def test_positive_bound_exponent(self):
         # f' = 3(x^2 + 1) and x^2 + 1 is a unit on all of Z_3, so

@@ -366,14 +366,14 @@ EXPORTED_PARAMETERS = {
     "newton_facets": ("f",),
     "nondegeneracy_mod_p": ("f", "P", "p", "cap"),
     "parse_polynomial": ("text", "nvars"),
-    "quasi_homogeneous_detect": ("f", "bound"),
+    "quasi_homogeneous_detect": ("P",),
     "ray_values": ("Y", "direction", "levels", "cap"),
     "residue_histogram": ("f", "m", "ball", "cap"),
     "restriction_ratio": ("g", "Y", "rho", "beta_phi", "cap"),
     "sb_allclose": ("g1", "g2", "tol"),
     "solution_grid": ("spec", "R", "cap"),
     "solve_u": ("spec", "x", "t", "cap"),
-    "stationary_certificate": ("f", "ball", "values", "depth_cap"),
+    "stationary_certificate": ("f", "ball", "values"),
     "strichartz_report": ("spec", "sigma", "R_max", "cap"),
     "strichartz_truncated": ("spec", "sigma", "R", "cap"),
     "support": ("f",),

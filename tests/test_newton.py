@@ -11,6 +11,7 @@ import pytest
 
 from helpers import (
     compact_facets,
+    echelon_rank,
     oracle_compact_facets,
     oracle_faces,
     oracle_facets,
@@ -37,6 +38,10 @@ def compact(P):
 
 def verdict(f, p):
     return nondegeneracy_mod_p(f, newton_facets(f), p)
+
+
+def detect(f):
+    return quasi_homogeneous_detect(newton_facets(f))
 
 
 class TestSupport:
@@ -149,15 +154,15 @@ class TestBetaT0:
 
 class TestQuasiHomogeneity:
     def test_homogeneous(self):
-        w = quasi_homogeneous_detect(parse_polynomial("x1^2+x2^2"))
+        w = detect(parse_polynomial("x1^2+x2^2"))
         assert (w.alpha, w.degree) == ((1, 1), 2)
 
     def test_weighted(self):
-        w = quasi_homogeneous_detect(parse_polynomial("x1^2+x2^3"))
+        w = detect(parse_polynomial("x1^2+x2^3"))
         assert (w.alpha, w.degree) == ((3, 2), 6)
 
     def test_none(self):
-        assert quasi_homogeneous_detect(parse_polynomial("x1^2+x2^2+x1*x2^3")) is None
+        assert detect(parse_polynomial("x1^2+x2^2+x1*x2^3")) is None
 
     @pytest.mark.parametrize(
         "text",
@@ -165,7 +170,7 @@ class TestQuasiHomogeneity:
     )
     def test_witness_matches_beta(self, text):
         f = parse_polynomial(text)
-        w = quasi_homogeneous_detect(f)
+        w = detect(f)
         if w is None:
             return
         beta, _ = beta_and_t0(newton_facets(f))
@@ -177,7 +182,7 @@ class TestQuasiHomogeneity:
         # quasi-homogeneous decay regime (and the beta identity) does not
         # apply; beta_and_t0 still reports the polyhedron exponent 1/2.
         f = parse_polynomial("x1^2*x2")
-        w = quasi_homogeneous_detect(f)
+        w = detect(f)
         assert (w.alpha, w.degree) == ((1, 1), 3)
         assert beta_and_t0(newton_facets(f))[0] == Fraction(1, 2)
 
@@ -287,41 +292,83 @@ def few_term_polynomials(seed: int, count: int, nvars: tuple[int, int], bound: i
 
 
 class TestWitnessSearch:
-    """quasi_homogeneous_detect against the full scan of tests/helpers.py."""
+    """quasi_homogeneous_detect against the full scan of tests/helpers.py.
+
+    The witness is the sum of the normals of the facets through the whole
+    support: it must exist exactly when the scan finds one, be valid, and
+    equal the scan's least-degree witness wherever the weights form a line
+    or the support is one point (elsewhere its degree may be larger)."""
 
     @staticmethod
-    def witness(f, bound=32):
-        w = quasi_homogeneous_detect(f, bound)
-        return None if w is None else (w.degree, w.alpha)
+    def check(f, bound=32):
+        w = detect(f)
+        expected = oracle_quasi_homogeneous(f, bound)
+        assert (w is None) == (expected is None), f
+        if w is None:
+            return
+        supp = sorted(f.support())
+        assert min(w.alpha) >= 1 and math.gcd(w.degree, *w.alpha) == 1, f
+        assert all(sum(a * l for a, l in zip(w.alpha, pt)) == w.degree for pt in supp), f
+        diffs = [[a - b for a, b in zip(pt, supp[0])] for pt in supp[1:]]
+        if len(supp) == 1 or f.nvars - echelon_rank(diffs) == 1:
+            assert (w.degree, w.alpha) == expected, f
 
     def test_one_to_three_variables(self):
         # exponents <= 4 keep a one-dimensional weight space's generator
-        # inside [1, 32]^m, so every path must agree with the scan
+        # inside [1, 32]^m, so the scan sees every line of weights
         polys = [*few_term_polynomials(5, 60, (1, 2)), *few_term_polynomials(6, 20, (3, 3))]
         polys += [f for f in random_vanishing_polynomials(7, 40) if f.nvars <= 2]
         for f in polys:
-            assert self.witness(f) == oracle_quasi_homogeneous(f), f
+            self.check(f)
 
     def test_four_variables_in_a_small_box(self):
-        # at most two support points: the weight space has dimension >= 3,
-        # so the search (not the generator) answers; bound 6 keeps the scan fast
+        # at most two support points: the weight space has dimension >= 3
+        # unless the support is one point; bound 6 keeps the scan fast
         for f in few_term_polynomials(8, 40, (4, 4)):
             if len(f.terms) <= 2:
-                assert self.witness(f, 6) == oracle_quasi_homogeneous(f, 6), f
+                self.check(f, 6)
+
+    def test_weights_past_any_fixed_box(self):
+        # the one weight line is spanned by (40, 1, 1), outside [1, 32]^3
+        w = detect(parse_polynomial("x1*x3 + x2^40*x3"))
+        assert (w.alpha, w.degree) == ((40, 1, 1), 41)
+
+    def test_wide_weight_space_answers_at_once(self):
+        # weights of dimension 2: a walk of [1, 32]^4 by degree took 6.3 s
+        f = parse_polynomial("2*x4^3 + 2*x3^3*x4^2 + 6*x1^2*x3*x4")
+        P = newton_facets(f)
+        start = time.perf_counter()
+        w = quasi_homogeneous_detect(P)
+        assert time.perf_counter() - start < 0.1
+        assert (w.alpha, w.degree) == ((5, 1, 2, 6), 18)
+
+    def test_newton_prints_weights_past_any_fixed_box(self, tmp_path):
+        code = main(["newton", "--prime", "3", "--poly", "x1*x3+x2^40*x3", "--out", str(tmp_path / "o")])
+        doc = json.loads((tmp_path / "o").read_bytes())
+        assert code == EXIT_OK
+        assert doc["results"]["quasi_homogeneous"] == {"alpha": [40, 1, 1], "degree": 41}
+
+    def test_expsum_on_a_wide_weight_space_answers_at_once(self, tmp_path):
+        argv = ["expsum", "--prime", "5", "--poly", "2*x4^3+2*x3^3*x4^2+6*x1^2*x3*x4", "--m", "1..2"]
+        start = time.perf_counter()
+        main(argv + ["--out", str(tmp_path / "o")])
+        elapsed = time.perf_counter() - start
+        assert json.loads((tmp_path / "o").read_bytes())["results"]["decay_fit"]["quasi_homogeneous"]
+        assert elapsed < 2, elapsed
 
     def test_no_witness_is_refused_quickly(self):
         # both points on the diagonal: <alpha, (1,1,1,1)> = 0 has no positive solution
         f = parse_polynomial("x1*x2*x3*x4 + x1^2*x2^2*x3^2*x4^2")
         start = time.perf_counter()
-        assert quasi_homogeneous_detect(f) is None
+        assert detect(f) is None
         assert time.perf_counter() - start < 0.5
 
-    def test_no_weights_of_any_degree_are_refused_before_the_degree_walk(self):
-        # a weight space of dimension 2 with no positive point: the degree
-        # walk alone once took 82 s to answer None
+    def test_no_positive_weights_are_refused_at_once(self):
+        # a weight space of dimension 2 with no positive point: a walk of
+        # the degrees once took 82 s to answer None
         f = parse_polynomial("3*x3^3*x4^3 + 2*x1*x3^2 + 3*x1^2*x2*x3^2*x4")
         start = time.perf_counter()
-        assert quasi_homogeneous_detect(f) is None
+        assert detect(f) is None
         assert time.perf_counter() - start < 0.1
 
     def test_four_variable_monomial_answers_at_once(self, tmp_path):
