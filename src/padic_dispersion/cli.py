@@ -11,10 +11,11 @@ expsum and surface evaluate each level's sum once; the table, the decay fit
 and the certificate all read that one table of values, and both evaluate
 their levels together, expanding each node of the stationary-phase recursion once.
 
-Exact rationals are serialised as "num/den" strings, complex values as
-[re, im] doubles.  Output bytes are identical across runs.  --threads (or
-PADIC_THREADS) is accepted for compatibility and has no effect: every command
-runs on one thread.
+Each command takes only the flags its runner reads (`_COMMANDS`); argparse
+refuses any other.  Exact rationals are serialised as "num/den" strings,
+complex values as [re, im] doubles.  Output bytes are identical across runs.
+--threads is accepted for compatibility and has no effect: every command runs
+on one thread.
 
 Exit codes: 0 ok, 2 validation, 3 resource cap, 4 certificate unavailable.
 """
@@ -27,7 +28,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -76,6 +76,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_CERTIFICATE = 4
+
+# the most residues `expsum` prints in the histogram at the first level of --m
+HISTOGRAM_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -239,16 +242,13 @@ def _run_expsum(cfg: JobConfig) -> dict:
     table = [{"m": m, "value": _cx(v), "abs": abs(v)} for m, v in values.items()]
     fit = decay_fit(f, ball, {m: v for m, v in values.items() if m >= 2})
     hist_level = lo
-    histogram = (
-        {
-            str(c): n
-            for c, n in sorted(
-                residue_histogram(f, hist_level, ball, cap=cfg.cap).items()
-            )
-        }
-        if ball.is_integral()
-        else None
-    )
+    histogram = None
+    if ball.is_integral():
+        counts = residue_histogram(f, hist_level, ball, cap=cfg.cap)
+        if len(counts) > HISTOGRAM_LIMIT:
+            what = f"histogram residues at level {hist_level} (a lower start of --m prints fewer)"
+            raise ResourceCapError(len(counts), HISTOGRAM_LIMIT, what)
+        histogram = {str(c): n for c, n in sorted(counts.items())}
     certificate: dict
     try:
         cert = stationary_certificate(f, ball, values)
@@ -289,6 +289,8 @@ def _fit_dict(fit) -> dict:
 
 
 def _run_surface(cfg: JobConfig) -> dict:
+    if (cfg.rho is None) != (cfg.seed is None):
+        raise DomainError("--rho and --seed go together (seeded random test functions)")
     phi = parse_polynomial(cfg.phi)
     n = phi.nvars + 1
     window = Ball.of(cfg.prime, (0,) * n, 0)
@@ -313,8 +315,6 @@ def _run_surface(cfg: JobConfig) -> dict:
         "zeta_check": _zeta_check(cfg.prime),
     }
     if cfg.rho is not None:
-        if cfg.seed is None:
-            raise DomainError("--seed is required with --rho (random test functions)")
         rng = random.Random(cfg.seed)
         ratios = []
         for _ in range(10):
@@ -415,13 +415,26 @@ def _run_strichartz(cfg: JobConfig) -> dict:
     }
 
 
-_RUNNERS = {
-    "newton": _run_newton,
-    "expsum": _run_expsum,
-    "surface": _run_surface,
-    "solve": _run_solve,
-    "strichartz": _run_strichartz,
+# Each command's runner, the flags it requires and the flags it may also take.
+# Every command takes --prime (required), --cap, --threads, --format and --out
+# besides; a flag a command does not read is refused by argparse (exit 2).
+_COMMANDS = {
+    "newton": (_run_newton, ("poly",), ()),
+    "expsum": (_run_expsum, ("poly", "m"), ("ball",)),
+    "surface": (_run_surface, ("phi",), ("k", "rho", "seed")),
+    "solve": (_run_solve, ("phi", "f0"), ("m", "rmax")),
+    "strichartz": (_run_strichartz, ("phi", "f0", "sigma"), ("rmax",)),
 }
+_FLAG_ARGS = {
+    "m": {"metavar": "A..B"},
+    "k": {"metavar": "A..B"},
+    "rmax": {"type": int},
+    "sigma": {"type": float},
+    "rho": {"type": float},
+    "seed": {"type": int},
+}
+# each level l stands for p^-l; the decay fit needs l >= 1
+_LOWEST = {"expsum": ("m", 1), "surface": ("k", 0), "solve": ("m", 0)}
 
 
 # -- emission -------------------------------------------------------------------
@@ -483,21 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact p-adic oscillatory-integral pipelines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name, (_, required, optional) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--prime", type=int, required=True)
-        cmd.add_argument("--poly", type=str, default=None)
-        cmd.add_argument("--phi", type=str, default=None)
-        cmd.add_argument("--f0", type=str, default=None)
-        cmd.add_argument("--ball", type=str, default=None)
-        cmd.add_argument("--m", type=str, default=None, metavar="A..B")
-        cmd.add_argument("--k", type=str, default=None, metavar="A..B")
-        cmd.add_argument("--rmax", type=int, default=None)
-        cmd.add_argument("--sigma", type=float, default=None)
-        cmd.add_argument("--rho", type=float, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
+        for flag in required + optional:
+            cmd.add_argument(f"--{flag}", **_FLAG_ARGS.get(flag, {}))
         cmd.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-        cmd.add_argument("--threads", type=int, default=None)
+        cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", type=str, default=None)
     return parser
@@ -506,10 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
     """The validated config and the requested thread count, which `run`
     accepts and ignores; a count below 1 is still a validation error."""
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("PADIC_THREADS", "1"))
-    if threads < 1:
+    if args.threads < 1:
         raise DomainError("threads must be >= 1")
     if args.prime > MODULUS_LIMIT:  # no command accepts it; trial division would take O(sqrt p)
         raise DomainError(f"--prime {args.prime} is not below 2^31, the modulus limit")
@@ -517,49 +519,26 @@ def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
         raise DomainError(f"--prime {args.prime} is not a prime")
     if args.cap < 1:
         raise DomainError("--cap must be positive")
-    cfg = JobConfig(
-        command=args.command,
-        prime=args.prime,
-        poly=args.poly,
-        phi=args.phi,
-        f0=args.f0,
-        ball=args.ball,
-        m_range=_parse_range(args.m) if args.m else None,
-        k_range=_parse_range(args.k) if args.k else None,
-        rmax=args.rmax,
-        sigma=args.sigma,
-        rho=args.rho,
-        seed=args.seed,
-        cap=args.cap,
-        format=args.format,
-        out=args.out,
-    )
-    _validate(cfg)
-    return cfg, threads
+    _, required, optional = _COMMANDS[args.command]
+    given = {flag: getattr(args, flag) for flag in required + optional}
+    for flag in ("m", "k"):
+        if given.get(flag) is not None:
+            given[flag] = _parse_range(given[flag])
+    _validate(args.command, given)
+    ranges = {"m_range": given.pop("m", None), "k_range": given.pop("k", None)}
+    cfg = JobConfig(command=args.command, prime=args.prime, cap=args.cap,
+                    format=args.format, out=args.out, **ranges, **given)
+    return cfg, args.threads
 
 
-_FLAGS = {"m_range": "--m", "k_range": "--k"}
-
-
-def _validate(cfg: JobConfig) -> None:
-    need = {
-        "newton": ("poly",),
-        "expsum": ("poly", "m_range"),
-        "surface": ("phi",),
-        "solve": ("phi", "f0"),
-        "strichartz": ("phi", "f0", "sigma"),
-    }[cfg.command]
-    for field_name in need:
-        if getattr(cfg, field_name) is None:
-            flag = _FLAGS.get(field_name, "--" + field_name)
-            raise DomainError(f"{cfg.command} requires {flag}")
-    # each level l stands for p^-l; the decay fit needs l >= 1
-    lowest = {"expsum": ("m_range", 1), "surface": ("k_range", 0), "solve": ("m_range", 0)}
-    if cfg.command in lowest:
-        field_name, least = lowest[cfg.command]
-        levels = getattr(cfg, field_name)
-        if levels is not None and levels[0] < least:
-            raise DomainError(f"{_FLAGS[field_name]} range must start at {least} or above")
+def _validate(command: str, given: dict) -> None:
+    for flag in _COMMANDS[command][1]:
+        if given[flag] is None:
+            raise DomainError(f"{command} requires --{flag}")
+    if command in _LOWEST:
+        flag, least = _LOWEST[command]
+        if given[flag] is not None and given[flag][0] < least:
+            raise DomainError(f"--{flag} range must start at {least} or above")
 
 
 def run(cfg: JobConfig, threads: int = 1) -> tuple[bytes, int]:
@@ -568,7 +547,7 @@ def run(cfg: JobConfig, threads: int = 1) -> tuple[bytes, int]:
 
     `threads` is accepted and ignored: every command runs on one thread, so
     the emitted bytes never depend on it, and it is not part of the config."""
-    results = _RUNNERS[cfg.command](cfg)
+    results = _COMMANDS[cfg.command][0](cfg)
     status = EXIT_OK
     cert = results.get("certificate")
     if cert is not None and cert.get("status") == "unavailable":
@@ -588,9 +567,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as ex:
         print(f"resource cap: {ex}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CertificateUnavailableError, CertificateIndeterminate) as ex:
-        print(f"certificate: {ex}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     if cfg.out:
         try:
             with open(cfg.out, "wb") as fh:

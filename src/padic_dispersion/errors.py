@@ -40,9 +40,10 @@ class CertificateUnavailableError(RuntimeError):
 
     def __init__(self, residue_class, message: str | None = None):
         center, level = residue_class
+        center = ", ".join(map(str, center))
         super().__init__(
             message
-            or f"critical point detected in residue class {center} mod p^{level}"
+            or f"critical point detected in residue class ({center}) mod p^{level}"
         )
         self.residue_class = residue_class
 

@@ -265,4 +265,5 @@ def test_criterion_10_cli_determinism(tmp_path):
             outputs.append(out.read_bytes())
         ok &= outputs[0] == outputs[1]
         json.loads(outputs[0])  # artifact must be valid JSON
+        ok &= b"Fraction(" not in outputs[0]  # rationals print as "num/den", never as reprs
     report(10, f"byte-identical CLI output across thread counts on {len(jobs)} jobs", ok)

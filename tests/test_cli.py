@@ -118,6 +118,21 @@ class TestExpsumCommand:
         assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
         assert len({json.dumps(json.loads(out)["results"]) for _, out in runs}) == 1
 
+    def test_a_histogram_past_the_limit_is_refused(self, tmp_path, capsys):
+        # 3^13 residues at level 13: refused before the histogram is printed
+        start = time.perf_counter()
+        code = main(["expsum", "--prime", "3", "--poly", "x1*x2", "--m", "13..13"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_RESOURCE, "")
+        assert "lower start of --m" in captured.err
+        assert elapsed < 2.0, elapsed
+        # 3^12 = 531441 residues are still printed in full
+        code, out = run_cli(tmp_path, ["expsum", "--prime", "3", "--poly", "x1*x2", "--m", "12..12"])
+        histogram = json.loads(out)["results"]["histogram"]
+        assert code == EXIT_CERTIFICATE
+        assert len(histogram) == 3**12 and sum(histogram.values()) == 3**24
+
     def test_histogram_included(self, tmp_path):
         _, out = run_cli(
             tmp_path, ["expsum", "--prime", "3", "--poly", "x^2", "--m", "2..3"]
@@ -202,6 +217,10 @@ class TestSurfaceCommand:
             ["surface", "--prime", "3", "--phi", "x^2", "--rho", "1.2"],
         )
         assert code == EXIT_VALIDATION
+
+    def test_seed_requires_restriction(self, tmp_path):
+        argv = ["surface", "--prime", "3", "--phi", "x^2", "--seed", "1"]
+        assert run_cli(tmp_path, argv) == (EXIT_VALIDATION, b"")
 
     def test_restriction_at_a_large_rho(self, tmp_path):
         argv = ["surface", "--prime", "3", "--phi", "x^2", "--k", "1..2", "--rho", "1000", "--seed", "1"]
@@ -571,8 +590,9 @@ class TestValidationAndExitCodes:
     @pytest.mark.parametrize("command", ["solve", "strichartz"])
     @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1+nanj"])
     def test_non_finite_f0_coefficient_is_refused(self, tmp_path, capsys, command, coeff):
-        argv = [command, "--prime", "3", "--phi", "x^2", "--f0", f"{coeff}*ball 0 0",
-                "--sigma", "6", "--rmax", "2"]
+        argv = [command, "--prime", "3", "--phi", "x^2", "--f0", f"{coeff}*ball 0 0", "--rmax", "2"]
+        if command == "strichartz":
+            argv += ["--sigma", "6"]
         assert main(argv) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -595,6 +615,36 @@ class TestValidationAndExitCodes:
             ["solve", "--prime", "3", "--phi", "x^2", "--f0", "sphere 0 0"],
         )
         assert code == EXIT_VALIDATION
+
+
+# a valid run of each command, and a valid value for each flag some command takes
+COMMAND_ARGV = {
+    "newton": ["--prime", "3", "--poly", "x^2"],
+    "expsum": ["--prime", "3", "--poly", "x^2", "--m", "1..2"],
+    "surface": ["--prime", "3", "--phi", "x^2", "--k", "1..2"],
+    "solve": ["--prime", "3", "--phi", "x^2", "--f0", "ball 0 0"],
+    "strichartz": ["--prime", "3", "--phi", "x^2", "--f0", "ball 0 0", "--sigma", "6", "--rmax", "1"],
+}
+FLAG_VALUES = {"poly": "x^2", "phi": "x^2", "f0": "ball 0 0", "ball": "ball 0 0", "m": "1..2",
+               "k": "1..2", "rmax": "1", "sigma": "6", "rho": "1.2", "seed": "1"}
+TAKES = {
+    "newton": {"poly"},
+    "expsum": {"poly", "m", "ball"},
+    "surface": {"phi", "k", "rho", "seed"},
+    "solve": {"phi", "f0", "m", "rmax"},
+    "strichartz": {"phi", "f0", "sigma", "rmax"},
+}
+DROPPED = [(command, flag) for command in TAKES for flag in FLAG_VALUES if flag not in TAKES[command]]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED, ids=[f"{c}-{f}" for c, f in DROPPED])
+def test_a_flag_the_command_does_not_read_is_refused(capsys, command, flag):
+    assert len(DROPPED) == 34
+    with pytest.raises(SystemExit) as exc:
+        main([command, *COMMAND_ARGV[command], f"--{flag}", FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_VALIDATION, "")
+    assert f"--{flag}" in captured.err
 
 
 class TestDeterminism:
@@ -652,14 +702,12 @@ class TestDeterminism:
             ((code, stdout),) = outputs
             assert code in (EXIT_OK, EXIT_CERTIFICATE) and json.loads(stdout)["results"], job
 
-    def test_env_thread_count(self, tmp_path, monkeypatch):
+    def test_env_thread_count(self, tmp_path):
         job = self.JOBS[0]
         _, a = run_cli(tmp_path, job)
-        monkeypatch.setenv("PADIC_THREADS", "3")
-        _, b = run_cli(tmp_path, job)
+        _, b = run_cli(tmp_path, job + ["--threads", "3"])
         assert a == b
-        monkeypatch.setenv("PADIC_THREADS", "0")
-        code, _ = run_cli(tmp_path, job)
+        code, _ = run_cli(tmp_path, job + ["--threads", "0"])
         assert code == EXIT_VALIDATION
 
 
@@ -667,7 +715,7 @@ class TestConfigRoundTrip:
     def test_emitted_config_parses_back(self, tmp_path):
         code, out = run_cli(
             tmp_path,
-            ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..3", "--seed", "5"],
+            ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..3"],
         )
         doc = json.loads(out)
         cfg = config_from_dict(doc["config"])
