@@ -329,7 +329,8 @@ def _run_surface(cfg: JobConfig) -> dict:
     return out
 
 
-def _zeta_check(p: int, e0: int = 1) -> dict:
+def _zeta_check(p: int) -> dict:
+    e0 = 1
     z = np.array([complex(0.1 * i, 0.3 * math.sin(i)) for i in range(1, 21)])
     xs = [Fraction(1, p), Fraction(1), Fraction(p), Fraction(p * p)]
     closed = np.array([zeta_kernel(z, xn, e0, p) for xn in xs])

@@ -415,8 +415,8 @@ def _edges(p: int, h: tuple, k: int, modulus: int, work: list, cap: int) -> list
         for point in zip(*(x.ravel()[i].tolist() for x, i in zip(coords[len(prefix) :], at))):
             _charge(work, expansion, cap, modulus)
             shifted = compose_affine(terms, prefix + point, p)
-            r = int(shifted.pop((0,) * d, 0)) % modulus
-            rest = {e: int(a) % modulus for e, a in shifted.items() if int(a) % modulus}
+            r = shifted.pop((0,) * d, 0) % modulus
+            rest = {e: a % modulus for e, a in shifted.items() if a % modulus}
             c = min((int_valuation(a, p) for a in rest.values()), default=k)
             child = (p, tuple(sorted((e, a // p**c) for e, a in rest.items())), k - c)
             edges.append((r, p ** (d * (min(c, k) - 1)), child if c < k else None))
@@ -541,19 +541,17 @@ def _result(
 
 
 def character_sum(
-    phase: Mapping[Exponents, Fraction] | SparsePolynomial,
+    phase: Mapping[Exponents, Fraction | int],
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ExpSumResult:
     """int_ball Psi(phase(x)) dx as an exact histogram.
 
-    `phase` is a polynomial with coefficients in Z[1/p].  The substitution
+    `phase` maps exponent vectors to coefficients in Z[1/p].  The substitution
     x = center + p^e y makes the integrand a function of y in Z_p^n that is
     constant on cosets mod p^L, with L read off the coefficient valuations.
     """
-    if isinstance(phase, SparsePolynomial):
-        phase = phase.scale(1)
     p, e = ball.prime, ball.radius_exp
     terms, key_level = lattice_form(phase, ball.center_fractions(), Fraction(p) ** e, p)
     return _result(terms, ball.dim, p, key_level, e, cap)
@@ -596,7 +594,7 @@ def residue_histogram(
     if not ball.is_integral():
         raise DomainError("residue histograms need a ball inside Z_p^n")
     p, n, e = ball.prime, ball.dim, ball.radius_exp
-    terms, _ = lattice_form(f.scale(1), ball.center_fractions(), p**e, p)  # K = 0: integral
+    terms, _ = lattice_form(dict(f.terms), ball.center_fractions(), p**e, p)  # K = 0: integral
     return _result(terms, n, p, m, e, cap, max(0, m - e)).counts
 
 

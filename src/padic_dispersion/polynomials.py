@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, PolynomialSyntaxError, ResourceCapError
-from .padic import split_p_part
+from .padic import Rational, int_valuation, split_p_part
 
 Exponents = tuple[int, ...]
 
@@ -136,55 +136,54 @@ class SparsePolynomial:
 
 
 def compose_affine(
-    coeffs: Mapping[Exponents, Fraction],
-    center: Sequence[Fraction | int],
-    step: Fraction,
-) -> dict[Exponents, Fraction]:
+    coeffs: Mapping[Exponents, Rational], center: Sequence[Rational], step: Rational
+) -> dict[Exponents, Rational]:
     """Expand sum_a c_a * prod_i (center_i + step*y_i)^(a_i) in y.
 
-    With center_i = n_i/d_i and step = s/t, the y^k term of a monomial is c_a
-    prod_i C(a_i, k_i) n_i^(a_i-k_i) s^k_i / (d_i^(a_i-k_i) t^k_i): its
-    numerator and denominator are multiplied out in integers, and each
-    becomes one Fraction."""
-    step = Fraction(step)
-    center = [Fraction(c) for c in center]
-    out: dict[Exponents, Fraction] = {}
+    The y^k term of a monomial, c_a prod_i C(a_i, k_i) center_i^(a_i-k_i)
+    step^k_i, is multiplied out in the numbers given: integer inputs give
+    integer coefficients."""
+    out: dict[Exponents, Rational] = {}
     for exps, coeff in coeffs.items():
-        coeff = Fraction(coeff)
         if not coeff:
             continue
-        terms = [((), coeff.numerator, coeff.denominator)]
+        terms = [((), coeff)]
         for ci, ai in zip(center, exps, strict=True):
-            powers = [
-                (k, math.comb(ai, k) * ci.numerator ** (ai - k) * step.numerator**k,
-                 ci.denominator ** (ai - k) * step.denominator**k)
-                for k in range(ai + 1)
-            ]
-            terms = [
-                (stem + (k,), num * a, den * b)
-                for stem, num, den in terms
-                for k, a, b in powers
-                if a
-            ]
-        for key, num, den in terms:
-            term = Fraction(num, den)
-            out[key] = out[key] + term if key in out else term
+            powers = [(k, w) for k in range(ai + 1)
+                      if (w := math.comb(ai, k) * ci ** (ai - k) * step**k)]
+            terms = [(stem + (k,), c * w) for stem, c in terms for k, w in powers]
+        for key, c in terms:
+            out[key] = out[key] + c if key in out else c
     return {e: c for e, c in out.items() if c != 0}
 
 
+def _over_p_power(values: Iterable[Rational], p: int) -> tuple[list[int], int]:
+    """(nums, Q): values_i = nums_i / p^Q with the least Q >= 0; DomainError
+    unless every denominator is a power of p."""
+    parts = [split_p_part(x, p) for x in values]
+    Q = max([0] + [-v for _, v in parts])
+    return [unit * p ** (v + Q) for unit, v in parts], Q
+
+
 def lattice_form(
-    phase: Mapping[Exponents, Fraction],
-    center: Sequence[Fraction | int],
-    step: Fraction | int,
-    p: int,
+    phase: Mapping[Exponents, Rational], center: Sequence[Rational], step: Rational, p: int
 ) -> tuple[dict[Exponents, int], int]:
     """(terms, K): integer terms and the least K >= 0 with
     phase(center + step*y) = terms(y) / p^K; DomainError unless every
-    coefficient lies in Z[1/p]."""
-    g = compose_affine(phase, center, step)
-    K = max([0] + [-split_p_part(c, p)[1] for c in g.values()])
-    modulus = p**K
-    return {e: int(c * modulus) for e, c in g.items()}, K
+    coefficient lies in Z[1/p].
+
+    With the coefficients over one p^Q and the centre and step over one p^D,
+    c_a = N_a / p^Q, center = m / p^D, step = s / p^D, and top the largest
+    degree, p^(Q + D top) phase(center + step*y) is the integer expansion of
+    sum_a N_a p^(D (top - |a|)) prod_i (m_i + s y_i)^(a_i)."""
+    nums, Q = _over_p_power(phase.values(), p)
+    (*m, s), D = _over_p_power([*center, step], p)
+    top = max(map(sum, phase), default=0)
+    g = compose_affine({a: c * p ** (D * (top - sum(a))) for a, c in zip(phase, nums)}, m, s)
+    T = Q + D * top
+    K = max([0] + [T - int_valuation(c, p) for c in g.values()])
+    up, down = p**K, p**T
+    return {e: c * up // down for e, c in g.items()}, K
 
 
 def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray:

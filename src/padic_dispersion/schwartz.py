@@ -377,18 +377,16 @@ def embed(g: SchwartzBruhatFn) -> ModulatedSBFn:
     return ModulatedSBFn._from_arrays(g.n, g.prime, *arrays)
 
 
-def fourier_sb(g: SchwartzBruhatFn, sign: int = -1) -> ModulatedSBFn:
-    """Exact Fourier transform of a Schwartz-Bruhat function.
-
-    sign = -1 is the forward convention Psi(-[x, xi]); sign = +1 the inverse.
-    """
-    return fourier_modulated(embed(g), sign)
+def fourier_sb(g: SchwartzBruhatFn) -> ModulatedSBFn:
+    """Exact forward Fourier transform of a Schwartz-Bruhat function, in the
+    convention Psi(-[x, xi])."""
+    return fourier_modulated(embed(g), -1)
 
 
-def inverse_fourier_sb(G: ModulatedSBFn, sign: int = 1) -> SchwartzBruhatFn:
-    """fourier_modulated(G, sign) with its modulations folded into locally
-    constant coefficients, in one canonicalisation."""
-    return _disjointify(G.prime, G.n, _term_transform(G, sign), plain=True)
+def inverse_fourier_sb(G: ModulatedSBFn) -> SchwartzBruhatFn:
+    """The inverse transform, fourier_modulated(G, +1), with its modulations
+    folded into locally constant coefficients, in one canonicalisation."""
+    return _disjointify(G.prime, G.n, _term_transform(G, 1), plain=True)
 
 
 # -- norms and comparisons ----------------------------------------------------

@@ -212,12 +212,12 @@ def restriction_ratio(
     denom = lp_norm(g, rho)
     if denom == 0:
         raise DomainError("||g|| = 0 rejected")
-    Fg = fourier_sb(g, -1)
+    Fg = fourier_sb(g)
     p, base = Y.prime, Y.base_window
     m, e0, center = base.dim, base.radius_exp, base.center_fractions()
     # each coordinate x_j and phi(x') as integer terms in y over p^K
-    units = [{tuple(int(i == j) for i in range(m)): Fraction(1)} for j in range(m)]
-    forms = [lattice_form(f, center, Fraction(p) ** e0, p) for f in units + [Y.phi.scale(1)]]
+    units = [{tuple(int(i == j) for i in range(m)): 1} for j in range(m)]
+    forms = [lattice_form(f, center, Fraction(p) ** e0, p) for f in units + [dict(Y.phi.terms)]]
     phi_terms, phi_K = forms[-1]
     w_phi = min(int_valuation(c, p) for e, c in phi_terms.items() if any(e)) - phi_K
     # a change of y by p^(L - e0) moves x' by p^L and phi by p^(L - e0 + w_phi)

@@ -72,7 +72,7 @@ class SolutionSpec:
         if phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
         k = _spectrum_exp(f0)
-        spectrum = fourier_sb(_halved(f0, k), -1)
+        spectrum = fourier_sb(_halved(f0, k))
         e = spectrum.support_bound
         ep = max(
             -split_p_part(c, f0.prime)[1] + e * sum(exps)
@@ -114,7 +114,7 @@ class SolutionSpec:
         Phi a primitive integer polynomial holding the terms of degree >= 2
         (empty, m = 0, when there are none) and lin the linear coefficients."""
         p, n = self.prime, self.n
-        higher = {a: Fraction(c) for a, c in self.phi.terms if sum(a) > 1}
+        higher = {a: c for a, c in self.phi.terms if sum(a) > 1}
         terms, K = lattice_form(higher, (0,) * n, Fraction(p) ** -self.freq_bound, p)
         mu = min((int_valuation(c, p) for c in terms.values()), default=0)
         lin = tuple(self.phi.coefficient(tuple(int(i == d) for i in range(n))) for d in range(n))

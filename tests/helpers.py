@@ -403,7 +403,7 @@ def oracle_restriction_ratio(g: SchwartzBruhatFn, Y: GraphHypersurface, rho: flo
     constancy scale of `oracle_graph_constancy_level`, modulations included."""
     p = Y.prime
     base = Y.base_window
-    Fg = fourier_sb(g, -1)
+    Fg = fourier_sb(g)
     level = oracle_graph_constancy_level(Y, Fg)
     m, e0, center = base.dim, base.radius_exp, base.center_fractions()
     step = Fraction(p) ** e0

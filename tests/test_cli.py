@@ -118,6 +118,23 @@ class TestExpsumCommand:
         assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
         assert len({json.dumps(json.loads(out)["results"]) for _, out in runs}) == 1
 
+    def test_an_irrational_critical_point_is_indeterminate(self, tmp_path):
+        # the critical point -1/2 of x^2 + x lies in Z_3 and has no finite
+        # expansion, so the gradient valuation never settles
+        code, out = run_cli(tmp_path, ["expsum", "--prime", "3", "--poly", "x^2+x", "--m", "1..4"])
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["certificate"] == {
+            "status": "indeterminate",
+            "reason": "gradient valuation did not stabilise within depth 12",
+        }
+
+    def test_a_ball_of_radius_exponent_two_is_not_certified(self, tmp_path):
+        argv = ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..4", "--ball", "ball 1 2"]
+        code, out = run_cli(tmp_path, argv)
+        cert = json.loads(out)["results"]["certificate"]
+        assert code == EXIT_OK and cert["status"] == "not-applicable"
+        assert "radius exponent" in cert["reason"]
+
     def test_a_histogram_past_the_limit_is_refused(self, tmp_path, capsys):
         # 3^13 residues at level 13: refused before the histogram is printed
         start = time.perf_counter()
@@ -354,6 +371,18 @@ class TestSolveCommand:
         assert abs(u0["value"][0] - 1.0) < 1e-12
         assert all(w["abs"] < 1e-12 for w in res["windowed_spectrum"])
 
+    def test_csv_has_one_row_per_u_sample(self, tmp_path):
+        argv = ["solve", "--prime", "3", "--phi", "x^2", "--f0", "ball 0 0"]
+        code, out = run_cli(tmp_path, argv + ["--format", "csv"], name="out.csv")
+        _, doc = run_cli(tmp_path, argv)
+        samples = json.loads(doc)["results"]["u_samples"]
+        lines = out.decode().splitlines()
+        assert code == EXIT_OK and lines[0] == "x,t,re,im"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == len(samples) > 0
+        for (x, t, re, im), s in zip(rows, samples):
+            assert (x, t, float(re), float(im)) == (s["x"], s["t"], *s["value"])
+
     def test_each_level_tiled_once(self, tmp_path, monkeypatch):
         levels, original = [], wave._freq_cells
 
@@ -446,6 +475,18 @@ class TestStrichartzCommand:
         assert res["converged"] and not res["diverged"]
         assert abs(res["rows"][0]["norm"] - 1.0) < 1e-12
         assert res["l2_f0"] == 1.0
+
+    def test_csv_has_one_row_per_r(self, tmp_path):
+        argv = ["strichartz", "--prime", "3", "--phi", "x^2", "--sigma", "6", "--rmax", "4",
+                "--f0", "ball 0 0"]
+        code, out = run_cli(tmp_path, argv + ["--format", "csv"], name="out.csv")
+        _, doc = run_cli(tmp_path, argv)
+        lines = out.decode().splitlines()
+        assert code == EXIT_OK and lines[0] == "R,norm,ratio"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        want = json.loads(doc)["results"]["rows"]
+        assert rows == [[r["R"], r["norm"], r["ratio"]] for r in want]
+        assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
 
     SCALED = ["strichartz", "--prime", "3", "--phi", "x^2", "--sigma", "2", "--rmax", "2",
               "--f0"]

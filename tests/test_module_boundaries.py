@@ -11,7 +11,8 @@ its threads, so the summation order, and with it the output bits, would
 follow the BLAS thread count.  And `schwartz` exponentiates in `_roots`
 only, which evaluates each modulus's roots once per call; `expsums` splits
 Z_p^d by Hensel classes in `_edges` only, the one tree that both counts and
-values read.
+values read.  `polynomials.compose_affine` names no `Fraction`: it expands in
+the numbers it is given, so the integer phases of the recursion stay integers.
 
 The parameter names of everything the package exports are pinned in one
 table, so a keyword added or removed shows as a one-line diff.
@@ -320,6 +321,44 @@ def test_the_check_allows_the_split_inside_edges():
     assert hensel_splits_outside(source, "_edges") == []
 
 
+def fraction_names_inside(source: str, function: str) -> list[str]:
+    """The names and attributes `Fraction` in the function named `function`."""
+    return [
+        ast.unparse(node)
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and fn.name == function
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+
+
+def test_compose_affine_names_no_fraction():
+    # integer inputs, as `_edges` passes them, give integer coefficients
+    source = next(path for path in SOURCES if path.name == "polynomials.py").read_text()
+    assert fraction_names_inside(source, "compose_affine") == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def compose_affine(c, x, s):\n    return {e: Fraction(a) for e, a in c.items()}",
+        "def compose_affine(c: dict[tuple, Fraction], x, s):\n    return c",
+        "def compose_affine(c, x, s):\n    s = fractions.Fraction(s)\n    return c",
+    ],
+)
+def test_the_check_sees_a_fraction_in_compose_affine(source):
+    assert fraction_names_inside(source, "compose_affine")
+
+
+def test_the_check_allows_fractions_outside_compose_affine():
+    source = (
+        "def compose_affine(c, x, s):\n    return {e: a * s for e, a in c.items()}\n"
+        "def lattice_form(phase):\n    return Fraction(1)"
+    )
+    assert fraction_names_inside(source, "compose_affine") == []
+
+
 # None: an exception class that keeps Exception's own (*args)
 EXPORTED_PARAMETERS = {
     "Ball": ("prime", "center", "radius_exp"),
@@ -359,8 +398,8 @@ EXPORTED_PARAMETERS = {
     "decay_table": ("Y", "values"),
     "exp_sum": ("f", "z", "ball", "cap", "threads"),
     "face_polynomials": ("f", "P"),
-    "fourier_sb": ("g", "sign"),
-    "inverse_fourier_sb": ("G", "sign"),
+    "fourier_sb": ("g",),
+    "inverse_fourier_sb": ("G",),
     "l2_norm": ("g",),
     "lp_norm": ("g", "rho"),
     "newton_facets": ("f",),

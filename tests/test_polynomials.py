@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import padic_dispersion
 from helpers import oracle_compose_affine
-from padic_dispersion import expsums, wave
+from padic_dispersion import expsums, polynomials, wave
 from padic_dispersion.errors import DomainError, PolynomialSyntaxError, ResourceCapError
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import (
@@ -153,6 +153,23 @@ class TestEvaluation:
             want = oracle_compose_affine(coeffs, center, step)
             assert list(got.items()) == list(want.items()), (coeffs, center, step)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_integer_inputs_give_integer_coefficients(self, p):
+        # the seeded cases above with integer coefficients, centre and step
+        rng = random.Random(f"compose:{p}")
+        for _ in range(150):
+            n = rng.randint(1, 3)
+            coeffs = {}
+            for _ in range(rng.randint(1, 5)):
+                exps = tuple(rng.randint(0, 4) for _ in range(n))
+                coeffs[exps] = rng.choice([-1, 1]) * rng.randint(1, 30) * p ** rng.randint(0, 3)
+            center = [rng.randint(-40, 40) if rng.random() < 0.7 else 0 for _ in range(n)]
+            step = p ** rng.randint(0, 2)
+            got = compose_affine(coeffs, center, step)
+            want = oracle_compose_affine(coeffs, center, step)
+            assert all(type(c) is int for c in got.values()), (coeffs, center, step)
+            assert list(got.items()) == list(want.items()), (coeffs, center, step)
+
     def test_from_terms_validation(self):
         with pytest.raises(DomainError):
             SparsePolynomial.from_terms(2, {(0, -1): 1})
@@ -183,6 +200,24 @@ class TestLatticeForm:
     def test_denominator_off_p_is_refused(self):
         with pytest.raises(DomainError):
             lattice_form({(1,): Fraction(1, 5)}, (0,), 1, 3)
+
+    def test_integer_and_fraction_maps_expand_once_in_integers(self, monkeypatch):
+        # one expansion, in integers, whichever numbers the phase is written in
+        seen, compose = [], polynomials.compose_affine
+
+        def expanding(coeffs, center, step):
+            seen.append((*coeffs.values(), *center, step))
+            return compose(coeffs, center, step)
+
+        monkeypatch.setattr(polynomials, "compose_affine", expanding)
+        f = parse_polynomial("x1^3 - 2*x1*x2 + 5*x2^2 + 7*x1")
+        for center, step in [((Fraction(1, 3), Fraction(4)), Fraction(9)),
+                             ((Fraction(2), Fraction(-7, 9)), Fraction(1, 3)),
+                             ((0, 0), 1), ((5, -2), 3)]:
+            seen.clear()
+            terms = lattice_form(dict(f.terms), center, step, 3)
+            assert terms == lattice_form(f.scale(1), center, step, 3)
+            assert len(seen) == 2 and all(type(v) is int for args in seen for v in args)
 
 
 class TestModulusLimit:

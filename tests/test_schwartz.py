@@ -120,7 +120,7 @@ class TestRoundTripAndParseval:
 
     def test_modulated_closure_both_signs(self):
         g = random_sb(random.Random(5), 3, 1, max_balls=3)
-        G = fourier_sb(g, -1)
+        G = fourier_sb(g)
         GG = fourier_modulated(G, -1)  # second forward transform
         # double transform is the reflection: (FFg)(x) = g(-x)
         for x in (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 9)):

@@ -238,7 +238,7 @@ class TestRestriction:
             Y = GraphHypersurface(SparsePolynomial.from_terms(m, terms), Ball.of(p, center, rng.randint(-1, 2)))
             try:
                 g = _random_sb(rng, p, m + 1)
-                Fg = fourier_sb(g, -1)
+                Fg = fourier_sb(g)
             except ResourceCapError:
                 continue
             if len(Fg.radii) > 500:  # the oracle builds ~30 us of PadicRationals per term

@@ -286,7 +286,7 @@ class TestSolveU:
     def test_a_bound_at_the_normal_range_keeps_its_spectrum(self):
         f0 = SchwartzBruhatFn.indicator(Ball.of(3, [0], 0), 2.0**-1022)
         spec = SolutionSpec.build(f0, parse_polynomial("x^2"))
-        assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0, -1)
+        assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0)
 
     def test_in_range_data_keep_their_spectrum(self):
         rng = random.Random(11)
@@ -295,7 +295,7 @@ class TestSolveU:
             f0 = random_sb(rng, p, n, max_balls=4, radius_range=(-2, 2), den_exp=2)
             f0 = f0.scaled(10.0 ** rng.choice([-300, -5, 0, 5, 300]))
             spec = SolutionSpec.build(f0, parse_polynomial("x1^2+x2^2" if n == 2 else "x^2"))
-            assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0, -1)
+            assert spec.spectrum_exp == 0 and spec.spectrum == fourier_sb(f0)
 
     @pytest.mark.parametrize("terms", PAST_RANGE, ids=range(len(PAST_RANGE)))
     def test_one_more_halving_keeps_the_bits(self, terms):
@@ -306,7 +306,7 @@ class TestSolveU:
         spec = SolutionSpec.build(f0, phi)
         k = spec.spectrum_exp + 1
         assert spec.spectrum_exp >= 1
-        halved = SolutionSpec(f0, phi, fourier_sb(f0.scaled(2.0**-k), -1),
+        halved = SolutionSpec(f0, phi, fourier_sb(f0.scaled(2.0**-k)),
                               spec.freq_bound, spec.phase_bound, k)
         for x in (0, 1, Fraction(1, 3), Fraction(1, 9), Fraction(2, 27)):
             for t in (0, 1, Fraction(1, 3), Fraction(2, 9), 3):
