@@ -14,7 +14,10 @@ h(a + p y) - h(a) = p^c h_a(y), down to E_1, one mesh over F_p^d (`_tally`).
 Its tallies are exact Python ints, so a value evaluates nothing mod more than
 p and needs no MODULUS_LIMIT; a zero is decided exactly and every other mean
 is one fixed-order sum.  `evaluate` values a level table with one memo, and
-`value` is its one-result call; the cap counts the work as it is done.
+`value` is its one-result call; the cap counts the work as it is done.  A node
+polynomial's coefficients lie in (-p^k/2, p^k/2] (`_centred`), and its
+stationary classes and their expansions are made once per memo for all its
+levels; `level_table` values a whole table {m: E(p^-m phase)}.
 
 Counts are built on demand from the same nodes (`_counts`; `_edges` is the
 one Hensel split), and only they are bound by MODULUS_LIMIT and int64:
@@ -281,7 +284,7 @@ def _block_counts(
     local = _local_terms(block, terms)
     v = min(level, *(int_valuation(c, p) for _, c in local))
     k = level - v
-    g = tuple((e, c // p**v % p**k) for e, c in local if c // p**v % p**k)
+    g = tuple((e, r) for e, c in local if (r := _centred(c // p**v, p**k)))
     column = _counts(p, g, k, {}, [0] if work is None else work, cap) if k else np.ones(1, np.int64)
     scale = (width // p**k) ** len(block)
     if scale > 1:
@@ -307,7 +310,7 @@ def _block_mean(p: int, local: Sequence, level: int, memo: dict, work: list, cap
     if k <= 0:
         return 1 + 0j
     modulus, scale = p**k, p ** (len(local[0][0]) * k)
-    g = tuple((e, c // p**v % modulus) for e, c in local if c // p**v % modulus)
+    g = tuple((e, r) for e, c in local if (r := _centred(c // p**v, modulus)))
     return sum(
         t / scale * cmath.exp(2j * math.pi * ((r if 2 * r < modulus else r - modulus) / modulus))
         for r, t in sorted(_tally(p, g, k, memo, work, cap).items())
@@ -323,9 +326,10 @@ def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[i
     h(a + p y) = h(a) + p^c h_a(y), c >= 2, so E_k(h) = p^-d sum_a e(h(a) / p^k)
     E_(k-c)(h_a), E_j = 1 for j <= 0: h_a's tally moves to h(a) + p^c r mod p^k,
     its weights times p^(d(c-1)).  A stack walks the tree, each node once per
-    `memo` {(p, h, k): tally}.  A tally sums to 0 iff it is invariant under
-    r -> r + p^(k-1) (Phi_{p^k}(x) = Phi_p(x^(p^(k-1))), Lam & Leung, J.
-    Algebra 224, 2000): it is stored empty.  Merging costs _TERM_COST an entry.
+    `memo` {(p, h, k): tally}, which also keeps the expansions of `_edges`.
+    A tally sums to 0 iff it is invariant under r -> r + p^(k-1) (Phi_{p^k}(x)
+    = Phi_p(x^(p^(k-1))), Lam & Leung, J. Algebra 224, 2000): it is stored
+    empty.  Merging costs _TERM_COST an entry.
     """
     stack, edges = [((p, h, k), p**k)], {}  # each node with its modulus p^k
     while stack:
@@ -333,7 +337,7 @@ def _tally(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> dict[i
         if node in memo:
             stack.pop()
         elif node not in edges:
-            edges[node] = _edges(*node, modulus, work, cap)
+            edges[node] = _edges(*node, modulus, memo, work, cap)
             stack += [(c, modulus // p ** (node[2] - c[2])) for _, _, c in edges[node]
                       if c and c not in memo]  # a child's modulus raises no power of p again
         else:
@@ -363,12 +367,13 @@ def _counts(p: int, h: tuple, k: int, memo: dict, work: list, cap: int) -> np.nd
     if (p, h, k) in memo:
         return memo[p, h, k]
     modulus = p**k
-    edges = _edges(p, h, k, modulus, work, cap)
+    edges = _edges(p, h, k, modulus, memo, work, cap)
     _charge(work, modulus, cap, modulus)
     if k == 1:  # every edge is a leaf: the mesh's count at r
         counts = np.zeros(p, dtype=np.int64)
     else:
-        spread = _counts(p, tuple((e, c % p) for e, c in h if c % p), 1, memo, work, cap).copy()
+        mod_p = tuple((e, r) for e, c in h if (r := _centred(c, p)))
+        spread = _counts(p, mod_p, 1, memo, work, cap).copy()
         for r, _, _ in edges:
             spread[r % p] -= 1
         counts = np.tile(spread * p ** ((len(h[0][0]) - 1) * (k - 1)), modulus // p)
@@ -391,12 +396,17 @@ def _charge(work: list, units: int, cap: int, modulus: int) -> None:
         raise ResourceCapError(work[0], cap, what="mesh points and node charges")
 
 
-def _edges(p: int, h: tuple, k: int, modulus: int, work: list, cap: int) -> list[tuple]:
+def _edges(
+    p: int, h: tuple, k: int, modulus: int, memo: dict, work: list, cap: int
+) -> list[tuple]:
     """The node (p, h, k) of `_tally` and `_counts` as (r, weight, child)
     edges, a leaf when child is None.  Charged first: the mesh F_p^d, and
     _NODE_COST for the node and each term it evaluates there (h, or grad h for
     k >= 2, mod p); then for each stationary class, _NODE_COST and _TERM_COST
-    a term formed."""
+    a term formed.  The classes of h and their integer expansions h(a + p y)
+    do not depend on k: they are made once per `memo`, under (p, h), and each
+    level only reduces them mod p^k; a reused expansion is charged as if it
+    were made again, so the work count does not depend on the reuse."""
     d = len(h[0][0])
     rows = [[(e, c) for e, c in row if c % p] for row in ([h] if k == 1 else _gradient(h))]
     _charge(work, p**d + _NODE_COST * (1 + sum(map(len, rows))), cap, modulus)
@@ -404,23 +414,39 @@ def _edges(p: int, h: tuple, k: int, modulus: int, work: list, cap: int) -> list
         meshes = (poly_residues(rows[0], x, p).ravel() for x in _mesh(d, p))
         counts = sum(np.bincount(mesh, minlength=p) for mesh in meshes)
         return [(r, n, None) for r, n in enumerate(counts.tolist()) if n]
-    terms, edges = dict(h), []
-    expansion = _NODE_COST + _TERM_COST * sum(math.prod(a + 1 for a in e) for e in terms)
-    for coords in _mesh(d, p):
-        kept = np.ones(np.broadcast_shapes(*map(np.shape, coords)), dtype=bool)
-        for row in rows:
-            kept &= poly_residues(row, coords, p) == 0
-        at = np.nonzero(kept)
-        prefix = tuple(coords[: d - len(at)])  # the scalars, then each axis at the kept indices
-        for point in zip(*(x.ravel()[i].tolist() for x, i in zip(coords[len(prefix) :], at))):
+    expansion = _NODE_COST + _TERM_COST * sum(math.prod(a + 1 for a in e) for e, _ in h)
+    shifts = memo.get((p, h))
+    if shifts is not None:
+        for _ in shifts:
             _charge(work, expansion, cap, modulus)
-            shifted = compose_affine(terms, prefix + point, p)
-            r = shifted.pop((0,) * d, 0) % modulus
-            rest = {e: a % modulus for e, a in shifted.items() if a % modulus}
-            c = min((int_valuation(a, p) for a in rest.values()), default=k)
-            child = (p, tuple(sorted((e, a // p**c) for e, a in rest.items())), k - c)
-            edges.append((r, p ** (d * (min(c, k) - 1)), child if c < k else None))
+    else:
+        terms, shifts = dict(h), []
+        for coords in _mesh(d, p):
+            kept = np.ones(np.broadcast_shapes(*map(np.shape, coords)), dtype=bool)
+            for row in rows:
+                kept &= poly_residues(row, coords, p) == 0
+            at = np.nonzero(kept)
+            prefix = tuple(coords[: d - len(at)])  # the scalars, then each axis at the kept indices
+            for point in zip(*(x.ravel()[i].tolist() for x, i in zip(coords[len(prefix) :], at))):
+                _charge(work, expansion, cap, modulus)
+                shifted = compose_affine(terms, prefix + point, p)
+                shifts.append((shifted.pop((0,) * d, 0), shifted))
+        memo[p, h] = shifts
+    edges = []
+    for const, shifted in shifts:
+        rest = {e: r for e, a in shifted.items() if (r := _centred(a, modulus))}
+        c = min((int_valuation(a, p) for a in rest.values()), default=k)
+        child = (p, tuple(sorted((e, a // p**c) for e, a in rest.items())), k - c)
+        edges.append((const % modulus, p ** (d * (min(c, k) - 1)), child if c < k else None))
     return edges
+
+
+def _centred(c: int, modulus: int) -> int:
+    """c mod `modulus` in (-modulus/2, modulus/2]: the one reduction of a node
+    polynomial's coefficients, so a small one, such as the -a of -a y^3, is the
+    same integer at every level and one key serves them all."""
+    r = c % modulus
+    return r - modulus if 2 * r > modulus else r
 
 
 # -- histograms -----------------------------------------------------------------
@@ -555,6 +581,27 @@ def character_sum(
     p, e = ball.prime, ball.radius_exp
     terms, key_level = lattice_form(phase, ball.center_fractions(), Fraction(p) ** e, p)
     return _result(terms, ball.dim, p, key_level, e, cap)
+
+
+def level_table(
+    phase: Mapping[Exponents, Fraction | int],
+    ball: Ball,
+    levels: Iterable[int],
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> dict[int, complex]:
+    """{m: character_sum(p^-m phase, ball).value} for m in levels, from one
+    lattice form phase = terms / p^K: level m is terms over p^(K+m), or terms
+    p^-(K+m) over 1 where K + m < 0, and all are valued in one `evaluate`
+    call, their work counted together against `cap`."""
+    p, e = ball.prime, ball.radius_exp
+    terms, K = lattice_form(phase, ball.center_fractions(), Fraction(p) ** e, p)
+    sums = {}
+    for m in levels:
+        up = p ** max(0, -K - m)
+        sums[m] = _result({a: c * up for a, c in terms.items()}, ball.dim, p, max(0, K + m), e, cap)
+    evaluate(sums.values())
+    return {m: res.value for m, res in sums.items()}
 
 
 def exp_sum(

@@ -4,8 +4,9 @@ decay tables, L^rho restriction ratios, and the zeta_z interpolation kernel.
 A window S (a ball in K^n) induces the measure |dx_1|...|dx_{n-1}| on the
 graph over the projected window S'; every integral reduces to an oscillatory
 ball integral handled by the exp-sums engine.  `ray_values` evaluates a
-table {k: hat(d mu_Y)(p^-k * direction)} in one `expsums.evaluate` call,
-and `decay_table` evaluates no transform: it reads that table.
+table {k: hat(d mu_Y)(p^-k * direction)} as one `expsums.level_table` of the
+phase at `direction`, and `decay_table` evaluates no transform: it reads
+that table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .expsums import ExpSumResult, character_sum, evaluate, fit_line
+from .expsums import character_sum, fit_line, level_table
 from .newton import has_nonzero_common_zero
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
 from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
@@ -82,10 +83,9 @@ def _critical_status(phi: SparsePolynomial, p: int) -> str:
     return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
 
-def _transform(Y: GraphHypersurface, xi: Sequence, cap: int) -> ExpSumResult:
-    """hat(d mu_Y)(xi) as its unevaluated ball integral."""
-    p = Y.prime
-    comps = [PadicRational(p, x).as_fraction() for x in xi]
+def _phase(Y: GraphHypersurface, xi: Sequence) -> dict:
+    """The phase -xi_n phi(x') - [x', xi'] of hat(d mu_Y)(xi) on S'."""
+    comps = [PadicRational(Y.prime, x).as_fraction() for x in xi]
     if len(comps) != Y.ambient_dim:
         raise DomainError("frequency vector has wrong dimension")
     phase = Y.phi.scale(-comps[-1])
@@ -94,7 +94,7 @@ def _transform(Y: GraphHypersurface, xi: Sequence, cap: int) -> ExpSumResult:
         if c:
             key = tuple(1 if j == i else 0 for j in range(m))
             phase[key] = phase.get(key, Fraction(0)) - c
-    return character_sum(phase, Y.base_window, cap=cap)
+    return phase
 
 
 def surface_ft(
@@ -107,7 +107,7 @@ def surface_ft(
 
     At xi = 0 this returns the measure of the windowed graph, vol(S').
     """
-    return _transform(Y, xi, cap).value
+    return character_sum(_phase(Y, xi), Y.base_window, cap=cap).value
 
 
 def ray_values(
@@ -118,14 +118,11 @@ def ray_values(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[int, complex]:
     """{k: hat(d mu_Y)(p^-k * direction)} for k in levels, the table that
-    `decay_table` reads.  The levels are evaluated together from one
-    recursion memo, so a node that several levels reach is expanded once,
-    and their work is counted together against `cap`."""
-    p = Y.prime
-    comps = [PadicRational(p, c).as_fraction() for c in direction]
-    sums = {k: _transform(Y, [c / p**k for c in comps], cap) for k in levels}
-    evaluate(sums.values())
-    return {k: res.value for k, res in sums.items()}
+    `decay_table` reads, each the bits of `surface_ft` at the exact frequency
+    p^-k * direction: the phase is linear in xi, so this is
+    `expsums.level_table` of the phase at `direction`, one lattice form
+    valued in one `evaluate` call, its work counted together against `cap`."""
+    return level_table(_phase(Y, direction), Y.base_window, levels, cap=cap)
 
 
 def remark_family_exponent(phi: SparsePolynomial) -> Fraction | None:

@@ -27,7 +27,7 @@ from padic_dispersion.cli import (
     parse_ball_list,
 )
 from padic_dispersion.padic import Ball
-from padic_dispersion.polynomials import parse_polynomial
+from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
 
 
 def run_cli(tmp_path, argv, name="out.bin"):
@@ -295,12 +295,18 @@ class TestEachSumEvaluatedOnce:
                 ["expsum", "--prime", "3", "--poly", "x^2", "--ball", "ball 1 1", "--m", "1..6"],
                 6,
             ),
-            (["surface", "--prime", "7", "--phi", "x^3", "--k", "1..6"], 6),
         ],
     )
     def test_one_evaluation_per_level(self, tmp_path, evaluations, argv, levels):
         run_cli(tmp_path, argv)
         assert len(evaluations) == levels
+
+    def test_a_surface_table_builds_one_lattice_form(self, tmp_path, evaluations, monkeypatch):
+        # the transform is linear in xi: every level scales the one lattice form
+        forms, build = [], expsums.lattice_form
+        monkeypatch.setattr(expsums, "lattice_form", lambda *args: forms.append(args) or build(*args))
+        assert run_cli(tmp_path, ["surface", "--prime", "7", "--phi", "x^3", "--k", "1..6"])[0] == EXIT_OK
+        assert len(forms) == 1 and evaluations == []
 
     def test_certificate_verifies_only_the_tabulated_levels(self, tmp_path, evaluations):
         code, out = run_cli(
@@ -321,12 +327,14 @@ class TestEachSumEvaluatedOnce:
         argv = ["expsum", "--prime", "5", "--poly", "x1^2+4*x2^3", "--m", "1..8"]
         assert run_cli(tmp_path, argv)[0] == EXIT_CERTIFICATE
         # the eight levels of both blocks are nodes of one walk, each expanded
-        # once, and the histogram at m = 1 reads each block's level-1 node once more
+        # once, and the histogram at m = 1 reads each block's level-1 node once more;
+        # a node's coefficients lie in (-5^m/2, 5^m/2], so 4 y^3 is -y^3 at level 1
         blocks = ((((2,), 1),), (((3,), 4),))
-        assert {(5, local, m) for local in blocks for m in range(1, 9)} <= set(nodes)
-        assert sorted(node for node in set(nodes) if nodes.count(node) > 1) == [(5, local, 1) for local in blocks]
+        level_one = ((((2,), 1),), (((3,), -1),))
+        assert {(5, local, m) for local in blocks for m in range(2, 9)} <= set(nodes)
+        assert sorted(node for node in set(nodes) if nodes.count(node) > 1) == [(5, local, 1) for local in level_one]
         assert max(map(nodes.count, nodes)) == 2
-        assert [tuple(local) for local in scans] == list(blocks)
+        assert [tuple(local) for local in scans] == list(level_one)
 
     SURFACE = ["surface", "--prime", "7", "--phi", "x^3", "--k", "1..7"]
 
@@ -337,6 +345,42 @@ class TestEachSumEvaluatedOnce:
         # level k reaches level k - 3 through its stationary class 0: the
         # seven levels are seven nodes of one walk
         assert len(nodes) == len(set(nodes)) == 7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["surface", "--prime", "7", "--phi", "3*x^3", "--k", "1..20"],
+         ["expsum", "--prime", "5", "--poly", "x^3+x^4", "--m", "1..30"]],
+        ids=["surface-3x^3-p7", "expsum-x^3+x^4-p5"],
+    )
+    def test_each_node_polynomial_is_expanded_once(self, tmp_path, monkeypatch, argv):
+        nodes, expanded = [], []
+        edges, compose = expsums._edges, expsums.compose_affine
+        monkeypatch.setattr(expsums, "_edges", lambda *args: nodes.append(args[:3]) or edges(*args))
+        monkeypatch.setattr(expsums, "compose_affine", lambda *args: expanded.append(args) or compose(*args))
+        assert run_cli(tmp_path, argv)[0] in (EXIT_OK, EXIT_CERTIFICATE)
+        # one expansion per stationary class of each distinct node polynomial of
+        # level 2 or more, whatever the number of levels it appears at
+        p, polys = nodes[0][0], {h for _, h, k in nodes if k > 1}
+        classes = 0
+        for h in polys:
+            d = len(h[0][0])
+            grad = SparsePolynomial.from_terms(d, dict(h)).gradient()
+            classes += sum(all(g.evaluate(a) % p == 0 for g in grad) for a in product(range(p), repeat=d))
+        assert len(expanded) == classes
+        assert len(polys) < len({node for node in nodes if node[2] > 1})
+
+    @pytest.mark.parametrize(
+        "argv, required",
+        [(["expsum", "--prime", "5", "--poly", "x^3+x^4", "--m", "1..30", "--cap", "100000"], 102700),
+         (["expsum", "--prime", "3", "--poly", "x1^2*x2^2", "--m", "1..12", "--cap", "1000000"], 1000413),
+         (["expsum", "--prime", "3", "--poly", "x1^2+x2^2+x3^2", "--m", "1..10", "--cap", "20000"], 21108),
+         (["surface", "--prime", "7", "--phi", "3*x^3", "--k", "1..20", "--cap", "20000"], 21312)],
+        ids=["x^3+x^4-p5", "x1^2*x2^2-p3", "3squares-p3", "surface-3x^3-p7"],
+    )
+    def test_a_reused_expansion_is_charged_as_if_made(self, tmp_path, capsys, argv, required):
+        # the work at refusal is that of a walk that expands every node afresh
+        assert run_cli(tmp_path, argv)[0] == EXIT_RESOURCE
+        assert f"enumeration of {required} mesh points and node charges" in capsys.readouterr().err
 
     def test_a_surface_table_counts_its_work_against_one_cap(self, tmp_path, monkeypatch):
         totals, charge = [], expsums._charge

@@ -29,13 +29,14 @@ from padic_dispersion.errors import (
     ResourceCapError,
 )
 from padic_dispersion.expsums import (
+    character_sum,
     decay_fit,
     exp_sum,
     residue_histogram,
     stationary_certificate,
 )
 from padic_dispersion.padic import Ball, PadicRational
-from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
+from padic_dispersion.polynomials import SparsePolynomial, lattice_form, parse_polynomial
 
 Z3 = Ball.of(3, [0], 0)
 SQUARE = parse_polynomial("x^2")
@@ -259,7 +260,8 @@ class TestHalfLevelGrid:
     def test_the_counts_expand_the_value_nodes_once(self, monkeypatch):
         # one Hensel tree: the counts expand the nodes of the value's
         # recursion, each once, and the level-1 node of each for its classes
-        # with grad h(a) != 0 mod p; a node evaluates at most d rows on F_p^d
+        # with grad h(a) != 0 mod p; the d gradient rows of each node polynomial
+        # are evaluated on F_p^d once, whatever its levels, and h at each level-1 node
         nodes, points = [], []
         edges, evaluate = expsums._edges, expsums.poly_residues
 
@@ -285,10 +287,12 @@ class TestHalfLevelGrid:
             assert int(counts.sum()) == p ** (width_level * len(block))
             counted, d = list(nodes), len(block)
             assert len(counted) == len(set(counted)), terms
-            assert sum(points) <= len(counted) * d * p**d, terms
+            polys = {h for _, h, k in counted if k > 1}
+            level_ones = sum(k == 1 for _, _, k in counted)
+            assert sum(points) == (len(polys) * d + level_ones) * p**d, terms
             nodes.clear()
             block_mean(p, expsums._local_terms(block, terms), level)
-            level_one = {(p, tuple((e, c % p) for e, c in h if c % p), 1) for _, h, _ in nodes}
+            level_one = {(p, centred_mod(h, p), 1) for _, h, _ in nodes}
             assert set(nodes) <= set(counted) <= set(nodes) | level_one, terms
 
 
@@ -302,6 +306,11 @@ def seeded_phase(rng, p: int, n: int) -> SparsePolynomial:
             if any(exps):
                 terms[exps] = rng.choice([-1, 1]) * rng.randint(1, 9) * p ** rng.choice([0, 0, 1])
     return SparsePolynomial.from_terms(n, terms)
+
+
+def centred_mod(h, p: int) -> tuple:
+    """The nonzero terms of h mod p, each coefficient in (-p/2, p/2]."""
+    return tuple((e, r - p if 2 * r > p else r) for e, c in h if (r := c % p))
 
 
 def block_mean(p: int, local, level: int, memo=None) -> complex:
@@ -481,10 +490,14 @@ class TestJointScan:
         f = parse_polynomial("x1^2+4*x2^3")
         table = [exp_sum(f, Fraction(1, 5**m), ball) for m in range(1, 9)]
         expsums.evaluate(table)
-        # each node once; every level of both blocks is a node of the one walk
+        # each node once; every level of both blocks is a node of the one walk,
+        # its coefficients in (-5^m/2, 5^m/2]: 4 y^3 is -y^3 mod 5
         assert len(nodes) == len(set(nodes))
         assert {(5, (((2,), 1),), m) for m in range(1, 9)} <= set(nodes)
-        assert {(5, (((3,), 4),), m) for m in range(1, 9)} <= set(nodes)
+        assert {(5, (((3,), 4 if m > 1 else -1),), m) for m in range(1, 9)} <= set(nodes)
+        # h(5y) = 25 y^2 and 500 y^3 key their blocks again: the walk meets the
+        # same two node polynomials at every level
+        assert {h for _, h, _ in nodes} == {(((2,), 1),), (((3,), 4),), (((3,), -1),)}
         assert all(res._value is not None for res in table)
         count = len(nodes)
         expsums.evaluate(table)  # evaluated results are not expanded again
@@ -506,11 +519,39 @@ class TestJointScan:
         monkeypatch.setattr(expsums, "compose_affine", expanding)
         monkeypatch.setattr(expsums, "poly_residues", counting)
         # x1 x2 at level 9: the class (0, 0) alone is stationary, at levels 9, 7, 5 and 3,
-        # and h(3y) = 9 y1 y2 is x1 x2 again; level 1 is one mesh of F_3^2
+        # and h(3y) = 9 y1 y2 is x1 x2 again, so its class is found and expanded once
+        # for all four levels; level 1 is one mesh of F_3^2
         value = exp_sum(parse_polynomial("x1*x2"), Fraction(1, 3**9), Ball.of(3, [0, 0], 0)).value
         assert abs(value - 3**-9) <= 1e-15
-        assert points == [(0, 0)] * 4
-        assert meshes == [(3, 9)] * 9  # two gradient rows at each of four levels, then h
+        assert points == [(0, 0)]
+        assert meshes == [(3, 9)] * 3  # two gradient rows once, then h at level 1
+
+
+class TestLevelTable:
+    """`level_table` values a table {m: E(p^-m phase)} from one lattice form;
+    each level is the bits of its own `character_sum`, a level whose scaled
+    phase is integral included."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_each_level_is_the_character_sum_of_the_scaled_phase(self, p):
+        rng = random.Random(f"level-table:{p}")
+        levels = range(-3, 9)
+        forms, volumes = [], 0
+        for n in (1, 2):
+            for _ in range(5):
+                scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, p**2), p ** rng.randint(0, 2))
+                phase = seeded_phase(rng, p, n).scale(scale)
+                # centres over p^1 or p^2 and radii down to -2 give K > 0
+                center = [Fraction(rng.randint(-p**2, p**2), p ** rng.randint(1, 2)) for _ in range(n)]
+                ball = Ball.of(p, center, rng.randint(-2, 1))
+                forms.append(lattice_form(phase, ball.center_fractions(), Fraction(p) ** ball.radius_exp, p)[1])
+                table = expsums.level_table(phase, ball, levels)
+                assert list(table) == list(levels)
+                for m, value in table.items():
+                    scaled = {e: c * Fraction(p) ** -m for e, c in phase.items()}
+                    assert repr(value) == repr(character_sum(scaled, ball).value), (phase, ball, m)
+                volumes += table[-3] == complex(ball.volume)
+        assert max(forms) > 0 and min(forms) == 0 and volumes > 0
 
 
 class TestWorkCap:
@@ -538,14 +579,15 @@ class TestWorkCap:
         with pytest.raises(ResourceCapError, match=f"enumeration of {need} mesh points") as err:
             res.value
         assert err.value.required == need and err.value.cap == need - 1
-        # short of the level-1 node's charge, nothing of that node is scanned
+        # short of the level-1 node's charge, nothing of that node is scanned, and
+        # the levels 7, 5 and 3 reuse the mesh that level 9 scanned, charged as if scanned again
         meshes = []
         mesh = expsums._mesh
         monkeypatch.setattr(expsums, "_mesh", lambda *args: meshes.append(args) or mesh(*args))
         before = need - 5 * 3 * expsums._TERM_COST
         with pytest.raises(ResourceCapError) as err:
             exp_sum(f, z, ball, cap=before - 1).value
-        assert err.value.required == before and len(meshes) == 4
+        assert err.value.required == before and len(meshes) == 1
 
     def test_a_histogram_also_counts_its_count_vector(self, monkeypatch):
         f, ball = parse_polynomial("x1*x2"), Ball.of(3, [0, 0], 0)

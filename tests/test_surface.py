@@ -131,6 +131,17 @@ class TestRayValues:
         for k, value in table.items():
             assert repr(value) == repr(surface_ft(Y, [Fraction(c) / p**k for c in direction]))
 
+    def test_a_negative_level_takes_the_exact_frequency(self):
+        # p^-k direction for k < 0 is p^|k| direction, a Fraction and not a float
+        Y = GraphHypersurface(parse_polynomial("x^2+2*x"), Ball.of(3, [0, 0], 0))
+        direction = (Fraction(1, 3), Fraction(1, 9))
+        table = ray_values(Y, direction, range(-3, 3))
+        for k, value in table.items():
+            assert repr(value) == repr(surface_ft(Y, [c * Fraction(3) ** -k for c in direction]))
+        # from k = -2 down the phase is integral on Z_3: the transform is vol(S') = 1
+        assert table[-3] == table[-2] == complex(Y.base_window.volume)
+        assert table[-1] != 1
+
     def test_the_direction_is_checked(self):
         with pytest.raises(DomainError):
             ray_values(PARABOLA, (0, 0, 1), range(1, 3))
