@@ -102,11 +102,7 @@ class JobConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("m_range", "k_range"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        return asdict(self)  # json writes the range tuples as lists
 
 
 def frac_str(x: Fraction | int, always_den: bool = False) -> str:
@@ -137,12 +133,13 @@ def parse_ball_list(text: str, prime: int) -> list[tuple[Ball, complex]]:
         coeff = 1 + 0j
         if "*" in chunk.split("ball")[0]:
             coeff_text, chunk = chunk.split("*", 1)
+            coeff_text = coeff_text.strip()
             try:
-                coeff = complex(coeff_text.strip())
+                coeff = complex(coeff_text)
             except ValueError as ex:
                 raise DomainError(f"bad coefficient {coeff_text!r}") from ex
             if not cmath.isfinite(coeff):
-                raise DomainError(f"coefficient {coeff_text.strip()!r} is not finite")
+                raise DomainError(f"coefficient {coeff_text!r} is not finite")
             chunk = chunk.strip()
         parts = chunk.split()
         if not parts or parts[0] != "ball" or len(parts) < 3:
@@ -357,11 +354,16 @@ def _random_sb(rng: random.Random, p: int, n: int) -> SchwartzBruhatFn:
     return SchwartzBruhatFn.of(p, terms)
 
 
-def _run_solve(cfg: JobConfig) -> dict:
+def _solution_spec(cfg: JobConfig) -> SolutionSpec:
+    """The spec of --phi and --f0, parsed in that order."""
     phi = parse_polynomial(cfg.phi)
+    f0 = SchwartzBruhatFn.of(cfg.prime, parse_ball_list(cfg.f0, cfg.prime))
+    return SolutionSpec.build(f0, phi)
+
+
+def _run_solve(cfg: JobConfig) -> dict:
+    spec = _solution_spec(cfg)
     p = cfg.prime
-    f0 = SchwartzBruhatFn.of(p, parse_ball_list(cfg.f0, p))
-    spec = SolutionSpec.build(f0, phi)
     lo, hi = cfg.m_range if cfg.m_range else (1, 3)
     xs = [Fraction(j) for j in range(p)] + [Fraction(1, p)]
     ts = [Fraction(0)] + [Fraction(1, p**m) for m in range(lo, hi + 1)]
@@ -385,7 +387,7 @@ def _run_solve(cfg: JobConfig) -> dict:
             )
             grid.append({"xi": str(xi), "tau": str(tau), "abs": abs(W)})
     return {
-        "phi": str(phi),
+        "phi": str(spec.phi),
         "freq_bound": spec.freq_bound,
         "phase_bound": spec.phase_bound,
         "u_samples": samples,
@@ -395,16 +397,13 @@ def _run_solve(cfg: JobConfig) -> dict:
 
 
 def _run_strichartz(cfg: JobConfig) -> dict:
-    phi = parse_polynomial(cfg.phi)
-    p = cfg.prime
-    f0 = SchwartzBruhatFn.of(p, parse_ball_list(cfg.f0, p))
-    spec = SolutionSpec.build(f0, phi)
+    spec = _solution_spec(cfg)
     R_max = cfg.rmax if cfg.rmax is not None else 4
     report = strichartz_report(spec, cfg.sigma, R_max, cap=cfg.cap)
     return {
-        "phi": str(phi),
+        "phi": str(spec.phi),
         "sigma": cfg.sigma,
-        "l2_f0": l2_norm(f0),
+        "l2_f0": l2_norm(spec.f0),
         "rows": [
             {"R": R, "norm": norm, "ratio": ratio}
             for R, norm, ratio in report.rows

@@ -38,13 +38,10 @@ class CertificateUnavailableError(RuntimeError):
     """A stationary-phase certificate cannot exist: the critical set meets
     the requested region.  `residue_class` is the offending (center, level)."""
 
-    def __init__(self, residue_class, message: str | None = None):
+    def __init__(self, residue_class):
         center, level = residue_class
         center = ", ".join(map(str, center))
-        super().__init__(
-            message
-            or f"critical point detected in residue class ({center}) mod p^{level}"
-        )
+        super().__init__(f"critical point detected in residue class ({center}) mod p^{level}")
         self.residue_class = residue_class
 
 

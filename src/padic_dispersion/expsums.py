@@ -50,7 +50,7 @@ from .errors import (
     ResourceCapError,
 )
 from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
-from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, split_p_part
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
 from .polynomials import Exponents, SparsePolynomial, checked_modulus, compose_affine
 from .polynomials import lattice_form, poly_residues
 
@@ -281,10 +281,7 @@ def _block_counts(
     [0, width)^d, d = len(block), width = p^W with W >= L: with h = p^v g, g
     primitive, residue p^v s counts p^(d(v+W-L)) N_(L-v)(g)[s] (`_counts`), and
     h = 0 mod p^L when v >= L.  The work is charged to `work` against `cap`."""
-    local = _local_terms(block, terms)
-    v = min(level, *(int_valuation(c, p) for _, c in local))
-    k = level - v
-    g = tuple((e, r) for e, c in local if (r := _centred(c // p**v, p**k)))
+    g, k, v = _primitive(p, _local_terms(block, terms), level)
     column = _counts(p, g, k, {}, [0] if work is None else work, cap) if k else np.ones(1, np.int64)
     scale = (width // p**k) ** len(block)
     if scale > 1:
@@ -296,21 +293,28 @@ def _block_counts(
     return counts
 
 
+def _primitive(p: int, local: Sequence, level: int) -> tuple[tuple, int, int]:
+    """(g, k, v) with h = p^v g mod p^L for a block's part h = `local` of the
+    polynomial, L = level: v = min(L, v_p(h)), k = L - v, and g, primitive
+    when k > 0, has its terms centred mod p^k (`_centred`)."""
+    v = min(level, *(int_valuation(c, p) for _, c in local))
+    k = level - v
+    return tuple((e, r) for e, c in local if (r := _centred(c // p**v, p**k))), k, v
+
+
 # -- the stationary-phase recursion ----------------------------------------------
 
 
 def _block_mean(p: int, local: Sequence, level: int, memo: dict, work: list, cap: int) -> complex:
     """The mean of e(h(y) / p^L) over [0, p^L)^d, h = `local` a block's part of
     the polynomial in its d variables, L = level: with h = p^v g, g primitive,
-    E_k(g), k = L - v (1 when k <= 0).  It is exactly 0j when the `_tally` of g
+    E_k(g), k = L - v (1 when k = 0).  It is exactly 0j when the `_tally` of g
     is empty, else one sum over its sorted residues, each weight T[r] / p^(dk)
     and angle r / p^k (centred) rounded once from the exact fraction."""
-    v = min(int_valuation(c, p) for _, c in local)
-    k = level - v
-    if k <= 0:
+    g, k, _ = _primitive(p, local, level)
+    if not k:
         return 1 + 0j
     modulus, scale = p**k, p ** (len(local[0][0]) * k)
-    g = tuple((e, r) for e, c in local if (r := _centred(c // p**v, modulus)))
     return sum(
         t / scale * cmath.exp(2j * math.pi * ((r if 2 * r < modulus else r - modulus) / modulus))
         for r, t in sorted(_tally(p, g, k, memo, work, cap).items())
@@ -663,9 +667,9 @@ def stationary_certificate(
     ball: Ball,
     values: Mapping[int, complex],
 ) -> StationaryCertificate:
-    """Compute I(f, A) = sup_A min_i v(df/dx_i) by residue-class refinement
-    and verify E_A(p^-m, f) = 0 exactly at every given level m with p^m above
-    the threshold.
+    """Compute I(f, A) = sup_A min_i v(df/dx_i) by refining integer residue
+    classes and verify E_A(p^-m, f) = 0 exactly at every given level m with
+    p^m above the threshold.
 
     `values` maps m to E_A(p^-m, f); levels below 2I + 2 are not checked.
     A must be a union of residue classes mod p (radius exponent 0 or 1,
@@ -683,31 +687,24 @@ def stationary_certificate(
     p = ball.prime
     grad = f.gradient()
     start_level = max(0, ball.radius_exp)
-    queue: deque[tuple[tuple[Fraction, ...], int]] = deque(
-        [(ball.center_fractions(), start_level)]
-    )
-    bound: int | None = None
+    queue = deque([(tuple(map(int, ball.center_fractions())), start_level)])
+    bound = 0
     while queue:
         center, k = queue.popleft()
         derivs = [g.evaluate(center) for g in grad]
-        if all(v == 0 for v in derivs):
+        if not any(derivs):
             raise CertificateUnavailableError((center, k))
-        vmin = min(
-            (split_p_part(Fraction(v), p)[1] for v in derivs if v != 0), default=None
-        )
-        if vmin is not None and vmin < k:
-            bound = vmin if bound is None else max(bound, vmin)
+        vmin = min(int_valuation(v, p) for v in derivs if v)
+        if vmin < k:
+            bound = max(bound, vmin)
             continue
         if k - start_level >= DEPTH_CAP:
             raise CertificateIndeterminate(
                 f"gradient valuation did not stabilise within depth {DEPTH_CAP}"
             )
-        stepk = Fraction(p) ** k
+        step = p**k
         for t in product(range(p), repeat=ball.dim):
-            queue.append(
-                (tuple(c + stepk * ti for c, ti in zip(center, t)), k + 1)
-            )
-    assert bound is not None
+            queue.append((tuple(c + step * ti for c, ti in zip(center, t)), k + 1))
     threshold = p ** (2 * bound + 1)
     verified = tuple(m for m in sorted(values) if m >= 2 * bound + 2)
     for m in verified:
@@ -734,8 +731,17 @@ class DecayFit:
     consistent: bool | None
 
 
-def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
+def fit_line(
+    values: Mapping[int, complex], p: int
+) -> tuple[list[tuple[int, float]], tuple[float, float, float] | None]:
+    """The samples (m, |E_m|) of a table {m: E_m}, sorted by m, and the
+    least-squares line (slope, intercept, residual) of -log_p |E_m| against
+    m over the nonzero samples, None with fewer than two of them."""
+    samples = [(m, abs(values[m])) for m in sorted(values)]
+    points = [(m, -math.log(a, p)) for m, a in samples if a != 0]
     n = len(points)
+    if n < 2:
+        return samples, None
     sx = sum(x for x, _ in points)
     sy = sum(y for _, y in points)
     sxx = sum(x * x for x, _ in points)
@@ -744,7 +750,7 @@ def fit_line(points: Sequence[tuple[float, float]]) -> tuple[float, float, float
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
     rss = sum((y - slope * x - intercept) ** 2 for x, y in points)
-    return slope, intercept, math.sqrt(rss / n)
+    return samples, (slope, intercept, math.sqrt(rss / n))
 
 
 def decay_fit(
@@ -762,21 +768,19 @@ def decay_fit(
     is.  The consistency flag applies SHARP_TOLERANCE for quasi-homogeneous
     phases and EPS_MARGIN otherwise.
     """
-    p = ball.prime
     if any(m < 1 for m in values):
         raise DomainError("m range must be >= 1")
-    samples = [(m, abs(values[m])) for m in sorted(values)]
     beta = witness = None
     reduced = SparsePolynomial.from_terms(f.nvars, {e: c for e, c in f.terms if sum(e) > 0})
     if not reduced.is_constant():
         P = newton_facets(reduced)
         beta, _ = beta_and_t0(P)
         witness = quasi_homogeneous_detect(P)
-    usable = [(m, -math.log(a, p)) for m, a in samples if a != 0]
-    if len(usable) < 2:
-        status = "superpolynomial" if len(usable) < len(samples) else "too_few_samples"
+    samples, fit = fit_line(values, ball.prime)
+    if fit is None:
+        status = "superpolynomial" if any(a == 0 for _, a in samples) else "too_few_samples"
         return DecayFit(tuple(samples), None, None, None, status, beta, witness is not None, None)
-    slope, intercept, residual = fit_line(usable)
+    slope, intercept, residual = fit
     consistent = None
     if beta is not None:
         margin = SHARP_TOLERANCE if witness is not None else EPS_MARGIN

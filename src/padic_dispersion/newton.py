@@ -239,10 +239,10 @@ def nondegeneracy_mod_p(
     """Sufficient mod-p certificate of non-degeneracy w.r.t. the polyhedron
     P of f.
 
-    "certified" requires (i) the reduced gradient to have no nonzero common
-    zero in F_p^m and (ii) no face polynomial to share a zero with its
-    gradient inside the torus (F_p^*)^m; a face c x^l, p not dividing c, has
-    none.  When the reduction collapses (f or its gradient vanishes
+    "certified" requires (i) `critical_locus_mod_p(f, p)` to be "certified"
+    and (ii) no face polynomial to share a zero with its gradient inside the
+    torus (F_p^*)^m; a face c x^l, p not dividing c, has none.  When the
+    reduction collapses (the gradient of f or a face polynomial vanishes
     identically mod p) the verdict is "indeterminate"; a failure is only
     ever reported mod p.
     """
@@ -250,11 +250,9 @@ def nondegeneracy_mod_p(
     m = f.nvars
     if p**m > cap:
         raise ResourceCapError(p**m, cap, what="points of F_p^m")
-    grad = f.gradient()
-    if _is_zero_mod(f, p) or all(_is_zero_mod(g, p) for g in grad):
-        return "indeterminate"
-    if has_nonzero_common_zero(grad, p):
-        return "degenerate-mod-p"
+    verdict = critical_locus_mod_p(f, p)
+    if verdict != "certified":
+        return verdict
     powers: dict[tuple[int, int], np.ndarray] = {}
     for face, fg in face_polynomials(f, P):
         if _is_zero_mod(fg, p):
@@ -264,9 +262,15 @@ def nondegeneracy_mod_p(
     return "certified"
 
 
-def has_nonzero_common_zero(polys: Sequence[SparsePolynomial], p: int) -> bool:
-    """Whether the polynomials share a zero in F_p^m other than the origin."""
-    return _common_zero(polys, p, 0, {})
+def critical_locus_mod_p(f: SparsePolynomial, p: int) -> Verdict:
+    """The critical locus of f mod p: "indeterminate" when the gradient of f
+    vanishes identically mod p, "degenerate-mod-p" when it has a common zero
+    in F_p^m other than the origin, "certified" otherwise.  The scan visits
+    p^m points; the caller bounds it."""
+    grad = f.gradient()
+    if all(_is_zero_mod(g, p) for g in grad):
+        return "indeterminate"
+    return "degenerate-mod-p" if _common_zero(grad, p, 0, {}) else "certified"
 
 
 def _common_zero(polys: Sequence[SparsePolynomial], p: int, lo: int, powers: dict) -> bool:

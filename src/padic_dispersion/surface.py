@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .expsums import character_sum, fit_line, level_table
-from .newton import has_nonzero_common_zero
+from .newton import critical_locus_mod_p
 from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
 from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
 from .schwartz import SchwartzBruhatFn, fourier_sb, lp_norm, squares_at
@@ -36,9 +36,9 @@ class GraphHypersurface:
     """The hypersurface x_n = phi(x_1, ..., x_{n-1}) windowed by the ball S.
 
     critical_status records the mod-p certificate for the theorems'
-    hypothesis C_phi(K) = {0}: "certified" when the reduced gradient has no
-    nonzero common zero over F_p, "indeterminate" when the reduction
-    collapses, "degenerate-mod-p" otherwise.
+    hypothesis C_phi(K) = {0}: `newton.critical_locus_mod_p` of phi, read
+    as "indeterminate" without a scan when F_p^(n-1) has more than
+    _CRITICAL_SCAN_CAP points.
     """
 
     phi: SparsePolynomial
@@ -54,7 +54,9 @@ class GraphHypersurface:
             raise DomainError("phi is constant")
         if self.phi.constant_term != 0:
             raise DomainError("phi(0) = 0 required")
-        object.__setattr__(self, "critical_status", _critical_status(self.phi, self.prime))
+        p, m = self.prime, self.phi.nvars
+        status = "indeterminate" if p**m > _CRITICAL_SCAN_CAP else critical_locus_mod_p(self.phi, p)
+        object.__setattr__(self, "critical_status", status)
 
     @property
     def prime(self) -> int:
@@ -72,15 +74,6 @@ class GraphHypersurface:
             self.window.center[:-1],
             self.window.radius_exp,
         )
-
-
-def _critical_status(phi: SparsePolynomial, p: int) -> str:
-    grad = phi.gradient()
-    if all(all(c % p == 0 for _, c in g.terms) for g in grad):
-        return "indeterminate"
-    if p**phi.nvars > _CRITICAL_SCAN_CAP:
-        return "indeterminate"
-    return "degenerate-mod-p" if has_nonzero_common_zero(grad, p) else "certified"
 
 
 def _phase(Y: GraphHypersurface, xi: Sequence) -> dict:
@@ -161,10 +154,8 @@ def decay_table(
     operative exponent.  Both readings of the general theorem exponent are
     reported alongside.
     """
-    p = Y.prime
-    rows = [(k, abs(values[k])) for k in sorted(values)]
-    usable = [(k, -math.log(a, p)) for k, a in rows if a != 0]
-    slope = fit_line(usable)[0] if len(usable) >= 2 else None
+    rows, fit = fit_line(values, Y.prime)
+    slope = None if fit is None else fit[0]
     operative = remark_family_exponent(Y.phi)
     consistent = None
     if operative is not None and slope is not None:

@@ -22,9 +22,12 @@ from padic_dispersion.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
     JobConfig,
+    build_parser,
+    config_from_args,
     frac_str,
     main,
     parse_ball_list,
+    run,
 )
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
@@ -700,6 +703,40 @@ class TestValidationAndExitCodes:
             ["solve", "--prime", "3", "--phi", "x^2", "--f0", "sphere 0 0"],
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--phi", "x^2", "--f0", "ball 1/0 0"], "bad rational '1/0'"),
+            (["solve", "--phi", "x^2", "--f0", "ball 0 x"], "bad radius exponent 'x'"),
+            (["solve", "--phi", "x^2", "--f0", " ; "], "empty ball list"),
+            (["expsum", "--poly", "x^2", "--m", "1-4"], "bad range '1-4'; expected A..B"),
+            (["expsum", "--poly", "x^2", "--m", "4..1"], "empty range '4..1'"),
+            (["expsum", "--poly", "x^2", "--m", "1..4", "--ball", "ball 0 0; ball 1 1"],
+             "the integration domain must be a single ball"),
+            (["expsum", "--poly", "x^2", "--m", "1..4", "--ball", "ball 0 0 0"],
+             "ball dimension 2 does not match the polynomial (1)"),
+            (["expsum", "--poly", "x^2", "--m", "1..4", "--cap", "0"], "--cap must be positive"),
+        ],
+        ids=["rational", "radius", "empty-list", "range", "empty-range", "two-balls", "dimension",
+             "cap"],
+    )
+    def test_bad_input_is_refused_before_any_output(self, capsys, argv, message):
+        assert main([argv[0], "--prime", "3", *argv[1:]]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_a_bad_coefficient_is_quoted_without_its_spaces(self, capsys):
+        argv = ["solve", "--prime", "3", "--phi", "x^2", "--f0", "abc * ball 0 0"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: bad coefficient 'abc'\n")
+
+    def test_without_out_the_payload_goes_to_stdout(self, capsysbinary):
+        argv = ["expsum", "--prime", "3", "--poly", "x^2+x", "--m", "1..3"]
+        payload, status = run(config_from_args(build_parser().parse_args(argv))[0])
+        assert main(argv) == status == EXIT_OK
+        assert capsysbinary.readouterr() == (payload, b"")
 
 
 # a valid run of each command, and a valid value for each flag some command takes

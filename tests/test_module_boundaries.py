@@ -321,15 +321,16 @@ def test_the_check_allows_the_split_inside_edges():
     assert hensel_splits_outside(source, "_edges") == []
 
 
-def fraction_names_inside(source: str, function: str) -> list[str]:
-    """The names and attributes `Fraction` in the function named `function`."""
+def fraction_names_inside(source: str, function: str, names=("Fraction",)) -> list[str]:
+    """The names and attributes in `names` (`Fraction` alone by default) in
+    the function named `function`."""
     return [
         ast.unparse(node)
         for fn in ast.walk(ast.parse(source))
         if isinstance(fn, ast.FunctionDef) and fn.name == function
         for node in ast.walk(fn)
-        if (isinstance(node, ast.Name) and node.id == "Fraction")
-        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
     ]
 
 
@@ -359,11 +360,39 @@ def test_the_check_allows_fractions_outside_compose_affine():
     assert fraction_names_inside(source, "compose_affine") == []
 
 
+# the certificate's ball is integral: it refines integer residue classes and
+# reads their gradient valuations with `int_valuation`
+CERTIFICATE_NAMES = ("Fraction", "split_p_part")
+
+
+def test_stationary_certificate_names_no_fraction():
+    source = next(path for path in SOURCES if path.name == "expsums.py").read_text()
+    assert fraction_names_inside(source, "stationary_certificate", CERTIFICATE_NAMES) == []
+
+
+def test_the_check_sees_a_fraction_in_the_certificate():
+    source = (
+        "def stationary_certificate(f, ball, values):\n"
+        "    return split_p_part(Fraction(v), p)[1]"
+    )
+    assert fraction_names_inside(source, "stationary_certificate", CERTIFICATE_NAMES) == [
+        "split_p_part", "Fraction"
+    ]
+
+
+def test_the_check_allows_fractions_outside_the_certificate():
+    source = (
+        "def stationary_certificate(f, ball, values):\n    return int_valuation(v, p)\n"
+        "def decay_fit(f, ball, values):\n    return split_p_part(Fraction(1), 3)"
+    )
+    assert fraction_names_inside(source, "stationary_certificate", CERTIFICATE_NAMES) == []
+
+
 # None: an exception class that keeps Exception's own (*args)
 EXPORTED_PARAMETERS = {
     "Ball": ("prime", "center", "radius_exp"),
     "CertificateIndeterminate": None,
-    "CertificateUnavailableError": ("residue_class", "message"),
+    "CertificateUnavailableError": ("residue_class",),
     "DecayFit": (
         "samples", "slope", "intercept", "residual", "status", "beta", "quasi_homogeneous",
         "consistent",

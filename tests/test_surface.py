@@ -1,20 +1,23 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from helpers import (
+    oracle_common_zero,
     oracle_graph_constancy_level,
     oracle_restriction_ratio,
     oracle_surface_ft,
     random_sb,
     translated,
 )
-from padic_dispersion import schwartz
+from padic_dispersion import newton, schwartz
 from padic_dispersion.cli import _random_sb, _zeta_check
 from padic_dispersion.errors import DomainError, ResourceCapError
+from padic_dispersion.newton import critical_locus_mod_p
 from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial, parse_polynomial
 from padic_dispersion.schwartz import SchwartzBruhatFn, fourier_sb
@@ -377,3 +380,39 @@ class TestGraphHypersurface:
             parse_polynomial("x1^2 + 2*x1*x2 + x2^2"), Ball.of(3, [0, 0, 0], 0)
         )
         assert degenerate.critical_status == "degenerate-mod-p"
+
+    def test_past_the_scan_cap_the_status_is_indeterminate_without_a_scan(self, monkeypatch):
+        # F_3^13 has 3^13 > 10^6 points, and the gradient 2 x_i does not vanish mod 3
+        phi = parse_polynomial("+".join(f"x{i}^2" for i in range(1, 14)))
+
+        def scan(*args):
+            raise AssertionError("the mod-p gradient was scanned past the cap")
+
+        monkeypatch.setattr(newton, "_common_zero", scan)
+        assert GraphHypersurface(phi, Ball.of(3, [0] * 14, 0)).critical_status == "indeterminate"
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_status_is_the_mod_p_critical_locus(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for _ in range(60):
+            m = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, 3) for _ in range(m))
+                if sum(exps):
+                    terms[exps] = rng.choice([-1, 1]) * rng.randint(1, 2 * p)
+            if not terms:
+                continue
+            phi = SparsePolynomial.from_terms(m, terms)
+            grad = phi.gradient()
+            if all(c % p == 0 for g in grad for _, c in g.terms):
+                want = "indeterminate"
+            elif oracle_common_zero(grad, p, [x for x in product(range(p), repeat=m) if any(x)]):
+                want = "degenerate-mod-p"
+            else:
+                want = "certified"
+            status = GraphHypersurface(phi, Ball.of(p, [0] * (m + 1), 0)).critical_status
+            assert status == critical_locus_mod_p(phi, p) == want, str(phi)
+            seen.add(want)
+        assert seen == {"certified", "degenerate-mod-p", "indeterminate"}
