@@ -37,7 +37,6 @@ from .newton import (
 from .padic import (
     Ball,
     DEFAULT_ENUMERATION_CAP,
-    PadicRational,
     RootOfUnity,
     character,
 )

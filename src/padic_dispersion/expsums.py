@@ -49,8 +49,8 @@ from .errors import (
     DomainError,
     ResourceCapError,
 )
-from .newton import beta_and_t0, newton_facets, quasi_homogeneous_detect
-from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
+from .newton import beta_and_t0, determinant, newton_facets, quasi_homogeneous_detect
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, int_valuation, padic_fraction
 from .polynomials import Exponents, SparsePolynomial, checked_modulus, compose_affine
 from .polynomials import lattice_form, poly_residues
 
@@ -610,7 +610,7 @@ def level_table(
 
 def exp_sum(
     f: SparsePolynomial,
-    z: PadicRational | Fraction | int,
+    z: Fraction | int,
     ball: Ball,
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -621,12 +621,12 @@ def exp_sum(
     z = 0 is rejected: the value there is just vol(A).  `threads` is accepted
     and ignored: every sum runs on the calling thread.
     """
-    z = PadicRational(ball.prime, z)
-    if z.is_zero:
+    z = padic_fraction(ball.prime, z)
+    if z == 0:
         raise DomainError("z = 0 rejected: E_A(0, f) = vol(A)")
     if f.nvars != ball.dim:
         raise DomainError("polynomial arity does not match the ball dimension")
-    return character_sum(f.scale(z.as_fraction()), ball, cap=cap)
+    return character_sum(f.scale(z), ball, cap=cap)
 
 
 def residue_histogram(
@@ -674,7 +674,8 @@ def stationary_certificate(
     `values` maps m to E_A(p^-m, f); levels below 2I + 2 are not checked.
     A must be a union of residue classes mod p (radius exponent 0 or 1,
     inside Z_p^n): that is the hypothesis under which the vanishing bound
-    holds.  A critical point in A aborts with the offending class.
+    holds.  A critical point in A aborts with the offending class: one at a
+    class centre, or, at depth DEPTH_CAP, one that Hensel's lemma places in it.
     """
     if f.is_constant():
         raise DomainError("polynomial is constant")
@@ -699,6 +700,12 @@ def stationary_certificate(
             bound = max(bound, vmin)
             continue
         if k - start_level >= DEPTH_CAP:
+            # Hensel: with w = v(det H(center)) and vmin > 2w, grad f has a zero
+            # within p^(vmin - w) of the centre, so inside the class when vmin - w >= k
+            d = determinant([[h.evaluate(center) for h in g.gradient()] for g in grad])
+            w = int_valuation(d, p) if d else math.inf
+            if vmin > 2 * w and vmin - w >= k:
+                raise CertificateUnavailableError((center, k))
             raise CertificateIndeterminate(
                 f"gradient valuation did not stabilise within depth {DEPTH_CAP}"
             )

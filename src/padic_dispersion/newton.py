@@ -77,14 +77,17 @@ def _require_vanishing(f: SparsePolynomial) -> None:
 def _reduce(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination: the nonzero rows of
     d times the reduced row echelon form, d the last pivot, and their pivot
-    columns.  Every entry is a minor of the input, so each division is exact."""
+    columns.  Every entry is a minor of the input, so each division is exact.
+    A swap negates the row it moves down, which keeps the determinant: the
+    last pivot of a square matrix of full rank is its determinant."""
     a, prev, pivots = [list(r) for r in rows], 1, []
     for col in range(m):
         top = len(pivots)
         hit = next((i for i in range(top, len(a)) if a[i][col]), None)
         if hit is None:
             continue
-        a[top], a[hit] = a[hit], a[top]
+        if hit != top:
+            a[top], a[hit] = a[hit], [-x for x in a[top]]
         piv = a[top]
         for i in range(len(a)):
             if i != top:
@@ -92,6 +95,12 @@ def _reduce(rows: Sequence[Sequence[int]], m: int) -> tuple[list[list[int]], lis
         prev = piv[col]
         pivots.append(col)
     return a[: len(pivots)], pivots
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix (0 below full rank)."""
+    reduced, pivots = _reduce(rows, len(rows))
+    return reduced[-1][-1] if len(pivots) == len(rows) else 0
 
 
 def _normal(rows: Sequence[Sequence[int]], m: int) -> tuple[int, ...] | None:

@@ -1,7 +1,8 @@
 """Exact p-adic scalars, the additive character and balls of Q_p^n.
 
-Scalars are elements of Z[1/p], read once as unit * p^val with the unit
-coprime to p and then only read: callers do their arithmetic on Fractions.
+A scalar is an element of Z[1/p] held as a plain Fraction: `padic_fraction`
+is its one check (a p-power denominator), `split_p_part` reads it as
+unit * p^val, and `over_p_power` writes many over one least power of p.
 The field is fixed to K = Q_p, so the local parameter is p and the residue
 field has q = p elements.  Complex numbers enter only when a root of unity
 is finally evaluated.
@@ -9,10 +10,9 @@ is finally evaluated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 
@@ -70,57 +70,21 @@ def split_p_part(x: Rational, p: int) -> tuple[int, int]:
     return unit, nv - dv
 
 
-class PadicRational:
-    """An element a * p^v of Q_p with a in Z coprime to p, exact and read-only.
+def padic_fraction(p: int, x: Rational) -> Fraction:
+    """x as a Fraction, checked once: DomainError unless p >= 2 and x lies in Z[1/p]."""
+    _check_prime(p)
+    x = Fraction(x)
+    split_p_part(x, p)
+    return x
 
-    The zero element stores unit 0 and val 0 and reports valuation +infinity.
-    It equals only PadicRationals: it hashes apart from the int or Fraction it
-    was built from, so it does not compare equal to them either.
-    """
 
-    __slots__ = ("prime", "unit", "_val")
-
-    def __init__(self, prime: int, value: Rational | "PadicRational" = 0):
-        _check_prime(prime)
-        if isinstance(value, PadicRational):
-            if value.prime != prime:
-                raise DomainError("prime mismatch")
-            unit, val = value.unit, value._val
-        else:
-            unit, val = split_p_part(value, prime)
-        self.prime = prime
-        self.unit = unit
-        self._val = val
-
-    @property
-    def is_zero(self) -> bool:
-        return self.unit == 0
-
-    @property
-    def val(self) -> int | float:
-        """v(x); +infinity for x = 0."""
-        return math.inf if self.unit == 0 else self._val
-
-    def as_fraction(self) -> Fraction:
-        if self.unit == 0:
-            return Fraction(0)
-        v = self._val
-        if v >= 0:
-            return Fraction(self.unit * self.prime**v)
-        return Fraction(self.unit, self.prime**-v)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PadicRational):
-            return NotImplemented
-        return (self.prime, self.unit, self._val) == (other.prime, other.unit, other._val)
-
-    def __hash__(self) -> int:
-        return hash((self.prime, self.unit, self._val))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"PadicRational({self.prime}, 0)"
-        return f"PadicRational({self.prime}, {self.unit}*{self.prime}^{self._val})"
+def over_p_power(values: Iterable[Rational], p: int, floor: int = 0) -> tuple[list[int], int]:
+    """(nums, Q): values_i = nums_i / p^Q with the least Q >= floor; DomainError
+    unless p >= 2 and every denominator is a power of p."""
+    _check_prime(p)
+    parts = [split_p_part(x, p) for x in values]
+    Q = max([floor] + [-v for u, v in parts if u])
+    return [unit * p ** (v + Q) for unit, v in parts], Q
 
 
 class RootOfUnity:
@@ -173,22 +137,17 @@ class RootOfUnity:
         return f"RootOfUnity({self.prime}, e(2pi*{self.numerator}/{self.prime}^{self.level}))"
 
 
-def character(x: PadicRational | Rational, p: int | None = None) -> RootOfUnity:
+def character(x: Rational, p: int) -> RootOfUnity:
     """The standard additive character Psi(x) = exp(2*pi*i * {x}_p).
 
     Psi is trivial on Z_p and nontrivial on p^(-1) Z_p; it is additive:
-    character(x + y) = character(x) * character(y).  p may be left out for a
-    PadicRational, which carries its prime.
+    character(x + y) = character(x) * character(y).
     """
-    if p is None:
-        if not isinstance(x, PadicRational):
-            raise DomainError("prime required when x is a plain rational")
-        p = x.prime
-    x = PadicRational(p, x)
-    if x.is_zero or x._val >= 0:
+    _check_prime(p)
+    unit, val = split_p_part(x, p)
+    if val >= 0:
         return RootOfUnity(p, 0, 0)
-    m = -x._val
-    return RootOfUnity(p, x.unit % p**m, m)
+    return RootOfUnity(p, unit % p**-val, -val)
 
 
 @dataclass(frozen=True)
@@ -196,22 +155,19 @@ class Ball:
     """The set center + (p^e Z_p)^n; volume p^(-n e) under vol(Z_p^n) = 1."""
 
     prime: int
-    center: tuple[PadicRational, ...]
+    center: tuple[Fraction, ...]
     radius_exp: int
 
     def __post_init__(self):
         _check_prime(self.prime)
         if not self.center:
             raise DomainError("ball needs at least one coordinate")
-        for c in self.center:
-            if c.prime != self.prime:
-                raise DomainError("center component prime mismatch")
+        center = tuple(padic_fraction(self.prime, c) for c in self.center)
+        object.__setattr__(self, "center", center)
 
     @classmethod
-    def of(
-        cls, prime: int, center: Sequence[Rational | PadicRational], radius_exp: int
-    ) -> "Ball":
-        return cls(prime, tuple(PadicRational(prime, c) for c in center), radius_exp)
+    def of(cls, prime: int, center: Sequence[Rational], radius_exp: int) -> "Ball":
+        return cls(prime, tuple(center), radius_exp)
 
     @property
     def dim(self) -> int:
@@ -225,11 +181,11 @@ class Ball:
         return Fraction(self.prime ** (-n * e))
 
     def center_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(c.as_fraction() for c in self.center)
+        return self.center
 
     def contains_point(self, point: Sequence[Rational]) -> bool:
         for c, x in zip(self.center, point, strict=True):
-            d = Fraction(x) - c.as_fraction()
+            d = Fraction(x) - c
             if d != 0 and split_p_part(d, self.prime)[1] < self.radius_exp:
                 return False
         return True
@@ -242,6 +198,4 @@ class Ball:
 
     def is_integral(self) -> bool:
         """True when the ball sits inside Z_p^n."""
-        return self.radius_exp >= 0 and all(
-            c.is_zero or c._val >= 0 for c in self.center
-        )
+        return self.radius_exp >= 0 and all(c.denominator == 1 for c in self.center)

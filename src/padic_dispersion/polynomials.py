@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, PolynomialSyntaxError, ResourceCapError
-from .padic import Rational, int_valuation, split_p_part
+from .padic import Rational, int_valuation, over_p_power
 
 Exponents = tuple[int, ...]
 
@@ -157,14 +157,6 @@ def compose_affine(
     return {e: c for e, c in out.items() if c != 0}
 
 
-def _over_p_power(values: Iterable[Rational], p: int) -> tuple[list[int], int]:
-    """(nums, Q): values_i = nums_i / p^Q with the least Q >= 0; DomainError
-    unless every denominator is a power of p."""
-    parts = [split_p_part(x, p) for x in values]
-    Q = max([0] + [-v for _, v in parts])
-    return [unit * p ** (v + Q) for unit, v in parts], Q
-
-
 def lattice_form(
     phase: Mapping[Exponents, Rational], center: Sequence[Rational], step: Rational, p: int
 ) -> tuple[dict[Exponents, int], int]:
@@ -176,8 +168,8 @@ def lattice_form(
     c_a = N_a / p^Q, center = m / p^D, step = s / p^D, and top the largest
     degree, p^(Q + D top) phase(center + step*y) is the integer expansion of
     sum_a N_a p^(D (top - |a|)) prod_i (m_i + s y_i)^(a_i)."""
-    nums, Q = _over_p_power(phase.values(), p)
-    (*m, s), D = _over_p_power([*center, step], p)
+    nums, Q = over_p_power(phase.values(), p)
+    (*m, s), D = over_p_power([*center, step], p)
     top = max(map(sum, phase), default=0)
     g = compose_affine({a: c * p ** (D * (top - sum(a))) for a, c in zip(phase, nums)}, m, s)
     T = Q + D * top

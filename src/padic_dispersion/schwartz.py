@@ -28,13 +28,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .padic import Ball, PadicRational, int_valuation, split_p_part
+from .padic import Ball, int_valuation, over_p_power, split_p_part
 from .polynomials import checked_modulus
 
 _COSET_CAP = 10**6
 _FOLD_BLOCK = 1 << 16  # entries of one block of a residue matrix
 
-Vector = tuple[PadicRational, ...]
+Vector = tuple[Fraction, ...]
 
 
 def _modulus(p: int, k: int, what: str) -> int:
@@ -93,14 +93,6 @@ def _volumes(p: int, n: int, radii: np.ndarray) -> list[float]:
     return [table[e] for e in radii.tolist()]
 
 
-def _integers(p: int, rows, floor: int = 0) -> tuple[int, list[list[int]]]:
-    """(D, rows * p^D as integers) for rows of p-adic rationals, D >= floor minimal."""
-    rows = [[PadicRational(p, x) for x in row] for row in rows]
-    denom = max([floor] + [-x.val for row in rows for x in row if not x.is_zero])
-    return denom, [[0 if x.is_zero else x.unit * p ** (x.val + denom) for x in row]
-                   for row in rows]
-
-
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows in lexicographic order, the position of each row among them):
     np.unique(rows, axis=0, return_inverse=True) through one lexsort."""
@@ -150,9 +142,9 @@ class _BallSum:
         if any(b.dim != n or b.prime != prime for b in balls):
             raise DomainError("ball shape mismatch")
         radii = [b.radius_exp for b in balls]
-        denom, centers = _integers(prime, [b.center_fractions() for b in balls], -min(radii + [0]))
+        centers, denom = over_p_power([c for b in balls for c in b.center], prime, -min(radii + [0]))
         moduli = [_modulus(prime, e + denom, "ball index modulus") for e in radii]
-        idx = [[c % m for c in row] for row, m in zip(centers, moduli)]
+        idx = [c % moduli[k // n] for k, c in enumerate(centers)]
         radii, idx = np.array(radii, dtype=np.int32), np.array(idx, dtype=np.int64).reshape(-1, n)
         self._set(n, prime, denom, radii, idx, *mods, [complex(c) for c in coeffs])
         uniq, _, parent = _forest(prime, self.denom, self.radii, self.idx)
@@ -161,7 +153,7 @@ class _BallSum:
 
     def _balls(self) -> list[Ball]:
         p, scale = self.prime, Fraction(1, self.prime**self.denom)
-        return [Ball(p, tuple(PadicRational(p, v * scale) for v in row), e)
+        return [Ball(p, tuple(v * scale for v in row), e)
                 for row, e in zip(self.idx.tolist(), self.radii.tolist())]
 
     def _locate(self, rows: np.ndarray, denom: int) -> np.ndarray:
@@ -252,8 +244,8 @@ class ModulatedSBFn(_BallSum):
     def __init__(self, n: int, prime: int, terms: Sequence[tuple[Ball, Vector, complex]]):
         if any(len(mod) != n for _, mod, _ in terms):
             raise DomainError("term shape mismatch")
-        mdenom, nums = _integers(prime, [mod for _, mod, _ in terms])
-        checked_modulus(max((abs(v) for r in nums for v in r), default=0), "modulation numerator")
+        nums, mdenom = over_p_power([b for _, mod, _ in terms for b in mod], prime)
+        checked_modulus(max(map(abs, nums), default=0), "modulation numerator")
         mods = np.array(nums, dtype=np.int64).reshape(-1, n)
         self._set_balls(n, prime, [b for b, _, _ in terms], [c for *_, c in terms], mdenom, mods)
 
@@ -264,8 +256,8 @@ class ModulatedSBFn(_BallSum):
 
     @property
     def terms(self) -> tuple[tuple[Ball, Vector, complex], ...]:
-        p, scale = self.prime, Fraction(1, self.prime**self.mdenom)
-        mods = [tuple(PadicRational(p, v * scale) for v in row) for row in self.mods.tolist()]
+        scale = Fraction(1, self.prime**self.mdenom)
+        mods = [tuple(v * scale for v in row) for row in self.mods.tolist()]
         return tuple(zip(self._balls(), mods, self.coeffs.tolist()))
 
     @property

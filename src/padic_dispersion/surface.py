@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapError
 from .expsums import character_sum, fit_line, level_table
 from .newton import critical_locus_mod_p
-from .padic import Ball, DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, int_valuation, padic_fraction, split_p_part
 from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
 from .schwartz import SchwartzBruhatFn, fourier_sb, lp_norm, squares_at
 
@@ -78,7 +78,7 @@ class GraphHypersurface:
 
 def _phase(Y: GraphHypersurface, xi: Sequence) -> dict:
     """The phase -xi_n phi(x') - [x', xi'] of hat(d mu_Y)(xi) on S'."""
-    comps = [PadicRational(Y.prime, x).as_fraction() for x in xi]
+    comps = [padic_fraction(Y.prime, x) for x in xi]
     if len(comps) != Y.ambient_dim:
         raise DomainError("frequency vector has wrong dimension")
     phase = Y.phi.scale(-comps[-1])
@@ -231,7 +231,7 @@ def restriction_ratio(
 
 
 def zeta_kernel(
-    z: complex | np.ndarray, x_n: PadicRational | Fraction | int, e0: int, p: int
+    z: complex | np.ndarray, x_n: Fraction | int, e0: int, p: int
 ) -> complex | np.ndarray:
     """Closed form of zeta_z(x_n) = gamma(z) int_K Psi(x_n y)|y|^(z-1) eta(y) dy
     with eta the indicator of p^{e0} Z_p and gamma(z) = (1-q^-z)/(1-q^-1):
@@ -244,20 +244,20 @@ def zeta_kernel(
     """
     if e0 < 1:
         raise DomainError("e0 must be >= 1")
-    x_n = PadicRational(p, x_n)
+    x_n = padic_fraction(p, x_n)
     z = np.asarray(z, dtype=complex)
     logp = math.log(p)
-    if x_n.is_zero or -x_n.val <= e0:
+    t = -split_p_part(x_n, p)[1]  # |x_n| = p^t; t = 0 <= e0 at x_n = 0
+    if t <= e0:
         out = np.exp(-e0 * z * logp)
     else:
-        t = -x_n.val  # |x_n| = p^t > p^e0
         out = (1 - np.exp((z - 1) * logp)) / (1 - 1.0 / p) * np.exp(-t * z * logp)
     return complex(out) if out.ndim == 0 else out
 
 
 def zeta_kernel_numeric(
     z: complex | np.ndarray,
-    x_n: PadicRational | Fraction | int | Sequence,
+    x_n: Fraction | int | Sequence,
     e0: int,
     p: int,
 ) -> complex | np.ndarray:
@@ -278,8 +278,9 @@ def zeta_kernel_numeric(
     if (z.real <= 0).any():
         raise DomainError("numeric mode needs Re(z) > 0")
     xs = np.asarray(x_n, dtype=object)
-    points = [PadicRational(p, x) for x in xs.flat]
-    t = np.array([-math.inf if x.is_zero else -x.val for x in points])  # |x_n| = p^t
+    points = [padic_fraction(p, x) for x in xs.flat]
+    # |x_n| = p^t; t = 0 at x_n = 0 weighs every shell j >= e0 >= 1 as t = -inf would
+    t = np.array([-split_p_part(x, p)[1] for x in points])
     logp = math.log(p)
     last = e0 + np.maximum(2, np.ceil((-math.log(ZETA_TAIL_TOL) + 4) / (z.real * logp)))
     j = np.arange(e0, int(last.max(initial=e0)) + 1)

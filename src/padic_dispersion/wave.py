@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .padic import DEFAULT_ENUMERATION_CAP, PadicRational, int_valuation, split_p_part
+from .padic import DEFAULT_ENUMERATION_CAP, int_valuation, padic_fraction, split_p_part
 from .polynomials import SparsePolynomial, checked_modulus, lattice_form, poly_residues
 from .schwartz import (
     ModulatedSBFn,
@@ -241,10 +241,10 @@ def solve_u(
     independent of any further refinement; u(x, 0) = f0(x) exactly.
     """
     p = spec.prime
-    x = tuple(PadicRational(p, xi).as_fraction() for xi in x)
+    x = tuple(padic_fraction(p, xi) for xi in x)
     if len(x) != spec.n:
         raise DomainError("x has wrong dimension")
-    t = PadicRational(p, t).as_fraction()
+    t = padic_fraction(p, t)
     space = max((-split_p_part(xi, p)[1] for xi in x if xi != 0), default=0)
     time = -split_p_part(t, p)[1] if t != 0 else None
     level = _cell_level(spec, space, time)
@@ -293,10 +293,10 @@ def windowed_spectrum(
     if R < 0:
         raise DomainError("window exponent R must be >= 0")
     p = spec.prime
-    xi = tuple(PadicRational(p, c).as_fraction() for c in xi)
+    xi = tuple(padic_fraction(p, c) for c in xi)
     if len(xi) != spec.n:
         raise DomainError("xi has wrong dimension")
-    tau = PadicRational(p, tau).as_fraction()
+    tau = padic_fraction(p, tau)
     level, idx, vals, r, nt, N = _box(spec, R, cap)
     keep = np.ones(len(vals), dtype=bool)
     conditions = [(r, nt, tau)] + [(k, N, c) for k, c in zip(idx.T, xi)]

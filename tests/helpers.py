@@ -391,9 +391,9 @@ def oracle_graph_constancy_level(Y: GraphHypersurface, Fg: ModulatedSBFn) -> int
         r = ball.radius_exp
         rel = max(rel, r - e0, r - w_phi)
         for j, b in enumerate(mod):
-            if b.is_zero:
+            if b == 0:
                 continue
-            rel = max(rel, -b.val - (e0 if j < len(mod) - 1 else w_phi))
+            rel = max(rel, -split_p_part(b, p)[1] - (e0 if j < len(mod) - 1 else w_phi))
     return e0 + rel
 
 

@@ -91,7 +91,12 @@ def test_random_sb_draw():
     assert isinstance(g, schwartz.SchwartzBruhatFn)
     for ball, coeff in g.terms:
         assert len(ball.center_fractions()) == 2 and isinstance(ball.radius_exp, int)
+        assert all(isinstance(c, Fraction) for c in ball.center_fractions())
         assert isinstance(coeff, complex)
+    # bench/test_bench.py drops a transform's last term by rebuilding it from its own terms
+    G = schwartz.fourier_sb(cli._random_sb(random.Random(12), 3, 2))
+    H = G.__class__(G.n, G.prime, G.terms[:-1])
+    assert len(G.terms) == 9 and H.terms == G.terms[:-1]
 
 
 def test_modulated_value_at_is_patchable(monkeypatch):

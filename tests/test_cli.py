@@ -122,13 +122,26 @@ class TestExpsumCommand:
         assert len({json.dumps(json.loads(out)["results"]) for _, out in runs}) == 1
 
     def test_an_irrational_critical_point_is_indeterminate(self, tmp_path):
-        # the critical point -1/2 of x^2 + x lies in Z_3 and has no finite
-        # expansion, so the gradient valuation never settles
-        code, out = run_cli(tmp_path, ["expsum", "--prime", "3", "--poly", "x^2+x", "--m", "1..4"])
+        # f' = 3x^2 - 3^20 vanishes at +-3^(19/2), outside Q_3, yet has valuation
+        # 1 + 2 v(x) up to 20 near 0: no class of depth 12 settles, none is Hensel's
+        poly = "x^3-3486784401*x"
+        code, out = run_cli(tmp_path, ["expsum", "--prime", "3", "--poly", poly, "--m", "1..4"])
         assert code == EXIT_OK
         assert json.loads(out)["results"]["certificate"] == {
             "status": "indeterminate",
             "reason": "gradient valuation did not stabilise within depth 12",
+        }
+
+    # -1/2 in Z_3 and a root of 3x^2 - 2 in Z_5 are no class centre; at depth 12
+    # Hensel's lemma puts one in the class: 2c + 1 = 0 mod 3^12, 3c^2 - 2 = 0 mod 5^12
+    @pytest.mark.parametrize("prime,poly,c", [("3", "x^2+x", 265720), ("5", "x^3-2*x", 174699547)])
+    def test_a_critical_point_off_the_integers_is_unavailable(self, tmp_path, prime, poly, c):
+        argv = ["expsum", "--prime", prime, "--poly", poly, "--m", "1..4"]
+        code, out = run_cli(tmp_path, argv)
+        assert code == EXIT_CERTIFICATE
+        assert json.loads(out)["results"]["certificate"] == {
+            "status": "unavailable",
+            "reason": f"critical point detected in residue class ({c}) mod p^12",
         }
 
     def test_a_ball_of_radius_exponent_two_is_not_certified(self, tmp_path):
@@ -733,7 +746,7 @@ class TestValidationAndExitCodes:
         assert capsys.readouterr() == ("", "error: bad coefficient 'abc'\n")
 
     def test_without_out_the_payload_goes_to_stdout(self, capsysbinary):
-        argv = ["expsum", "--prime", "3", "--poly", "x^2+x", "--m", "1..3"]
+        argv = ["expsum", "--prime", "3", "--poly", "x^2+x+1", "--m", "1..3", "--ball", "ball 0 1"]
         payload, status = run(config_from_args(build_parser().parse_args(argv))[0])
         assert main(argv) == status == EXIT_OK
         assert capsysbinary.readouterr() == (payload, b"")

@@ -35,7 +35,7 @@ from padic_dispersion.expsums import (
     residue_histogram,
     stationary_certificate,
 )
-from padic_dispersion.padic import Ball, PadicRational
+from padic_dispersion.padic import Ball
 from padic_dispersion.polynomials import SparsePolynomial, lattice_form, parse_polynomial
 
 Z3 = Ball.of(3, [0], 0)
@@ -958,9 +958,21 @@ class TestStationaryCertificate:
         assert center == (Fraction(0),)
 
     def test_irrational_critical_point_indeterminate(self):
-        # f' = 2x + 1 vanishes at -1/2, a 3-adic integer no center ever hits
+        # f' = 3x^2 - 3^20 vanishes only at +-3^(19/2), outside Q_3, but near 0
+        # its valuation passes the depth cap, where Hensel's lemma finds no root
         with pytest.raises(CertificateIndeterminate):
-            stationary_certificate(parse_polynomial("x^2+x"), Z3, {})
+            stationary_certificate(parse_polynomial("x^3-3486784401*x"), Z3, {})
+
+    @pytest.mark.parametrize("p,poly", [(3, "x^2+x"), (5, "x^3-2*x"), (3, "x1^2+x2^2+x1")])
+    def test_a_critical_point_off_the_integers_is_unavailable(self, p, poly):
+        # -1/2 in Z_3 and the roots of 3x^2 - 2 in Z_5 are no class centre; at
+        # the depth cap Hensel's lemma puts one in the class
+        f = parse_polynomial(poly)
+        with pytest.raises(CertificateUnavailableError) as exc:
+            stationary_certificate(f, Ball.of(p, [0] * f.nvars, 0), {})
+        center, level = exc.value.residue_class
+        assert level == expsums.DEPTH_CAP
+        assert all(g.evaluate(center) % p**level == 0 for g in f.gradient())
 
     def test_positive_bound_exponent(self):
         # f' = 3(x^2 + 1) and x^2 + 1 is a unit on all of Z_3, so

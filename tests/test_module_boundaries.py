@@ -407,7 +407,6 @@ EXPORTED_PARAMETERS = {
     "GraphHypersurface": ("phi", "window"),
     "ModulatedSBFn": ("n", "prime", "terms"),
     "NewtonPolyhedron": ("dim", "facets", "support"),
-    "PadicRational": ("prime", "value"),
     "PolynomialSyntaxError": ("message", "position"),
     "QuasiHomogeneityWitness": ("alpha", "degree"),
     "ResourceCapError": ("required", "cap", "what"),

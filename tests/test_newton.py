@@ -5,7 +5,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, permutations
 
 import pytest
 
@@ -23,6 +23,7 @@ from padic_dispersion.cli import EXIT_CERTIFICATE, EXIT_OK, main
 from padic_dispersion.errors import DomainError
 from padic_dispersion.newton import (
     beta_and_t0,
+    determinant,
     face_polynomials,
     newton_facets,
     nondegeneracy_mod_p,
@@ -464,3 +465,26 @@ class TestNondegeneracy:
         elapsed = time.perf_counter() - start
         assert got == "certified"
         assert elapsed < 2.0, elapsed
+
+
+def leibniz(rows):
+    """sum over permutations of sign * product, written independently of the library."""
+    n, total = len(rows), 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestDeterminant:
+    def test_row_swaps_keep_the_sign(self):
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+        assert determinant([[1, 2], [2, 4]]) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_leibniz_sum(self, n):
+        rng = random.Random(n)
+        for _ in range(300):
+            rows = [[rng.choice([0, 0, 1, -1, 2, -3, 7]) for _ in range(n)] for _ in range(n)]
+            assert determinant(rows) == leibniz(rows), rows

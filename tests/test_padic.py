@@ -1,4 +1,3 @@
-import math
 import random
 import time
 from fractions import Fraction
@@ -10,9 +9,9 @@ from hypothesis import strategies as st
 from helpers import complex_value
 from padic_dispersion.errors import DomainError
 from padic_dispersion.expsums import exp_sum
-from padic_dispersion.padic import Ball, PadicRational, RootOfUnity, character, split_p_part
+from padic_dispersion.padic import Ball, RootOfUnity, character, padic_fraction, split_p_part
 from padic_dispersion.polynomials import parse_polynomial
-from padic_dispersion.schwartz import SchwartzBruhatFn
+from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn
 from padic_dispersion.surface import (
     GraphHypersurface,
     ray_values,
@@ -38,17 +37,16 @@ def meta_oracle(x: Fraction, p: int) -> tuple[int, int]:
     return num, v
 
 
-def meta(x, p: int) -> tuple[int, int | float]:
-    """(unit, val) as PadicRational reads them, checked against split_p_part."""
-    y = PadicRational(p, x)
-    assert split_p_part(x, p) == (y.unit, 0 if y.is_zero else y.val)
-    return y.unit, y.val
+def meta(x, p: int) -> tuple[int, int]:
+    """(unit, val) from split_p_part, of a scalar that padic_fraction returns unchanged."""
+    assert padic_fraction(p, x) == x
+    return split_p_part(x, p)
 
 
 class TestPadicMeta:
     def test_zero(self):
-        assert meta(0, 3) == (0, math.inf)
-        assert PadicRational(3, 0).is_zero
+        assert meta(0, 3) == (0, 0)
+        assert type(padic_fraction(3, 0)) is Fraction
 
     def test_positive_valuation(self):
         assert meta(18, 3) == meta_oracle(Fraction(18), 3) == (2, 2)
@@ -58,7 +56,7 @@ class TestPadicMeta:
 
     def test_rejects_bad_denominator(self):
         with pytest.raises(DomainError):
-            PadicRational(3, Fraction(1, 6))
+            padic_fraction(3, Fraction(1, 6))
         with pytest.raises(DomainError):
             split_p_part(Fraction(1, 6), 3)
         with pytest.raises(DomainError):
@@ -92,6 +90,7 @@ class TestPadicMeta:
         assert time.perf_counter() - start < 0.5
 
 
+# p-adic rationals: the elements of Z[1/p], held as plain Fractions
 class TestPadicRational:
     @given(
         st.integers(min_value=-(10**6), max_value=10**6),
@@ -100,23 +99,17 @@ class TestPadicRational:
     )
     def test_fraction_round_trip(self, num, k, p):
         q = Fraction(num, p**k)
-        assert PadicRational(p, q).as_fraction() == q
-
-    @pytest.mark.parametrize("x", [0, 5, 18, Fraction(7, 9), Fraction(-2, 3)], ids=str)
-    def test_equal_values_hash_equal_and_differ_from_plain_numbers(self, x):
-        a, b = PadicRational(3, x), PadicRational(3, PadicRational(3, x))
-        assert a == b and hash(a) == hash(b)
-        assert a != x and a != Fraction(x)
-        assert {x: "plain"}.get(a) is None and {a: "padic"}[b] == "padic"
-        assert PadicRational(3, 5) != PadicRational(5, 5)
+        assert padic_fraction(p, q) == q and type(padic_fraction(p, q)) is Fraction
+        unit, val = split_p_part(q, p)
+        assert q == unit * Fraction(p) ** val
 
 
 class TestCharacter:
     def test_trivial_on_integers(self):
-        assert character(PadicRational(3, 5)) == RootOfUnity(3, 0, 0)
+        assert character(5, 3) == RootOfUnity(3, 0, 0)
 
     def test_nontrivial_on_inverse_p(self):
-        assert character(PadicRational(3, Fraction(1, 3))) == RootOfUnity(3, 1, 1)
+        assert character(Fraction(1, 3), 3) == RootOfUnity(3, 1, 1)
 
     def test_digit_expansion_case(self):
         # independent digit oracle: 7/9 has fractional digits 7 = 1 + 2*3 mod 9
@@ -127,7 +120,7 @@ class TestCharacter:
             digits.append(a % 3)
             a //= 3
         expect_num = digits[0] + 3 * digits[1]
-        c = character(PadicRational(3, x))
+        c = character(x, 3)
         assert (c.numerator, c.level) == (expect_num, 2) == (7, 2)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -175,14 +168,19 @@ class TestBallsAndResidues:
         assert big.is_disjoint(other)
         assert small.volume == Fraction(1, 3)
 
+    def test_a_ball_built_directly_is_checked_like_ball_of(self):
+        assert Ball(3, (Fraction(1, 3),), 0) == Ball.of(3, [Fraction(1, 3)], 0)
+        assert Ball(3, (2, 0), 1).center == (Fraction(2), Fraction(0))
+        with pytest.raises(DomainError):
+            Ball(3, (Fraction(1, 5),), 0)
+
 
 SPEC3 = SolutionSpec.build(SchwartzBruhatFn.indicator(Ball.of(3, [0], 0)), parse_polynomial("x^2"))
 PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
 
 
-# 5 lies in Z, so only the prime check tells 5-adic from 3-adic; 1/5 does not lie in Z[1/3]
-@pytest.mark.parametrize("a", [PadicRational(5, 5), PadicRational(5, Fraction(1, 5))],
-                         ids=["5", "1/5"])
+# 1/5 does not lie in Z[1/3]: every entry point that takes a scalar refuses it
+@pytest.mark.parametrize("a", [Fraction(1, 5)], ids=["1/5"])
 @pytest.mark.parametrize(
     "call",
     [
@@ -196,9 +194,17 @@ PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
         lambda a: windowed_spectrum(SPEC3, (0,), a, 1),
         lambda a: zeta_kernel(0.5, a, 1, 3),
         lambda a: zeta_kernel_numeric(0.5, a, 1, 3),
+        lambda a: Ball.of(3, [0, a], 0),
+        lambda a: ModulatedSBFn(1, 3, ((Ball.of(3, [0], 0), (a,), 1 + 0j),)),
+        # at p = 1 only the prime check refuses: no power of 1 clears a denominator
+        lambda a: zeta_kernel(0.5, a, 1, 1),
+        lambda a: zeta_kernel_numeric(0.5, a, 1, 1),
+        lambda a: ModulatedSBFn(1, 1, ((Ball.of(3, [0], 0), (a,), 1 + 0j),)),
     ],
     ids=["character", "exp_sum-z", "surface_ft-xi", "ray_values-direction", "solve_u-x", "solve_u-t",
-         "windowed_spectrum-xi", "windowed_spectrum-tau", "zeta_kernel", "zeta_kernel_numeric"],
+         "windowed_spectrum-xi", "windowed_spectrum-tau", "zeta_kernel", "zeta_kernel_numeric",
+         "Ball.of-center", "ModulatedSBFn-modulation", "zeta_kernel-p1", "zeta_kernel_numeric-p1",
+         "ModulatedSBFn-p1"],
 )
 def test_scalar_of_another_prime_is_refused_at_p_3(call, a):
     with pytest.raises(DomainError):

@@ -255,7 +255,7 @@ class TestRestriction:
                 Fg = fourier_sb(g)
             except ResourceCapError:
                 continue
-            if len(Fg.radii) > 500:  # the oracle builds ~30 us of PadicRationals per term
+            if len(Fg.radii) > 500:  # the oracle reads Fg.terms: ~30 us of checked Balls per term
                 continue
             compared += 1
             # the oracle evaluates Fg once per cell; 258 of the 300 draws have at most 1000
