@@ -54,7 +54,6 @@ from .expsums import (
 from .newton import (
     DEFAULT_FACE_SCAN_CAP,
     beta_and_t0,
-    check_facet_vars,
     newton_facets,
     nondegeneracy_mod_p,
     quasi_homogeneous_detect,
@@ -231,8 +230,6 @@ def _run_expsum(cfg: JobConfig) -> dict:
     lo, hi = cfg.m_range
     ball = _default_ball(cfg, f.nvars)
     p = cfg.prime
-    if not f.is_constant():  # decay_fit builds f's Newton polyhedron: refuse before any sum
-        check_facet_vars(f.nvars)
     sums = {m: exp_sum(f, Fraction(1, p**m), ball, cap=cfg.cap) for m in range(lo, hi + 1)}
     evaluate(sums.values())  # one recursion memo serves every level
     values = {m: res.value for m, res in sums.items()}

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, ResourceCapError
 from .polynomials import Exponents, SparsePolynomial, poly_residues
 
-MAX_NEWTON_VARS = 4
 DEFAULT_FACE_SCAN_CAP = 10**7
 
 
@@ -137,29 +136,31 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(operator.mul, a, b))
 
 
-def check_facet_vars(nvars: int) -> None:
-    """Refuse a polyhedron in more than MAX_NEWTON_VARS variables."""
-    if nvars > MAX_NEWTON_VARS:
-        raise DomainError(f"facet enumeration capped at {MAX_NEWTON_VARS} variables")
-
-
 def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     """Complete facet list of the Newton polyhedron of f.
 
-    Every facet is spanned by k coordinate rays and m - k support points on
-    it, and each such subset gives a candidate: the primitive perpendicular
-    of its m - 1 spanning rows.  A non-negative candidate is a facet normal
-    iff the subset's own points attain min <a, l> over the support.
-    Coordinate facets (possibly with m(a) = 0) are included.
+    Every facet is spanned by k coordinate rays and m - k vertices, and every
+    vertex is one of the M componentwise-minimal support points (any other
+    lies in a minimal one + R_+^m).  Each such subset gives a candidate: the
+    primitive perpendicular of its m - 1 spanning rows.  A non-negative
+    candidate is a facet normal iff the subset's own points attain min <a, l>
+    over the support; the facet's vertices are read off the whole support.
+    Coordinate facets (possibly with m(a) = 0) are included.  The search is
+    charged |supp| * sum_{k<m} C(m, k) C(M, m - k) units before it starts,
+    and refused with ResourceCapError past DEFAULT_FACE_SCAN_CAP.
     """
     _require_vanishing(f)
     m = f.nvars
-    check_facet_vars(m)
     supp = sorted(f.support())
+    # a point below e comes before it in lexicographic order
+    minimal = [e for i, e in enumerate(supp) if all(any(map(operator.gt, q, e)) for q in supp[:i])]
+    work = len(supp) * sum(math.comb(m, k) * math.comb(len(minimal), m - k) for k in range(m))
+    if work > DEFAULT_FACE_SCAN_CAP:
+        raise ResourceCapError(work, DEFAULT_FACE_SCAN_CAP, what="facet search units")
     facets: dict[tuple[int, ...], Facet] = {}
     for k in range(m):
         for rays in combinations(range(m), k):
-            for pts in combinations(supp, m - k):
+            for pts in combinations(minimal, m - k):
                 normal = _normal(_span_rows(pts, rays, m), m)
                 if normal is None or any(a < 0 for a in normal) or normal in facets:
                     continue

@@ -30,6 +30,8 @@ def _remove_p(n: int, p: int) -> tuple[int, int]:
     """(k, n / p^k) for the largest k with p^k | n, n != 0, in O(log k) divisions:
     divide by p, p^2, p^4, ... while they divide, then by the same powers
     from the top down, each where it still divides."""
+    if p < 2:  # inline, not _check_prime: this runs for every scalar read
+        raise DomainError(f"prime must be >= 2, got {p}")
     if n % p:
         return 0, n
     powers = []

@@ -11,7 +11,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -201,15 +201,14 @@ def oracle_solution(
 # -- standalone linear algebra for the H-description scan ----------------------
 
 
-def echelon_rank(rows: list[list[int]]) -> int:
+def echelon_form(rows: list[list[int]], m: int) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form of rows of length m, over Q and without
+    its zero rows, and its pivot columns."""
     mat = [[Fraction(v) for v in row] for row in rows if any(row)]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        hit = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                hit = r
-                break
+    pivots: list[int] = []
+    for col in range(m):
+        rank = len(pivots)
+        hit = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if hit is None:
             continue
         mat[rank], mat[hit] = mat[hit], mat[rank]
@@ -219,8 +218,12 @@ def echelon_rank(rows: list[list[int]]) -> int:
             if r != rank and mat[r][col] != 0:
                 c = mat[r][col]
                 mat[r] = [v - c * w for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def echelon_rank(rows: list[list[int]]) -> int:
+    return len(echelon_form(rows, len(rows[0]) if rows else 0)[1])
 
 
 def oracle_compact_facets(
@@ -303,6 +306,50 @@ def oracle_facets(f: SparsePolynomial) -> set[tuple[tuple[int, ...], int, tuple]
             if rank[on, zero] == m - 1:
                 found.add((tuple(a), mval, on))
     return found
+
+
+# the 84 monomials of degree 6 in 4 variables, all minimal: a facet search over
+# them is charged 84 * (C(84, 4) + 4 C(84, 3) + 6 C(84, 2) + 4 * 84) = 195878676 units
+DEGREE_SIX_IN_FOUR = " + ".join(
+    "*".join(f"x{i + 1}^{a}" for i, a in enumerate(e) if a)
+    for e in product(range(7), repeat=4)
+    if sum(e) == 6
+)
+
+
+def oracle_facets_by_subsets(f: SparsePolynomial) -> list[tuple[tuple[int, ...], int, tuple]]:
+    """Every facet as (normal, m(a), vertices), sorted by normal, by trying
+    every k coordinate rays with every m - k support points, dominated points
+    included.  Where the m - 1 spanning rows leave a line of perpendiculars,
+    its primitive non-negative generator is a facet normal iff the subset's
+    own points attain min <a, l> over the support.  The box scan
+    `oracle_facets` is too slow past four variables; this one is too slow
+    past a handful of points in six."""
+    supp = sorted(f.support())
+    m = f.nvars
+    found = {}
+    for k in range(m):
+        for rays in combinations(range(m), k):
+            for pts in combinations(supp, m - k):
+                rows = [[x - y for x, y in zip(pt, pts[0])] for pt in pts[1:]]
+                rows += [[int(j == i) for j in range(m)] for i in rays]
+                reduced, pivots = echelon_form(rows, m)
+                if len(pivots) != m - 1:
+                    continue
+                free = next(c for c in range(m) if c not in pivots)
+                line = [Fraction(int(c == free)) for c in range(m)]
+                for row, col in zip(reduced, pivots):
+                    line[col] = -row[free]
+                scale = math.lcm(*(v.denominator for v in line))
+                a = [int(v * scale) for v in line]
+                g = math.gcd(*a) * (-1 if max(a) <= 0 else 1)
+                a = tuple(v // g for v in a)
+                values = [sum(x * y for x, y in zip(a, pt)) for pt in supp]
+                mval = sum(x * y for x, y in zip(a, pts[0]))
+                if min(a) >= 0 and min(values) == mval:
+                    on = tuple(pt for pt, v in zip(supp, values) if v == mval)
+                    found[a] = (a, mval, on)
+    return [found[a] for a in sorted(found)]
 
 
 def oracle_faces(P: NewtonPolyhedron) -> set[tuple[tuple, tuple[int, ...], int]]:

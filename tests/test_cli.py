@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import config_from_dict, x1_x2_count_work, x1_x2_work
+from helpers import DEGREE_SIX_IN_FOUR, config_from_dict, x1_x2_count_work, x1_x2_work
 import padic_dispersion
 from padic_dispersion import expsums, surface, wave
 from padic_dispersion.cli import (
@@ -221,16 +221,28 @@ class TestExpsumCommand:
         assert fit["status"] == "too_few_samples" and fit["slope"] is None
         assert math.isclose(fit["samples"][0][1], 3**-2.5, rel_tol=1e-12)
 
-    def test_five_variables_are_refused_before_any_sum(self, tmp_path, capsys, monkeypatch):
-        def scanned(*args):
-            raise AssertionError("a block was scanned")
-
-        monkeypatch.setattr(expsums, "_counts", scanned)
-        monkeypatch.setattr(expsums, "_edges", scanned)
+    def test_five_squares_are_fitted_and_an_oversized_facet_search_exits_3(self, tmp_path, capsys):
         five = ["expsum", "--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2", "--m", "1..2"]
-        code, _ = run_cli(tmp_path, five)
-        assert code == EXIT_VALIDATION
-        assert "facet enumeration capped at 4 variables" in capsys.readouterr().err
+        code, out = run_cli(tmp_path, five)
+        assert code == EXIT_CERTIFICATE
+        assert json.loads(out)["results"]["decay_fit"]["beta"] == "5/2"
+        # decay_fit refuses the facet search after the sums, which --cap bounds
+        capsys.readouterr()
+        argv = ["expsum", "--prime", "3", "--poly", DEGREE_SIX_IN_FOUR, "--m", "1..2"]
+        code, out = run_cli(tmp_path, argv, name="refused.bin")
+        assert (code, out) == (EXIT_RESOURCE, b"")
+        assert "195878676 facet search units" in capsys.readouterr().err
+
+    def test_six_squares_reach_their_newton_exponent(self, tmp_path):
+        six = ["--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2+x6^2"]
+        code, out = run_cli(tmp_path, ["expsum", *six, "--m", "1..30"])
+        fit = json.loads(out)["results"]["decay_fit"]
+        assert code == EXIT_CERTIFICATE
+        assert (fit["beta"], fit["consistent"]) == ("3", True)
+        code, out = run_cli(tmp_path, ["newton", *six])
+        doc = json.loads(out)["results"]
+        assert code == EXIT_OK
+        assert (doc["beta"], len(doc["facets"]), doc["mod_p_verdict"]) == ("3/1", 7, "certified")
 
 
 class TestSurfaceCommand:

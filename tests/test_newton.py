@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import sys
 import time
@@ -10,18 +11,21 @@ from itertools import cycle, permutations
 import pytest
 
 from helpers import (
+    DEGREE_SIX_IN_FOUR,
     compact_facets,
     echelon_rank,
     oracle_compact_facets,
     oracle_faces,
     oracle_facets,
+    oracle_facets_by_subsets,
     oracle_quasi_homogeneous,
     oracle_verdict,
 )
 from padic_dispersion import newton
 from padic_dispersion.cli import EXIT_CERTIFICATE, EXIT_OK, main
-from padic_dispersion.errors import DomainError
+from padic_dispersion.errors import DomainError, ResourceCapError
 from padic_dispersion.newton import (
+    DEFAULT_FACE_SCAN_CAP,
     beta_and_t0,
     determinant,
     face_polynomials,
@@ -100,9 +104,52 @@ class TestFacets:
             for pt in P.support:
                 assert sum(a * l for a, l in zip(facet.normal, pt)) >= facet.support_value
 
-    def test_variable_cap(self):
-        with pytest.raises(DomainError):
-            newton_facets(parse_polynomial("x1+x2+x3+x4+x5"))
+    def test_an_oversized_search_is_refused_before_any_candidate(self, monkeypatch):
+        def tried(*args):
+            raise AssertionError("a candidate was tried")
+
+        monkeypatch.setattr(newton, "_normal", tried)
+        with pytest.raises(ResourceCapError) as caught:
+            newton_facets(parse_polynomial(DEGREE_SIX_IN_FOUR))
+        assert (caught.value.required, caught.value.cap) == (195_878_676, DEFAULT_FACE_SCAN_CAP)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^2 + x2^2 + x3^2 + x1^2*x2 + x1*x2*x3 + x1^3*x2^2*x3 + x2^3",
+            "x1^2 + x2^3 + x1^3 + x1*x2 + x1^2*x2^2",
+            "x1*x2 + x3^2 + x4^2 + x5^2 + x1*x2*x3 + x4^3*x5",
+        ],
+    )
+    def test_the_search_tries_each_subset_of_minimal_points_once(self, monkeypatch, text):
+        f = parse_polynomial(text)
+        supp = f.support()
+        minimal = [e for e in supp if not any(q != e and all(map(operator.le, q, e)) for q in supp)]
+        original, calls = newton._normal, []
+
+        def counting(rows, m):
+            calls.append(rows)
+            return original(rows, m)
+
+        monkeypatch.setattr(newton, "_normal", counting)
+        newton_facets(f)
+        m, M = f.nvars, len(minimal)
+        assert M < len(supp)
+        assert len(calls) == sum(math.comb(m, k) * math.comb(M, m - k) for k in range(m))
+
+    def test_every_facet_matches_the_subset_search(self):
+        kinds = Counter()
+        for f in random_vanishing_polynomials(41, 200, degrees=(4, 4, 3, 3, 2, 2)):
+            P = newton_facets(f)
+            got = [(fc.normal, fc.support_value, fc.vertices) for fc in P.facets]
+            assert got == oracle_facets_by_subsets(f), f
+            kinds[f.nvars] += 1
+            supp = f.support()
+            kinds["dominated", f.nvars] += any(
+                q != e and all(map(operator.le, q, e)) for e in supp for q in supp
+            )
+        assert min(kinds[m] for m in range(1, 7)) >= 20
+        assert min(kinds["dominated", m] for m in range(2, 7)) >= 5
 
     def test_every_facet_matches_the_box_scan(self):
         # exponents shrink as variables are added, so the oracle's box stays small
@@ -216,11 +263,11 @@ class TestFacePolynomials:
 
 
 def random_vanishing_polynomials(seed: int, count: int, degrees=(4, 4, 3, 3)):
-    """Seeded polynomials in 1-4 variables with 1-6 terms; each exponent of a
-    polynomial in m variables is at most degrees[m - 1]."""
+    """Seeded polynomials in 1-len(degrees) variables with 1-6 terms; each
+    exponent of a polynomial in m variables is at most degrees[m - 1]."""
     rng = random.Random(seed)
     while count:
-        m = rng.randint(1, 4)
+        m = rng.randint(1, len(degrees))
         terms = {}
         for _ in range(rng.randint(1, 6)):
             exps = tuple(rng.randint(0, degrees[m - 1]) for _ in range(m))

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from helpers import complex_value
 from padic_dispersion.errors import DomainError
 from padic_dispersion.expsums import exp_sum
-from padic_dispersion.padic import Ball, RootOfUnity, character, padic_fraction, split_p_part
+from padic_dispersion.padic import (
+    Ball,
+    RootOfUnity,
+    character,
+    int_valuation,
+    padic_fraction,
+    split_p_part,
+)
 from padic_dispersion.polynomials import parse_polynomial
 from padic_dispersion.schwartz import ModulatedSBFn, SchwartzBruhatFn
 from padic_dispersion.surface import (
@@ -80,6 +87,14 @@ class TestPadicMeta:
             unit = rng.choice([-1, 1]) * rng.randrange(1, 10**30)
             x = Fraction(unit * p ** rng.randrange(300), p ** rng.randrange(300))
             assert meta(x, p) == meta_oracle(x, p)
+
+    @pytest.mark.parametrize("p", [1, 0, -1])
+    def test_a_prime_below_2_is_refused(self, p):
+        # p = 1 and p = -1 divided by 1 forever; p = 0 raised ZeroDivisionError
+        with pytest.raises(DomainError):
+            split_p_part(Fraction(5, 3), p)
+        with pytest.raises(DomainError):
+            int_valuation(6, p)
 
     def test_a_deep_denominator_takes_logarithmically_many_divisions(self):
         # one division per power of 3 took 4.4 s; dividing by 3, 3^2, 3^4, ...
