@@ -58,8 +58,8 @@ from .newton import (
     nondegeneracy_mod_p,
     quasi_homogeneous_detect,
 )
-from .padic import Ball
-from .polynomials import MODULUS_LIMIT, parse_polynomial
+from .padic import Ball, check_prime
+from .polynomials import parse_polynomial
 from .schwartz import SchwartzBruhatFn, l2_norm
 from .surface import (
     GraphHypersurface,
@@ -165,17 +165,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if hi < lo:
         raise DomainError(f"empty range {text!r}")
     return lo, hi
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
 
 
 # -- command runners -----------------------------------------------------------
@@ -510,10 +499,7 @@ def config_from_args(args: argparse.Namespace) -> tuple[JobConfig, int]:
     accepts and ignores; a count below 1 is still a validation error."""
     if args.threads < 1:
         raise DomainError("threads must be >= 1")
-    if args.prime > MODULUS_LIMIT:  # no command accepts it; trial division would take O(sqrt p)
-        raise DomainError(f"--prime {args.prime} is not below 2^31, the modulus limit")
-    if not _is_prime(args.prime):
-        raise DomainError(f"--prime {args.prime} is not a prime")
+    check_prime(args.prime)
     if args.cap < 1:
         raise DomainError("--cap must be positive")
     _, required, optional = _COMMANDS[args.command]

@@ -50,7 +50,7 @@ from .errors import (
     ResourceCapError,
 )
 from .newton import beta_and_t0, determinant, newton_facets, quasi_homogeneous_detect
-from .padic import Ball, DEFAULT_ENUMERATION_CAP, int_valuation, padic_fraction
+from .padic import Ball, DEFAULT_ENUMERATION_CAP, check_prime, int_valuation, padic_fraction
 from .polynomials import Exponents, SparsePolynomial, checked_modulus, compose_affine
 from .polynomials import lattice_form, poly_residues
 
@@ -103,6 +103,9 @@ class ExpSumResult:
     scale: Fraction
     cap: int
     _value: complex | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        check_prime(self.prime)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -676,6 +679,8 @@ def stationary_certificate(
     inside Z_p^n): that is the hypothesis under which the vanishing bound
     holds.  A critical point in A aborts with the offending class: one at a
     class centre, or, at depth DEPTH_CAP, one that Hensel's lemma places in it.
+    Each class queued is charged _NODE_COST; past DEFAULT_ENUMERATION_CAP the
+    search is indeterminate, as it is past DEPTH_CAP.
     """
     if f.is_constant():
         raise DomainError("polynomial is constant")
@@ -689,7 +694,7 @@ def stationary_certificate(
     grad = f.gradient()
     start_level = max(0, ball.radius_exp)
     queue = deque([(tuple(map(int, ball.center_fractions())), start_level)])
-    bound = 0
+    bound, work = 0, _NODE_COST
     while queue:
         center, k = queue.popleft()
         derivs = [g.evaluate(center) for g in grad]
@@ -708,6 +713,11 @@ def stationary_certificate(
                 raise CertificateUnavailableError((center, k))
             raise CertificateIndeterminate(
                 f"gradient valuation did not stabilise within depth {DEPTH_CAP}"
+            )
+        work += _NODE_COST * p**ball.dim
+        if work > DEFAULT_ENUMERATION_CAP:
+            raise CertificateIndeterminate(
+                f"class search passed {DEFAULT_ENUMERATION_CAP} units at depth {k - start_level}"
             )
         step = p**k
         for t in product(range(p), repeat=ball.dim):

@@ -22,6 +22,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, ResourceCapError
+from .padic import check_prime
 from .polynomials import Exponents, SparsePolynomial, poly_residues
 
 DEFAULT_FACE_SCAN_CAP = 10**7
@@ -145,20 +146,22 @@ def newton_facets(f: SparsePolynomial) -> NewtonPolyhedron:
     primitive perpendicular of its m - 1 spanning rows.  A non-negative
     candidate is a facet normal iff the subset's own points attain min <a, l>
     over the support; the facet's vertices are read off the whole support.
-    Coordinate facets (possibly with m(a) = 0) are included.  The search is
-    charged |supp| * sum_{k<m} C(m, k) C(M, m - k) units before it starts,
-    and refused with ResourceCapError past DEFAULT_FACE_SCAN_CAP.
+    Coordinate facets (possibly with m(a) = 0) are included.  Each of the
+    sum_{m-M <= k < m} C(m, k) C(M, m - k) candidates is charged m (m^2 + |supp|)
+    units, its elimination and its support test, before the search starts,
+    and the search is refused with ResourceCapError past DEFAULT_FACE_SCAN_CAP.
     """
     _require_vanishing(f)
     m = f.nvars
     supp = sorted(f.support())
     # a point below e comes before it in lexicographic order
     minimal = [e for i, e in enumerate(supp) if all(any(map(operator.gt, q, e)) for q in supp[:i])]
-    work = len(supp) * sum(math.comb(m, k) * math.comb(len(minimal), m - k) for k in range(m))
+    ks = range(max(0, m - len(minimal)), m)
+    work = m * (m * m + len(supp)) * sum(math.comb(m, k) * math.comb(len(minimal), m - k) for k in ks)
     if work > DEFAULT_FACE_SCAN_CAP:
         raise ResourceCapError(work, DEFAULT_FACE_SCAN_CAP, what="facet search units")
     facets: dict[tuple[int, ...], Facet] = {}
-    for k in range(m):
+    for k in ks:
         for rays in combinations(range(m), k):
             for pts in combinations(minimal, m - k):
                 normal = _normal(_span_rows(pts, rays, m), m)
@@ -257,6 +260,7 @@ def nondegeneracy_mod_p(
     ever reported mod p.
     """
     _require_vanishing(f)
+    check_prime(p)
     m = f.nvars
     if p**m > cap:
         raise ResourceCapError(p**m, cap, what="points of F_p^m")
@@ -277,6 +281,7 @@ def critical_locus_mod_p(f: SparsePolynomial, p: int) -> Verdict:
     vanishes identically mod p, "degenerate-mod-p" when it has a common zero
     in F_p^m other than the origin, "certified" otherwise.  The scan visits
     p^m points; the caller bounds it."""
+    check_prime(p)
     grad = f.gradient()
     if all(_is_zero_mod(g, p) for g in grad):
         return "indeterminate"

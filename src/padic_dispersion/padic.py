@@ -1,16 +1,19 @@
-"""Exact p-adic scalars, the additive character and balls of Q_p^n.
+"""The prime, exact p-adic scalars, the additive character and balls of Q_p^n.
 
-A scalar is an element of Z[1/p] held as a plain Fraction: `padic_fraction`
-is its one check (a p-power denominator), `split_p_part` reads it as
+`check_prime` is the one decision of which p the engine answers for.  A
+scalar is an element of Z[1/p] held as a plain Fraction: `padic_fraction` is
+its one check (a p-power denominator), `split_p_part` reads it as
 unit * p^val, and `over_p_power` writes many over one least power of p.
 The field is fixed to K = Q_p, so the local parameter is p and the residue
-field has q = p elements.  Complex numbers enter only when a root of unity
-is finally evaluated.
+field has q = p elements.  `character` gives the exact angle of Psi; complex
+numbers enter only when a root of unity is finally evaluated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -21,16 +24,24 @@ DEFAULT_ENUMERATION_CAP = 10**8
 Rational = int | Fraction
 
 
-def _check_prime(p: int) -> None:
-    if p < 2:
-        raise DomainError(f"prime must be >= 2, got {p}")
+MODULUS_LIMIT = 2**31 - 1  # int32 holds every residue; products of two fit in int64
+
+
+@cache
+def check_prime(p: int) -> None:
+    """DomainError unless p is a prime no larger than MODULUS_LIMIT: the one
+    decision of which p the engine answers for."""
+    if not 2 <= p <= MODULUS_LIMIT:
+        raise DomainError(f"prime must lie in [2, 2^31), got {p}")
+    if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise DomainError(f"{p} is not a prime")
 
 
 def _remove_p(n: int, p: int) -> tuple[int, int]:
     """(k, n / p^k) for the largest k with p^k | n, n != 0, in O(log k) divisions:
     divide by p, p^2, p^4, ... while they divide, then by the same powers
     from the top down, each where it still divides."""
-    if p < 2:  # inline, not _check_prime: this runs for every scalar read
+    if p < 2:  # inline, not check_prime: this runs for every scalar read
         raise DomainError(f"prime must be >= 2, got {p}")
     if n % p:
         return 0, n
@@ -73,8 +84,8 @@ def split_p_part(x: Rational, p: int) -> tuple[int, int]:
 
 
 def padic_fraction(p: int, x: Rational) -> Fraction:
-    """x as a Fraction, checked once: DomainError unless p >= 2 and x lies in Z[1/p]."""
-    _check_prime(p)
+    """x as a Fraction, checked once: DomainError unless p is a prime and x lies in Z[1/p]."""
+    check_prime(p)
     x = Fraction(x)
     split_p_part(x, p)
     return x
@@ -82,74 +93,19 @@ def padic_fraction(p: int, x: Rational) -> Fraction:
 
 def over_p_power(values: Iterable[Rational], p: int, floor: int = 0) -> tuple[list[int], int]:
     """(nums, Q): values_i = nums_i / p^Q with the least Q >= floor; DomainError
-    unless p >= 2 and every denominator is a power of p."""
-    _check_prime(p)
+    unless p is a prime and every denominator is a power of p."""
+    check_prime(p)
     parts = [split_p_part(x, p) for x in values]
     Q = max([floor] + [-v for u, v in parts if u])
     return [unit * p ** (v + Q) for unit, v in parts], Q
 
 
-class RootOfUnity:
-    """exp(2*pi*i * r / p^m), stored canonically with p coprime to r for m > 0."""
-
-    __slots__ = ("prime", "numerator", "level")
-
-    def __init__(self, prime: int, numerator: int, level: int):
-        _check_prime(prime)
-        if level < 0:
-            raise DomainError("level must be >= 0")
-        r = numerator % prime**level if level > 0 else 0
-        while level > 0 and r % prime == 0:
-            r //= prime
-            level -= 1
-        if level == 0:
-            r = 0
-        self.prime = prime
-        self.numerator = r
-        self.level = level
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        if other.prime != self.prime:
-            raise DomainError("prime mismatch")
-        m = max(self.level, other.level)
-        p = self.prime
-        r = (
-            self.numerator * p ** (m - self.level)
-            + other.numerator * p ** (m - other.level)
-        )
-        return RootOfUnity(p, r, m)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootOfUnity):
-            return NotImplemented
-        return (self.prime, self.numerator, self.level) == (
-            other.prime,
-            other.numerator,
-            other.level,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.prime, self.numerator, self.level))
-
-    def __repr__(self) -> str:
-        if self.level == 0:
-            return f"RootOfUnity({self.prime}, 1)"
-        return f"RootOfUnity({self.prime}, e(2pi*{self.numerator}/{self.prime}^{self.level}))"
-
-
-def character(x: Rational, p: int) -> RootOfUnity:
-    """The standard additive character Psi(x) = exp(2*pi*i * {x}_p).
-
-    Psi is trivial on Z_p and nontrivial on p^(-1) Z_p; it is additive:
-    character(x + y) = character(x) * character(y).
-    """
-    _check_prime(p)
-    unit, val = split_p_part(x, p)
-    if val >= 0:
-        return RootOfUnity(p, 0, 0)
-    return RootOfUnity(p, unit % p**-val, -val)
+def character(x: Rational, p: int) -> Fraction:
+    """The angle {x}_p in [0, 1) of the standard additive character
+    Psi(x) = exp(2*pi*i * {x}_p): trivial on Z_p, nontrivial on p^(-1) Z_p,
+    and additive, {x + y}_p = {x}_p + {y}_p mod 1."""
+    x = padic_fraction(p, x)
+    return x - math.floor(x)
 
 
 @dataclass(frozen=True)
@@ -161,7 +117,7 @@ class Ball:
     radius_exp: int
 
     def __post_init__(self):
-        _check_prime(self.prime)
+        check_prime(self.prime)
         if not self.center:
             raise DomainError("ball needs at least one coordinate")
         center = tuple(padic_fraction(self.prime, c) for c in self.center)

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, PolynomialSyntaxError, ResourceCapError
-from .padic import Rational, int_valuation, over_p_power
+from .padic import MODULUS_LIMIT, Rational, int_valuation, over_p_power
 
 Exponents = tuple[int, ...]
 
@@ -192,9 +192,6 @@ def _powmod_vector(base: np.ndarray | int, exp: int, modulus: int) -> np.ndarray
             b *= b
             b %= modulus
     return result
-
-
-MODULUS_LIMIT = 2**31 - 1  # int32 holds every residue; products of two fit in int64
 
 
 def checked_modulus(modulus: int, what: str) -> int:

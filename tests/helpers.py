@@ -18,7 +18,7 @@ import numpy as np
 from padic_dispersion.cli import JobConfig
 from padic_dispersion.expsums import _NODE_COST, _TERM_COST, exp_sum
 from padic_dispersion.newton import Facet, NewtonPolyhedron, face_polynomials
-from padic_dispersion.padic import Ball, RootOfUnity, split_p_part
+from padic_dispersion.padic import Ball, split_p_part
 from padic_dispersion.polynomials import (
     SparsePolynomial,
     checked_modulus,
@@ -474,11 +474,9 @@ def config_from_dict(d: dict) -> JobConfig:
     return JobConfig(**d)
 
 
-def complex_value(root: RootOfUnity) -> complex:
-    """exp(2 pi i r / p^m) as a complex number."""
-    if root.level == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * (root.numerator / root.prime**root.level))
+def complex_value(angle: Fraction) -> complex:
+    """e(angle) = exp(2 pi i angle) as a complex number."""
+    return cmath.exp(2j * math.pi * angle)
 
 
 def translated(g: SchwartzBruhatFn, shift) -> SchwartzBruhatFn:

@@ -144,6 +144,20 @@ class TestExpsumCommand:
             "reason": f"critical point detected in residue class ({c}) mod p^12",
         }
 
+    def test_a_critical_line_is_indeterminate_within_the_class_budget(self, tmp_path):
+        # x1 = -1/2 meets the ball for every x2: the search visited about 5^12
+        # classes and did not finish within 60 s
+        argv = ["expsum", "--prime", "5", "--poly", "4*x1^2+4*x1+x2-x2", "--m", "1..3",
+                "--ball", "ball 2 0 1"]
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, argv)
+        elapsed = time.perf_counter() - start
+        doc = json.loads(out)["results"]
+        assert code == EXIT_OK and doc["certificate"]["status"] == "indeterminate"
+        assert "class search" in doc["certificate"]["reason"]
+        assert [row["m"] for row in doc["table"]] == [1, 2, 3]
+        assert elapsed < 2.0, elapsed
+
     def test_a_ball_of_radius_exponent_two_is_not_certified(self, tmp_path):
         argv = ["expsum", "--prime", "3", "--poly", "x^2", "--m", "1..4", "--ball", "ball 1 2"]
         code, out = run_cli(tmp_path, argv)
@@ -231,7 +245,7 @@ class TestExpsumCommand:
         argv = ["expsum", "--prime", "3", "--poly", DEGREE_SIX_IN_FOUR, "--m", "1..2"]
         code, out = run_cli(tmp_path, argv, name="refused.bin")
         assert (code, out) == (EXIT_RESOURCE, b"")
-        assert "195878676 facet search units" in capsys.readouterr().err
+        assert "932755600 facet search units" in capsys.readouterr().err
 
     def test_six_squares_reach_their_newton_exponent(self, tmp_path):
         six = ["--prime", "3", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2+x6^2"]
@@ -644,6 +658,15 @@ class TestValidationAndExitCodes:
         elapsed = time.perf_counter() - start
         assert code == EXIT_VALIDATION
         assert "2^31" in capsys.readouterr().err
+        assert elapsed < 0.1, elapsed
+
+    def test_a_composite_below_the_limit_is_refused_at_once(self, tmp_path):
+        # 46337^2: trial division runs to its square root 46337
+        argv = ["newton", "--prime", str(46337**2), "--poly", "x"]
+        start = time.perf_counter()
+        code, _ = run_cli(tmp_path, argv)
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_VALIDATION
         assert elapsed < 0.1, elapsed
 
     def test_bad_polynomial(self, tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -962,6 +963,16 @@ class TestStationaryCertificate:
         # its valuation passes the depth cap, where Hensel's lemma finds no root
         with pytest.raises(CertificateIndeterminate):
             stationary_certificate(parse_polynomial("x^3-3486784401*x"), Z3, {})
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_a_critical_line_ends_the_search_at_its_class_budget(self, p):
+        # 4 x1^2 + 4 x1 is critical on the line x1 = -1/2, which meets the ball:
+        # every class stays critical, so the search runs out of budget before depth
+        f = parse_polynomial("4*x1^2+4*x1", nvars=2)
+        start = time.perf_counter()
+        with pytest.raises(CertificateIndeterminate, match="class search"):
+            stationary_certificate(f, Ball.of(p, [(p - 1) // 2, 0], 1), {})
+        assert time.perf_counter() - start < 2.0
 
     @pytest.mark.parametrize("p,poly", [(3, "x^2+x"), (5, "x^3-2*x"), (3, "x1^2+x2^2+x1")])
     def test_a_critical_point_off_the_integers_is_unavailable(self, p, poly):

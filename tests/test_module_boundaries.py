@@ -15,7 +15,8 @@ values read.  `polynomials.compose_affine` names no `Fraction`: it expands in
 the numbers it is given, so the integer phases of the recursion stay integers.
 
 The parameter names of everything the package exports are pinned in one
-table, so a keyword added or removed shows as a one-line diff.
+table, so a keyword added or removed shows as a one-line diff, and every
+export that takes a prime refuses one that `padic.check_prime` refuses.
 """
 
 import ast
@@ -25,6 +26,22 @@ from pathlib import Path
 import pytest
 
 import padic_dispersion
+from padic_dispersion import (
+    Ball,
+    ExpSumResult,
+    GraphHypersurface,
+    ModulatedSBFn,
+    SchwartzBruhatFn,
+    character,
+    exp_sum,
+    newton_facets,
+    nondegeneracy_mod_p,
+    parse_polynomial,
+    zeta_kernel,
+    zeta_kernel_numeric,
+)
+from padic_dispersion.errors import DomainError
+from padic_dispersion.newton import critical_locus_mod_p
 
 PACKAGE = "padic_dispersion"
 SOURCES = sorted(Path(padic_dispersion.__file__).parent.glob("*.py"))
@@ -410,7 +427,6 @@ EXPORTED_PARAMETERS = {
     "PolynomialSyntaxError": ("message", "position"),
     "QuasiHomogeneityWitness": ("alpha", "degree"),
     "ResourceCapError": ("required", "cap", "what"),
-    "RootOfUnity": ("prime", "numerator", "level"),
     "SchwartzBruhatFn": ("n", "prime", "terms"),
     "SolutionSpec": ("f0", "phi", "spectrum", "freq_bound", "phase_bound", "spectrum_exp"),
     "SparsePolynomial": ("nvars", "terms"),
@@ -467,3 +483,34 @@ def exported_parameters() -> dict[str, tuple[str, ...] | None]:
 
 def test_exported_parameters_are_pinned():
     assert exported_parameters() == EXPORTED_PARAMETERS
+
+
+SQUARE = parse_polynomial("x^2")
+# one call per exported entry point that takes a prime, made at the prime p
+PRIME_CALLS = {
+    "Ball": lambda p: Ball.of(p, [0], 0),
+    "ExpSumResult": lambda p: ExpSumResult(p, 1, {(1,): 1}, 1, 1, (), 0, 1, 1, 10**8),
+    "ModulatedSBFn": lambda p: ModulatedSBFn(1, p, ()),
+    "SchwartzBruhatFn": lambda p: SchwartzBruhatFn(1, p, ()),
+    "character": lambda p: character(0, p),
+    "nondegeneracy_mod_p": lambda p: nondegeneracy_mod_p(SQUARE, newton_facets(SQUARE), p),
+    "zeta_kernel": lambda p: zeta_kernel(0.5, 0, 1, p),
+    "zeta_kernel_numeric": lambda p: zeta_kernel_numeric(0.5, 0, 1, p),
+    # these read their prime off a ball, or scan F_p^m
+    "GraphHypersurface": lambda p: GraphHypersurface(SQUARE, Ball.of(p, [0, 0], 0)).critical_status,
+    "exp_sum": lambda p: exp_sum(SQUARE, 1, Ball.of(p, [0], 0)).value,
+    "critical_locus_mod_p": lambda p: critical_locus_mod_p(SQUARE, p),
+}
+PRIME_TAKERS = sorted(
+    {name for name, params in exported_parameters().items() if {"p", "prime"} & set(params or ())}
+    | {"GraphHypersurface", "exp_sum", "critical_locus_mod_p"}
+)
+
+
+# 46337^2 = 2147117569 is the composite below 2^31 that trial division takes longest to refuse
+@pytest.mark.parametrize("p", [4, 9, 46337**2, 2**31 + 11])
+@pytest.mark.parametrize("name", PRIME_TAKERS)
+def test_every_entry_point_that_takes_a_prime_refuses_a_bad_one(name, p):
+    assert name in PRIME_CALLS, f"{name} takes a prime and has no row in PRIME_CALLS"
+    with pytest.raises(DomainError):
+        PRIME_CALLS[name](p)

@@ -111,7 +111,27 @@ class TestFacets:
         monkeypatch.setattr(newton, "_normal", tried)
         with pytest.raises(ResourceCapError) as caught:
             newton_facets(parse_polynomial(DEGREE_SIX_IN_FOUR))
-        assert (caught.value.required, caught.value.cap) == (195_878_676, DEFAULT_FACE_SCAN_CAP)
+        # 2331889 candidates, each charged m (m^2 + |supp|) = 4 (16 + 84) units
+        assert (caught.value.required, caught.value.cap) == (932_755_600, DEFAULT_FACE_SCAN_CAP)
+
+    def test_a_search_that_took_seconds_is_refused_at_once(self):
+        # the 21 degree-2 monomials in 6 variables: 296009 candidates took 10.5 s
+        f = parse_polynomial("+".join(f"x{i}*x{j}" for i in range(1, 7) for j in range(i, 7)))
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError) as caught:
+            newton_facets(f)
+        assert caught.value.required == 296009 * 6 * (36 + 21)
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_monomial_in_forty_variables_answers_at_once(self):
+        # with one minimal point only k = m - 1 rays can span a facet; walking
+        # every k < m visited about 2^m ray subsets, 12 s at m = 26
+        f = parse_polynomial("*".join(f"x{i}" for i in range(1, 41)))
+        start = time.perf_counter()
+        P = newton_facets(f)
+        assert time.perf_counter() - start < 1.0
+        assert len(P.facets) == 40
+        assert beta_and_t0(P)[0] == 1
 
     @pytest.mark.parametrize(
         "text",

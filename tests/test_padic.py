@@ -11,7 +11,6 @@ from padic_dispersion.errors import DomainError
 from padic_dispersion.expsums import exp_sum
 from padic_dispersion.padic import (
     Ball,
-    RootOfUnity,
     character,
     int_valuation,
     padic_fraction,
@@ -120,11 +119,15 @@ class TestPadicRational:
 
 
 class TestCharacter:
+    """character(x, p) is the angle {x}_p in [0, 1), Psi(x) = e({x}_p)."""
+
     def test_trivial_on_integers(self):
-        assert character(5, 3) == RootOfUnity(3, 0, 0)
+        assert character(5, 3) == character(-7, 3) == 0
+        assert type(character(5, 3)) is Fraction
 
     def test_nontrivial_on_inverse_p(self):
-        assert character(Fraction(1, 3), 3) == RootOfUnity(3, 1, 1)
+        assert character(Fraction(1, 3), 3) == Fraction(1, 3)
+        assert character(Fraction(-1, 3), 3) == Fraction(2, 3)
 
     def test_digit_expansion_case(self):
         # independent digit oracle: 7/9 has fractional digits 7 = 1 + 2*3 mod 9
@@ -135,8 +138,8 @@ class TestCharacter:
             digits.append(a % 3)
             a //= 3
         expect_num = digits[0] + 3 * digits[1]
-        c = character(x, 3)
-        assert (c.numerator, c.level) == (expect_num, 2) == (7, 2)
+        assert character(x, 3) == Fraction(expect_num, 9) == Fraction(7, 9)
+        assert character(x + 5, 3) == Fraction(7, 9)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_additivity_exact(self, p):
@@ -144,34 +147,18 @@ class TestCharacter:
         for _ in range(1000):
             x = Fraction(rng.randint(-200, 200), p ** rng.randint(0, 4))
             y = Fraction(rng.randint(-200, 200), p ** rng.randint(0, 4))
-            assert character(x + y, p) == character(x, p) * character(y, p)
+            angle = character(x + y, p)
+            assert 0 <= angle < 1
+            assert (angle - character(x, p) - character(y, p)).denominator == 1
 
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
     def test_full_residue_sum_vanishes(self, p, m):
         counts = {r: 1 for r in range(p**m)}
         total = sum(
-            n * complex_value(RootOfUnity(p, r, m)) for r, n in sorted(counts.items())
+            n * complex_value(character(Fraction(r, p**m), p)) for r, n in sorted(counts.items())
         )
         assert set(counts.values()) == {1} and len(counts) == p**m
         assert abs(total) < 1e-9
-
-
-class TestRootOfUnity:
-    def test_canonicalisation(self):
-        assert RootOfUnity(3, 3, 2) == RootOfUnity(3, 1, 1)
-        assert RootOfUnity(3, 9, 2) == RootOfUnity(3, 0, 0)
-        assert RootOfUnity(5, -1, 1) == RootOfUnity(5, 4, 1)
-
-    @given(
-        st.sampled_from([2, 3, 5]),
-        st.integers(min_value=-40, max_value=40),
-        st.integers(min_value=0, max_value=4),
-        st.integers(min_value=-40, max_value=40),
-        st.integers(min_value=0, max_value=4),
-    )
-    def test_group_law_matches_complex(self, p, r1, m1, r2, m2):
-        a, b = RootOfUnity(p, r1, m1), RootOfUnity(p, r2, m2)
-        assert abs(complex_value(a * b) - complex_value(a) * complex_value(b)) < 1e-12
 
 
 class TestBallsAndResidues:
@@ -215,11 +202,19 @@ PARABOLA3 = GraphHypersurface(parse_polynomial("x^2"), Ball.of(3, [0, 0], 0))
         lambda a: zeta_kernel(0.5, a, 1, 1),
         lambda a: zeta_kernel_numeric(0.5, a, 1, 1),
         lambda a: ModulatedSBFn(1, 1, ((Ball.of(3, [0], 0), (a,), 1 + 0j),)),
+        # composite p: Z[1/p] is no ring of p-adic scalars
+        lambda a: zeta_kernel(0.5, a, 1, 4),
+        lambda a: zeta_kernel(0.5, a, 1, 9),
+        lambda a: zeta_kernel_numeric(0.5, a, 1, 4),
+        lambda a: zeta_kernel_numeric(0.5, a, 1, 9),
+        lambda a: ModulatedSBFn(1, 4, ((Ball.of(3, [0], 0), (a,), 1 + 0j),)),
+        lambda a: ModulatedSBFn(1, 9, ((Ball.of(3, [0], 0), (a,), 1 + 0j),)),
     ],
     ids=["character", "exp_sum-z", "surface_ft-xi", "ray_values-direction", "solve_u-x", "solve_u-t",
          "windowed_spectrum-xi", "windowed_spectrum-tau", "zeta_kernel", "zeta_kernel_numeric",
          "Ball.of-center", "ModulatedSBFn-modulation", "zeta_kernel-p1", "zeta_kernel_numeric-p1",
-         "ModulatedSBFn-p1"],
+         "ModulatedSBFn-p1", "zeta_kernel-p4", "zeta_kernel-p9", "zeta_kernel_numeric-p4",
+         "zeta_kernel_numeric-p9", "ModulatedSBFn-p4", "ModulatedSBFn-p9"],
 )
 def test_scalar_of_another_prime_is_refused_at_p_3(call, a):
     with pytest.raises(DomainError):

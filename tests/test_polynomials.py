@@ -251,10 +251,10 @@ class TestModulusLimit:
                 wave._cell_residues(spec, 0, 1, t / 2, (x / 2,))
             assert err.value.cap == MODULUS_LIMIT
 
-    def test_only_polynomials_writes_the_limit(self):
+    def test_only_padic_writes_the_limit(self):
         package = Path(padic_dispersion.__file__).parent
         pattern = re.compile(r"1\s*<<\s*31|2\s*\*\*\s*31")
         writers = sorted(
             path.name for path in package.glob("*.py") if pattern.search(path.read_text())
         )
-        assert writers == ["polynomials.py"]
+        assert writers == ["padic.py"]
